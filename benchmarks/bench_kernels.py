@@ -90,8 +90,8 @@ def bench_macro(repeat):
         for _ in range(repeat):
             res = subprocess.run([sys.executable, "-c", WORKLOAD], env=env, capture_output=True, text=True)
             if res.returncode:
-                print(res.stderr)
-                return
+                print(res.stderr, file=sys.stderr)
+                sys.exit(f"end-to-end workload failed in the {backend} run (exit code {res.returncode})")
             print(res.stdout.strip())
 
 

@@ -2,13 +2,23 @@
 parabolics, Levi-module character constructors, and the closed-form virtual
 dimension.
 
-The Euler character of a parabolic p with Levi l and a Levi module M is the
-alternating Weyl sum of e^rho ch M / prod_{odd positive Levi roots}
-(1 + e^{-a}), multiplied by D1/D0.  The sum of the w-translates alone is a
-genuine rational function (not polynomial in general), so evaluation brings
-everything over one common denominator, cancels the denominator factors
-against the matching factors of D1, and clears what remains by exact
-division.  Divisibility failure is always an internal error, never data.
+Every Weyl-type quotient here has the form (alternating Weyl sum) / D0, and
+D0 is a product of binomials e^{a/2} - e^{-a/2}, one per even positive root
+a.  The quotient is computed by `divide_by_binomials`, which clears one
+binomial per pass over the terms, never by a general long division:
+
+* Kac: the alternating sum of e^{lam+rho} is divided by D0, then multiplied
+  by the binomials e^{a/2} + e^{-a/2} of D1.  For odd l the factor
+  e^{d_i} - e^{-d_i} of D0 and e^{d_i/2} + e^{-d_i/2} of D1 cancel to
+  1 / (e^{d_i/2} - e^{-d_i/2}), so the division runs by that binomial and
+  the odd root d_i is skipped.
+* Euler: D1 is W-invariant, so the Euler character of a parabolic with
+  Levi module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a})
+  over the odd positive roots a outside the Levi, divided by D0.
+* Even-Levi simple modules: the Levi's alternating sum divided by the
+  binomials of its even positive roots.
+
+Divisibility failure is always an internal error, never data.
 """
 
 from __future__ import annotations
@@ -18,25 +28,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import (
-    FactoredRational,
-    LaurentPoly,
-    exact_div,
-    rational_sum,
-)
+from .laurent import LaurentPoly, divide_by_binomials, multiply_by_binomials
+from .laurent import exact_div  # noqa: F401  (perfbench's tracer re-binds charformulas.exact_div)
 from .linalg import det_bareiss_laurent, rref
 from .rootdata import (
     Algebra,
     Weight,
+    alternate,
     antisymmetrize,
     is_dominant,
     positive_roots,
     rho,
     rho0,
-    rho1,
     simple_roots,
     validate_partition,
-    weyl_group,
 )
 from .series import super_homogeneous_series
 
@@ -68,6 +73,25 @@ def denominators(alg: Algebra):
         neg = tuple(-x for x in half)
         d1 = d1 * (LaurentPoly.monomial(alg.n, alg.m, half) + LaurentPoly.monomial(alg.n, alg.m, neg))
     return d0, d1
+
+
+def _half(doubled):
+    return tuple(x // 2 for x in doubled)
+
+
+@lru_cache(maxsize=None)
+def _kac_binomials(alg: Algebra):
+    """(halves of D0 to divide by, halves of D1 to multiply by) for the Kac
+    quotient, after cancelling the non-isotropic odd roots d_i (odd l)
+    against the even roots 2 d_i."""
+    pos = positive_roots(alg)
+    short = {a.doubled for a in pos.odd if a not in pos.isotropic}
+    divide = []
+    for r in pos.even:
+        h = _half(r.doubled)
+        divide.append(_half(h) if h in short else h)
+    multiply = [_half(a.doubled) for a in pos.odd if a in pos.isotropic]
+    return tuple(divide), tuple(multiply)
 
 
 # -- parabolic subalgebras --------------------------------------------------------
@@ -283,27 +307,23 @@ def levi_simple_even_character(p: Parabolic, lam: Weight) -> LaurentPoly:
         raise LeviMismatch("Levi has odd roots; use the gl-type constructors")
     alg = p.alg
     half = Weight(alg, [sum(r.doubled[i] for r in even) // 2 for i in range(alg.rank)])
-    group = _reflection_group(alg, even)
-
-    def antisym(v: Weight):
-        terms = {}
-        for perm, signs, sgn in group:
-            e = [0] * alg.rank
-            for i in range(alg.rank):
-                e[perm[i]] = signs[i] * v.doubled[i]
-            e = tuple(e)
-            terms[e] = terms.get(e, 0) + sgn
-        return LaurentPoly(alg.n, alg.m, terms)
-
-    num = antisym(lam + half)
-    den = antisym(half)
-    return exact_div(num, den)
+    v = (lam + half).doubled
+    terms = {}
+    for perm, signs, sgn in _reflection_group(alg, even):
+        e = [0] * alg.rank
+        for i in range(alg.rank):
+            e[perm[i]] = signs[i] * v[i]
+        e = tuple(e)
+        terms[e] = terms.get(e, 0) + sgn
+    num = LaurentPoly(alg.n, alg.m, terms)
+    return divide_by_binomials(num, [_half(r.doubled) for r in even])
 
 
 @lru_cache(maxsize=None)
 def _reflection_group(alg: Algebra, roots):
     """Closure of the reflections in the given even roots, as signed
-    permutations (perm, signs, determinant) of the weight coordinates."""
+    permutations (perm, signs, determinant) of the weight coordinates.  The
+    determinant is tracked during the closure: each reflection flips it."""
     k = alg.rank
     gens = []
     for r in roots:
@@ -329,26 +349,8 @@ def _reflection_group(alg: Algebra, roots):
         signs = tuple(sb[i] * sa[pb[i]] for i in range(k))
         return perm, signs
 
-    def det(el):
-        perm, signs = el
-        seen = [False] * k
-        d = 1
-        for i in range(k):
-            if seen[i]:
-                continue
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                clen += 1
-            if clen % 2 == 0:
-                d = -d
-        for s in signs:
-            d *= s
-        return d
-
     identity = (tuple(range(k)), (1,) * k)
-    seen = {identity}
+    seen = {identity: 1}
     frontier = [identity]
     while frontier:
         nxt = []
@@ -356,13 +358,10 @@ def _reflection_group(alg: Algebra, roots):
             for g in gens:
                 cand = compose(g, el)
                 if cand not in seen:
-                    seen.add(cand)
+                    seen[cand] = -seen[el]
                     nxt.append(cand)
         frontier = nxt
-    out = []
-    for perm, signs in sorted(seen):
-        out.append((perm, signs, det((perm, signs))))
-    return tuple(out)
+    return tuple((perm, signs, det) for (perm, signs), det in sorted(seen.items()))
 
 
 def levi_character(p: Parabolic, tag, arg=None) -> LeviCharacter:
@@ -400,18 +399,15 @@ def levi_character(p: Parabolic, tag, arg=None) -> LeviCharacter:
 def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     """Virtual character (D1/D0) * alternating sum of e^{w(lam+rho)}.
 
-    The numerator is multiplied by D1 before the single exact division by the
-    alternating sum of e^{w(rho0)} (= D0): for odd l the intermediate 'even
-    Weyl character' quotient is not a Laurent polynomial on its own, the
-    product is.
+    The alternating sum is divided by the binomials of D0 first, then
+    multiplied by those of D1 (see the module docstring for the odd-l
+    cancellation); dividing first keeps the intermediate small.
     """
     if lam.is_integral() and not is_dominant(lam):
         warnings.warn(f"{lam.format()} is not dominant; result is a formal virtual character")
     num = antisymmetrize(alg, lam + rho(alg))
-    if num.is_zero():
-        return num
-    _, d1 = denominators(alg)
-    result = exact_div(num * d1, antisymmetrize(alg, rho0(alg)))
+    divide, multiply = _kac_binomials(alg)
+    result = multiply_by_binomials(divide_by_binomials(num, divide), multiply)
     if not result.is_integral():
         raise ArithmeticError("Kac character came out non-integral")
     return result
@@ -423,40 +419,14 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
     alg = p.alg
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
-    base = ch_m.shifted(rho(alg).doubled)
-
-    terms = []
-    for w in weyl_group(alg):
-        num = w.apply_poly(base)
-        factors = {}
-        for r in levi_odd:
-            mu = tuple(-x for x in w.apply_doubled(r.doubled))
-            factors[(1, mu)] = factors.get((1, mu), 0) + 1
-        terms.append((w.sign, FactoredRational(num, factors)))
-    summed = rational_sum(terms)
-
-    pos = positive_roots(alg)
-    d1_factors = {}
-    for r in pos.odd:
-        key = (1, tuple(-x for x in r.doubled))
-        d1_factors[key] = d1_factors.get(key, 0) + 1
-    leftover = dict(d1_factors)
-    uncancelled = {}
-    for key, cnt in summed.factors.items():
-        have = leftover.get(key, 0)
-        used = min(have, cnt)
-        if used:
-            leftover[key] = have - used
-        if cnt - used:
-            uncancelled[key] = cnt - used
-
-    numerator = summed.numerator.shifted(summed.unit_exp, summed.unit_sign)
-    numerator = numerator.shifted(rho1(alg).doubled)
-    numerator = numerator * FactoredRational(LaurentPoly.one(alg.n, alg.m), leftover).denominator_poly()
-
-    d0, _ = denominators(alg)
-    denominator = d0 * FactoredRational(LaurentPoly.one(alg.n, alg.m), uncancelled).denominator_poly()
-    result = exact_div(numerator, denominator)
+    f = ch_m.shifted(rho0(alg).doubled)
+    for a in positive_roots(alg).odd:
+        if a not in levi_odd:
+            f = f + f.shifted(tuple(-x for x in a.doubled))
+    # dividing by the orthogonal-side roots first keeps the intermediate
+    # quotients smaller here (the Kac orbit sums prefer the given order)
+    halves = [_half(r.doubled) for r in reversed(positive_roots(alg).even)]
+    result = divide_by_binomials(alternate(alg, f), halves)
     if not result.is_integral():
         raise ArithmeticError("Euler character came out non-integral")
     return result

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -279,6 +280,66 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     shift = tuple(x - y for x, y in zip(minp, minq))
     return LaurentPoly(p.n, p.m, {tuple(x + y for x, y in zip(t, shift)): f for t, f in quot.items()})
+
+
+def divide_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
+    """Exact quotient p / prod_h (x^h - x^-h); raises NotDivisible otherwise.
+
+    Each binomial is cleared in one pass over the terms: they are grouped
+    into strings e + Z*2h, and walking a string from the top the quotient
+    coefficient at e - h is the running sum of the coefficients seen so far.
+    A nonzero running sum at the bottom of a string proves p is not a
+    multiple.  Weyl denominators are products of such binomials, one per
+    positive root (h = half the root), so this is the Weyl-quotient engine.
+    """
+    terms = p.terms
+    for h in halves:
+        terms = _divide_by_binomial(terms, tuple(h))
+    return LaurentPoly(p.n, p.m, terms)
+
+
+def _divide_by_binomial(terms, h):
+    i0 = next((i for i, x in enumerate(h) if x), None)
+    if i0 is None:
+        raise ZeroDivisionError("x^0 - x^0 is the zero polynomial")
+    step = 2 * h[i0]
+    # string -> {position t along it: coefficient}; the key is the string's
+    # member whose i0 coordinate lies between 0 and step
+    offsets = {}  # t -> t * 2h, the offset of position t from the key
+    strings = {}
+    for e, c in terms.items():
+        t = e[i0] // step
+        off = offsets.get(t)
+        if off is None:
+            off = offsets[t] = tuple(2 * t * x for x in h)
+        strings.setdefault(tuple(map(operator.sub, e, off)), {})[t] = c
+    quot = {}
+    below = {}  # t -> (2t - 1) * h, the offset of the quotient term at t
+    for key, coefs in strings.items():
+        top, bottom = max(coefs), min(coefs)
+        run = 0
+        for t in range(top, bottom, -1):
+            run += coefs.get(t, 0)
+            if run:
+                off = below.get(t)
+                if off is None:
+                    off = below[t] = tuple((2 * t - 1) * x for x in h)
+                quot[tuple(map(operator.add, key, off))] = run
+        if run + coefs[bottom]:
+            raise NotDivisible(f"string through {key} does not clear x^{h} - x^-{h}")
+    return quot
+
+
+def multiply_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
+    """p * prod_h (x^h + x^-h), one pass over the terms per binomial."""
+    terms = p.terms
+    for h in halves:
+        out = {}
+        for e, c in terms.items():
+            for k in (tuple(map(operator.add, e, h)), tuple(map(operator.sub, e, h))):
+                out[k] = out.get(k, 0) + c
+        terms = {e: c for e, c in out.items() if c}
+    return LaurentPoly(p.n, p.m, terms)
 
 
 # -- factored rational expressions ---------------------------------------------

@@ -284,7 +284,7 @@ def all_roots(alg: Algebra):
 
 def simple_roots(alg: Algebra):
     """Standard simple system: d-chain, d_n - e_1, e-chain, then the tail
-    (e_m for odd l, e_{m-1} + e_m for even l >= 4)."""
+    (e_m for odd l, e_{m-1} + e_m for even l >= 4, d_n + e_1 for l = 2)."""
     n, m = alg.n, alg.m
     d = [_unit(alg, i) for i in range(n)]
     e = [_unit(alg, n + j) for j in range(m)]
@@ -298,6 +298,8 @@ def simple_roots(alg: Algebra):
         out.append(e[m - 1])
     elif m >= 2:
         out.append(e[m - 2] + e[m - 1])
+    else:
+        out.append(d[n - 1] + e[0])
     return out
 
 
@@ -514,10 +516,17 @@ def weyl_group(alg: Algebra):
 
 def antisymmetrize(alg: Algebra, w: Weight) -> LaurentPoly:
     """Alternating Weyl sum of e^{w}: sum over W of sign(g) e^{g(w)}."""
+    return alternate(alg, w.exponent_monomial())
+
+
+def alternate(alg: Algebra, p: LaurentPoly) -> LaurentPoly:
+    """Alternating Weyl sum of a polynomial: sum over W of sign(g) g(p)."""
     terms = {}
     for g in weyl_group(alg):
-        e = g.apply_doubled(w.doubled)
-        terms[e] = terms.get(e, 0) + g.sign
+        s = g.sign
+        for e, c in p.terms.items():
+            k = g.apply_doubled(e)
+            terms[k] = terms.get(k, 0) + s * c
     return LaurentPoly(alg.n, alg.m, terms)
 
 

@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from spochar.charformulas import (
+    LeviCharacter,
     LeviMismatch,
+    Parabolic,
     SingularVirtualDimension,
+    _reflection_group,
     borel,
     denominators,
     euler_character,
@@ -18,8 +22,26 @@ from spochar.charformulas import (
     vdim_formula,
 )
 from spochar.jacobitrudi import sym_power_char
-from spochar.laurent import LaurentPoly
-from spochar.rootdata import Algebra, Weight, antisymmetrize, is_dominant, rho0, weyl_group
+from spochar.laurent import (
+    FactoredRational,
+    LaurentPoly,
+    NotDivisible,
+    divide_by_binomials,
+    exact_div,
+    multiply_by_binomials,
+    rational_sum,
+)
+from spochar.rootdata import (
+    Algebra,
+    Weight,
+    antisymmetrize,
+    is_dominant,
+    positive_roots,
+    rho,
+    rho0,
+    rho1,
+    weyl_group,
+)
 
 SPO23 = Algebra.parse("2|3")
 SPO24 = Algebra.parse("2|4")
@@ -200,3 +222,162 @@ def test_doubling_remark_sample():
     ep = euler_character(p, levi_character(p, "one_dimensional", lam))
     eq = euler_character(q, levi_character(q, "one_dimensional", lam))
     assert eq == 2 * ep
+
+
+# -- differential tests: the binomial-string quotients against the old paths --
+
+
+def _dominant_weights(alg):
+    """Dominant weights with every coefficient in 0..2."""
+    out = []
+    for c in itertools.product(range(3), repeat=alg.rank):
+        w = Weight.from_coeffs(alg, c[:alg.n], c[alg.n:])
+        if is_dominant(w):
+            out.append(w)
+    return out
+
+
+def _kac_by_definition(alg, lam):
+    num = antisymmetrize(alg, lam + rho(alg))
+    if num.is_zero():
+        return num
+    return exact_div(num * denominators(alg)[1], antisymmetrize(alg, rho0(alg)))
+
+
+KAC_GRID = ["2|0", "4|0", "2|1", "4|1", "6|1", "2|2", "4|2", "2|3", "4|3", "2|4", "4|4", "2|5", "6|3"]
+
+
+def test_kac_matches_definition_on_weight_grid():
+    count = 0
+    for text in KAC_GRID:
+        alg = Algebra.parse(text)
+        for lam in _dominant_weights(alg):
+            # the definition's long division costs up to 1 s per spo(6|3)
+            # weight; |lam| <= 4 keeps nine of its eighteen
+            if text == "6|3" and sum(lam.doubled) > 8:
+                continue
+            assert kac_character(alg, lam) == _kac_by_definition(alg, lam), (text, lam.format())
+            count += 1
+    assert count == 110
+
+
+def _euler_reference(p, module):
+    """The Euler character as computed before the binomial-string engine:
+    |W| FactoredRational terms summed over a common denominator, the
+    denominator cancelled against D1, the rest cleared by one long division.
+    Frozen here as the differential test's reference."""
+    alg = p.alg
+    ch_m = module.character if isinstance(module, LeviCharacter) else module
+    _, levi_odd = p.levi_positive()
+    base = ch_m.shifted(rho(alg).doubled)
+    terms = []
+    for w in weyl_group(alg):
+        num = w.apply_poly(base)
+        factors = {}
+        for r in levi_odd:
+            mu = tuple(-x for x in w.apply_doubled(r.doubled))
+            factors[(1, mu)] = factors.get((1, mu), 0) + 1
+        terms.append((w.sign, FactoredRational(num, factors)))
+    summed = rational_sum(terms)
+    leftover = {}
+    for r in positive_roots(alg).odd:
+        key = (1, tuple(-x for x in r.doubled))
+        leftover[key] = leftover.get(key, 0) + 1
+    uncancelled = {}
+    for key, cnt in summed.factors.items():
+        used = min(leftover.get(key, 0), cnt)
+        if used:
+            leftover[key] -= used
+        if cnt - used:
+            uncancelled[key] = cnt - used
+    one = LaurentPoly.one(alg.n, alg.m)
+    numerator = summed.numerator.shifted(summed.unit_exp, summed.unit_sign).shifted(rho1(alg).doubled)
+    numerator = numerator * FactoredRational(one, leftover).denominator_poly()
+    denominator = denominators(alg)[0] * FactoredRational(one, uncancelled).denominator_poly()
+    return exact_div(numerator, denominator)
+
+
+EULER_MODULES = [
+    ("trivial", None),
+    ("one_dimensional", "2d1"),
+    ("natural", None),
+    ("sym_power", 2),
+    ("ext_power", 2),
+    ("hook_schur", (2, 1)),
+]
+
+
+def test_euler_matches_rational_sum_on_parabolic_grid():
+    count = 0
+    for text in ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1"]:
+        alg = Algebra.parse(text)
+        for removed in itertools.product((False, True), repeat=alg.rank):
+            p = Parabolic(alg, frozenset(i for i, r in enumerate(removed) if r))
+            for tag, arg in EULER_MODULES:
+                if tag == "one_dimensional":
+                    arg = W(alg, arg)
+                try:
+                    module = levi_character(p, tag, arg)
+                except LeviMismatch:
+                    continue
+                assert euler_character(p, module) == _euler_reference(p, module), (p.describe(), tag)
+                count += 1
+    assert count == 120
+
+
+def _determinant(perm, signs):
+    det = 1
+    for s in signs:
+        det *= s
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                det = -det
+    return det
+
+
+def test_even_levi_matches_long_division():
+    count = 0
+    for text in ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1", "6|1"]:
+        alg = Algebra.parse(text)
+        for removed in itertools.product((False, True), repeat=alg.rank):
+            p = Parabolic(alg, frozenset(i for i, r in enumerate(removed) if r))
+            even, odd = p.levi_positive()
+            if odd:
+                continue
+            group = _reflection_group(alg, even)
+            assert all(det == _determinant(perm, signs) for perm, signs, det in group)
+
+            def antisym(doubled):
+                terms = {}
+                for perm, signs, det in group:
+                    e = [0] * alg.rank
+                    for i in range(alg.rank):
+                        e[perm[i]] = signs[i] * doubled[i]
+                    terms[tuple(e)] = terms.get(tuple(e), 0) + det
+                return LaurentPoly(alg.n, alg.m, terms)
+
+            half = [sum(r.doubled[i] for r in even) // 2 for i in range(alg.rank)]
+            for c in itertools.product(range(-1, 3), repeat=alg.rank):
+                lam = Weight.from_coeffs(alg, c[:alg.n], c[alg.n:])
+                ref = exact_div(antisym((lam + Weight(alg, half)).doubled), antisym(half))
+                assert levi_simple_even_character(p, lam) == ref, (p.describe(), lam.format())
+                count += 1
+    assert count == 1104
+
+
+def test_binomial_division_round_trip_and_failure():
+    x = LaurentPoly.monomial(2, 0, (3, -1))
+    p = x + 5 * LaurentPoly.monomial(2, 0, (0, 2)) - 2 * LaurentPoly.one(2, 0)
+    halves = [(1, 0), (1, -1), (0, 2), (1, 0)]
+    prod = p
+    for h in halves:
+        prod = prod * (LaurentPoly.monomial(2, 0, h) - LaurentPoly.monomial(2, 0, tuple(-v for v in h)))
+    assert divide_by_binomials(prod, halves) == p
+    assert divide_by_binomials(prod, halves[::-1]) == p
+    plus = LaurentPoly.monomial(2, 0, (0, 2)) + LaurentPoly.monomial(2, 0, (0, -2))
+    assert multiply_by_binomials(p, [(0, 2)]) == p * plus
+    with pytest.raises(NotDivisible):
+        divide_by_binomials(plus, [(0, 2)])
+    with pytest.raises(NotDivisible):
+        divide_by_binomials(prod + LaurentPoly.one(2, 0), halves)

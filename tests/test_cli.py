@@ -143,3 +143,9 @@ def test_reproduce_subset(capsys, tmp_path):
     assert "[PASS] criterion 5" in out
     assert "[PASS] criterion 6" in out
     assert "2/2 criteria passed" in out
+
+
+def test_euler_on_spo22(capsys, tmp_path):
+    out = run(capsys, "euler", "--algebra", "2|2", "--parabolic", "remove=d1-e1", "--levi-module", "trivial",
+              cache=tmp_path)
+    assert "vdim = 1" in out

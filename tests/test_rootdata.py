@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spochar.linalg import rref
 from spochar.rootdata import (
     Algebra,
     NonIntegralWeight,
@@ -224,3 +225,22 @@ def test_simple_roots_standard():
     assert labels24 == ["1d1-1e1", "1e1-1e2", "1e1+1e2"]
     labels63 = [r.format() for r in simple_roots(Algebra.parse("6|3"))]
     assert labels63 == ["1d1-1d2", "1d2-1d3", "1d3-1e1", "1e1"]
+    labels42 = [r.format() for r in simple_roots(Algebra.parse("4|2"))]
+    assert labels42 == ["1d1-1d2", "1d2-1e1", "1d2+1e1"]
+
+
+@pytest.mark.parametrize("algtxt", ["2|0", "4|0", "2|1", "4|1", "2|2", "4|2", "6|2", "2|3", "4|3", "2|4", "4|4", "4|5"])
+def test_simple_roots_are_a_base_of_the_positive_roots(algtxt):
+    alg = Algebra.parse(algtxt)
+    simples = simple_roots(alg)
+    assert len(simples) == alg.rank
+    pos = positive_roots(alg)
+    roots = pos.even + pos.odd
+    # columns: the simple roots, then every positive root; row-reducing
+    # expresses each positive root in the simple basis
+    rows = [[s.doubled[i] for s in simples] + [r.doubled[i] for r in roots] for i in range(alg.rank)]
+    mat, pivots = rref(rows)
+    assert pivots == list(range(alg.rank))
+    for j in range(len(roots)):
+        coords = [mat[i][alg.rank + j] for i in range(alg.rank)]
+        assert all(c.denominator == 1 and c >= 0 for c in coords), roots[j].format()
