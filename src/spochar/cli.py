@@ -2,8 +2,9 @@
 block queries, Laplacian kernel reports, identity checks, and the built-in
 golden-table reproduction, with a content-addressed result cache.
 
-Exit codes: 0 success, 2 argument/validation error, 3 mathematical
-assertion failure (exact-division or consistency violations).
+Exit codes: 0 success, 2 argument/validation error or a request above its
+size bound, 3 mathematical assertion failure (exact-division or
+consistency violations).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .charformulas import (
 from .jacobitrudi import identity_suite, jt_character, sym_power_char
 from .laurent import LaurentPoly, NotDivisible
 from .rootdata import Algebra, Weight, validate_partition
-from .superspace import format_monomial, irreducibility_report, kernel_basis, singular_vectors
+from .superspace import DimensionGuard, format_monomial, irreducibility_report, kernel_basis, singular_vectors
 
 
 class MathFailure(Exception):
@@ -574,7 +575,7 @@ def main(argv=None):
     except (NotDivisible, ArithmeticError, MathFailure) as exc:
         print(f"mathematical assertion failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, DimensionGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(out)

@@ -8,6 +8,7 @@ lists and are never mutated in place unless the function says so.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .laurent import LaurentPoly, exact_div
 
@@ -43,13 +44,47 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
+def _rref_int(rows):
+    """Fraction-free Gauss-Jordan over int: (rows, pivots) with every pivot
+    column zero outside its pivot row, rows divided by their content; the
+    RREF entry (r, c) is rows[r][c] / rows[r][pivots[r]]."""
+    mat = [list(row) for row in rows]
+    nrows, ncols = len(mat), len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        prow = mat[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = mat[i][c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(mat[i], prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
 def nullspace(rows):
     """Basis of the right nullspace (list of Fraction vectors), from rref;
-    free variables get value 1 in their own basis vector."""
+    free variables get value 1 in their own basis vector.  Integer input is
+    eliminated fraction-free, with the same result."""
     if not rows:
         return []
     ncols = len(rows[0])
-    mat, pivots = rref(rows)
+    if all(type(x) is int for row in rows for x in row):
+        mat, pivots = _rref_int(rows)
+        entry = lambda r, c: Fraction(mat[r][c], mat[r][pivots[r]])
+    else:
+        mat, pivots = rref(rows)
+        entry = lambda r, c: mat[r][c]
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -57,28 +92,9 @@ def nullspace(rows):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
+            v[pc] = -entry(r, fc)
         basis.append(v)
     return basis
-
-
-def solve_in_span(span_rows, target):
-    """Coefficients expressing target in the row span, or None.
-
-    span_rows: list of vectors; target: vector.  Exact over Fraction.
-    """
-    if not span_rows:
-        return None if any(x != 0 for x in target) else []
-    ncols = len(target)
-    aug = [[Fraction(span_rows[i][c]) for i in range(len(span_rows))] + [Fraction(target[c])] for c in range(ncols)]
-    mat, pivots = rref(aug)
-    k = len(span_rows)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = mat[r][k]
-    return coeffs
 
 
 def det_bareiss_laurent(matrix):

@@ -7,10 +7,17 @@ Monomials are flat exponent tuples in the fixed generator order
 x < xb < x0 < xi < xib; Grassmann slots hold bits.  Coefficients are exact
 rationals.  Odd operators act from the left with Koszul signs counted in the
 REALIZED parity (Grassmann bits only); the one global sign convention is
-pinned by the Laplacian-kernel calibration test, not by decree.
+pinned by the Laplacian-kernel calibration test, not by decree.  An operator
+is applied as a sum of its images of basis monomials (`MonomialImages`),
+each computed once per computation, with int coefficients for derivations
+and for the Laplacian scaled by 2 (which clears the 1/2 of the x0 term and
+keeps the kernel).
 
-All linear algebra is exact (Fraction Gaussian elimination), so the
-irreducibility verdicts below are certificates, not numerics.
+All linear algebra is exact and split into one block per weight: the
+Laplacian preserves weight and root operators shift it, so kernels, singular
+vectors and the tensor counts are solved block by block (fraction-free over
+the integers where the block is integral), and the irreducibility verdicts
+below are certificates, not numerics.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import comb, gcd, lcm
 
 from .laurent import LaurentPoly, grlex_key
 from .linalg import nullspace
@@ -237,9 +245,58 @@ def _merge_monomials(ta, tb, gs):
 # -- operators -------------------------------------------------------------------
 
 
+def _bump(out, key, val):
+    v = out.get(key, 0) + val
+    if v:
+        out[key] = v
+    elif key in out:
+        del out[key]
+
+
+def _exact(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _apply_terms(image, terms):
+    """Sum of c * image(mono) over a dict monomial -> c, as such a dict."""
+    out = {}
+    for mono, c in terms.items():
+        for t, ic in image(mono).items():
+            _bump(out, t, c * ic)
+    return out
+
+
+class MonomialImages:
+    """Images of basis monomials under operators, each computed once and kept
+    for the life of this object, which is one computation (not a global
+    cache).  An image is a dict monomial -> coefficient; derivations and
+    `doubled_laplacian` give int coefficients."""
+
+    def __init__(self):
+        self._tables = {}  # id(op) -> (op, {monomial: image}); op is kept so its id stays unique
+
+    def image(self, op, mono):
+        entry = self._tables.get(id(op))
+        if entry is None:
+            entry = self._tables[id(op)] = (op, {})
+        table = entry[1]
+        img = table.get(mono)
+        if img is None:
+            img = table[mono] = op.monomial_image(mono, self)
+        return img
+
+    def apply(self, op, terms):
+        """op applied to a dict monomial -> coefficient, as such a dict."""
+        return _apply_terms(lambda mono: self.image(op, mono), terms)
+
+
 class LinearOperator:
-    def apply(self, el: SuperElement) -> SuperElement:
+    def monomial_image(self, mono, images: MonomialImages) -> dict:
         raise NotImplementedError
+
+    def apply(self, el: SuperElement) -> SuperElement:
+        return SuperElement(el.alg, MonomialImages().apply(self, el.terms))
 
     def __call__(self, el):
         return self.apply(el)
@@ -259,29 +316,34 @@ class Derivation(LinearOperator):
     def image_map(self):
         return dict(self.images)
 
-    def apply(self, el: SuperElement) -> SuperElement:
-        alg = self.alg
-        gs = _layout(alg)[1]
-        total = SuperElement.zero(alg)
-        imgs = dict(self.images)
-        for mono, coef in el.terms.items():
-            for slot, img in imgs.items():
-                e = mono[slot]
-                if not e:
+    @cached_property
+    def _image_terms(self):
+        return tuple((slot, tuple((t, _exact(c)) for t, c in img.terms.items()))
+                     for slot, img in self.image_map().items())
+
+    def monomial_image(self, mono, images):
+        gs = _layout(self.alg)[1]
+        out = {}
+        for slot, terms in self._image_terms:
+            e = mono[slot]
+            if not e:
+                continue
+            if slot >= gs:
+                crossed = sum(mono[gs:slot])
+                mult = -1 if (self.parity and crossed % 2) else 1
+                left = mono[:slot] + (0,) * (len(mono) - slot)
+            else:
+                mult = e
+                left = mono[:slot] + (e - 1,) + (0,) * (len(mono) - slot - 1)
+            right = (0,) * (slot + 1) + mono[slot + 1:]
+            for t, c in terms:
+                head, s1 = _merge_monomials(left, t, gs)
+                if head is None:
                     continue
-                if slot >= gs:
-                    crossed = sum(mono[gs:slot])
-                    sign = -1 if (self.parity and crossed % 2) else 1
-                    mult = Fraction(sign)
-                    left = mono[:slot] + (0,) * (len(mono) - slot)
-                else:
-                    mult = Fraction(e)
-                    left = mono[:slot] + (e - 1,) + (0,) * (len(mono) - slot - 1)
-                right = (0,) * (slot + 1) + mono[slot + 1:]
-                piece = SuperElement(alg, {left: coef * mult}) * img
-                piece = piece * SuperElement(alg, {right: Fraction(1)})
-                total = total + piece
-        return total
+                full, s2 = _merge_monomials(head, right, gs)
+                if full is not None:
+                    _bump(out, full, mult * s1 * s2 * c)
+        return out
 
     def __repr__(self):
         return f"Derivation({self.name or 'anon'})"
@@ -291,18 +353,20 @@ class Derivation(LinearOperator):
 class OperatorSum(LinearOperator):
     """Sum of scaled compositions (applied right to left)."""
 
-    parts: tuple  # tuple of (Fraction, tuple-of-operators)
+    parts: tuple  # tuple of (coefficient, tuple-of-operators)
     name: str = ""
 
-    def apply(self, el):
-        total = None
+    def monomial_image(self, mono, images):
+        # The inner images are not memoised: within one computation a chain
+        # meets each intermediate monomial once (m - x determines m).
+        out = {}
         for coef, chain in self.parts:
-            cur = el
+            cur = {mono: 1}
             for op in reversed(chain):
-                cur = op.apply(cur)
-            cur = cur.scale(coef)
-            total = cur if total is None else total + cur
-        return total
+                cur = _apply_terms(lambda t: op.monomial_image(t, images), cur)
+            for t, c in cur.items():
+                _bump(out, t, coef * c)
+        return out
 
     def __repr__(self):
         return f"OperatorSum({self.name or 'anon'})"
@@ -315,18 +379,24 @@ def partial(alg: Algebra, slot: int) -> Derivation:
     return Derivation(alg, parity, ((slot, SuperElement.one(alg)),), f"d/d{gen_name(alg, slot)}")
 
 
-def laplacian(alg: Algebra) -> OperatorSum:
-    """Degree -2 invariant operator: sum_j d_xi_j d_xib_j
-    - sum_i d_x_i d_xb_i - 1/2 d_x0^2 (the x0 term only for odd l)."""
+def doubled_laplacian(alg: Algebra) -> OperatorSum:
+    """2 * laplacian(alg): integer coefficients and the same kernel."""
     m, nc = alg.m, _layout(alg)[0]
     parts = []
     for j in range(alg.n):
-        parts.append((Fraction(1), (partial(alg, nc + j), partial(alg, nc + alg.n + j))))
+        parts.append((2, (partial(alg, nc + j), partial(alg, nc + alg.n + j))))
     for i in range(m):
-        parts.append((Fraction(-1), (partial(alg, i), partial(alg, m + i))))
+        parts.append((-2, (partial(alg, i), partial(alg, m + i))))
     if alg.odd:
-        parts.append((Fraction(-1, 2), (partial(alg, 2 * m), partial(alg, 2 * m))))
-    return OperatorSum(tuple(parts), "laplacian")
+        parts.append((-1, (partial(alg, 2 * m), partial(alg, 2 * m))))
+    return OperatorSum(tuple(parts), "2*laplacian")
+
+
+def laplacian(alg: Algebra) -> OperatorSum:
+    """Degree -2 invariant operator: sum_j d_xi_j d_xib_j
+    - sum_i d_x_i d_xb_i - 1/2 d_x0^2 (the x0 term only for odd l)."""
+    doubled = doubled_laplacian(alg).parts
+    return OperatorSum(tuple((_exact(Fraction(c, 2)), chain) for c, chain in doubled), "laplacian")
 
 
 # -- the g-action on generators ------------------------------------------------------
@@ -463,14 +533,30 @@ def simple_root_operators(alg: Algebra):
     return ups, downs
 
 
-# -- degree components and kernels -----------------------------------------------------
+# -- degree components -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def degree_dim(alg: Algebra, k: int) -> int:
+    """Dimension of the degree-k component, by counting: sum over g of
+    C(2n, g) * (number of degree-(k - g) monomials in the commuting slots)."""
+    nc, gs, total = _layout(alg)
+    ngr = total - gs
+
+    def commuting(d):
+        return comb(d + nc - 1, nc - 1) if nc else int(d == 0)
+
+    return sum(comb(ngr, g) * commuting(k - g) for g in range(min(k, ngr) + 1)) if k >= 0 else 0
+
+
+@lru_cache(maxsize=128)
 def degree_basis(alg: Algebra, k: int, bound: int = 20000):
-    """Canonical monomial basis of the degree-k component."""
+    """Canonical monomial basis of the degree-k component; refused with
+    DimensionGuard, before any enumeration, when its dimension exceeds bound."""
     if k < 0:
         return ()
+    dim = degree_dim(alg, k)
+    if dim > bound:
+        raise DimensionGuard(f"dim = {dim} exceeds bound {bound}")
     nc, gs, total = _layout(alg)
     ngr = total - gs
     out = []
@@ -482,8 +568,6 @@ def degree_basis(alg: Algebra, k: int, bound: int = 20000):
                 for p in positions:
                     mono[gs + p] = 1
                 out.append(tuple(mono))
-    if len(out) > bound:
-        raise DimensionGuard(f"dim = {len(out)} exceeds bound {bound}")
     return tuple(sorted(out))
 
 
@@ -506,114 +590,151 @@ def char_of_degree(alg: Algebra, k: int) -> LaurentPoly:
     return LaurentPoly(alg.n, alg.m, terms)
 
 
-def _matrix_of(alg, op, domain, codomain_index):
-    rows = [[Fraction(0)] * len(domain) for _ in range(len(codomain_index))]
-    for col, mono in enumerate(domain):
-        img = op.apply(SuperElement(alg, {mono: Fraction(1)}))
-        for t, c in img.terms.items():
-            rows[codomain_index[t]][col] = c
-    return rows
+# -- per-weight blocks -------------------------------------------------------------------
+#
+# The Laplacian preserves weight and a root operator shifts it by its root, so
+# each linear system below splits into one small block per weight.  Every
+# block is solved by `nullspace`; a null vector over the sorted monomials of
+# its block is the vector the whole-degree matrix would give, because a column
+# is a pivot of the block-diagonal RREF exactly when it is one in its block.
+
+
+def _weight_blocks(alg, k, bound):
+    """[(doubled weight, sorted degree-k monomials of that weight)], graded-lex
+    descending by weight."""
+    groups = {}
+    for t in degree_basis(alg, k, bound):
+        groups.setdefault(monomial_weight_doubled(alg, t), []).append(t)
+    return [(w, groups[w]) for w in sorted(groups, key=grlex_key, reverse=True)]
+
+
+def _solve_block(columns):
+    """RREF null basis (Fraction vectors) of the matrix whose c-th column is
+    the dict columns[c] (row key -> coefficient); every vector is null when
+    there are no rows."""
+    keys = sorted({key for col in columns for key in col})
+    if not keys:
+        return [[Fraction(int(i == j)) for i in range(len(columns))] for j in range(len(columns))]
+    index = {key: r for r, key in enumerate(keys)}
+    rows = [[0] * len(columns) for _ in keys]
+    for c, col in enumerate(columns):
+        for key, v in col.items():
+            rows[index[key]][c] = v
+    return nullspace(rows)
+
+
+def _block_kernel(images, lap, dom):
+    """RREF basis of ker(Laplacian) on one weight block, over dom."""
+    return _solve_block([images.image(lap, t) for t in dom])
+
+
+def _integer_multiple(terms):
+    """terms times the lcm of their denominators, with int coefficients."""
+    s = lcm(*(c.denominator for c in terms.values()))
+    return {t: c.numerator * (s // c.denominator) for t, c in terms.items()}
+
+
+def _block_singular(images, ups, dom, kern):
+    """The vectors of span(kern) killed by every op in ups, as term dicts.
+    kern is the block's RREF kernel basis, so v = sum a_j kern_j has v = a on
+    kern's free columns, and the RREF null basis in the a-coordinates gives
+    the RREF null basis of the stacked block [Laplacian; ups].  The kern_j
+    are scaled to ints first; that only rescales each solution, which the
+    final division by its entry at its free (largest) monomial undoes."""
+    scaled = [_integer_multiple({dom[i]: c for i, c in enumerate(v) if c}) for v in kern]
+    columns = []
+    for terms in scaled:
+        col = {}
+        for op_i, op in enumerate(ups):
+            for t, c in images.apply(op, terms).items():
+                col[(op_i, t)] = c
+        columns.append(col)
+    out = []
+    for a in _solve_block(columns):
+        vec = {}
+        for aj, terms in zip(a, scaled):
+            if aj:
+                for t, c in terms.items():
+                    _bump(vec, t, aj * c)
+        lead = vec[max(vec)]
+        out.append({t: vec[t] / lead for t in sorted(vec)})
+    return out
+
+
+def _singular_pass(alg, k, bound, images, ups):
+    """(dim ker Laplacian, singular vectors by weight) in degree k, from one
+    pass over the weight blocks."""
+    lap = doubled_laplacian(alg)
+    kdim = 0
+    out = {}
+    for wt, dom in _weight_blocks(alg, k, bound):
+        kern = _block_kernel(images, lap, dom)
+        kdim += len(kern)
+        vecs = _block_singular(images, ups, dom, kern)
+        if vecs:
+            out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
+    return kdim, out
+
+
+def _check_surjective(alg, k, bound, kdim):
+    if kdim != len(degree_basis(alg, k, bound)) - len(degree_basis(alg, k - 2, bound)):
+        raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {kdim}")
 
 
 def kernel_basis(alg: Algebra, k: int, bound: int = 20000):
-    """Exact basis of ker(Laplacian) on the degree-k component.
+    """Exact basis of ker(Laplacian) on the degree-k component, the RREF null
+    basis of the whole degree in the order of its free monomials.
 
     Asserts the expected dimension dim(k) - dim(k-2), i.e. surjectivity of
     the Laplacian one degree up.
     """
-    dom = degree_basis(alg, k, bound)
-    cod = degree_basis(alg, k - 2, bound)
-    cod_index = {t: i for i, t in enumerate(cod)}
-    lap = laplacian(alg)
-    mat = _matrix_of(alg, lap, dom, cod_index)
-    if not cod:
-        return [SuperElement(alg, {t: Fraction(1)}) for t in dom]
-    basis = nullspace(mat)
-    if len(basis) != len(dom) - len(cod):
-        raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {len(basis)}")
-    return [SuperElement(alg, {dom[i]: v[i] for i in range(len(dom)) if v[i]}) for v in basis]
-
-
-def _group_by_weight(alg, monomials):
-    groups = {}
-    for t in monomials:
-        groups.setdefault(monomial_weight_doubled(alg, t), []).append(t)
-    return groups
+    images = MonomialImages()
+    lap = doubled_laplacian(alg)
+    found = []
+    for _, dom in _weight_blocks(alg, k, bound):
+        for v in _block_kernel(images, lap, dom):
+            free = max(i for i, c in enumerate(v) if c)
+            found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
+    _check_surjective(alg, k, bound, len(found))
+    found.sort(key=lambda pair: pair[0])
+    return [el for _, el in found]
 
 
 def singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     """Vectors of ker(Laplacian) in degree k annihilated by every positive
     root operator, grouped by weight.  Returns {Weight: [SuperElement, ...]},
     graded-lex descending by weight."""
-    dom_all = degree_basis(alg, k, bound)
     ups, _ = simple_root_operators(alg)
-    lap = laplacian(alg)
-    groups = _group_by_weight(alg, dom_all)
-    out = {}
-    for wt in sorted(groups, key=grlex_key, reverse=True):
-        dom = sorted(groups[wt])
-        stacked = []
-        ops = [lap] + ups
-        for op in ops:
-            images = [op.apply(SuperElement(alg, {t: Fraction(1)})) for t in dom]
-            cod = sorted({t for img in images for t in img.terms})
-            cod_index = {t: i for i, t in enumerate(cod)}
-            block = [[Fraction(0)] * len(dom) for _ in range(len(cod))]
-            for col, img in enumerate(images):
-                for t, c in img.terms.items():
-                    block[cod_index[t]][col] = c
-            stacked.extend(block)
-        if not stacked:
-            vecs = [SuperElement(alg, {t: Fraction(1)}) for t in dom]
-        else:
-            vecs = [
-                SuperElement(alg, {dom[i]: v[i] for i in range(len(dom)) if v[i]})
-                for v in nullspace(stacked)
-            ]
-        if vecs:
-            out[Weight(alg, wt)] = vecs
-    return out
+    return _singular_pass(alg, k, bound, MonomialImages(), ups)[1]
 
 
 # -- cyclic spans and irreducibility ----------------------------------------------------
 
 
 class _SparseSpan:
-    """Row space of SuperElements with sparse Gaussian elimination;
+    """Row space of int term dicts, by fraction-free sparse elimination;
     pivot = largest monomial in tuple order."""
 
     def __init__(self):
-        self.pivots = {}  # monomial -> reduced dict(monomial -> Fraction)
+        self.pivots = {}  # monomial -> reduced int dict(monomial -> coefficient)
 
-    def _reduce(self, vec):
-        vec = dict(vec)
+    def add(self, terms) -> bool:
+        """Insert; True if it enlarged the span."""
+        vec = dict(terms)
         while vec:
             lead = max(vec)
             piv = self.pivots.get(lead)
             if piv is None:
-                return vec, lead
-            c = vec[lead]
+                self.pivots[lead] = vec
+                return True
+            a, b = piv[lead], vec[lead]
+            vec = {t: a * c for t, c in vec.items()}
             for t, pc in piv.items():
-                v = vec.get(t, 0) - c * pc
-                if v:
-                    vec[t] = v
-                elif t in vec:
-                    del vec[t]
-        return None, None
-
-    def add(self, el: SuperElement) -> bool:
-        """Insert; True if it enlarged the span."""
-        vec, lead = self._reduce(el.terms)
-        if vec is None:
-            return False
-        inv = Fraction(1) / vec[lead]
-        vec = {t: c * inv for t, c in vec.items()}
-        self.pivots[lead] = vec
-        return True
-
-    def contains(self, el: SuperElement) -> bool:
-        vec, _ = self._reduce(el.terms)
-        return vec is None
+                _bump(vec, t, -b * pc)
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {t: c // g for t, c in vec.items()}
+        return False
 
     @property
     def dim(self):
@@ -622,15 +743,18 @@ class _SparseSpan:
 
 def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops) -> int:
     """Dimension of the span of vector under repeated application of ops
-    (exact: the module is finite dimensional)."""
+    (exact: the module is finite dimensional).  Each vector is scaled to
+    ints, which leaves the span unchanged."""
+    images = MonomialImages()
     span = _SparseSpan()
-    span.add(vector)
-    frontier = [vector]
+    start = _integer_multiple(vector.terms)
+    span.add(start)
+    frontier = [start]
     while frontier:
         new = []
         for v in frontier:
             for op in ops:
-                w = op.apply(v)
+                w = _integer_multiple(images.apply(op, v))
                 if w and span.add(w):
                     new.append(w)
         frontier = new
@@ -644,43 +768,16 @@ def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops) -> int:
 # D(u (x) v) = D(u) (x) v + (-1)^{parity(D) * parity(u)} u (x) D(v).
 
 
-def _tensor_coproduct_apply(alg, op: Derivation, elem):
+def _tensor_coproduct_image(alg, images, op: Derivation, mono, slot):
+    """op on the basis element mono (x) (generator at slot), by the coproduct rule."""
     gs = _layout(alg)[1]
-    imgs = op.image_map()
-    out = {}
-
-    def bump(key, val):
-        v = out.get(key, 0) + val
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-
-    for (mono, slot), c in elem.items():
-        left = op.apply(SuperElement(alg, {mono: Fraction(1)}))
-        for t, lc in left.terms.items():
-            bump((t, slot), c * lc)
-        img = imgs.get(slot)
-        if img is not None:
-            sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
-            for t, ic in img.terms.items():
-                islot = next(i for i, e in enumerate(t) if e)
-                bump((mono, islot), c * sign * ic)
-    return out
-
-
-def _tensor_left_apply(alg, op, elem):
-    """op acting on the left factor only (used for the kernel constraint)."""
-    out = {}
-    for (mono, slot), c in elem.items():
-        img = op.apply(SuperElement(alg, {mono: Fraction(1)}))
-        for t, lc in img.terms.items():
-            key = (t, slot)
-            v = out.get(key, 0) + c * lc
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+    out = {(t, slot): c for t, c in images.image(op, mono).items()}
+    img = op.image_map().get(slot)
+    if img is not None:
+        sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
+        for t, ic in img.terms.items():
+            islot = next(i for i, e in enumerate(t) if e)
+            _bump(out, (mono, islot), sign * ic)
     return out
 
 
@@ -689,38 +786,25 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     weight.  Exact: per weight block, the stacked constraints are the
     left-factor Laplacian plus every simple raising operator acting by the
     coproduct rule."""
-    dom = degree_basis(alg, k, bound)
-    pairs = [(t, s) for t in dom for s in range(gen_count(alg))]
     groups = {}
-    for t, s in pairs:
-        w = tuple(
-            a + b
-            for a, b in zip(monomial_weight_doubled(alg, t), gen_weight_doubled(alg, s))
-        )
-        groups.setdefault(w, []).append((t, s))
+    for t in degree_basis(alg, k, bound):
+        wt = monomial_weight_doubled(alg, t)
+        for s in range(gen_count(alg)):
+            w = tuple(a + b for a, b in zip(wt, gen_weight_doubled(alg, s)))
+            groups.setdefault(w, []).append((t, s))
+    images = MonomialImages()
     ups, _ = simple_root_operators(alg)
-    lap = laplacian(alg)
+    lap = doubled_laplacian(alg)
     counts = {}
     for wt in sorted(groups, key=grlex_key, reverse=True):
-        block = sorted(groups[wt])
-        images = []
-        for b in block:
-            elem = {b: Fraction(1)}
-            ims = [_tensor_left_apply(alg, lap, elem)]
-            ims += [_tensor_coproduct_apply(alg, op, elem) for op in ups]
-            images.append(ims)
-        rows_keys = sorted({key for ims in images for im in ims for key in im})
-        nops = 1 + len(ups)
-        key_index = {}
-        for op_i in range(nops):
-            for key in rows_keys:
-                key_index[(op_i, key)] = len(key_index)
-        mat = [[Fraction(0)] * len(block) for _ in range(len(key_index))]
-        for col, ims in enumerate(images):
-            for op_i, im in enumerate(ims):
-                for key, c in im.items():
-                    mat[key_index[(op_i, key)]][col] = c
-        dim = len(nullspace(mat)) if mat else len(block)
+        columns = []
+        for mono, slot in sorted(groups[wt]):
+            col = {(0, (t, slot)): c for t, c in images.image(lap, mono).items()}
+            for op_i, op in enumerate(ups, 1):
+                for key, c in _tensor_coproduct_image(alg, images, op, mono, slot).items():
+                    col[(op_i, key)] = c
+            columns.append(col)
+        dim = len(_solve_block(columns))
         if dim:
             counts[Weight(alg, wt)] = dim
     return counts
@@ -796,23 +880,22 @@ class IrreducibilityReport:
 
 def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> IrreducibilityReport:
     """Classify ker(Laplacian) in degree k from its singular vectors plus an
-    exact cyclicity check of the highest one."""
-    kern = kernel_basis(alg, k, bound)
-    kdim = len(kern)
+    exact cyclicity check of the highest one.  The kernel dimension is the
+    sum of the per-weight Laplacian nullities of the singular-vector pass."""
+    images = MonomialImages()
+    ups, downs = simple_root_operators(alg)
+    kdim, svs = _singular_pass(alg, k, bound, images, ups)
+    _check_surjective(alg, k, bound, kdim)
     if kdim == 0:
         return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
-    svs = singular_vectors(alg, k, bound)
-    ups, downs = simple_root_operators(alg)
     weights = [(w, len(vs)) for w, vs in svs.items()]
     total_sing = sum(c for _, c in weights)
 
-    has_trivial = False
-    for w, vs in svs.items():
-        if not w.is_zero():
-            continue
-        for v in vs:
-            if all(op.apply(v).is_zero() for op in ups + downs):
-                has_trivial = True
+    has_trivial = any(
+        not any(images.apply(op, v.terms) for op in ups + downs)
+        for w, vs in svs.items() if w.is_zero() for v in vs
+    )
+    del images  # cyclic_span_dim memoises its own images; do not hold both at once
 
     top_weight = max(svs, key=lambda w: grlex_key(w.doubled))
     top_dim = 0

@@ -149,3 +149,12 @@ def test_euler_on_spo22(capsys, tmp_path):
     out = run(capsys, "euler", "--algebra", "2|2", "--parabolic", "remove=d1-e1", "--levi-module", "trivial",
               cache=tmp_path)
     assert "vdim = 1" in out
+
+
+def test_oversized_laplacian_exits_2(capsys, tmp_path):
+    code = cli.main(["laplacian", "--algebra", "8|3", "--degree", "9", "--bound", "100", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and err.startswith("error: dim = ") and "exceeds bound 100" in err

@@ -270,3 +270,263 @@ def test_degree_guard():
 
     with pytest.raises(DimensionGuard):
         degree_basis(Algebra.parse("8|3"), 9, bound=100)
+
+
+def test_degree_dim_counts_the_basis():
+    from spochar.superspace import degree_dim
+
+    for text, kmax in [("2|3", 6), ("4|4", 5), ("6|3", 4), ("4|0", 6), ("2|1", 4), ("2|2", 4)]:
+        alg = Algebra.parse(text)
+        for k in range(-1, kmax + 1):
+            assert degree_dim(alg, k) == len(degree_basis(alg, k))
+
+
+def test_oversized_degree_is_refused_before_enumeration():
+    import time
+
+    from spochar.superspace import DimensionGuard, degree_dim
+
+    alg = Algebra.parse("10|10")
+    dim = degree_dim(alg, 40)
+    start = time.perf_counter()
+    with pytest.raises(DimensionGuard) as exc:
+        degree_basis(alg, 40)
+    assert time.perf_counter() - start < 1.0
+    assert f"dim = {dim}" in str(exc.value) and "bound 20000" in str(exc.value)
+
+
+# -- differential test: the per-weight block engine against the dense path ------------
+#
+# A frozen copy of the whole-degree path the block engine replaced: operators
+# applied through SuperElement products, the Laplacian with its 1/2, one dense
+# Fraction matrix per degree (or per stacked weight block) and `nullspace`.
+
+from spochar.linalg import nullspace as _dense_nullspace
+from spochar.superspace import OperatorSum, _layout, monomial_weight_doubled
+
+
+def _reference_apply(op, el):
+    alg = el.alg
+    if isinstance(op, OperatorSum):
+        total = SuperElement.zero(alg)
+        for coef, chain in op.parts:
+            cur = el
+            for inner in reversed(chain):
+                cur = _reference_apply(inner, cur)
+            total = total + cur.scale(coef)
+        return total
+    gs = _layout(alg)[1]
+    total = SuperElement.zero(alg)
+    for mono, coef in el.terms.items():
+        for slot, img in op.image_map().items():
+            e = mono[slot]
+            if not e:
+                continue
+            if slot >= gs:
+                sign = -1 if (op.parity and sum(mono[gs:slot]) % 2) else 1
+                mult = Fraction(sign)
+                left = mono[:slot] + (0,) * (len(mono) - slot)
+            else:
+                mult = Fraction(e)
+                left = mono[:slot] + (e - 1,) + (0,) * (len(mono) - slot - 1)
+            right = (0,) * (slot + 1) + mono[slot + 1:]
+            piece = SuperElement(alg, {left: coef * mult}) * img
+            total = total + piece * SuperElement(alg, {right: Fraction(1)})
+    return total
+
+
+def _reference_laplacian(alg):
+    m, nc = alg.m, _layout(alg)[0]
+    parts = [(Fraction(1), (partial(alg, nc + j), partial(alg, nc + alg.n + j))) for j in range(alg.n)]
+    parts += [(Fraction(-1), (partial(alg, i), partial(alg, m + i))) for i in range(m)]
+    if alg.odd:
+        parts.append((Fraction(-1, 2), (partial(alg, 2 * m), partial(alg, 2 * m))))
+    return OperatorSum(tuple(parts))
+
+
+def _matrix_of(alg, op, domain, codomain_index):
+    rows = [[Fraction(0)] * len(domain) for _ in range(len(codomain_index))]
+    for col, mono in enumerate(domain):
+        img = _reference_apply(op, SuperElement(alg, {mono: Fraction(1)}))
+        for t, c in img.terms.items():
+            rows[codomain_index[t]][col] = c
+    return rows
+
+
+def _reference_kernel_basis(alg, k):
+    dom = degree_basis(alg, k)
+    cod = degree_basis(alg, k - 2)
+    if not cod:
+        return [SuperElement(alg, {t: Fraction(1)}) for t in dom]
+    mat = _matrix_of(alg, _reference_laplacian(alg), dom, {t: i for i, t in enumerate(cod)})
+    basis = _dense_nullspace(mat)
+    assert len(basis) == len(dom) - len(cod)
+    return [SuperElement(alg, {dom[i]: v[i] for i in range(len(dom)) if v[i]}) for v in basis]
+
+
+def _stacked_null(columns_per_op, ncols):
+    stacked = []
+    for images in columns_per_op:
+        cod = sorted({t for img in images for t in img})
+        index = {t: i for i, t in enumerate(cod)}
+        block = [[Fraction(0)] * ncols for _ in cod]
+        for col, img in enumerate(images):
+            for t, c in img.items():
+                block[index[t]][col] = c
+        stacked.extend(block)
+    if not stacked:
+        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+    return _dense_nullspace(stacked)
+
+
+def _reference_singular_vectors(alg, k):
+    from spochar.laurent import grlex_key
+
+    ops = [_reference_laplacian(alg)] + simple_root_operators(alg)[0]
+    groups = {}
+    for t in degree_basis(alg, k):
+        groups.setdefault(monomial_weight_doubled(alg, t), []).append(t)
+    out = {}
+    for wt in sorted(groups, key=grlex_key, reverse=True):
+        dom = sorted(groups[wt])
+        per_op = [[_reference_apply(op, SuperElement(alg, {t: Fraction(1)})).terms for t in dom] for op in ops]
+        vecs = [SuperElement(alg, {dom[i]: v[i] for i in range(len(dom)) if v[i]})
+                for v in _stacked_null(per_op, len(dom))]
+        if vecs:
+            out[Weight(alg, wt)] = vecs
+    return out
+
+
+def _reference_natural_tensor_counts(alg, k):
+    from spochar.laurent import grlex_key
+    from spochar.superspace import gen_weight_doubled
+
+    gs = _layout(alg)[1]
+    lap = _reference_laplacian(alg)
+    ups = simple_root_operators(alg)[0]
+    groups = {}
+    for t in degree_basis(alg, k):
+        for s in range(gen_count(alg)):
+            w = tuple(a + b for a, b in zip(monomial_weight_doubled(alg, t), gen_weight_doubled(alg, s)))
+            groups.setdefault(w, []).append((t, s))
+
+    def one(mono):
+        return SuperElement(alg, {mono: Fraction(1)})
+
+    counts = {}
+    for wt in sorted(groups, key=grlex_key, reverse=True):
+        block = sorted(groups[wt])
+        per_op = [[{(t, s): c for t, c in _reference_apply(lap, one(mono)).terms.items()} for mono, s in block]]
+        for op in ups:
+            images = []
+            for mono, s in block:
+                img = {(t, s): c for t, c in _reference_apply(op, one(mono)).terms.items()}
+                gen_img = op.image_map().get(s)
+                if gen_img is not None:
+                    sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
+                    for t, c in gen_img.terms.items():
+                        key = (mono, next(i for i, e in enumerate(t) if e))
+                        img[key] = img.get(key, 0) + sign * c
+                images.append({key: c for key, c in img.items() if c})
+            per_op.append(images)
+        dim = len(_stacked_null(per_op, len(block)))
+        if dim:
+            counts[Weight(alg, wt)] = dim
+    return counts
+
+
+def _reference_cyclic_span_dim(vector, ops):
+    pivots = {}
+
+    def add(vec):
+        vec = dict(vec)
+        while vec:
+            lead = max(vec)
+            if lead not in pivots:
+                pivots[lead] = {t: c / vec[lead] for t, c in vec.items()}
+                return True
+            c = vec[lead]
+            for t, pc in pivots[lead].items():
+                vec[t] = vec.get(t, 0) - c * pc
+                if not vec[t]:
+                    del vec[t]
+        return False
+
+    add(vector.terms)
+    frontier = [vector]
+    while frontier:
+        new = []
+        for v in frontier:
+            for op in ops:
+                w = _reference_apply(op, v)
+                if w and add(w.terms):
+                    new.append(w)
+        frontier = new
+    return len(pivots)
+
+
+def _reference_report_fields(alg, k):
+    from spochar.laurent import grlex_key
+
+    kdim = len(_reference_kernel_basis(alg, k))
+    if kdim == 0:
+        return (0, [], False, 0)
+    svs = _reference_singular_vectors(alg, k)
+    ups, downs = simple_root_operators(alg)
+    has_trivial = any(
+        all(_reference_apply(op, v).is_zero() for op in ups + downs)
+        for w, vs in svs.items() if w.is_zero() for v in vs
+    )
+    top = max(svs, key=lambda w: grlex_key(w.doubled))
+    top_dim = _reference_cyclic_span_dim(svs[top][0], downs) if len(svs[top]) == 1 else 0
+    return (kdim, [(w, len(vs)) for w, vs in svs.items()], has_trivial, top_dim)
+
+
+DIFFERENTIAL_CASES = [
+    (alg, k)
+    for text, kmax in [("2|3", 5), ("2|5", 4), ("4|3", 4), ("4|4", 4), ("6|3", 2)]
+    for alg in [Algebra.parse(text)]
+    for k in range(kmax + 1)
+]
+
+
+def _exact_terms(el):
+    return [(t, type(c), c) for t, c in el.terms.items()]
+
+
+@pytest.mark.parametrize("alg,k", DIFFERENTIAL_CASES, ids=lambda x: str(x))
+def test_block_engine_matches_dense_path(alg, k):
+    kern = kernel_basis(alg, k)
+    ref = _reference_kernel_basis(alg, k)
+    assert [sorted(_exact_terms(v)) for v in kern] == [sorted(_exact_terms(v)) for v in ref]
+
+    svs = singular_vectors(alg, k)
+    ref_svs = _reference_singular_vectors(alg, k)
+    assert list(svs) == list(ref_svs)
+    for w in svs:
+        assert [v.terms for v in svs[w]] == [v.terms for v in ref_svs[w]]
+
+    rep = irreducibility_report(alg, k)
+    fields = (rep.kernel_dim, rep.singular_weights, rep.has_trivial_submodule, rep.top_cyclic_dim)
+    assert fields == _reference_report_fields(alg, k)
+
+    counts = natural_tensor_singular_counts(alg, k)
+    ref_counts = _reference_natural_tensor_counts(alg, k)
+    assert list(counts.items()) == list(ref_counts.items())
+
+
+def test_singular_solve_restores_fractional_kernel_vectors():
+    # With no raising constraint every kernel vector is singular.  Blocks with
+    # an x0^2 term have fractional RREF kernel vectors, which the solve scales
+    # to ints and must give back exactly.
+    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, _weight_blocks, doubled_laplacian
+
+    images = MonomialImages()
+    lap = doubled_laplacian(SPO25)
+    fractional = 0
+    for _, dom in _weight_blocks(SPO25, 4, 20000):
+        kern = _block_kernel(images, lap, dom)
+        expected = [{dom[i]: c for i, c in enumerate(v) if c} for v in kern]
+        fractional += sum(any(c.denominator > 1 for c in v.values()) for v in expected)
+        assert _block_singular(images, [], dom, kern) == expected
+    assert fractional
