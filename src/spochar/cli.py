@@ -40,7 +40,7 @@ from .charformulas import (
 from .jacobitrudi import identity_suite, jt_character, sym_power_char
 from .laurent import LaurentPoly, NotDivisible
 from .rootdata import Algebra, Weight, validate_partition
-from .superspace import DimensionGuard, format_monomial, irreducibility_report, kernel_basis, singular_vectors
+from .superspace import DimensionGuard, format_monomial, irreducibility_report, kernel_dim_and_singular_vectors
 
 
 class MathFailure(Exception):
@@ -324,9 +324,8 @@ def cmd_laplacian(args):
         ]
         lines += [f"note: {s}" for s in rep.notes]
         return _emit(args, payload, "\n".join(lines))
-    kern = kernel_basis(alg, k, args.bound)
-    svs = singular_vectors(alg, k, args.bound)
-    lines = [f"ker(Delta) on degree {k} of {alg}: dim {len(kern)}"]
+    kdim, svs = kernel_dim_and_singular_vectors(alg, k, args.bound)
+    lines = [f"ker(Delta) on degree {k} of {alg}: dim {kdim}"]
     sv_payload = []
     for w, vs in svs.items():
         for v in vs:
@@ -337,7 +336,7 @@ def cmd_laplacian(args):
         "algebra": args.algebra,
         "kind": "laplacian",
         "degree": k,
-        "kernel_dim": len(kern),
+        "kernel_dim": kdim,
         "singular_vectors": sv_payload,
     }
     return _emit(args, payload, "\n".join(lines))

@@ -10,7 +10,12 @@ Coefficients are arbitrary-precision integers.  Monomials are ordered by
 graded lex (total doubled degree first, then lex), which is total and
 multiplicative, so leading-term queries and exact division are reproducible.
 
-The term-level loops live in `_kernel` (compiled, optional) /  `_kernel_py`.
+The term-level loops (`add_terms`, `mul_terms`, `scale_shift_terms` and the
+division inside `exact_div`) are one pure-Python kernel.  The two hot ones
+work on packed exponents: each exponent tuple becomes one int holding a bit
+field per slot, so multiplying monomials is adding ints (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).
 """
 
 from __future__ import annotations
@@ -18,24 +23,9 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-import os
 from dataclasses import dataclass, field
-
-if os.environ.get("SPOCHAR_PURE_PYTHON"):
-    from . import _kernel_py as _k
-    _BACKEND = "python"
-else:
-    try:
-        from . import _kernel as _k  # type: ignore[attr-defined]
-        _BACKEND = "c"
-    except ImportError:
-        from . import _kernel_py as _k
-        _BACKEND = "python"
-
-
-def kernel_backend() -> str:
-    """Which term-arithmetic kernel got selected at import ('c' or 'python')."""
-    return _BACKEND
+from itertools import repeat
+from operator import itemgetter
 
 
 class LatticeMismatch(ValueError):
@@ -50,9 +40,83 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-def _heap_key(exps):
-    # min-heap entry whose order is the reverse of grlex_key
-    return (-sum(exps), tuple(-x for x in exps), exps)
+# -- term kernel ------------------------------------------------------------------
+#
+# Terms are dicts mapping exponent tuples to nonzero ints; every function
+# returns a new dict without zero coefficients.
+
+
+def add_terms(a, b):
+    """Coefficient-wise sum of two term dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = v
+        elif e in out:
+            del out[e]
+    return out
+
+
+def scale_shift_terms(coef, shift, b):
+    """New term dict coef * x^shift * b (coef nonzero)."""
+    out = {}
+    for eb, cb in b.items():
+        out[tuple(map(operator.add, shift, eb))] = coef * cb
+    return out
+
+
+def mul_terms(a, b):
+    """Convolution product of two term dicts, on packed exponents.
+
+    Slot i of an exponent becomes a bit field wide enough for the sum of the
+    two operands' ranges in that slot, each operand offset by its minimum
+    there; the packed sum of two monomials is then the packed product, with
+    no carry from one field into the next, and the product loop adds ints.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    weights, fields = [], []
+    lo_a, lo_b = [], []
+    shift = 0
+    for i in range(len(next(iter(a)))):
+        la, lb = min(map(itemgetter(i), a)), min(map(itemgetter(i), b))
+        width = (max(map(itemgetter(i), a)) - la + max(map(itemgetter(i), b)) - lb).bit_length()
+        weights.append(1 << shift)
+        fields.append((shift, (1 << width) - 1, la + lb))
+        lo_a.append(la)
+        lo_b.append(lb)
+        shift += width
+    packed_b = _pack(b, weights, lo_b)
+    out = {}
+    get = out.get
+    for ka, ca in zip(_pack(a, weights, lo_a), a.values()):
+        for kb, cb in zip(packed_b, b.values()):
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return dict(zip(_unpack(out, fields), out.values()))
+
+
+def _pack(terms, weights, lows):
+    """Packed exponents of terms, in dict order; packing is linear, so the
+    offsets fold into one constant."""
+    base = sum(map(operator.mul, lows, weights))
+    return [sum(map(operator.mul, e, weights)) - base for e in terms]
+
+
+def _unpack(packed, fields):
+    """Exponent tuples of the packed ints in packed (a list or dict, read
+    once per slot), where slot i is (k >> shift & mask) + offset for the
+    i-th (shift, mask, offset) of fields."""
+    slots = [
+        map(operator.add, map(operator.and_, map(operator.rshift, packed, repeat(s)), repeat(mask)), repeat(lo))
+        for s, mask, lo in fields
+    ]
+    return zip(*slots) if slots else repeat(())
 
 
 class LaurentPoly:
@@ -118,7 +182,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        return LaurentPoly(self.n, self.m, _k.add_terms(self.terms, other.terms))
+        return LaurentPoly(self.n, self.m, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -132,7 +196,7 @@ class LaurentPoly:
                 return LaurentPoly.zero(self.n, self.m)
             return LaurentPoly(self.n, self.m, {e: other * c for e, c in self.terms.items()})
         self._check(other)
-        return LaurentPoly(self.n, self.m, _k.mul_terms(self.terms, other.terms))
+        return LaurentPoly(self.n, self.m, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -150,7 +214,7 @@ class LaurentPoly:
 
     def shifted(self, exps, sign=1):
         """Multiply by the monomial sign * x^exps."""
-        return LaurentPoly(self.n, self.m, _k.scale_shift_terms(sign, tuple(exps), self.terms))
+        return LaurentPoly(self.n, self.m, scale_shift_terms(sign, tuple(exps), self.terms))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
@@ -244,6 +308,14 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     the single divisor runs with a lazy-deletion heap tracking the leading
     term of the remainder.  Any failure of leading-monomial or leading-
     coefficient divisibility proves p is not a multiple of q.
+
+    Monomials are packed ints: the total degree in the top field, then slots
+    0, 1, ..., so int order is graded-lex.  No monomial the division meets
+    has a degree above the larger leading degree of the two operands (the
+    leading terms of the remainder only fall), so fields of that many bits
+    plus one guard bit each never carry.  With G the guard bits,
+    (e | G) - m keeps the guard bit of exactly those fields where e is at
+    least m: m divides e iff all of G survives.
     """
     p._check(q)
     if q.is_zero():
@@ -252,34 +324,55 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero(p.n, p.m)
 
     rank = p.rank
-    minp = tuple(min(e[i] for e in p.terms) for i in range(rank))
-    minq = tuple(min(e[i] for e in q.terms) for i in range(rank))
-    phat = {tuple(x - y for x, y in zip(e, minp)): c for e, c in p.terms.items()}
-    qhat = {tuple(x - y for x, y in zip(e, minq)): c for e, c in q.terms.items()}
+    minp = [min(map(itemgetter(i), p.terms)) for i in range(rank)]
+    minq = [min(map(itemgetter(i), q.terms)) for i in range(rank)]
+    top = max(max(map(sum, p.terms)) - sum(minp), max(map(sum, q.terms)) - sum(minq))
+    width = top.bit_length() + 1
+    shifts = [width * (rank - 1 - i) for i in range(rank)]
+    degree_weight = 1 << (width * rank)
+    weights = [(1 << s) + degree_weight for s in shifts]  # slot i adds to its field and to the degree
+    guard = sum(1 << (width * f + width - 1) for f in range(rank + 1))
+    mask = (1 << (width - 1)) - 1
 
-    ltq = max(qhat, key=grlex_key)
-    cq = qhat[ltq]
+    phat = dict(zip(_pack(p.terms, weights, minp), p.terms.values()))
+    qhat = dict(zip(_pack(q.terms, weights, minq), q.terms.values()))
+    ltq = max(qhat)
+    cq = qhat.pop(ltq)
+    rest = list(qhat.items())
 
-    heap = [_heap_key(e) for e in phat]
+    heap = [-e for e in phat]
     heapq.heapify(heap)
+    get = phat.get
     quot = {}
     while phat:
-        e = heapq.heappop(heap)[2]
-        c = phat.get(e)
+        e = -heapq.heappop(heap)
+        c = phat.pop(e, None)
         if c is None:
             continue  # stale heap entry
-        t = tuple(x - y for x, y in zip(e, ltq))
-        if any(x < 0 for x in t):
+        t = (e | guard) - ltq
+        if t & guard != guard:
+            e, ltq = _unpack([e, ltq], [(s, mask, 0) for s in shifts])
             raise NotDivisible(f"leading monomial {e} not divisible by {ltq}")
         f, rem = divmod(c, cq)
         if rem:
             raise NotDivisible(f"leading coefficient {c} not divisible by {cq}")
+        t ^= guard
         quot[t] = f
-        for k in _k.axpy_terms(phat, -f, t, qhat):
-            heapq.heappush(heap, _heap_key(k))
+        for eq, cb in rest:
+            k = t + eq
+            v = get(k)
+            if v is None:
+                phat[k] = -f * cb
+                heapq.heappush(heap, -k)
+            else:
+                v -= f * cb
+                if v:
+                    phat[k] = v
+                else:
+                    del phat[k]
 
-    shift = tuple(x - y for x, y in zip(minp, minq))
-    return LaurentPoly(p.n, p.m, {tuple(x + y for x, y in zip(t, shift)): f for t, f in quot.items()})
+    fields = [(s, mask, x - y) for s, x, y in zip(shifts, minp, minq)]
+    return LaurentPoly(p.n, p.m, dict(zip(_unpack(quot, fields), quot.values())))
 
 
 def divide_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
@@ -431,15 +524,15 @@ def rational_sum(terms) -> FactoredRational:
             common[key] = max(common.get(key, 0), cnt)
     acc = {}
     for sgn, fr in terms:
-        piece = _k.scale_shift_terms(sgn * fr.unit_sign, fr.unit_exp, fr.numerator.terms)
+        piece = scale_shift_terms(sgn * fr.unit_sign, fr.unit_exp, fr.numerator.terms)
         for key, cnt in common.items():
             missing = cnt - fr.factors.get(key, 0)
             s, mu = key
             for _ in range(missing):
                 # piece *= (1 + s*e^mu), done as one shifted self-add
-                extra = _k.scale_shift_terms(s, mu, piece)
-                piece = _k.add_terms(piece, extra)
-        acc = _k.add_terms(acc, piece)
+                extra = scale_shift_terms(s, mu, piece)
+                piece = add_terms(piece, extra)
+        acc = add_terms(acc, piece)
     return FactoredRational(LaurentPoly(n, m, acc), common)
 
 

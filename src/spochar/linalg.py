@@ -101,14 +101,18 @@ def det_bareiss_laurent(matrix):
     """Determinant of a square matrix of LaurentPoly via fraction-free
     Bareiss elimination (divisions are exact in the Laurent ring).
 
-    Zero pivots are handled by row swaps (sign flips); a fully zero pivot
-    column means the determinant is zero.
+    Elimination starts from the bottom-right corner: reversing both the row
+    and the column order leaves the determinant unchanged, and on
+    Jacobi-Trudi and hook-Schur matrices that corner holds the smallest
+    powers, so the Bareiss minors stay small.  Zero pivots are handled by
+    row swaps (sign flips); a fully zero pivot column means the determinant
+    is zero.
     """
     k = len(matrix)
     if k == 0:
         raise ValueError("empty matrix")
     n, m = matrix[0][0].n, matrix[0][0].m
-    a = [row[:] for row in matrix]
+    a = [row[::-1] for row in reversed(matrix)]
     sign = 1
     prev = LaurentPoly.one(n, m)
     for r in range(k - 1):

@@ -548,10 +548,16 @@ def degree_dim(alg: Algebra, k: int) -> int:
     return sum(comb(ngr, g) * commuting(k - g) for g in range(min(k, ngr) + 1)) if k >= 0 else 0
 
 
-@lru_cache(maxsize=128)
 def degree_basis(alg: Algebra, k: int, bound: int = 20000):
     """Canonical monomial basis of the degree-k component; refused with
     DimensionGuard, before any enumeration, when its dimension exceeds bound."""
+    return _degree_basis(alg, k, bound)
+
+
+@lru_cache(maxsize=128)
+def _degree_basis(alg, k, bound):
+    # called with every argument given positionally, so that one degree and
+    # bound is one cache entry however the caller spelled the call
     if k < 0:
         return ()
     dim = degree_dim(alg, k)
@@ -706,6 +712,16 @@ def singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     graded-lex descending by weight."""
     ups, _ = simple_root_operators(alg)
     return _singular_pass(alg, k, bound, MonomialImages(), ups)[1]
+
+
+def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
+    """(len(kernel_basis(alg, k, bound)), singular_vectors(alg, k, bound))
+    from one pass over the weight blocks, with kernel_basis's check of the
+    kernel dimension."""
+    ups, _ = simple_root_operators(alg)
+    kdim, svs = _singular_pass(alg, k, bound, MonomialImages(), ups)
+    _check_surjective(alg, k, bound, kdim)
+    return kdim, svs
 
 
 # -- cyclic spans and irreducibility ----------------------------------------------------

@@ -151,6 +151,26 @@ def test_euler_on_spo22(capsys, tmp_path):
     assert "vdim = 1" in out
 
 
+def test_laplacian_takes_kernel_and_singular_vectors_from_one_pass(capsys, tmp_path):
+    from spochar.rootdata import Algebra
+    from spochar.superspace import format_monomial, kernel_basis, singular_vectors
+
+    alg = Algebra.parse("4|3")
+    lines = [f"ker(Delta) on degree 4 of {alg}: dim {len(kernel_basis(alg, 4))}"]
+    vectors = []
+    for w, vs in singular_vectors(alg, 4).items():
+        for v in vs:
+            terms = " + ".join(f"{c}*{format_monomial(alg, t)}" for t, c in sorted(v.terms.items()))
+            lines.append(f"singular vector at {w.format()}: {terms}")
+            vectors.append({"weight": w.format(), "vector": terms})
+    out = run(capsys, "laplacian", "--algebra", "4|3", "--degree", "4", cache=tmp_path / "text")
+    assert out == "\n".join(lines) + "\n"
+    out = run(capsys, "laplacian", "--algebra", "4|3", "--degree", "4", "--format", "json", cache=tmp_path / "json")
+    payload = json.loads(out)
+    assert payload["kernel_dim"] == len(kernel_basis(alg, 4))
+    assert payload["singular_vectors"] == vectors
+
+
 def test_oversized_laplacian_exits_2(capsys, tmp_path):
     code = cli.main(["laplacian", "--algebra", "8|3", "--degree", "9", "--bound", "100", "--cache-dir", str(tmp_path)])
     captured = capsys.readouterr()

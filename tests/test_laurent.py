@@ -1,6 +1,12 @@
+import heapq
+import random
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spochar import jacobitrudi
 from spochar.laurent import (
     FactoredRational,
     LatticeMismatch,
@@ -10,6 +16,9 @@ from spochar.laurent import (
     rational_sum,
     rational_weyl_sum,
 )
+from spochar.laurent.core import mul_terms
+from spochar.linalg import det_bareiss_laurent
+from spochar.rootdata import Algebra
 
 
 def P(n, m, terms):
@@ -171,23 +180,247 @@ def test_json_round_trip_and_sorting():
     assert LaurentPoly.from_json(p.to_json()) == p
 
 
-def test_kernel_backends_agree():
-    from spochar.laurent import _kernel_py
+# -- the packed kernel against the tuple kernel it replaced ----------------------------
+#
+# Frozen copies of the tuple-keyed product, exact division and Bareiss
+# determinant that the packed kernel replaced, on term dicts.  They are the
+# references of the differential tests below; do not "optimise" them.
 
+
+def _mul_reference(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    bitems = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in bitems:
+            k = tuple(map(sum, zip(ea, eb)))
+            v = out.get(k, 0) + ca * cb
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+    return out
+
+
+def _grlex_key(exps):
+    return (sum(exps), exps)
+
+
+def _heap_key(exps):
+    return (-sum(exps), tuple(-x for x in exps), exps)
+
+
+def _exact_div_reference(p, q):
+    """p / q on term dicts; raises NotDivisible with the old messages."""
+    if not q:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not p:
+        return {}
+    rank = len(next(iter(p)))
+    minp = tuple(min(e[i] for e in p) for i in range(rank))
+    minq = tuple(min(e[i] for e in q) for i in range(rank))
+    phat = {tuple(x - y for x, y in zip(e, minp)): c for e, c in p.items()}
+    qhat = {tuple(x - y for x, y in zip(e, minq)): c for e, c in q.items()}
+    ltq = max(qhat, key=_grlex_key)
+    cq = qhat[ltq]
+    heap = [_heap_key(e) for e in phat]
+    heapq.heapify(heap)
+    quot = {}
+    while phat:
+        e = heapq.heappop(heap)[2]
+        c = phat.get(e)
+        if c is None:
+            continue
+        t = tuple(x - y for x, y in zip(e, ltq))
+        if any(x < 0 for x in t):
+            raise NotDivisible(f"leading monomial {e} not divisible by {ltq}")
+        f, rem = divmod(c, cq)
+        if rem:
+            raise NotDivisible(f"leading coefficient {c} not divisible by {cq}")
+        quot[t] = f
+        for eb, cb in qhat.items():
+            k = tuple(map(sum, zip(t, eb)))
+            v = phat.get(k, 0) - f * cb
+            if v:
+                phat[k] = v
+            elif k in phat:
+                del phat[k]
+            heapq.heappush(heap, _heap_key(k))
+    shift = tuple(x - y for x, y in zip(minp, minq))
+    return {tuple(x + y for x, y in zip(t, shift)): f for t, f in quot.items()}
+
+
+def _sub_reference(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) - c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _bareiss_reference(matrix):
+    """The top-left Bareiss elimination, on the tuple kernel."""
+    k = len(matrix)
+    rank = matrix[0][0].rank
+    a = [[dict(x.terms) for x in row] for row in matrix]
+    sign = 1
+    prev = {(0,) * rank: 1}
+    for r in range(k - 1):
+        if not a[r][r]:
+            pr = next((i for i in range(r + 1, k) if a[i][r]), None)
+            if pr is None:
+                return {}
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        piv = a[r][r]
+        for i in range(r + 1, k):
+            for j in range(r + 1, k):
+                num = _sub_reference(_mul_reference(piv, a[i][j]), _mul_reference(a[i][r], a[r][j]))
+                a[i][j] = _exact_div_reference(num, prev)
+            a[i][r] = {}
+        prev = piv
+    return {e: sign * c for e, c in a[k - 1][k - 1].items()}
+
+
+# Per-slot exponent ranges of the random operands: doubled exponents are
+# negative and odd (half weights) alike; "wide" puts one slot in the
+# millions, "huge" one slot beyond 64 bits, so fields differ in width.
+SHAPES = {
+    "narrow": lambda rank: [(-3, 3)] * rank,
+    "half": lambda rank: [(-9, 9)] * rank,
+    "wide": lambda rank: [(-2, 5)] * (rank - 1) + [(-3_000_000, 2_000_000)],
+    "huge": lambda rank: [(-(1 << 70), 1 << 66)] + [(0, 1)] * (rank - 1),
+}
+
+
+def _random_terms(rng, ranges, size, coef_bits):
+    out = {}
+    for _ in range(size):
+        e = tuple(rng.randint(lo, hi) for lo, hi in ranges)
+        out[e] = rng.randint(-(1 << coef_bits), 1 << coef_bits) or 1
+    return out
+
+
+def _random_operands(seed):
+    """(rank, a, b) over every shape, rank 1 to 7, small and big coefficients."""
+    rng = random.Random(seed)
+    for rank in range(1, 8):
+        for shape, ranges in SHAPES.items():
+            for coef_bits in (3, 100):
+                yield (rank, _random_terms(rng, ranges(rank), rng.randint(1, 9), coef_bits),
+                       _random_terms(rng, ranges(rank), rng.randint(1, 9), coef_bits))
+
+
+def _division_outcome(fn, p, q):
     try:
-        from spochar.laurent import _kernel
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    import random
+        return fn(p, q)
+    except NotDivisible as exc:
+        return ("NotDivisible", str(exc))
 
-    rng = random.Random(3)
-    for _ in range(25):
-        a = {tuple(rng.randint(-5, 5) for _ in range(3)): rng.randint(-9, 9) or 1 for _ in range(8)}
-        b = {tuple(rng.randint(-5, 5) for _ in range(3)): rng.randint(-9, 9) or 1 for _ in range(8)}
-        assert _kernel.mul_terms(a, b) == _kernel_py.mul_terms(dict(a), dict(b))
-        assert _kernel.add_terms(a, b) == _kernel_py.add_terms(dict(a), dict(b))
-        acc1, acc2 = dict(a), dict(a)
-        shift = (1, -1, 0)
-        _kernel.axpy_terms(acc1, -2, shift, b)
-        _kernel_py.axpy_terms(acc2, -2, shift, b)
-        assert acc1 == acc2
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_mul_matches_tuple_kernel(seed):
+    for rank, a, b in _random_operands(seed):
+        assert mul_terms(a, b) == _mul_reference(a, b)
+        assert mul_terms({}, b) == {}
+
+
+def test_packed_mul_drops_cancelled_terms():
+    # (u + v)(u - v) = u^2 - v^2: every cross term cancels to zero
+    rng = random.Random(6)
+    for rank in range(1, 8):
+        for shape, ranges in SHAPES.items():
+            u = _random_terms(rng, ranges(rank), 5, 100)
+            v = {e: c for e, c in _random_terms(rng, ranges(rank), 5, 3).items() if e not in u}
+            plus, minus = {**u, **v}, {**u, **{e: -c for e, c in v.items()}}
+            got = mul_terms(plus, minus)
+            assert got == _mul_reference(plus, minus)
+            assert 0 not in got.values()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_exact_div_matches_tuple_kernel(seed):
+    for rank, a, b in _random_operands(seed):
+        p = _mul_reference(a, b)
+        assert exact_div(P(rank, 0, p), P(rank, 0, b)) == P(rank, 0, a)
+        # random pairs, almost never divisible: the same quotient or the same
+        # failure, at the same leading term
+        for num, den in ((a, b), (b, a), ({**p, next(iter(a)): 1}, b)):
+            want = _division_outcome(_exact_div_reference, num, den)
+            got = _division_outcome(lambda x, y: exact_div(P(rank, 0, x), P(rank, 0, y)).terms, num, den)
+            assert got == want
+
+
+def test_exact_div_guard_bit_catches_one_slot_underflow():
+    # the leading monomials x0^3 x1^2 x3 and x0^2 x2^3 x3 have equal degree
+    # and every field of the dividend but x2's covers the divisor's: only
+    # x2's guard bit is borrowed
+    e, m = (3, 2, 0, 1), (2, 0, 3, 1)
+    one = (0, 0, 0, 0)
+    with pytest.raises(NotDivisible, match=re.escape(f"leading monomial {e} not divisible by {m}")):
+        exact_div(P(4, 0, {e: 1, one: 1}), P(4, 0, {m: 1, one: 1}))
+
+
+def _jt_grid_matrices(monkeypatch):
+    """The matrices jacobitrudi hands to det_bareiss_laurent on the Euler =
+    Jacobi-Trudi and p-form = e-form grid and in the identity suite."""
+    seen = []
+
+    def record(matrix):
+        seen.append([row[:] for row in matrix])
+        return det_bareiss_laurent(matrix)
+
+    monkeypatch.setattr(jacobitrudi, "det_bareiss_laurent", record)
+    grid = {
+        "4|3": ["1", "2", "3", "1,1", "2,1", "2,2", "1,1,1", "3,1", "2,1,1", "1,1,1,1", "4", "3,2", "2,2,1",
+                "1,1,1,1,1", "3,1,1", "2,1,1,1", "4,1", "5", "6"],
+        "6|3": ["1", "2", "1,1", "3", "2,1", "4", "2,2", "3,1", "5", "3,2", "4,1"],
+        "2|3": ["1", "2", "1,1", "2,1", "1,1,1", "3", "3,1", "2,1,1", "1,1,1,1", "4", "3,1,1", "4,1", "2,1,1,1",
+                "5", "1,1,1,1,1", "3,1,1,1", "4,1,1", "1,1,1,1,1,1", "6", "5,1", "2,1,1,1,1"],
+    }
+    for text, parts in grid.items():
+        alg = Algebra.parse(text)
+        for part in parts:
+            lam = tuple(int(x) for x in part.split(","))
+            jacobitrudi.jt_character(lam, alg)
+            if text != "6|3":
+                jacobitrudi.jt_character_e(lam, alg)
+    for n in (1, 2, 3):
+        jacobitrudi.identity_suite(n)
+    return seen
+
+
+def test_bareiss_from_the_sparse_end_matches_top_left_bareiss(monkeypatch):
+    matrices = _jt_grid_matrices(monkeypatch)
+    assert sum(len(mat) >= 3 for mat in matrices) >= 40
+    # zero pivots at the sparse end: a row swap, and a zero column
+    one, x, y = LaurentPoly.one(2, 0), mono(2, 0, (2, 0)), mono(2, 0, (-1, 3))
+    zero = LaurentPoly.zero(2, 0)
+    matrices += [
+        [[x, one], [one, zero]],
+        [[x, y, one], [one, x + y, zero], [y, one, zero]],
+        [[x, zero, y], [one, zero, x], [y, zero, one]],
+        [[x * y - one, x, y], [y, one + y, x], [x + one, y, zero]],
+    ]
+    for mat in matrices:
+        assert det_bareiss_laurent(mat).terms == _bareiss_reference(mat)
+
+
+def test_no_compiled_kernel_leftovers():
+    # the compiled twin of the term kernel, its build and its backend switch are gone
+    root = Path(__file__).resolve().parents[1]
+    assert list((root / "src").rglob("_kernel.*")) == []
+    leftover = re.compile(r"kernel_backend|SPOCHAR_PURE_PYTHON|_kernel\.pyx|laurent\._kernel\b|import _kernel\b")
+    files = [root / "README.md", *(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
+    found = [
+        f"{path.relative_to(root)}:{i}"
+        for path in files
+        if path != Path(__file__).resolve()
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if leftover.search(line)
+    ]
+    assert found == []

@@ -281,6 +281,22 @@ def test_degree_dim_counts_the_basis():
             assert degree_dim(alg, k) == len(degree_basis(alg, k))
 
 
+def test_degree_basis_is_one_cache_entry_per_degree():
+    from spochar.superspace import _degree_basis
+
+    alg = Algebra.parse("4|3")
+    _degree_basis.cache_clear()
+    degree_basis(alg, 3)
+    degree_basis(alg, 1)
+    assert _degree_basis.cache_info().misses == 2
+    # the report and the explicit-bound spellings read the warmed entries
+    irreducibility_report(alg, 3)
+    degree_basis(alg, 3, 20000)
+    degree_basis(alg, 1, bound=20000)
+    info = _degree_basis.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits >= 4
+
+
 def test_oversized_degree_is_refused_before_enumeration():
     import time
 
