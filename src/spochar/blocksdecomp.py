@@ -107,7 +107,7 @@ def _assert_nonneg(p: LaurentPoly, what):
     return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def irr_char_spo23(a: int, b: int) -> LaurentPoly:
     """Character of the simple spo(2|3)-module with highest weight
     a*d1 + b*e1 (requires dominance)."""

@@ -4,8 +4,10 @@ dimension.
 
 Every Weyl-type quotient here has the form (alternating Weyl sum) / D0, and
 D0 is a product of binomials e^{a/2} - e^{-a/2}, one per even positive root
-a.  The quotient is computed by `divide_by_binomials`, which clears one
-binomial per pass over the terms, never by a general long division:
+a.  Each one is a single call of the packed kernel `laurent.weyl_quotient`:
+it sums over the group, clears one binomial per pass over the terms (never
+a general long division) and multiplies by the binomials of D1, all on
+packed exponents:
 
 * Kac: the alternating sum of e^{lam+rho} is divided by D0, then multiplied
   by the binomials e^{a/2} + e^{-a/2} of D1.  For odd l the factor
@@ -28,18 +30,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly, divide_by_binomials, multiply_by_binomials
+from .laurent import LaurentPoly, weyl_quotient
 from .laurent import exact_div  # noqa: F401  (perfbench's tracer re-binds charformulas.exact_div)
 from .linalg import det_bareiss_laurent, rref
 from .rootdata import (
     Algebra,
     Weight,
-    alternate,
-    antisymmetrize,
     is_dominant,
     positive_roots,
     rho,
     rho0,
+    signed_permutations,
     simple_roots,
     validate_partition,
 )
@@ -57,7 +58,7 @@ class LeviMismatch(ValueError):
 # -- denominators ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def denominators(alg: Algebra):
     """(D0, D1): products over even/odd positive roots of
     e^{a/2} -/+ e^{-a/2}, expanded exactly (half exponents are fine)."""
@@ -79,7 +80,7 @@ def _half(doubled):
     return tuple(x // 2 for x in doubled)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _kac_binomials(alg: Algebra):
     """(halves of D0 to divide by, halves of D1 to multiply by) for the Kac
     quotient, after cancelling the non-isotropic odd roots d_i (odd l)
@@ -97,7 +98,7 @@ def _kac_binomials(alg: Algebra):
 # -- parabolic subalgebras --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _simple_basis_solver(alg: Algebra):
     """Row-reduce [simples | I] once so roots can be expanded in the simple
     basis by a single matrix multiply."""
@@ -307,19 +308,11 @@ def levi_simple_even_character(p: Parabolic, lam: Weight) -> LaurentPoly:
         raise LeviMismatch("Levi has odd roots; use the gl-type constructors")
     alg = p.alg
     half = Weight(alg, [sum(r.doubled[i] for r in even) // 2 for i in range(alg.rank)])
-    v = (lam + half).doubled
-    terms = {}
-    for perm, signs, sgn in _reflection_group(alg, even):
-        e = [0] * alg.rank
-        for i in range(alg.rank):
-            e[perm[i]] = signs[i] * v[i]
-        e = tuple(e)
-        terms[e] = terms.get(e, 0) + sgn
-    num = LaurentPoly(alg.n, alg.m, terms)
-    return divide_by_binomials(num, [_half(r.doubled) for r in even])
+    group = _reflection_group(alg, even)
+    return weyl_quotient(alg.n, alg.m, {(lam + half).doubled: 1}, group, [_half(r.doubled) for r in even])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _reflection_group(alg: Algebra, roots):
     """Closure of the reflections in the given even roots, as signed
     permutations (perm, signs, determinant) of the weight coordinates.  The
@@ -405,12 +398,9 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     """
     if lam.is_integral() and not is_dominant(lam):
         warnings.warn(f"{lam.format()} is not dominant; result is a formal virtual character")
-    num = antisymmetrize(alg, lam + rho(alg))
     divide, multiply = _kac_binomials(alg)
-    result = multiply_by_binomials(divide_by_binomials(num, divide), multiply)
-    if not result.is_integral():
-        raise ArithmeticError("Kac character came out non-integral")
-    return result
+    numerator = {(lam + rho(alg)).doubled: 1}
+    return weyl_quotient(alg.n, alg.m, numerator, signed_permutations(alg), divide, multiply, integral="Kac character")
 
 
 def euler_character(p: Parabolic, module) -> LaurentPoly:
@@ -426,10 +416,7 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
     # dividing by the orthogonal-side roots first keeps the intermediate
     # quotients smaller here (the Kac orbit sums prefer the given order)
     halves = [_half(r.doubled) for r in reversed(positive_roots(alg).even)]
-    result = divide_by_binomials(alternate(alg, f), halves)
-    if not result.is_integral():
-        raise ArithmeticError("Euler character came out non-integral")
-    return result
+    return weyl_quotient(alg.n, alg.m, f.terms, signed_permutations(alg), halves, integral="Euler character")
 
 
 # -- virtual dimension ----------------------------------------------------------------

@@ -16,6 +16,8 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
+from pathlib import Path
 
 from . import __version__
 from .blocksdecomp import (
@@ -39,8 +41,8 @@ from .charformulas import (
 )
 from .jacobitrudi import identity_suite, jt_character, sym_power_char
 from .laurent import LaurentPoly, NotDivisible
-from .rootdata import Algebra, Weight, validate_partition
-from .superspace import DimensionGuard, format_monomial, irreducibility_report, kernel_dim_and_singular_vectors
+from .rootdata import Algebra, DimensionGuard, Weight, validate_partition
+from .superspace import format_monomial, irreducibility_report, kernel_dim_and_singular_vectors
 
 
 class MathFailure(Exception):
@@ -433,21 +435,36 @@ def _cache_dir(args):
     return os.environ.get("SPOCHAR_CACHE_DIR", ".spochar-cache")
 
 
-def _cache_key(argv):
-    canon = json.dumps({"version": __version__, "argv": argv}, sort_keys=True)
+@lru_cache(maxsize=1)
+def _source_digest():
+    """Digest of the package's Python source: any change to the code that
+    computes an answer retires every cached answer."""
+    root = Path(__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def _cache_key(args):
+    """Key of the source digest and the parsed arguments, so the order and
+    spelling of the flags do not matter; where the cache lives does not
+    enter."""
+    params = {k: v for k, v in vars(args).items() if k not in ("cache_dir", "no_cache", "fn")}
+    canon = json.dumps({"source": _source_digest(), "args": params}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _cached_run(args, argv, fn):
+def _cached_run(args):
     if getattr(args, "no_cache", False):
-        return fn(args)
+        return _dispatch(args)
     cdir = _cache_dir(args)
-    key = _cache_key(argv)
+    key = _cache_key(args)
     path = os.path.join(cdir, key + ".out")
     if os.path.exists(path):
         with open(path, "rb") as fh:
             return fh.read().decode()
-    out = fn(args)
+    out = _dispatch(args)
     os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir)
     with os.fdopen(fd, "wb") as fh:
@@ -563,14 +580,12 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)  # exits 2 on parse errors
+    args = _build_parser().parse_args(argv)  # exits 2 on parse errors
     try:
         if args.command == "batch":
             out = cmd_batch(args)
         else:
-            out = _cached_run(args, argv, args.fn)
+            out = _cached_run(args)
     except (NotDivisible, ArithmeticError, MathFailure) as exc:
         print(f"mathematical assertion failed: {exc}", file=sys.stderr)
         return 3

@@ -72,7 +72,7 @@ class PowerTable:
         return self._e[r]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def power_table(alg: Algebra) -> PowerTable:
     return PowerTable(alg)
 

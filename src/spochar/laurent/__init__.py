@@ -3,16 +3,14 @@ from .core import (
     LatticeMismatch,
     LaurentPoly,
     NotDivisible,
-    add,
     canonicalize_factor,
     divide_by_binomials,
-    evaluate_at_one,
     exact_div,
     grlex_key,
-    mul,
     multiply_by_binomials,
     rational_sum,
     rational_weyl_sum,
+    weyl_quotient,
 )
 
 __all__ = [
@@ -20,14 +18,12 @@ __all__ = [
     "LatticeMismatch",
     "LaurentPoly",
     "NotDivisible",
-    "add",
     "canonicalize_factor",
     "divide_by_binomials",
-    "evaluate_at_one",
     "exact_div",
     "grlex_key",
-    "mul",
     "multiply_by_binomials",
     "rational_sum",
     "rational_weyl_sum",
+    "weyl_quotient",
 ]

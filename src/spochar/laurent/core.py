@@ -10,12 +10,22 @@ Coefficients are arbitrary-precision integers.  Monomials are ordered by
 graded lex (total doubled degree first, then lex), which is total and
 multiplicative, so leading-term queries and exact division are reproducible.
 
-The term-level loops (`add_terms`, `mul_terms`, `scale_shift_terms` and the
-division inside `exact_div`) are one pure-Python kernel.  The two hot ones
-work on packed exponents: each exponent tuple becomes one int holding a bit
-field per slot, so multiplying monomials is adding ints (Monagan & Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007).
+The term-level loops (`add_terms`, `mul_terms`, `scale_shift_terms`, the
+division inside `exact_div` and the Weyl-quotient kernel `weyl_quotient`)
+are one pure-Python kernel.  The hot ones work on packed exponents: each
+exponent tuple becomes one int holding a bit field per slot, so multiplying
+monomials is adding ints (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+
+`weyl_quotient` is the one way to evaluate a Weyl-type quotient: the
+alternating sum over a group of signed permutations, divided by binomials
+x^h - x^-h one pass per binomial along strings of terms, and multiplied by
+binomials x^h + x^-h, with one pack at the start and one unpack at the end.
+Kac, Euler and even-Levi characters, `rootdata.antisymmetrize`,
+`divide_by_binomials` and `multiply_by_binomials` all call it.
+
+Kernel results are free of zero coefficients and are wrapped without a copy
+(`LaurentPoly._wrap`); the public constructor drops zeros.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import heapq
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
 from operator import itemgetter
 
@@ -134,6 +145,14 @@ class LaurentPoly:
         self.m = m
         self.terms = {e: c for e, c in terms.items() if c}
 
+    @classmethod
+    def _wrap(cls, n, m, terms):
+        """The polynomial on a term dict the kernel made free of zeros: no
+        copy, no filter.  The dict must not be shared or mutated later."""
+        p = object.__new__(cls)
+        p.n, p.m, p.terms = n, m, terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -182,21 +201,21 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        return LaurentPoly(self.n, self.m, add_terms(self.terms, other.terms))
+        return LaurentPoly._wrap(self.n, self.m, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.n, self.m, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._wrap(self.n, self.m, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero(self.n, self.m)
-            return LaurentPoly(self.n, self.m, {e: other * c for e, c in self.terms.items()})
+            return LaurentPoly._wrap(self.n, self.m, {e: other * c for e, c in self.terms.items()})
         self._check(other)
-        return LaurentPoly(self.n, self.m, mul_terms(self.terms, other.terms))
+        return LaurentPoly._wrap(self.n, self.m, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -214,7 +233,7 @@ class LaurentPoly:
 
     def shifted(self, exps, sign=1):
         """Multiply by the monomial sign * x^exps."""
-        return LaurentPoly(self.n, self.m, scale_shift_terms(sign, tuple(exps), self.terms))
+        return LaurentPoly._wrap(self.n, self.m, scale_shift_terms(sign, tuple(exps), self.terms))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
@@ -285,19 +304,7 @@ class LaurentPoly:
         return cls.from_json_dict(json.loads(s))
 
 
-# -- module-level operation functions -------------------------------------------
-
-
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def evaluate_at_one(p: LaurentPoly) -> int:
-    return p.evaluate_at_one()
+# -- exact division -----------------------------------------------------------------
 
 
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -372,67 +379,128 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                     del phat[k]
 
     fields = [(s, mask, x - y) for s, x, y in zip(shifts, minp, minq)]
-    return LaurentPoly(p.n, p.m, dict(zip(_unpack(quot, fields), quot.values())))
+    return LaurentPoly._wrap(p.n, p.m, dict(zip(_unpack(quot, fields), quot.values())))
 
 
-def divide_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
-    """Exact quotient p / prod_h (x^h - x^-h); raises NotDivisible otherwise.
+# -- Weyl-type quotients ------------------------------------------------------------
 
-    Each binomial is cleared in one pass over the terms: they are grouped
-    into strings e + Z*2h, and walking a string from the top the quotient
-    coefficient at e - h is the running sum of the coefficients seen so far.
-    A nonzero running sum at the bottom of a string proves p is not a
-    multiple.  Weyl denominators are products of such binomials, one per
-    positive root (h = half the root), so this is the Weyl-quotient engine.
+
+def weyl_quotient(n, m, terms, group, divide=(), multiply=(), integral=None):
+    """sum_g det(g) g(x^terms) / prod_h (x^h - x^-h) * prod_k (x^k + x^-k).
+
+    `group` is a tuple of signed permutations (perm, signs, det) of the n+m
+    slots, acting by g(x^e) = x^f with f[perm[i]] = signs[i] * e[i]; h runs
+    over the halves in `divide`, k over those in `multiply`.  Raises
+    NotDivisible when the alternating sum is not a multiple of the
+    binomials, and, when `integral` names the result (say "Kac character"),
+    ArithmeticError if it has a half-integral exponent.
+
+    Exponents are packed once, as the group acts, and unpacked once at the
+    end.  Slot i is a field of w bits holding the exponent plus 2^(w-1), so
+    the image of a term is sum_i e[i] * gw[i] plus a constant, where
+    gw[i] = signs[i] << (w * perm[i]), and multiplying by x^h is adding the
+    packed h.  Dividing by a binomial is one pass over the terms: they are
+    grouped into strings e + Z*2h, and walking a string from the top the
+    quotient coefficient at e - h is the running sum of the coefficients
+    seen so far.  A string whose coefficients do not sum to zero (the
+    running sum at its bottom) proves the input is not a multiple; it is
+    refused before the walk, and the walk skips runs of zero, so the work is
+    proportional to the terms in and out.  A string is keyed by its member
+    at position 0, where position t counts steps of 2h in the field of h's
+    first nonzero slot.
     """
-    terms = p.terms
-    for h in halves:
-        terms = _divide_by_binomial(terms, tuple(h))
-    return LaurentPoly(p.n, p.m, terms)
+    rank = n + m
+    if not terms:
+        return LaurentPoly._wrap(n, m, {})
+    # quotients stay inside the input's exponent box, products grow by the
+    # halves' sizes, and string keys are input exponents moved along 2h by
+    # at most 2*size/|2h_i0| + 1 steps
+    size = max(max(map(abs, e)) for e in terms)
+    grown = size + sum(max(map(abs, k)) for k in multiply)
+    keys = max((2 * (size + 1) * (max(map(abs, h)) + 1) for h in divide), default=0)
+    width = max(grown.bit_length() + 1, keys.bit_length(), 2)
+    shifts = [width * i for i in range(rank)]
+    offset = 1 << (width - 1)
+    mask = (1 << width) - 1
+    fields = [(s, mask, -offset) for s in shifts]
+
+    base = sum(offset << s for s in shifts)
+    acc = {}
+    get = acc.get
+    items = list(terms.items())
+    for perm, signs, det in group:
+        gw = [sign << shifts[p] for p, sign in zip(perm, signs)]
+        for e, c in items:
+            k = sum(map(operator.mul, e, gw)) + base
+            acc[k] = get(k, 0) + det * c
+    acc = {k: c for k, c in acc.items() if c}
+
+    for h in divide:
+        i0 = next((i for i, x in enumerate(h) if x), None)
+        if i0 is None:
+            raise ZeroDivisionError("x^0 - x^0 is the zero polynomial")
+        acc = _divide_strings(acc, h, i0, sum(map(operator.lshift, h, shifts)), fields)
+    for h in multiply:
+        packed_h = sum(map(operator.lshift, h, shifts))
+        out = {k + packed_h: c for k, c in acc.items()}
+        get = out.get
+        for k, c in acc.items():
+            k -= packed_h
+            v = get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        acc = out
+
+    if integral and reduce(operator.or_, acc, 0) & sum(1 << s for s in shifts):
+        raise ArithmeticError(f"{integral} came out non-integral")
+    return LaurentPoly._wrap(n, m, dict(zip(_unpack(acc, fields), acc.values())))
 
 
-def _divide_by_binomial(terms, h):
-    i0 = next((i for i, x in enumerate(h) if x), None)
-    if i0 is None:
-        raise ZeroDivisionError("x^0 - x^0 is the zero polynomial")
+def _divide_strings(acc, h, i0, packed_h, fields):
+    """Packed terms acc / (x^h - x^-h), string by string (see weyl_quotient)."""
+    shift, mask, _ = fields[i0]
     step = 2 * h[i0]
-    # string -> {position t along it: coefficient}; the key is the string's
-    # member whose i0 coordinate lies between 0 and step
-    offsets = {}  # t -> t * 2h, the offset of position t from the key
-    strings = {}
-    for e, c in terms.items():
-        t = e[i0] // step
-        off = offsets.get(t)
-        if off is None:
-            off = offsets[t] = tuple(2 * t * x for x in h)
-        strings.setdefault(tuple(map(operator.sub, e, off)), {})[t] = c
+    two_h = 2 * packed_h
+    strings = {}  # key -> {position: coefficient}
+    for k, c in acc.items():
+        t = (k >> shift & mask) // step
+        key = k - t * two_h
+        coefs = strings.get(key)
+        if coefs is None:
+            strings[key] = {t: c}
+        else:
+            coefs[t] = c
     quot = {}
-    below = {}  # t -> (2t - 1) * h, the offset of the quotient term at t
     for key, coefs in strings.items():
-        top, bottom = max(coefs), min(coefs)
+        if sum(coefs.values()):  # the running sum at the bottom of the string
+            (e,) = _unpack([key + min(coefs) * two_h], fields)
+            raise NotDivisible(f"string through {e} does not clear x^{tuple(h)} - x^-{tuple(h)}")
+        ts = sorted(coefs, reverse=True)
         run = 0
-        for t in range(top, bottom, -1):
-            run += coefs.get(t, 0)
-            if run:
-                off = below.get(t)
-                if off is None:
-                    off = below[t] = tuple((2 * t - 1) * x for x in h)
-                quot[tuple(map(operator.add, key, off))] = run
-        if run + coefs[bottom]:
-            raise NotDivisible(f"string through {key} does not clear x^{h} - x^-{h}")
+        for t, below in zip(ts, ts[1:]):
+            run += coefs[t]
+            if run:  # the quotient terms at positions t down to below + 1
+                k = key + (2 * t - 1) * packed_h
+                for _ in range(t - below):
+                    quot[k] = run
+                    k -= two_h
     return quot
 
 
+def _identity(rank):
+    return ((tuple(range(rank)), (1,) * rank, 1),)
+
+
+def divide_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
+    """Exact quotient p / prod_h (x^h - x^-h); raises NotDivisible otherwise."""
+    return weyl_quotient(p.n, p.m, p.terms, _identity(p.rank), divide=halves)
+
+
 def multiply_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
-    """p * prod_h (x^h + x^-h), one pass over the terms per binomial."""
-    terms = p.terms
-    for h in halves:
-        out = {}
-        for e, c in terms.items():
-            for k in (tuple(map(operator.add, e, h)), tuple(map(operator.sub, e, h))):
-                out[k] = out.get(k, 0) + c
-        terms = {e: c for e, c in out.items() if c}
-    return LaurentPoly(p.n, p.m, terms)
+    """p * prod_h (x^h + x^-h)."""
+    return weyl_quotient(p.n, p.m, p.terms, _identity(p.rank), multiply=halves)
 
 
 # -- factored rational expressions ---------------------------------------------
@@ -507,10 +575,6 @@ class FactoredRational:
         """Clear the denominator exactly (NotDivisible if it does not clear)."""
         num = self.numerator.shifted(self.unit_exp, self.unit_sign)
         return exact_div(num, self.denominator_poly())
-
-    def cleared(self) -> LaurentPoly:
-        """unit * numerator * denominator: for cross-multiplied comparisons."""
-        return self.numerator.shifted(self.unit_exp, self.unit_sign) * self.denominator_poly()
 
 
 def rational_sum(terms) -> FactoredRational:

@@ -12,17 +12,23 @@ so the pure sp(2n)/so(l) Weyl machinery can serve as an internal oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, weyl_quotient
 
 
 class NonIntegralWeight(ValueError):
     """Operation requires an integral weight."""
+
+
+class DimensionGuard(RuntimeError):
+    """A request is above a size bound; refused before anything that size
+    is allocated."""
 
 
 @dataclass(frozen=True)
@@ -419,16 +425,21 @@ class WeylElement:
     (even l: evenly many sign flips) on the e's.
 
     perms map position i to image position perm[i]; w(d_i) = s_i d_{perm[i]}.
-    The sign is the determinant on the weight space, i.e. (-1)^{length}.
+    The sign is the determinant on the weight space, i.e. (-1)^{length},
+    computed once on construction.
     """
 
-    __slots__ = ("sp_perm", "sp_signs", "so_perm", "so_signs")
+    __slots__ = ("sp_perm", "sp_signs", "so_perm", "so_signs", "sign")
 
     def __init__(self, sp_perm, sp_signs, so_perm, so_signs):
         self.sp_perm = tuple(sp_perm)
         self.sp_signs = tuple(sp_signs)
         self.so_perm = tuple(so_perm)
         self.so_signs = tuple(so_signs)
+        sign = self._perm_parity(self.sp_perm) * self._perm_parity(self.so_perm)
+        for x in self.sp_signs + self.so_signs:
+            sign *= x
+        self.sign = sign
 
     @classmethod
     def identity(cls, alg):
@@ -449,15 +460,6 @@ class WeylElement:
             if clen % 2 == 0:
                 sign = -sign
         return sign
-
-    @property
-    def sign(self):
-        s = self._perm_parity(self.sp_perm) * self._perm_parity(self.so_perm)
-        for x in self.sp_signs:
-            s *= x
-        for x in self.so_signs:
-            s *= x
-        return s
 
     def apply_doubled(self, exps):
         n = len(self.sp_perm)
@@ -498,10 +500,26 @@ class WeylElement:
         return f"WeylElement(sp={self.sp_perm}/{self.sp_signs}, so={self.so_perm}/{self.so_signs})"
 
 
-@lru_cache(maxsize=None)
+# Larger Weyl groups are refused before they are enumerated: spo(8|5) has
+# |W| = 3072 and spo(8|8) 73728, while spo(10|10) would need 7.4 million
+# elements.
+WEYL_ORDER_LIMIT = 100_000
+
+
+def weyl_order(alg: Algebra) -> int:
+    """|W| = n! 2^n * m! 2^m (odd l) or m! 2^(m-1) (even l, m >= 1)."""
+    so = 1 if alg.m == 0 else math.factorial(alg.m) * 2 ** (alg.m if alg.odd else alg.m - 1)
+    return math.factorial(alg.n) * 2**alg.n * so
+
+
+@lru_cache(maxsize=64)
 def weyl_group(alg: Algebra):
     """Deterministic enumeration of W, lexicographic over (sp-permutation,
-    sp-signs, so-permutation, so-signs); signs run (+1, -1) per slot."""
+    sp-signs, so-permutation, so-signs); signs run (+1, -1) per slot.
+    Raises DimensionGuard, before enumerating, above WEYL_ORDER_LIMIT."""
+    order = weyl_order(alg)
+    if order > WEYL_ORDER_LIMIT:
+        raise DimensionGuard(f"|W| = {order} for {alg} exceeds the limit {WEYL_ORDER_LIMIT}")
     n, m = alg.n, alg.m
     out = []
     for sp_perm in itertools.permutations(range(n)):
@@ -514,20 +532,19 @@ def weyl_group(alg: Algebra):
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def signed_permutations(alg: Algebra):
+    """W in weyl_group's order as (perm, signs, det) over all n+m slots: the
+    form `laurent.weyl_quotient` reads."""
+    n = alg.n
+    return tuple(
+        (g.sp_perm + tuple(n + j for j in g.so_perm), g.sp_signs + g.so_signs, g.sign) for g in weyl_group(alg)
+    )
+
+
 def antisymmetrize(alg: Algebra, w: Weight) -> LaurentPoly:
     """Alternating Weyl sum of e^{w}: sum over W of sign(g) e^{g(w)}."""
-    return alternate(alg, w.exponent_monomial())
-
-
-def alternate(alg: Algebra, p: LaurentPoly) -> LaurentPoly:
-    """Alternating Weyl sum of a polynomial: sum over W of sign(g) g(p)."""
-    terms = {}
-    for g in weyl_group(alg):
-        s = g.sign
-        for e, c in p.terms.items():
-            k = g.apply_doubled(e)
-            terms[k] = terms.get(k, 0) + s * c
-    return LaurentPoly(alg.n, alg.m, terms)
+    return weyl_quotient(alg.n, alg.m, {w.doubled: 1}, signed_permutations(alg))
 
 
 def orbit_canonical(alg: Algebra, w: Weight):

@@ -30,11 +30,7 @@ from math import comb, gcd, lcm
 
 from .laurent import LaurentPoly, grlex_key
 from .linalg import nullspace
-from .rootdata import Algebra, Weight, is_dominant, positive_roots, simple_roots, weyl_group
-
-
-class DimensionGuard(RuntimeError):
-    """Requested degree component exceeds the desk-scale bound."""
+from .rootdata import Algebra, DimensionGuard, Weight, is_dominant, positive_roots, simple_roots, weyl_group
 
 
 # -- generator bookkeeping ---------------------------------------------------------

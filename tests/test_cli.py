@@ -178,3 +178,49 @@ def test_oversized_laplacian_exits_2(capsys, tmp_path):
     assert captured.out == ""
     err = captured.err.strip()
     assert "\n" not in err and err.startswith("error: dim = ") and "exceeds bound 100" in err
+
+
+def test_oversized_weyl_group_exits_2(capsys, tmp_path):
+    code = cli.main(["kac", "--algebra", "10|10", "--weight", "1d1", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: |W| = 7372800 for spo(10|10) exceeds the limit 100000\n"
+
+
+def _cache_files(path):
+    return sorted(f for f in os.listdir(path) if f.endswith(".out"))
+
+
+def test_reordered_flags_hit_the_same_cache_entry(capsys, tmp_path):
+    first = run(capsys, "kac", "--algebra", "2|3", "--weight", "2d1+1e1", "--format", "json", cache=tmp_path)
+    files = _cache_files(tmp_path)
+    again = run(capsys, "kac", "--cache-dir", str(tmp_path), "--format", "json", "--weight", "2d1+1e1",
+                "--algebra", "2|3")
+    assert again == first
+    assert _cache_files(tmp_path) == files and len(files) == 1
+    # the location of the cache is not part of the key
+    other = tmp_path / "other"
+    run(capsys, "kac", "--algebra", "2|3", "--weight", "2d1+1e1", "--format", "json", cache=other)
+    assert _cache_files(other) == files
+
+
+def test_changed_source_digest_misses_the_cache(capsys, tmp_path, monkeypatch):
+    first = run(capsys, "dim", "--algebra", "2|3", "--irr", "1d1", cache=tmp_path)
+    assert len(_cache_files(tmp_path)) == 1
+    monkeypatch.setattr(cli, "_source_digest", lambda: "a different program")
+    assert run(capsys, "dim", "--algebra", "2|3", "--irr", "1d1", cache=tmp_path) == first
+    assert len(_cache_files(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kac", "--algebra", "4|3", "--weight", "2d1+1d2", "--format", "latex"],
+    ["euler", "--algebra", "2|4", "--parabolic", "remove=e1+e2", "--levi-module", "natural", "--format", "json"],
+    ["decompose", "--algebra", "2|3", "--kac", "2d1+1e1"],
+])
+def test_cached_bytes_equal_fresh_bytes(capsys, tmp_path, argv):
+    miss = run(capsys, *argv, cache=tmp_path)
+    hit = run(capsys, *argv, cache=tmp_path)
+    fresh = run(capsys, *argv, "--no-cache")
+    assert hit == miss == fresh
+    assert len(_cache_files(tmp_path)) == 1

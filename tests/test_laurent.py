@@ -12,9 +12,12 @@ from spochar.laurent import (
     LatticeMismatch,
     LaurentPoly,
     NotDivisible,
+    divide_by_binomials,
     exact_div,
+    multiply_by_binomials,
     rational_sum,
     rational_weyl_sum,
+    weyl_quotient,
 )
 from spochar.laurent.core import mul_terms
 from spochar.linalg import det_bareiss_laurent
@@ -62,6 +65,28 @@ def test_exact_div_round_trip(p, q):
 def test_evaluate_at_one_is_ring_hom(p, q):
     assert (p * q).evaluate_at_one() == p.evaluate_at_one() * q.evaluate_at_one()
     assert (p + q).evaluate_at_one() == p.evaluate_at_one() + q.evaluate_at_one()
+
+
+halves = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+signed_perms = st.tuples(st.permutations(range(3)), st.tuples(*[st.sampled_from((1, -1))] * 3),
+                         st.sampled_from((1, -1)))
+
+
+@given(polys, polys, st.integers(-3, 3), st.lists(halves, max_size=2), st.lists(signed_perms, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_kernel_results_hold_no_zero_coefficient(p, q, k, hs, group):
+    # the kernel's results are wrapped without the constructor's filter, so
+    # they must come out free of zeros themselves, cancellations included
+    multiple = p
+    for h in hs:
+        multiple = multiple * (LaurentPoly.monomial(2, 1, h) - LaurentPoly.monomial(2, 1, tuple(-x for x in h)))
+    results = [p + q, p - q, p + (-p), -p, k * p, p * q, (p + q) * (p - q), p.shifted((1, -2, 3), -1),
+               multiply_by_binomials(p, hs), divide_by_binomials(multiple, hs),
+               weyl_quotient(2, 1, p.terms, tuple(group), multiply=hs)]
+    if q:
+        results.append(exact_div(p * q, q))
+    for r in results:
+        assert 0 not in r.terms.values()
 
 
 def test_additive_inverse_and_doubling():

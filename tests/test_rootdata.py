@@ -4,7 +4,9 @@ import pytest
 
 from spochar.linalg import rref
 from spochar.rootdata import (
+    WEYL_ORDER_LIMIT,
     Algebra,
+    DimensionGuard,
     NonIntegralWeight,
     Weight,
     antisymmetrize,
@@ -19,6 +21,7 @@ from spochar.rootdata import (
     simple_roots,
     weight_to_partition,
     weyl_group,
+    weyl_order,
 )
 
 SPO23 = Algebra.parse("2|3")
@@ -135,6 +138,22 @@ def test_weyl_group_orders():
     assert len(weyl_group(SPO43)) == 16
     assert len(weyl_group(SPO24)) == 8  # B1 x D2
     assert len(weyl_group(Algebra.parse("4|4"))) == 32  # B2 x D2
+
+
+@pytest.mark.parametrize("algtxt", ["2|0", "2|1", "4|0", "2|2", "4|2", "2|4", "6|3", "4|6", "6|5"])
+def test_weyl_order_formula_matches_the_enumeration(algtxt):
+    alg = Algebra.parse(algtxt)
+    assert weyl_order(alg) == len(weyl_group(alg)) == len(set(weyl_group(alg)))
+
+
+def test_oversized_weyl_group_is_refused_before_enumeration():
+    assert weyl_order(Algebra.parse("8|5")) == 3072 <= WEYL_ORDER_LIMIT  # the largest routine target
+    big = Algebra.parse("10|10")
+    assert weyl_order(big) == 7372800
+    with pytest.raises(DimensionGuard, match=r"^\|W\| = 7372800 for spo\(10\|10\) exceeds the limit 100000$"):
+        weyl_group(big)
+    with pytest.raises(DimensionGuard):
+        antisymmetrize(big, Weight.zero(big))
 
 
 def test_identity_element_sign():
