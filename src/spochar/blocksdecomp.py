@@ -24,8 +24,8 @@ from .rootdata import (
     Algebra,
     Weight,
     all_isotropic_roots,
+    fold_to_dominant,
     is_dominant,
-    orbit_canonical,
     rho,
     sharp,
     validate_partition,
@@ -71,14 +71,14 @@ def same_central_character(alg: Algebra, query: BlockQuery) -> LinkageResult:
     silently false.
     """
     lam_rho = query.lam + rho(alg)
-    target = orbit_canonical(alg, query.mu + rho(alg))
+    target = fold_to_dominant(alg, (query.mu + rho(alg)).doubled)
     depth = query.depth(alg)
     roots = all_isotropic_roots(alg)
     frontier = {lam_rho.doubled: lam_rho}
     seen = set(frontier)
     for _ in range(depth + 1):
         for state in frontier.values():
-            if orbit_canonical(alg, state) == target:
+            if fold_to_dominant(alg, state.doubled) == target:
                 return LinkageResult(True)
         nxt = {}
         for state in frontier.values():

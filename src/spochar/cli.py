@@ -4,18 +4,21 @@ golden-table reproduction, with a content-addressed result cache.
 
 Exit codes: 0 success, 2 argument/validation error or a request above its
 size bound, 3 mathematical assertion failure (exact-division or
-consistency violations).
+consistency violations).  `batch` writes each line's code beside that
+line's output and exits with the largest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import shlex
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -410,20 +413,33 @@ def cmd_reproduce(args):
     return out
 
 
+def _batch_args(line):
+    """Parse one batch line as a command line; argparse's exit becomes a
+    ValueError, i.e. exit code 2 for that line."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(shlex.split(line))
+    except SystemExit:
+        lines = err.getvalue().splitlines()
+        raise ValueError(lines[-1] if lines else "invalid arguments") from None
+    if args.command == "batch":
+        raise ValueError("a batch line cannot run batch")
+    return args
+
+
 def cmd_batch(args):
+    """Run each line of the file in order, as a single command would run (the
+    same cache).  A failing line gets its error and exit code in its own slot
+    and the batch carries on; the batch exits with the largest line code."""
     with open(args.file) as fh:
         commands = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    outputs = [None] * len(commands)
-
-    def run_one(idx_cmd):
-        idx, cmd = idx_cmd
-        sub = _build_parser().parse_args(cmd.split())
-        return idx, _dispatch(sub)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for idx, out in pool.map(run_one, enumerate(commands)):
-            outputs[idx] = out
-    return "".join(f"$ {c}\n{o}" for c, o in zip(commands, outputs))
+    worst, slots = 0, []
+    for cmd in commands:
+        code, out, err = _outcome(lambda: (0, _cached_run(_batch_args(cmd))))
+        worst = max(worst, code)
+        slots.append(f"$ {cmd}\n{out}" + (f"[exit {code}] {err}\n" if code else ""))
+    return worst, "".join(slots)
 
 
 # -- cache ---------------------------------------------------------------------------
@@ -569,7 +585,6 @@ def _build_parser():
 
     sp = sub.add_parser("batch", help="run commands from a file (one per line)")
     sp.add_argument("--file", required=True)
-    sp.add_argument("--jobs", type=int, default=4)
     sp.set_defaults(fn=cmd_batch, format="text")
 
     return ap
@@ -579,21 +594,27 @@ def _dispatch(args):
     return args.fn(args)
 
 
+def _outcome(run):
+    """(exit code, output, error message) of run(), which returns (exit code,
+    output); an exception becomes its documented exit code."""
+    try:
+        return (*run(), "")
+    except (NotDivisible, ArithmeticError, MathFailure) as exc:
+        return 3, "", f"mathematical assertion failed: {exc}"
+    except (ValueError, KeyError, FileNotFoundError, DimensionGuard) as exc:
+        return 2, "", f"error: {exc}"
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)  # exits 2 on parse errors
-    try:
-        if args.command == "batch":
-            out = cmd_batch(args)
-        else:
-            out = _cached_run(args)
-    except (NotDivisible, ArithmeticError, MathFailure) as exc:
-        print(f"mathematical assertion failed: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, FileNotFoundError, DimensionGuard) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "batch":
+        code, out, err = _outcome(lambda: cmd_batch(args))
+    else:
+        code, out, err = _outcome(lambda: (0, _cached_run(args)))
     sys.stdout.write(out)
-    return 0
+    if err:
+        print(err, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

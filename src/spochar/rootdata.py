@@ -309,6 +309,7 @@ def simple_roots(alg: Algebra):
     return out
 
 
+@lru_cache(maxsize=64)
 def rho(alg: Algebra) -> Weight:
     """Graded half sum of positive roots, by the closed formulas."""
     n, m = alg.n, alg.m
@@ -322,6 +323,7 @@ def rho(alg: Algebra) -> Weight:
     return Weight(alg, out)
 
 
+@lru_cache(maxsize=64)
 def rho0(alg: Algebra) -> Weight:
     """Half sum of the even positive roots, summed directly."""
     tot = [0] * alg.rank
@@ -340,38 +342,38 @@ def rho1(alg: Algebra) -> Weight:
     return Weight(alg, [x // 2 for x in tot])
 
 
+def fold_to_dominant(alg: Algebra, doubled):
+    """The g0-dominant weight in the W-orbit of a doubled weight.
+
+    W acts by signed permutations: of the d-slots (type C_n), and of the
+    e-slots with any signs (B_m, odd l) or evenly many sign changes (D_m,
+    even l).  So the fold sorts the absolute values of each side in
+    descending order and, for even l, keeps the orbit's sign parity on the
+    last e-entry unless some e-entry is 0 (Stembridge, MSJ Memoirs 11,
+    2001).  A weight is g0-dominant iff it is its own fold, and two weights
+    lie in one W-orbit iff their folds are equal.
+    """
+    n = alg.n
+    sp = sorted((abs(x) for x in doubled[:n]), reverse=True)
+    so = sorted((abs(x) for x in doubled[n:]), reverse=True)
+    if not alg.odd and so and so[-1] and sum(x < 0 for x in doubled[n:]) % 2:
+        so[-1] = -so[-1]
+    return tuple(sp + so)
+
+
 def is_dominant(w: Weight) -> bool:
     """Highest weight of a finite-dimensional simple module?
 
-    Requires a_1 >= ... >= a_n >= 0, the b-chain condition (b_m >= 0 for odd
-    l, b_{m-1} >= |b_m| for even l), and the hook condition: a_n < m forces
-    b_{a_n+1} = ... = b_m = 0.
+    Requires g0-dominance (a_1 >= ... >= a_n >= 0, and b_1 >= ... >= b_m >= 0
+    for odd l or b_{m-1} >= |b_m| for even l: the weight is its own fold) and
+    the hook condition: a_n < m forces b_{a_n+1} = ... = b_m = 0.
     """
     if not w.is_integral():
         raise NonIntegralWeight(str(w))
-    a, b = w.int_coeffs()
-    n, m = w.alg.n, w.alg.m
-    for i in range(n - 1):
-        if a[i] < a[i + 1]:
-            return False
-    if n and a[-1] < 0:
+    if fold_to_dominant(w.alg, w.doubled) != w.doubled:
         return False
-    if m:
-        for j in range(m - 2):
-            if b[j] < b[j + 1]:
-                return False
-        if w.alg.odd:
-            if m >= 2 and b[m - 2] < b[m - 1]:
-                return False
-            if b[m - 1] < 0:
-                return False
-        else:
-            if m >= 2 and b[m - 2] < abs(b[m - 1]):
-                return False
-        an = a[-1]
-        if an < m and any(b[j] != 0 for j in range(an, m)):
-            return False
-    return True
+    a, b = w.int_coeffs()
+    return not any(b[a[-1]:])
 
 
 class HookConditionError(ValueError):
@@ -545,22 +547,3 @@ def signed_permutations(alg: Algebra):
 def antisymmetrize(alg: Algebra, w: Weight) -> LaurentPoly:
     """Alternating Weyl sum of e^{w}: sum over W of sign(g) e^{g(w)}."""
     return weyl_quotient(alg.n, alg.m, {w.doubled: 1}, signed_permutations(alg))
-
-
-def orbit_canonical(alg: Algebra, w: Weight):
-    """Canonical form of the W-orbit of a weight, for orbit-equality tests.
-
-    The sp side and (odd l) so side forget order and signs; for even l the
-    so side additionally keeps the sign-flip parity unless some entry is 0.
-    """
-    n = alg.n
-    sp = tuple(sorted((abs(x) for x in w.doubled[:n]), reverse=True))
-    so = w.doubled[n:]
-    so_abs = tuple(sorted((abs(x) for x in so), reverse=True))
-    if alg.odd or not so:
-        return (sp, so_abs)
-    if any(x == 0 for x in so):
-        parity = 0
-    else:
-        parity = sum(1 for x in so if x < 0) % 2
-    return (sp, so_abs, parity)

@@ -18,11 +18,21 @@ Laplacian preserves weight and root operators shift it, so kernels, singular
 vectors and the tensor counts are solved block by block (fraction-free over
 the integers where the block is integral), and the irreducibility verdicts
 below are certificates, not numerics.
+
+The singular-vector pass and the tensor counts solve only the g0-dominant
+blocks (`rootdata.fold_to_dominant`).  A singular vector is killed by the
+even raising operators, so its weight is g0-dominant.  The Laplacian commutes
+with the even group, whose Weyl group W permutes the weight blocks, so the
+block at wμ has the nullity of the block at μ; the kernel dimension is the
+sum over dominant μ of nullity(μ) times the number of weights of the degree
+in μ's W-orbit, checked against dim(k) - dim(k-2).  `kernel_basis` still
+solves every block.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,7 +40,16 @@ from math import comb, gcd, lcm
 
 from .laurent import LaurentPoly, grlex_key
 from .linalg import nullspace
-from .rootdata import Algebra, DimensionGuard, Weight, is_dominant, positive_roots, simple_roots, weyl_group
+from .rootdata import (
+    Algebra,
+    DimensionGuard,
+    Weight,
+    fold_to_dominant,
+    is_dominant,
+    positive_roots,
+    simple_roots,
+    weyl_group,
+)
 
 
 # -- generator bookkeeping ---------------------------------------------------------
@@ -79,13 +98,10 @@ def gen_weight_doubled(alg: Algebra, slot: int):
 
 
 def monomial_weight_doubled(alg: Algebra, mono):
-    v = [0] * alg.rank
-    for slot, e in enumerate(mono):
-        if e:
-            w = gen_weight_doubled(alg, slot)
-            for i, x in enumerate(w):
-                v[i] += e * x
-    return tuple(v)
+    """2(#xi_j - #xib_j) on d_j and 2(#x_i - #xb_i) on e_i; x0 has weight 0."""
+    n, m, gs = alg.n, alg.m, _layout(alg)[1]
+    return tuple(2 * (mono[gs + j] - mono[gs + n + j]) for j in range(n)) + tuple(
+        2 * (mono[i] - mono[m + i]) for i in range(m))
 
 
 def monomial_degree(mono):
@@ -665,13 +681,20 @@ def _block_singular(images, ups, dom, kern):
 
 def _singular_pass(alg, k, bound, images, ups):
     """(dim ker Laplacian, singular vectors by weight) in degree k, from one
-    pass over the weight blocks."""
+    pass over the g0-dominant weight blocks.  The nullity of a dominant block
+    counts once for every weight of its W-orbit: the orbit's size is the
+    number of block weights with that fold, and every fold is itself a block
+    weight, since the weights of a degree are W-stable."""
     lap = doubled_laplacian(alg)
+    blocks = _weight_blocks(alg, k, bound)
+    orbit_size = Counter(fold_to_dominant(alg, wt) for wt, _ in blocks)
     kdim = 0
     out = {}
-    for wt, dom in _weight_blocks(alg, k, bound):
+    for wt, dom in blocks:
+        if wt not in orbit_size:  # not dominant: no singular vector, nullity counted at its fold
+            continue
         kern = _block_kernel(images, lap, dom)
-        kdim += len(kern)
+        kdim += orbit_size[wt] * len(kern)
         vecs = _block_singular(images, ups, dom, kern)
         if vecs:
             out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
@@ -797,7 +820,8 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     """Singular vectors of (ker Laplacian in degree k) (x) V, counted by
     weight.  Exact: per weight block, the stacked constraints are the
     left-factor Laplacian plus every simple raising operator acting by the
-    coproduct rule."""
+    coproduct rule.  Only the g0-dominant blocks are solved; no other weight
+    carries a singular vector."""
     groups = {}
     for t in degree_basis(alg, k, bound):
         wt = monomial_weight_doubled(alg, t)
@@ -808,7 +832,8 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
     counts = {}
-    for wt in sorted(groups, key=grlex_key, reverse=True):
+    dominant = [wt for wt in groups if fold_to_dominant(alg, wt) == wt]
+    for wt in sorted(dominant, key=grlex_key, reverse=True):
         columns = []
         for mono, slot in sorted(groups[wt]):
             col = {(0, (t, slot)): c for t, c in images.image(lap, mono).items()}

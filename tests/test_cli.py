@@ -123,11 +123,37 @@ def test_batch_runs_commands_in_order(capsys, tmp_path):
         "# a comment\n"
         "dim --algebra 2|3 --irr 2d1+1e1 --no-cache\n"
     )
-    out = run(capsys, "batch", "--file", str(script), "--jobs", "2")
+    out = run(capsys, "batch", "--file", str(script))
     lines = [l for l in out.splitlines() if l.strip()]
     assert lines[0].startswith("$ dim")
     assert "= 5" in out and "= 30" in out
     assert out.index("= 5") < out.index("= 30")
+
+
+def test_batch_reports_a_bad_line_in_its_slot_and_carries_on(capsys, tmp_path, monkeypatch):
+    script = tmp_path / "cmds.txt"
+    script.write_text(
+        "dim --algebra 2|3 --irr 1d1 --no-cache\n"
+        "dim --algebra 2|3 --irr 1x1 --no-cache\n"
+        "dim --algebra '2|3' --no-cache --bogus\n"
+        "kac --algebra 2|3 --no-cache\n"
+        "dim --algebra 2|3 --irr 2d1+1e1 --no-cache\n"
+    )
+    out = run(capsys, "batch", "--file", str(script), expect=2)
+    slots = out.split("$ ")[1:]
+    assert len(slots) == 5
+    assert slots[0].rstrip().endswith("= 5") and slots[4].rstrip().endswith("= 30")
+    assert "[exit 2] error: cannot parse weight" in slots[1]
+    assert "[exit 2] error:" in slots[2] and "--bogus" in slots[2]
+    assert "[exit 2] error:" in slots[3] and "--weight" in slots[3]
+
+    def boom(*a, **k):
+        raise NotDivisible("forced")
+
+    monkeypatch.setattr(cli, "kac_character", boom)
+    script.write_text("kac --algebra 2|3 --weight 1d1 --no-cache\ndim --algebra 2|3 --irr 1x1 --no-cache\n")
+    out = run(capsys, "batch", "--file", str(script), expect=3)  # the largest line code
+    assert "[exit 3] mathematical assertion failed: forced" in out and "[exit 2]" in out
 
 
 def test_conjecture_check_command(capsys, tmp_path):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spochar.linalg import rref
 from spochar.rootdata import (
@@ -11,13 +12,14 @@ from spochar.rootdata import (
     Weight,
     antisymmetrize,
     conjugate_partition,
+    fold_to_dominant,
     is_dominant,
-    orbit_canonical,
     positive_roots,
     rho,
     rho0,
     rho1,
     sharp,
+    signed_permutations,
     simple_roots,
     weight_to_partition,
     weyl_group,
@@ -200,17 +202,52 @@ def test_antisymmetrize_regular_vs_singular():
     assert antisymmetrize(SPO23, W(SPO23, "1e1")).is_zero()  # fixed by the d1 flip
 
 
-def test_orbit_canonical_even_case_parity():
-    alg = Algebra.parse("2|4")  # D2 on the e side
-    w1 = Weight.from_coeffs(alg, [0], [1, 2])
-    w2 = Weight.from_coeffs(alg, [0], [2, -1])
-    w3 = Weight.from_coeffs(alg, [0], [2, 1])
-    # flipping exactly one sign is not in D2 unless a zero entry absorbs it
-    assert orbit_canonical(alg, w1) == orbit_canonical(alg, w3)  # permutation only
-    assert orbit_canonical(alg, w2) != orbit_canonical(alg, w3)
-    z1 = Weight.from_coeffs(alg, [0], [2, 0])
-    z2 = Weight.from_coeffs(alg, [0], [-2, 0])
-    assert orbit_canonical(alg, z1) == orbit_canonical(alg, z2)
+FOLD_ALGEBRAS = [Algebra.parse(t) for t in ("2|3", "4|4", "4|5", "2|2", "6|6")]
+
+
+@st.composite
+def doubled_weights(draw, algebras=FOLD_ALGEBRAS):
+    alg = draw(st.sampled_from(algebras))
+    return alg, tuple(draw(st.lists(st.integers(-5, 5), min_size=alg.rank, max_size=alg.rank)))
+
+
+def _in_chamber(alg, doubled):
+    """The g0-dominance inequalities, read off the coordinates directly."""
+    a, b = doubled[:alg.n], doubled[alg.n:]
+    if any(x < y for x, y in zip(a, a[1:])) or a[-1] < 0:
+        return False
+    if any(x < y for x, y in zip(b, b[1:-1])):
+        return False
+    if alg.odd:
+        return not b or (b[-1] >= 0 and (alg.m < 2 or b[-2] >= b[-1]))
+    return alg.m < 2 or b[-2] >= abs(b[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(doubled_weights())
+def test_fold_to_dominant_is_a_dominant_orbit_invariant(case):
+    alg, w = case
+    fold = fold_to_dominant(alg, w)
+    assert _in_chamber(alg, fold)
+    assert fold_to_dominant(alg, fold) == fold
+    for perm, signs, _ in signed_permutations(alg):
+        gw = [0] * alg.rank
+        for i, x in enumerate(w):
+            gw[perm[i]] = signs[i] * x
+        assert fold_to_dominant(alg, tuple(gw)) == fold
+
+
+@settings(max_examples=60, deadline=None)
+@given(doubled_weights([alg for alg in FOLD_ALGEBRAS if not alg.odd]))
+@example((SPO24, (0, 4, 2)))  # one sign change: another orbit for D2
+@example((SPO24, (0, 0, 4)))  # a zero entry absorbs the sign change
+def test_fold_to_dominant_keeps_the_D_m_sign_parity(case):
+    # for even l, W changes evenly many e-signs: flipping one e-entry leaves
+    # the orbit exactly when no e-entry is 0
+    alg, w = case
+    flipped = w[:-1] + (-w[-1],)
+    same = 0 in w[alg.n:]
+    assert (fold_to_dominant(alg, w) == fold_to_dominant(alg, flipped)) == same
 
 
 def test_weight_parse_format_round_trip():

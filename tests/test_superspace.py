@@ -500,7 +500,8 @@ def _reference_report_fields(alg, k):
 
 DIFFERENTIAL_CASES = [
     (alg, k)
-    for text, kmax in [("2|3", 5), ("2|5", 4), ("4|3", 4), ("4|4", 4), ("6|3", 2)]
+    for text, kmax in [("2|3", 5), ("2|5", 4), ("4|3", 4), ("4|4", 4), ("6|3", 2),
+                       ("2|2", 4), ("2|4", 4), ("6|4", 2), ("4|6", 2)]
     for alg in [Algebra.parse(text)]
     for k in range(kmax + 1)
 ]
@@ -529,6 +530,45 @@ def test_block_engine_matches_dense_path(alg, k):
     counts = natural_tensor_singular_counts(alg, k)
     ref_counts = _reference_natural_tensor_counts(alg, k)
     assert list(counts.items()) == list(ref_counts.items())
+
+
+# -- differential test: dominant blocks only against every block ------------------------
+#
+# A frozen copy of the singular pass that solved every weight block and summed
+# the nullities, before the pass skipped the non-dominant blocks and weighted
+# each dominant nullity by its W-orbit.  It runs where the dense path is too slow.
+
+
+def _all_blocks_singular_pass(alg, k):
+    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, _weight_blocks, doubled_laplacian
+
+    images = MonomialImages()
+    ups, _ = simple_root_operators(alg)
+    lap = doubled_laplacian(alg)
+    kdim, out = 0, {}
+    for wt, dom in _weight_blocks(alg, k, 20000):
+        kern = _block_kernel(images, lap, dom)
+        kdim += len(kern)
+        vecs = _block_singular(images, ups, dom, kern)
+        if vecs:
+            out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
+    return kdim, out
+
+
+@pytest.mark.parametrize("alg,k", [(SPO44, 6), (Algebra.parse("6|6"), 6)], ids=lambda x: str(x))
+def test_dominant_blocks_match_every_block(alg, k):
+    from spochar.superspace import kernel_dim_and_singular_vectors
+
+    ref_kdim, ref_svs = _all_blocks_singular_pass(alg, k)
+    kdim, svs = kernel_dim_and_singular_vectors(alg, k)
+    assert kdim == ref_kdim
+    assert list(svs) == list(ref_svs)
+    for w in svs:
+        assert [_exact_terms(v) for v in svs[w]] == [_exact_terms(v) for v in ref_svs[w]]
+
+    rep = irreducibility_report(alg, k)
+    assert (rep.kernel_dim, rep.singular_weights) == (ref_kdim, [(w, len(vs)) for w, vs in ref_svs.items()])
+    assert rep.classification == "irreducible" and rep.top_cyclic_dim == ref_kdim
 
 
 def test_singular_solve_restores_fractional_kernel_vectors():
