@@ -24,8 +24,10 @@ from .rootdata import (
     Algebra,
     Weight,
     all_isotropic_roots,
+    fits_hook,
     fold_to_dominant,
     is_dominant,
+    partitions_up_to,
     rho,
     sharp,
     validate_partition,
@@ -254,26 +256,6 @@ def euler_of_hook(alg: Algebra, partition) -> LaurentPoly:
     return euler_character(p, hook_schur_character(p, lam))
 
 
-def _hook_partitions_upto(alg: Algebra, bound: int):
-    """All partitions of size <= bound fitting the (n|m) hook, graded order."""
-    out = [()]
-
-    def rec(prefix, remaining, maxpart):
-        for part in range(min(remaining, maxpart), 0, -1):
-            cand = prefix + [part]
-            out.append(tuple(cand))
-            rec(cand, remaining - part, part)
-
-    rec([], bound, bound)
-    keep = []
-    for lam in sorted(set(out), key=lambda t: (sum(t), t)):
-        if len(lam) > alg.n and lam[alg.n] > alg.m:
-            continue
-        if sum(lam) <= bound:
-            keep.append(lam)
-    return keep
-
-
 @dataclass
 class ConjectureReport:
     bound: int
@@ -302,7 +284,10 @@ def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_e
     """
     if alg != SPO23:
         raise ValueError("the desk-scale conjecture check is implemented for spo(2|3)")
-    partitions = [validate_partition(partition)] if partition is not None else _hook_partitions_upto(alg, bound)
+    if partition is not None:
+        partitions = [validate_partition(partition)]
+    else:
+        partitions = [lam for lam in partitions_up_to(bound) if fits_hook(lam, alg.n, alg.m)]
     report = ConjectureReport(bound=bound, pattern_min_ell=pattern_min_ell)
     coord_rows = []
     coord_index = {}

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentPoly, weyl_quotient
+from .laurent import LaurentPoly, format_exponent, weyl_quotient
 from .laurent import exact_div  # noqa: F401  (perfbench's tracer re-binds charformulas.exact_div)
 from .linalg import det_bareiss_laurent, rref
 from .rootdata import (
     Algebra,
     Weight,
+    fits_hook,
     is_dominant,
     positive_roots,
     rho,
@@ -60,20 +61,21 @@ class LeviMismatch(ValueError):
 
 @lru_cache(maxsize=64)
 def denominators(alg: Algebra):
-    """(D0, D1): products over even/odd positive roots of
-    e^{a/2} -/+ e^{-a/2}, expanded exactly (half exponents are fine)."""
-    pos = positive_roots(alg)
+    """D0: the product over the even positive roots a of e^{a/2} - e^{-a/2},
+    expanded exactly (half exponents are fine).
+
+    The character formulas never expand a denominator; they divide and
+    multiply by its binomials inside `weyl_quotient`.  D0 is kept for the
+    even Weyl denominator identity that acceptance criterion 10 checks, and
+    under its old name because the benchmark warms and traces it.  D1, the
+    odd product, has no reader and is not expanded.
+    """
     d0 = LaurentPoly.one(alg.n, alg.m)
-    for r in pos.even:
-        half = tuple(x // 2 for x in r.doubled)
+    for r in positive_roots(alg).even:
+        half = _half(r.doubled)
         neg = tuple(-x for x in half)
         d0 = d0 * (LaurentPoly.monomial(alg.n, alg.m, half) - LaurentPoly.monomial(alg.n, alg.m, neg))
-    d1 = LaurentPoly.one(alg.n, alg.m)
-    for r in pos.odd:
-        half = tuple(x // 2 for x in r.doubled)
-        neg = tuple(-x for x in half)
-        d1 = d1 * (LaurentPoly.monomial(alg.n, alg.m, half) + LaurentPoly.monomial(alg.n, alg.m, neg))
-    return d0, d1
+    return d0
 
 
 def _half(doubled):
@@ -159,26 +161,8 @@ class Parabolic:
 
     def describe(self):
         simples = simple_roots(self.alg)
-        removed = ",".join(root_label(simples[i]) for i in sorted(self.removed))
+        removed = ",".join(format_exponent(simples[i].doubled, self.alg.n, units=False) for i in sorted(self.removed))
         return f"parabolic({self.alg}, remove={removed or 'none'})"
-
-
-def root_label(w: Weight):
-    """Compact label like 'd1-d2', 'e2+e3', 'e1', '2d1'."""
-    bits = []
-    for i, x in enumerate(w.doubled):
-        if x == 0:
-            continue
-        name = f"d{i + 1}" if i < w.alg.n else f"e{i - w.alg.n + 1}"
-        c = x // 2
-        if c == 1:
-            bits.append(f"+{name}")
-        elif c == -1:
-            bits.append(f"-{name}")
-        else:
-            bits.append(f"{c:+d}{name}")
-    label = "".join(bits)
-    return label[1:] if label.startswith("+") else label
 
 
 def borel(alg: Algebra) -> Parabolic:
@@ -282,7 +266,7 @@ def hook_schur_character(p: Parabolic, partition) -> LaurentPoly:
     Levi natural module."""
     lam = validate_partition(partition)
     even, odd = _gl_chain_weights(p)
-    if len(lam) > len(even) and lam[len(even)] > len(odd):
+    if not fits_hook(lam, len(even), len(odd)):
         raise LeviMismatch(f"{lam} violates the ({len(even)}|{len(odd)}) hook condition")
     alg = p.alg
     if not lam:

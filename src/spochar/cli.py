@@ -43,7 +43,7 @@ from .charformulas import (
     vdim_formula,
 )
 from .jacobitrudi import identity_suite, jt_character, sym_power_char
-from .laurent import LaurentPoly, NotDivisible
+from .laurent import LATEX_SYMBOLS, LaurentPoly, NotDivisible, format_exponent
 from .rootdata import Algebra, DimensionGuard, Weight, validate_partition
 from .superspace import format_monomial, irreducibility_report, kernel_dim_and_singular_vectors
 
@@ -100,41 +100,11 @@ def _levi_module(p, text) -> LeviCharacter:
 # -- formatting ----------------------------------------------------------------------
 
 
-def _weight_latex(alg, w: Weight) -> str:
-    if w.is_zero():
-        return "0"
-    bits = []
-    for i, x in enumerate(w.doubled):
-        if not x:
-            continue
-        sym = f"\\delta_{{{i + 1}}}" if i < alg.n else f"\\epsilon_{{{i - alg.n + 1}}}"
-        c = x // 2 if x % 2 == 0 else f"{x}/2"
-        if c == 1:
-            bits.append(f"+{sym}")
-        elif c == -1:
-            bits.append(f"-{sym}")
-        else:
-            bits.append(f"{c:+}{sym}")
-    s = "".join(bits)
-    return s[1:] if s.startswith("+") else s
-
-
-def _exp_label(n, e):
-    bits = []
-    for i, x in enumerate(e):
-        if not x:
-            continue
-        name = f"d{i + 1}" if i < n else f"e{i - n + 1}"
-        coef = f"{x // 2}" if x % 2 == 0 else f"{x}/2"
-        bits.append(f"{coef}{name}")
-    return "+".join(bits).replace("+-", "-") or "0"
-
-
 def _char_text(ch: LaurentPoly, limit=30):
     lines = [f"vdim = {ch.evaluate_at_one()}   ({len(ch)} monomials)"]
     if len(ch) <= limit:
         for e, c in reversed(ch.sorted_terms()):
-            lines.append(f"  {c:+d} * e^({_exp_label(ch.n, e)})")
+            lines.append(f"  {c:+d} * e^({format_exponent(e, ch.n)})")
     return "\n".join(lines)
 
 
@@ -153,8 +123,7 @@ def _char_latex(alg, ch: LaurentPoly, limit=40):
         return f"\\text{{{len(ch)} monomials, vdim {ch.evaluate_at_one()}}}"
     bits = []
     for e, c in reversed(ch.sorted_terms()):
-        w = Weight(alg, e)
-        mono = "1" if w.is_zero() else f"e^{{{_weight_latex(alg, w)}}}"
+        mono = "1" if not any(e) else f"e^{{{format_exponent(e, alg.n, LATEX_SYMBOLS, units=False)}}}"
         bits.append(f"{c:+d}{mono}")
     return "".join(bits)
 
@@ -170,7 +139,7 @@ def _decomposition_text(alg, dec):
 def _decomposition_latex(alg, dec):
     bits = []
     for w, c in dec.sorted_factors():
-        label = f"[L({_weight_latex(alg, w)})]"
+        label = f"[L({format_exponent(w.doubled, alg.n, LATEX_SYMBOLS, units=False)})]"
         if c == 1:
             bits.append(f"+{label}")
         elif c == -1:

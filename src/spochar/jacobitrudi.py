@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .linalg import det_bareiss_laurent
-from .rootdata import Algebra, HookConditionError, conjugate_partition, validate_partition
+from .rootdata import Algebra, HookConditionError, conjugate_partition, fits_hook, validate_partition
 from .series import (
     series_one,
     super_elementary_series,
@@ -88,7 +88,7 @@ def ext_power_char(alg: Algebra, r: int) -> LaurentPoly:
 
 
 def _check_hook(lam, alg):
-    if len(lam) > alg.n and lam[alg.n] > alg.m:
+    if not fits_hook(lam, alg.n, alg.m):
         raise HookConditionError(f"{lam} does not fit the ({alg.n}|{alg.m}) hook")
 
 

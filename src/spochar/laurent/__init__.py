@@ -1,29 +1,21 @@
 from .core import (
-    FactoredRational,
+    LATEX_SYMBOLS,
     LatticeMismatch,
     LaurentPoly,
     NotDivisible,
-    canonicalize_factor,
-    divide_by_binomials,
     exact_div,
+    format_exponent,
     grlex_key,
-    multiply_by_binomials,
-    rational_sum,
-    rational_weyl_sum,
     weyl_quotient,
 )
 
 __all__ = [
-    "FactoredRational",
+    "LATEX_SYMBOLS",
     "LatticeMismatch",
     "LaurentPoly",
     "NotDivisible",
-    "canonicalize_factor",
-    "divide_by_binomials",
     "exact_div",
+    "format_exponent",
     "grlex_key",
-    "multiply_by_binomials",
-    "rational_sum",
-    "rational_weyl_sum",
     "weyl_quotient",
 ]

@@ -21,8 +21,12 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
 alternating sum over a group of signed permutations, divided by binomials
 x^h - x^-h one pass per binomial along strings of terms, and multiplied by
 binomials x^h + x^-h, with one pack at the start and one unpack at the end.
-Kac, Euler and even-Levi characters, `rootdata.antisymmetrize`,
-`divide_by_binomials` and `multiply_by_binomials` all call it.
+Kac, Euler and even-Levi characters and `rootdata.antisymmetrize` all call
+it.
+
+`format_exponent` is the one way to write an exponent vector as a weight:
+plain text for `Weight.format`, the CLI and `repr`, compact root labels,
+and LaTeX.
 
 Kernel results are free of zero coefficients and are wrapped without a copy
 (`LaurentPoly._wrap`); the public constructor drops zeros.
@@ -33,7 +37,6 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import itemgetter
@@ -49,6 +52,33 @@ class NotDivisible(ArithmeticError):
 
 def grlex_key(exps):
     return (sum(exps), exps)
+
+
+TEXT_SYMBOLS = ("d{}", "e{}")
+LATEX_SYMBOLS = (r"\delta_{{{}}}", r"\epsilon_{{{}}}")
+
+
+def format_exponent(exps, n, symbols=TEXT_SYMBOLS, units=True):
+    """A doubled exponent vector written as a weight: '2d1-1/2e1', or '0'.
+
+    Slot i < n is symbols[0] and slot i >= n is symbols[1], each a format
+    string taking the 1-based index on its side.  The coefficient of a slot
+    is x/2, written as a fraction when x is odd.  With units=False a
+    coefficient of 1 or -1 is written as its sign alone ('d1-d2').
+    """
+    bits = []
+    for i, x in enumerate(exps):
+        if not x:
+            continue
+        name = symbols[0].format(i + 1) if i < n else symbols[1].format(i - n + 1)
+        if x % 2:
+            coef = f"{x}/2"
+        elif units or abs(x) != 2:
+            coef = str(x // 2)
+        else:
+            coef = "-" if x < 0 else ""
+        bits.append(coef + name)
+    return "+".join(bits).replace("+-", "-") or "0"
 
 
 # -- term kernel ------------------------------------------------------------------
@@ -235,9 +265,6 @@ class LaurentPoly:
         """Multiply by the monomial sign * x^exps."""
         return LaurentPoly._wrap(self.n, self.m, scale_shift_terms(sign, tuple(exps), self.terms))
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
-
     def leading_term(self):
         """(exponents, coefficient) maximal in graded-lex order."""
         if not self.terms:
@@ -269,16 +296,7 @@ class LaurentPoly:
     def __repr__(self):
         if not self.terms:
             return "LaurentPoly(0)"
-        bits = []
-        for e, c in self.sorted_terms()[:8]:
-            mono = []
-            for i, x in enumerate(e):
-                if x == 0:
-                    continue
-                name = f"d{i + 1}" if i < self.n else f"e{i - self.n + 1}"
-                exp = f"{x // 2}" if x % 2 == 0 else f"{x}/2"
-                mono.append(f"{name}^{exp}")
-            bits.append(f"{c}*" + ("*".join(mono) if mono else "1"))
+        bits = [f"{c}*e^({format_exponent(e, self.n)})" for e, c in self.sorted_terms()[:8]]
         tail = f" ... ({len(self.terms)} terms)" if len(self.terms) > 8 else ""
         return "LaurentPoly(" + " + ".join(bits) + tail + ")"
 
@@ -487,123 +505,3 @@ def _divide_strings(acc, h, i0, packed_h, fields):
                     quot[k] = run
                     k -= two_h
     return quot
-
-
-def _identity(rank):
-    return ((tuple(range(rank)), (1,) * rank, 1),)
-
-
-def divide_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
-    """Exact quotient p / prod_h (x^h - x^-h); raises NotDivisible otherwise."""
-    return weyl_quotient(p.n, p.m, p.terms, _identity(p.rank), divide=halves)
-
-
-def multiply_by_binomials(p: LaurentPoly, halves) -> LaurentPoly:
-    """p * prod_h (x^h + x^-h)."""
-    return weyl_quotient(p.n, p.m, p.terms, _identity(p.rank), multiply=halves)
-
-
-# -- factored rational expressions ---------------------------------------------
-
-
-def first_nonzero(exps):
-    for x in exps:
-        if x:
-            return x
-    return 0
-
-
-def canonicalize_factor(sign, mu):
-    """Normalize a factor (1 + sign*e^mu).
-
-    Canonical form requires mu != 0 with negative first nonzero coordinate;
-    pulling out the monomial unit uses (1 + s*e^mu) = s*e^mu * (1 + s*e^-mu).
-    Returns (unit_shift, unit_sign, (sign, mu_canonical)).
-    """
-    mu = tuple(mu)
-    if all(x == 0 for x in mu):
-        raise ValueError("factor exponent must be nonzero")
-    if first_nonzero(mu) > 0:
-        return mu, sign, (sign, tuple(-x for x in mu))
-    return (0,) * len(mu), 1, (sign, mu)
-
-
-@dataclass
-class FactoredRational:
-    """unit_sign * x^unit_exp * numerator / prod (1 + sign*e^mu)^count.
-
-    Denominator factors are kept canonical (first nonzero coordinate of mu
-    negative) so that common denominators are plain multiset unions.
-    """
-
-    numerator: LaurentPoly
-    factors: dict = field(default_factory=dict)  # (sign, mu) -> multiplicity
-    unit_exp: tuple = None
-    unit_sign: int = 1
-
-    def __post_init__(self):
-        if self.unit_exp is None:
-            self.unit_exp = (0,) * self.numerator.rank
-        norm = {}
-        shift = list(self.unit_exp)
-        sign = self.unit_sign
-        for (s, mu), cnt in self.factors.items():
-            if cnt < 0:
-                raise ValueError("factor multiplicities must be >= 0")
-            if cnt == 0:
-                continue
-            u, us, key = canonicalize_factor(s, mu)
-            for i, x in enumerate(u):
-                shift[i] -= x * cnt  # unit moves from denominator to the front
-            sign *= us**cnt
-            norm[key] = norm.get(key, 0) + cnt
-        self.factors = norm
-        self.unit_exp = tuple(shift)
-        self.unit_sign = sign
-
-    def denominator_poly(self) -> LaurentPoly:
-        out = LaurentPoly.one(self.numerator.n, self.numerator.m)
-        for (s, mu), cnt in self.factors.items():
-            f = LaurentPoly.one(self.numerator.n, self.numerator.m) + LaurentPoly.monomial(
-                self.numerator.n, self.numerator.m, mu, s
-            )
-            for _ in range(cnt):
-                out = out * f
-        return out
-
-    def to_laurent(self) -> LaurentPoly:
-        """Clear the denominator exactly (NotDivisible if it does not clear)."""
-        num = self.numerator.shifted(self.unit_exp, self.unit_sign)
-        return exact_div(num, self.denominator_poly())
-
-
-def rational_sum(terms) -> FactoredRational:
-    """Sum of (sign, FactoredRational) over the least common denominator."""
-    if not terms:
-        raise ValueError("empty sum")
-    n, m = terms[0][1].numerator.n, terms[0][1].numerator.m
-    common = {}
-    for _, fr in terms:
-        for key, cnt in fr.factors.items():
-            common[key] = max(common.get(key, 0), cnt)
-    acc = {}
-    for sgn, fr in terms:
-        piece = scale_shift_terms(sgn * fr.unit_sign, fr.unit_exp, fr.numerator.terms)
-        for key, cnt in common.items():
-            missing = cnt - fr.factors.get(key, 0)
-            s, mu = key
-            for _ in range(missing):
-                # piece *= (1 + s*e^mu), done as one shifted self-add
-                extra = scale_shift_terms(s, mu, piece)
-                piece = add_terms(piece, extra)
-        acc = add_terms(acc, piece)
-    return FactoredRational(LaurentPoly(n, m, acc), common)
-
-
-def rational_weyl_sum(terms) -> LaurentPoly:
-    """Sum (sign, FactoredRational) terms and clear the common denominator.
-
-    Raises NotDivisible when the alternating sum is not polynomial, which
-    always signals an upstream formula error.
-    """
-    return rational_sum(terms).to_laurent()

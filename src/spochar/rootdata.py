@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, weyl_quotient
+from .laurent import LaurentPoly, format_exponent, weyl_quotient
 
 
 class NonIntegralWeight(ValueError):
@@ -130,14 +130,6 @@ class Weight:
 
     # -- coordinates ---------------------------------------------------------
 
-    def a(self, i):
-        """Coefficient of d_i (1-indexed), as an exact Fraction."""
-        return Fraction(self.doubled[i - 1], 2)
-
-    def b(self, j):
-        """Coefficient of e_j (1-indexed), as an exact Fraction."""
-        return Fraction(self.doubled[self.alg.n + j - 1], 2)
-
     def is_integral(self):
         return all(x % 2 == 0 for x in self.doubled)
 
@@ -198,34 +190,10 @@ class Weight:
         return LaurentPoly.monomial(self.alg.n, self.alg.m, self.doubled)
 
     def format(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for i, x in enumerate(self.doubled):
-            if x == 0:
-                continue
-            name = f"d{i + 1}" if i < self.alg.n else f"e{i - self.alg.n + 1}"
-            coef = f"{x // 2}" if x % 2 == 0 else f"{x}/2"
-            bits.append(f"{coef}{name}")
-        return "+".join(bits).replace("+-", "-")
+        return format_exponent(self.doubled, self.alg.n)
 
     def __repr__(self):
         return f"Weight({self.format()})"
-
-
-def bilinear_form(mu: Weight, nu: Weight) -> Fraction:
-    return mu.pair(nu)
-
-
-@dataclass(frozen=True)
-class Root:
-    weight: Weight
-    parity: str  # 'even' | 'odd'
-    positive: bool
-
-    @property
-    def isotropic(self):
-        return self.weight.pair(self.weight) == 0
 
 
 class PositiveRoots(NamedTuple):
@@ -277,17 +245,6 @@ def all_isotropic_roots(alg: Algebra):
     return tuple(pos) + tuple(-r for r in pos)
 
 
-def all_roots(alg: Algebra):
-    """Every root with its parity and positivity tags."""
-    pos = positive_roots(alg)
-    out = []
-    for parity, roots in (("even", pos.even), ("odd", pos.odd)):
-        for r in roots:
-            out.append(Root(r, parity, True))
-            out.append(Root(-r, parity, False))
-    return tuple(out)
-
-
 def simple_roots(alg: Algebra):
     """Standard simple system: d-chain, d_n - e_1, e-chain, then the tail
     (e_m for odd l, e_{m-1} + e_m for even l >= 4, d_n + e_1 for l = 2)."""
@@ -333,15 +290,6 @@ def rho0(alg: Algebra) -> Weight:
     return Weight(alg, [x // 2 for x in tot])
 
 
-def rho1(alg: Algebra) -> Weight:
-    """Half sum of the odd positive roots."""
-    tot = [0] * alg.rank
-    for r in positive_roots(alg).odd:
-        for i, x in enumerate(r.doubled):
-            tot[i] += x
-    return Weight(alg, [x // 2 for x in tot])
-
-
 def fold_to_dominant(alg: Algebra, doubled):
     """The g0-dominant weight in the W-orbit of a doubled weight.
 
@@ -380,11 +328,32 @@ class HookConditionError(ValueError):
     """Partition does not fit the (n|m)-hook."""
 
 
+def fits_hook(lam, n, m):
+    """Does the partition lam fit the (n|m)-hook, i.e. lam_{n+1} <= m?"""
+    return len(lam) <= n or lam[n] <= m
+
+
+def partitions_up_to(total, max_parts=None):
+    """Every partition of size at most total, with at most max_parts parts
+    when given, ordered by size and then lexicographically."""
+    out = [()]
+
+    def extend(prefix, remaining):
+        if len(prefix) == max_parts:
+            return
+        for part in range(1, min(remaining, prefix[-1] if prefix else remaining) + 1):
+            out.append(prefix + (part,))
+            extend(prefix + (part,), remaining - part)
+
+    extend((), total)
+    return sorted(out, key=lambda lam: (sum(lam), lam))
+
+
 def sharp(partition, alg: Algebra) -> Weight:
     """Dominant weight of the partition: first n parts on the d side, then
     the clipped conjugate columns <lambda'_j - n> on the e side."""
     lam = validate_partition(partition)
-    if len(lam) > alg.n and lam[alg.n] > alg.m:
+    if not fits_hook(lam, alg.n, alg.m):
         raise HookConditionError(f"{lam} does not fit the ({alg.n}|{alg.m}) hook")
     conj = conjugate_partition(lam)
     a = [lam[i] if i < len(lam) else 0 for i in range(alg.n)]
@@ -442,10 +411,6 @@ class WeylElement:
         for x in self.sp_signs + self.so_signs:
             sign *= x
         self.sign = sign
-
-    @classmethod
-    def identity(cls, alg):
-        return cls(range(alg.n), (1,) * alg.n, range(alg.m), (1,) * alg.m)
 
     @staticmethod
     def _perm_parity(perm):

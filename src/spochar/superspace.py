@@ -46,7 +46,6 @@ from .rootdata import (
     Weight,
     fold_to_dominant,
     is_dominant,
-    positive_roots,
     simple_roots,
     weyl_group,
 )
@@ -102,10 +101,6 @@ def monomial_weight_doubled(alg: Algebra, mono):
     n, m, gs = alg.n, alg.m, _layout(alg)[1]
     return tuple(2 * (mono[gs + j] - mono[gs + n + j]) for j in range(n)) + tuple(
         2 * (mono[i] - mono[m + i]) for i in range(m))
-
-
-def monomial_degree(mono):
-    return sum(mono)
 
 
 def format_monomial(alg: Algebra, mono) -> str:
@@ -203,14 +198,6 @@ class SuperElement:
 
     def __eq__(self, other):
         return isinstance(other, SuperElement) and self.alg == other.alg and self.terms == other.terms
-
-    def grassmann_parity(self):
-        """Parity of the Grassmann degree; None if mixed."""
-        gs = _layout(self.alg)[1]
-        ps = {sum(t[gs:]) % 2 for t in self.terms}
-        if len(ps) > 1:
-            return None
-        return ps.pop() if ps else 0
 
     def weight(self):
         """Doubled weight if homogeneous, else None."""
@@ -513,29 +500,6 @@ def root_operator(alg: Algebra, root: Weight) -> Derivation:
         return drv(1, (_slot_xi(alg, j), -1 * G(_slot_x0(alg))),
                    (_slot_x0(alg), -1 * G(_slot_xib(alg, j))))
     raise ValueError(f"{root.format()} is not a root of {alg}")
-
-
-@dataclass
-class GAction:
-    """Root operators and the Cartan (weight reading) of the g-action."""
-
-    alg: Algebra
-    raising: dict  # Weight -> Derivation, positive roots
-    lowering: dict  # Weight -> Derivation, negative roots
-
-    def cartan_eigenvalue(self, h_index: int, mono) -> Fraction:
-        """Eigenvalue of the h_index-th coordinate weight functional."""
-        return Fraction(monomial_weight_doubled(self.alg, mono)[h_index], 2)
-
-
-def g_action(alg: Algebra) -> GAction:
-    pos = positive_roots(alg)
-    raising = {}
-    lowering = {}
-    for r in list(pos.even) + list(pos.odd):
-        raising[r] = root_operator(alg, r)
-        lowering[-r] = root_operator(alg, -r)
-    return GAction(alg, raising, lowering)
 
 
 def simple_root_operators(alg: Algebra):
@@ -861,11 +825,13 @@ def kernel_tensor_natural_report(alg: Algebra, k: int, natural_multiplicity: int
     from .jacobitrudi import ext_power_char, sym_power_char
 
     e = lambda r: ext_power_char(alg, r)
-    for deg in (1, k, k + 1):
+    for deg in sorted({1, k, k + 1}):
         rep = irreducibility_report(alg, deg)
         if rep.classification != "irreducible":
             raise ArithmeticError(f"degree-{deg} kernel is not certified irreducible")
-    nxt_top = max(singular_vectors(alg, k + 1), key=lambda w: grlex_key(w.doubled))
+    # rep is the degree-(k+1) report: its singular weights are those of
+    # singular_vectors(alg, k + 1), so the degree is not solved twice
+    nxt_top = max((w for w, _ in rep.singular_weights), key=lambda w: grlex_key(w.doubled))
 
     chi = (e(k) - e(k - 2)) * sym_power_char(alg, 1)
     counts = natural_tensor_singular_counts(alg, k)

@@ -8,7 +8,7 @@ from spochar.jacobitrudi import (
     sym_power_char,
 )
 from spochar.laurent import LaurentPoly
-from spochar.rootdata import Algebra, HookConditionError, weyl_group
+from spochar.rootdata import Algebra, HookConditionError, fits_hook, partitions_up_to, weyl_group
 
 SPO23 = Algebra.parse("2|3")
 SPO25 = Algebra.parse("2|5")
@@ -85,22 +85,10 @@ def test_jt_e_form_matches():
     assert jt_character((1, 1), SPO23) == e2
 
 
-def _partitions_up_to(total):
-    out = [()]
-
-    def rec(prefix, remaining, mx):
-        for part in range(min(remaining, mx), 0, -1):
-            out.append(prefix + (part,))
-            rec(prefix + (part,), remaining - part, part)
-
-    rec((), total, total)
-    return sorted(set(out))
-
-
 @pytest.mark.parametrize("alg", [SPO23, SPO43], ids=str)
 def test_jt_forms_agree_small(alg):
-    for lam in _partitions_up_to(5):
-        if len(lam) > alg.n and lam[alg.n] > alg.m:
+    for lam in partitions_up_to(5):
+        if not fits_hook(lam, alg.n, alg.m):
             continue
         assert jt_character(lam, alg) == jt_character_e(lam, alg), lam
 

@@ -8,20 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from spochar import jacobitrudi
 from spochar.laurent import (
-    FactoredRational,
     LatticeMismatch,
     LaurentPoly,
     NotDivisible,
-    divide_by_binomials,
+    LATEX_SYMBOLS,
     exact_div,
-    multiply_by_binomials,
-    rational_sum,
-    rational_weyl_sum,
+    format_exponent,
     weyl_quotient,
 )
 from spochar.laurent.core import mul_terms
 from spochar.linalg import det_bareiss_laurent
-from spochar.rootdata import Algebra
+from spochar.rootdata import Algebra, Weight
 
 
 def P(n, m, terms):
@@ -80,8 +77,9 @@ def test_kernel_results_hold_no_zero_coefficient(p, q, k, hs, group):
     multiple = p
     for h in hs:
         multiple = multiple * (LaurentPoly.monomial(2, 1, h) - LaurentPoly.monomial(2, 1, tuple(-x for x in h)))
+    identity = ((0, 1, 2), (1, 1, 1), 1),
     results = [p + q, p - q, p + (-p), -p, k * p, p * q, (p + q) * (p - q), p.shifted((1, -2, 3), -1),
-               multiply_by_binomials(p, hs), divide_by_binomials(multiple, hs),
+               weyl_quotient(2, 1, p.terms, identity, multiply=hs), weyl_quotient(2, 1, multiple.terms, identity, hs),
                weyl_quotient(2, 1, p.terms, tuple(group), multiply=hs)]
     if q:
         results.append(exact_div(p * q, q))
@@ -132,69 +130,30 @@ def test_dimension_mismatch():
         LaurentPoly.one(1, 1) * LaurentPoly.one(1, 2)
 
 
-def test_rational_weyl_sum_trivial_and_telescoping():
-    one = LaurentPoly.one(1, 0)
-    p = one + mono(1, 0, (4,))
-    assert rational_weyl_sum([(1, FactoredRational(p))]) == p
-    # 1/(1-e^{-d1}) - e^{-d1}/(1-e^{-d1}) = 1
-    f = {(-1, (-2,)): 1}
-    terms = [
-        (1, FactoredRational(one, dict(f))),
-        (-1, FactoredRational(mono(1, 0, (-2,)), dict(f))),
-    ]
-    assert rational_weyl_sum(terms) == one
-
-
-def test_rational_weyl_sum_not_polynomial_raises():
-    one = LaurentPoly.one(1, 0)
-    with pytest.raises(NotDivisible):
-        rational_weyl_sum([(1, FactoredRational(one, {(-1, (-2,)): 1}))])
-
-
-def test_factored_rational_canonicalization_moves_units():
-    # (1 + e^{d1}) = e^{d1} (1 + e^{-d1}): as a denominator factor the unit
-    # e^{-d1} moves to the front
-    fr = FactoredRational(LaurentPoly.one(1, 0), {(1, (2,)): 1})
-    assert fr.factors == {(1, (-2,)): 1}
-    assert fr.unit_exp == (-2,)
-    assert fr.unit_sign == 1
-    # and with sign -1 the unit picks up the sign
-    fr2 = FactoredRational(LaurentPoly.one(1, 0), {(-1, (2,)): 1})
-    assert fr2.factors == {(-1, (-2,)): 1}
-    assert fr2.unit_sign == -1
-
-
-def test_rational_sum_matches_cleared_arithmetic():
-    # compare the common-denominator sum against direct cross-multiplication
-    one = LaurentPoly.one(1, 1)
-    a = FactoredRational(one + mono(1, 1, (2, 0)), {(1, (-2, 0)): 1})
-    b = FactoredRational(mono(1, 1, (0, 2)), {(1, (0, -2)): 1, (1, (-2, 0)): 1})
-    s = rational_sum([(1, a), (1, b)])
-    lhs = s.numerator.shifted(s.unit_exp, s.unit_sign) * a.denominator_poly() * b.denominator_poly()
-    rhs = (
-        a.numerator.shifted(a.unit_exp, a.unit_sign) * b.denominator_poly()
-        + b.numerator.shifted(b.unit_exp, b.unit_sign) * a.denominator_poly()
-    ) * s.denominator_poly()
-    assert lhs == rhs
-
-
-def test_kac_character_as_explicit_weyl_sum():
-    # the four-term sum for the rank-one odd algebra: numerators carry the
-    # odd denominator product, denominators the even one
-    from spochar.charformulas import denominators
-    from spochar.rootdata import Algebra, Weight, positive_roots, rho, rho0, weyl_group
-
-    alg = Algebra(1, 1, True)
-    _, d1 = denominators(alg)
-    lam_rho = Weight.parse(alg, "1d1") + rho(alg)
-    even = positive_roots(alg).even
-    terms = []
-    for g in weyl_group(alg):
-        num = g.apply_weight(lam_rho).exponent_monomial() * d1
-        factors = {(-1, tuple(-x for x in r.doubled)): 1 for r in even}
-        terms.append((g.sign, FactoredRational(num, factors, tuple(-x for x in rho0(alg).doubled), 1)))
-    total = rational_weyl_sum(terms)
-    assert total.evaluate_at_one() == 4
+@pytest.mark.parametrize("exps, n, style, want", [
+    ((0, 0), 1, "text", "0"),
+    ((0, 0), 1, "latex", "0"),
+    ((4, 2), 1, "text", "2d1+1e1"),
+    ((-2,), 1, "text", "-1d1"),
+    ((0, 2, 0, -6), 2, "text", "1d2-3e2"),
+    ((-1, 4), 1, "text", "-1/2d1+2e1"),
+    ((2, -2), 1, "compact", "d1-e1"),
+    ((-2, 0, 4), 2, "compact", "-d1+2e1"),
+    ((3, -2), 1, "compact", "3/2d1-e1"),
+    ((2, -2), 1, "latex", r"\delta_{1}-\epsilon_{1}"),
+    ((-4, 0, 2), 1, "latex", r"-2\delta_{1}+\epsilon_{2}"),
+    ((3, 1), 1, "latex", r"3/2\delta_{1}+1/2\epsilon_{1}"),  # Weight(spo(2|3), (3, 1))
+    ((0, -3), 1, "latex", r"-3/2\epsilon_{1}"),
+])
+def test_format_exponent(exps, n, style, want):
+    if style == "latex":
+        assert format_exponent(exps, n, LATEX_SYMBOLS, units=False) == want
+    else:
+        assert format_exponent(exps, n, units=style == "text") == want
+    if style == "text":
+        alg = Algebra(n, len(exps) - n, True)
+        assert Weight(alg, exps).format() == want
+        assert repr(LaurentPoly.monomial(n, len(exps) - n, exps, -3)) == f"LaurentPoly(-3*e^({want}))"
 
 
 def test_json_round_trip_and_sorting():

@@ -12,12 +12,13 @@ from spochar.rootdata import (
     Weight,
     antisymmetrize,
     conjugate_partition,
+    fits_hook,
     fold_to_dominant,
     is_dominant,
+    partitions_up_to,
     positive_roots,
     rho,
     rho0,
-    rho1,
     sharp,
     signed_permutations,
     simple_roots,
@@ -76,12 +77,17 @@ def test_isotropic_means_null():
             assert (r.pair(r) == 0) == (r in pos.isotropic)
 
 
+def _rho1(alg):
+    """Half sum of the odd positive roots."""
+    return Weight(alg, [sum(r.doubled[i] for r in positive_roots(alg).odd) // 2 for i in range(alg.rank)])
+
+
 def test_rho_closed_forms():
     assert rho(SPO23) == Weight.from_coeffs(SPO23, [Fraction(-1, 2)], [Fraction(1, 2)])
     assert rho(SPO24) == Weight.from_coeffs(SPO24, [-1], [1, 0])
     assert rho0(SPO23) == Weight.from_coeffs(SPO23, [1], [Fraction(1, 2)])
     for alg in (SPO23, SPO24, SPO43, Algebra.parse("6|3"), Algebra.parse("4|4")):
-        assert rho(alg) == rho0(alg) - rho1(alg)
+        assert rho(alg) == rho0(alg) - _rho1(alg)
 
 
 def test_dominance():
@@ -103,24 +109,12 @@ def test_sharp_examples():
         assert sharp((k,), SPO23) == W(SPO23, f"{k}d1")
 
 
-def _partitions_up_to(total):
-    out = [()]
-
-    def rec(prefix, remaining, mx):
-        for part in range(min(remaining, mx), 0, -1):
-            out.append(prefix + (part,))
-            rec(prefix + (part,), remaining - part, part)
-
-    rec((), total, total)
-    return sorted(set(out))
-
-
 @pytest.mark.parametrize("algtxt", ["2|3", "2|5", "4|4", "6|3"])
 def test_sharp_bijection_partitions_up_to_8(algtxt):
     alg = Algebra.parse(algtxt)
     seen = {}
-    for lam in _partitions_up_to(8):
-        if len(lam) > alg.n and lam[alg.n] > alg.m:
+    for lam in partitions_up_to(8):
+        if not fits_hook(lam, alg.n, alg.m):
             continue
         w = sharp(lam, alg)
         assert is_dominant(w)
@@ -263,15 +257,15 @@ def test_weight_parse_format_round_trip():
         W(SPO23, "1d2")  # out of range
 
 
-def test_all_roots_tagging():
-    from spochar.rootdata import all_roots
-
-    roots = all_roots(SPO23)
-    assert len(roots) == 10  # 2+2 even, 3+3 odd
-    iso = [r for r in roots if r.isotropic]
-    assert all(r.parity == "odd" for r in iso)
+def test_positive_root_tagging():
+    pos = positive_roots(SPO23)
+    positive = pos.even + pos.odd
+    roots = positive + tuple(-r for r in positive)
+    assert len(set(roots)) == 10  # 2+2 even, 3+3 odd, the positive half disjoint from the negative
+    iso = [r for r in roots if r.pair(r) == 0]
     assert len(iso) == 4
-    assert sum(1 for r in roots if r.positive) == 5
+    assert set(iso) <= set(pos.odd) | {-r for r in pos.odd}
+    assert set(pos.isotropic) == {r for r in iso if r in positive}
 
 
 def test_simple_roots_standard():

@@ -4,19 +4,20 @@ from fractions import Fraction
 import pytest
 
 from spochar.jacobitrudi import ext_power_char
-from spochar.rootdata import Algebra, Weight
+from spochar import superspace
+from spochar.rootdata import Algebra, Weight, positive_roots
 from spochar.superspace import (
     SuperElement,
     char_of_degree,
     degree_basis,
     format_monomial,
-    g_action,
     gen_count,
     gen_name,
     irreducibility_report,
     kernel_basis,
     kernel_tensor_natural_report,
     laplacian,
+    monomial_weight_doubled,
     natural_tensor_singular_counts,
     partial,
     root_operator,
@@ -68,9 +69,9 @@ def test_multiplication_associativity_random():
 def test_superderivation_leibniz_property():
     rng = random.Random(9)
     alg = SPO44
-    ga = g_action(alg)
+    roots = positive_roots(alg).even + positive_roots(alg).odd
     gs = 4  # commuting slots of spo(4|4)
-    ops = list(ga.raising.values())[:4] + list(ga.lowering.values())[:2]
+    ops = [root_operator(alg, r) for r in roots[:4]] + [root_operator(alg, -r) for r in roots[:2]]
     for op in ops:
         for _ in range(5):
             a = random_element(alg, rng, 3, 3)
@@ -127,11 +128,9 @@ def test_odd_simple_pair_formulas():
 
 
 def test_weight_reading():
-    ga = g_action(SPO23)
     basis = degree_basis(SPO23, 1)
     xi_mono = next(t for t in basis if format_monomial(SPO23, t) == "xi1")
-    assert ga.cartan_eigenvalue(0, xi_mono) == 1  # d1 coordinate
-    assert ga.cartan_eigenvalue(1, xi_mono) == 0
+    assert monomial_weight_doubled(SPO23, xi_mono) == (2, 0)  # weight d1
 
 
 @pytest.mark.parametrize("algtxt", ["2|3", "4|4", "4|3"])
@@ -139,9 +138,9 @@ def test_root_operators_commute_with_laplacian(algtxt):
     rng = random.Random(13)
     alg = Algebra.parse(algtxt)
     lap = laplacian(alg)
-    ga = g_action(alg)
-    ops = list(ga.raising.items()) + list(ga.lowering.items())
-    for _, op in ops:
+    roots = positive_roots(alg).even + positive_roots(alg).odd
+    ops = [root_operator(alg, r) for r in roots] + [root_operator(alg, -r) for r in roots]
+    for op in ops:
         for _ in range(2):
             el = random_element(alg, rng)
             assert lap.apply(op.apply(el)) == op.apply(lap.apply(el))
@@ -150,7 +149,6 @@ def test_root_operators_commute_with_laplacian(algtxt):
 def test_bracket_with_opposite_root_is_cartan():
     # [e_a, f_a] acts diagonally on generators with eigenvalues proportional
     # to the pairing of the generator weight with the root
-    from spochar.rootdata import positive_roots
     from spochar.superspace import gen_weight_doubled
 
     for algtxt in ("2|3", "4|4"):
@@ -263,6 +261,20 @@ def test_kernel_tensor_natural_report_spo45():
     assert rep["extension_deficits"] == {"1d1": 1}
     assert all(rep["checks"].values())
     assert "non-split" in rep["note"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_kernel_tensor_natural_report_solves_each_degree_once(monkeypatch, k):
+    solved = []
+    singular_pass = superspace._singular_pass
+
+    def counting(alg, k, *args):
+        solved.append(k)
+        return singular_pass(alg, k, *args)
+
+    monkeypatch.setattr(superspace, "_singular_pass", counting)
+    kernel_tensor_natural_report(Algebra.parse("4|5"), k)
+    assert sorted(solved) == sorted({1, k, k + 1})
 
 
 def test_degree_guard():

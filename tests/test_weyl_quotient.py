@@ -22,7 +22,7 @@ from spochar.charformulas import (
     levi_character,
     levi_simple_even_character,
 )
-from spochar.laurent import LaurentPoly, NotDivisible, divide_by_binomials, multiply_by_binomials, weyl_quotient
+from spochar.laurent import LaurentPoly, NotDivisible, weyl_quotient
 from spochar.rootdata import (
     Algebra,
     Weight,
@@ -284,23 +284,22 @@ def _random_cases(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_identity_group_matches_tuple_loops(seed):
     for rank, p, halves, multiply, shape in _random_cases(seed):
-        poly = LaurentPoly(rank, 0, p)
+        identity = ((tuple(range(rank)), (1,) * rank, 1),)
         prod = _binomial_product(p, halves)
         changed = {**prod, next(iter(p)): prod.get(next(iter(p)), 0) + 1}  # never a multiple
-        assert divide_by_binomials(LaurentPoly(rank, 0, prod), halves).terms == p
-        assert divide_by_binomials(LaurentPoly(rank, 0, prod), halves[::-1]).terms == p
+        assert weyl_quotient(rank, 0, prod, identity, halves).terms == p
+        assert weyl_quotient(rank, 0, prod, identity, halves[::-1]).terms == p
         with pytest.raises(NotDivisible):
-            divide_by_binomials(LaurentPoly(rank, 0, changed), halves)
-        assert multiply_by_binomials(poly, multiply).terms == _multiply_reference(p, multiply)
+            weyl_quotient(rank, 0, changed, identity, halves)
+        assert weyl_quotient(rank, 0, p, identity, multiply=multiply).terms == _multiply_reference(p, multiply)
         if shape in ("wide", "huge"):
             continue  # the tuple division walks every position of a string: millions and more
-        identity = ((tuple(range(rank)), (1,) * rank, 1),)
         got = weyl_quotient(rank, 0, prod, identity, halves, multiply)
         assert got.terms == _quotient_reference(prod, halves, multiply)
         # random inputs are almost never divisible: the same outcome
         for num in (p, changed):
             want = _outcome(_quotient_reference, num, halves)
-            assert _outcome(lambda: divide_by_binomials(LaurentPoly(rank, 0, num), halves).terms) == want
+            assert _outcome(lambda: weyl_quotient(rank, 0, num, identity, halves).terms) == want
 
 
 def test_signed_permutations_act_as_the_tuple_loop():
