@@ -16,7 +16,12 @@ packed exponents:
   the odd root d_i is skipped.
 * Euler: D1 is W-invariant, so the Euler character of a parabolic with
   Levi module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a})
-  over the odd positive roots a outside the Levi, divided by D0.
+  over the odd positive roots a outside the Levi, divided by D0.  The
+  numerator is first folded into the dominant chamber, Racah-Speiser
+  style: a term e^mu becomes det(u) e^{u mu} for the u in W that makes
+  u mu dominant, and a term fixed by a reflection is dropped.  The
+  alternating sum is the same, and the W-sum runs over the few folded
+  terms (spo(8|3), lambda = (3,2,1): 256 -> 35).
 * Even-Levi simple modules: the Levi's alternating sum divided by the
   binomials of its even positive roots.
 
@@ -41,6 +46,7 @@ from .rootdata import (
     positive_roots,
     rho,
     rho0,
+    signed_fold,
     signed_permutations,
     simple_roots,
     validate_partition,
@@ -147,6 +153,7 @@ class Parabolic:
     def retained(self):
         return frozenset(range(self.alg.rank)) - self.removed
 
+    @lru_cache(maxsize=256)
     def levi_positive(self):
         """(even, odd) positive roots of the Levi."""
         pos = positive_roots(self.alg)
@@ -389,18 +396,31 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
 
 def euler_character(p: Parabolic, module) -> LaurentPoly:
     """Alternating-sum virtual character attached to a parabolic and a Levi
-    module (LeviCharacter or raw LaurentPoly)."""
+    module (LeviCharacter or raw LaurentPoly).
+
+    The numerator e^{rho0} ch M prod (1 + e^{-a}) is folded term by term
+    into the dominant chamber with its sign, and its singular terms dropped
+    (`rootdata.signed_fold`), before the one `weyl_quotient` call: the
+    alternating sum is unchanged, the sum over W runs over fewer terms.
+    """
     alg = p.alg
+    group = signed_permutations(alg)  # refuses an oversized W before the numerator is expanded
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
     f = ch_m.shifted(rho0(alg).doubled)
     for a in positive_roots(alg).odd:
         if a not in levi_odd:
             f = f + f.shifted(tuple(-x for x in a.doubled))
+    folded = {}
+    for e, c in f.terms.items():
+        hit = signed_fold(alg, e)
+        if hit:
+            dominant, det = hit
+            folded[dominant] = folded.get(dominant, 0) + det * c
     # dividing by the orthogonal-side roots first keeps the intermediate
     # quotients smaller here (the Kac orbit sums prefer the given order)
     halves = [_half(r.doubled) for r in reversed(positive_roots(alg).even)]
-    return weyl_quotient(alg.n, alg.m, f.terms, signed_permutations(alg), halves, integral="Euler character")
+    return weyl_quotient(alg.n, alg.m, folded, group, halves, integral="Euler character")
 
 
 # -- virtual dimension ----------------------------------------------------------------

@@ -328,7 +328,12 @@ class LaurentPoly:
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Exact quotient p / q; raises NotDivisible when no exact quotient exists.
 
-    Both operands are shifted by their minimal exponents into the ordinary
+    A one-term divisor c x^h is a shift by -h and an exact division of each
+    coefficient by c; a coefficient that c does not divide fails with the
+    message the long division below would give, naming the first such
+    coefficient in descending graded-lex order.
+
+    Otherwise both operands are shifted by their minimal exponents into the ordinary
     polynomial ring, where graded-lex is a well-order, then long division by
     the single divisor runs with a lazy-deletion heap tracking the leading
     term of the remainder.  Any failure of leading-monomial or leading-
@@ -347,6 +352,12 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero(p.n, p.m)
+    if len(q.terms) == 1:
+        ((h, cq),) = q.terms.items()
+        bad = [e for e, c in p.terms.items() if c % cq]
+        if bad:
+            raise NotDivisible(f"leading coefficient {p.terms[max(bad, key=grlex_key)]} not divisible by {cq}")
+        return LaurentPoly._wrap(p.n, p.m, {tuple(map(operator.sub, e, h)): c // cq for e, c in p.terms.items()})
 
     rank = p.rank
     minp = [min(map(itemgetter(i), p.terms)) for i in range(rank)]

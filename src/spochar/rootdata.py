@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -290,23 +291,57 @@ def rho0(alg: Algebra) -> Weight:
     return Weight(alg, [x // 2 for x in tot])
 
 
-def fold_to_dominant(alg: Algebra, doubled):
-    """The g0-dominant weight in the W-orbit of a doubled weight.
+def _chamber_fold(alg: Algebra, doubled):
+    """(dominant, det): the g0-dominant weight u(w) in the W-orbit of a
+    doubled weight w, and det(u), or 0 when a reflection of W fixes w.
 
     W acts by signed permutations: of the d-slots (type C_n), and of the
     e-slots with any signs (B_m, odd l) or evenly many sign changes (D_m,
     even l).  So the fold sorts the absolute values of each side in
     descending order and, for even l, keeps the orbit's sign parity on the
     last e-entry unless some e-entry is 0 (Stembridge, MSJ Memoirs 11,
-    2001).  A weight is g0-dominant iff it is its own fold, and two weights
-    lie in one W-orbit iff their folds are equal.
+    2001).  det(u) is the parity of the sort's inversions, times the parity
+    of the sign changes on C_n and B_m; a D_m element changes evenly many
+    signs.  A repeated absolute value on one side is fixed by the
+    reflection in d_i -/+ d_j (e_i -/+ e_j), and a 0 by the one in 2d_i
+    (e_i) on C_n and B_m, but not on D_m, which has no such reflection.
     """
     n = alg.n
-    sp = sorted((abs(x) for x in doubled[:n]), reverse=True)
-    so = sorted((abs(x) for x in doubled[n:]), reverse=True)
-    if not alg.odd and so and so[-1] and sum(x < 0 for x in doubled[n:]) % 2:
-        so[-1] = -so[-1]
-    return tuple(sp + so)
+    det = 1
+    out = []
+    for side, flips in ((doubled[:n], True), (doubled[n:], alg.odd)):
+        mags = list(map(abs, side))
+        if det:  # most weights the Laplacian blocks fold are singular: skip their parity
+            if len(set(mags)) < len(mags) or flips and 0 in mags:
+                det = 0
+            elif (sum(itertools.starmap(operator.lt, itertools.combinations(mags, 2)))
+                  + flips * sum(map((0).__gt__, side))) % 2:  # inversions, then sign changes
+                det = -det
+        mags.sort(reverse=True)
+        if not flips and mags and mags[-1] and sum(map((0).__gt__, side)) % 2:
+            mags[-1] = -mags[-1]
+        out += mags
+    return tuple(out), det
+
+
+def signed_fold(alg: Algebra, doubled):
+    """(dominant, det) of `_chamber_fold`, or None for a weight that a
+    reflection fixes.
+
+    For the alternating sum A(w) = sum over W of det(g) e^{g(w)},
+    A(w) = det(u) A(u(w)) for every u in W, and A(w) = 0 when a reflection
+    fixes w: so each term of an alternating sum's numerator folds into the
+    dominant chamber with its sign, and the singular ones drop out.
+    """
+    dominant, det = _chamber_fold(alg, doubled)
+    return (dominant, det) if det else None
+
+
+def fold_to_dominant(alg: Algebra, doubled):
+    """The g0-dominant weight in the W-orbit of a doubled weight (the weight
+    of `_chamber_fold`).  A weight is g0-dominant iff it is its own fold,
+    and two weights lie in one W-orbit iff their folds are equal."""
+    return _chamber_fold(alg, doubled)[0]
 
 
 def is_dominant(w: Weight) -> bool:

@@ -36,7 +36,10 @@ from spochar.rootdata import (
     is_dominant,
     positive_roots,
     rho,
+    partitions_up_to,
     rho0,
+    signed_fold,
+    signed_permutations,
     weyl_group,
 )
 
@@ -412,8 +415,9 @@ def _digest(ch):
     return hashlib.sha256(repr(ch.sorted_terms()).encode()).hexdigest()[:16]
 
 
-def test_euler_matches_recorded_table_on_parabolic_grid():
-    got = []
+def _euler_grid():
+    """(algebra, removed mask, module tag, parabolic, module) over every
+    parabolic of six small algebras and every Levi module that fits."""
     for text in ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1"]:
         alg = Algebra.parse(text)
         for removed in itertools.product((False, True), repeat=alg.rank):
@@ -425,11 +429,85 @@ def test_euler_matches_recorded_table_on_parabolic_grid():
                     module = levi_character(p, tag, arg)
                 except LeviMismatch:
                     continue
-                ch = euler_character(p, module)
-                mask = "".join("1" if r else "0" for r in removed)
-                got.append((text, mask, tag, len(ch), ch.evaluate_at_one(), _digest(ch)))
+                yield text, "".join("1" if r else "0" for r in removed), tag, p, module
+
+
+def test_euler_matches_recorded_table_on_parabolic_grid():
+    got = []
+    for text, mask, tag, p, module in _euler_grid():
+        ch = euler_character(p, module)
+        got.append((text, mask, tag, len(ch), ch.evaluate_at_one(), _digest(ch)))
     assert len(got) == 120
     assert got == EULER_RECORDED
+
+
+# -- the folded Euler numerator against the unfolded one ------------------------------
+
+
+def _euler_unfolded(p, module):
+    """Frozen copy of euler_character before its numerator was folded into
+    the dominant chamber: every term of e^{rho0} ch M prod (1 + e^{-a}) is
+    summed over all of W.  The reference of the tests below; do not fold."""
+    alg = p.alg
+    ch_m = module.character if isinstance(module, LeviCharacter) else module
+    _, levi_odd = p.levi_positive()
+    f = ch_m.shifted(rho0(alg).doubled)
+    for a in positive_roots(alg).odd:
+        if a not in levi_odd:
+            f = f + f.shifted(tuple(-x for x in a.doubled))
+    halves = [tuple(x // 2 for x in r.doubled) for r in reversed(positive_roots(alg).even)]
+    return weyl_quotient(alg.n, alg.m, f.terms, signed_permutations(alg), halves, integral="Euler character")
+
+
+def _fold_terms(alg, terms):
+    out = {}
+    for e, c in terms.items():
+        hit = signed_fold(alg, e)
+        if hit:
+            out[hit[0]] = out.get(hit[0], 0) + hit[1] * c
+    return {e: c for e, c in out.items() if c}
+
+
+def test_folded_euler_matches_unfolded_on_parabolic_grid():
+    count = 0
+    for text, mask, tag, p, module in _euler_grid():
+        assert euler_character(p, module) == _euler_unfolded(p, module), (text, mask, tag)
+        count += 1
+    assert count == 120
+
+
+@pytest.mark.parametrize("algtxt", ["6|3", "8|3"])
+def test_folded_euler_matches_unfolded_on_the_delta_chain(algtxt):
+    # the Euler = Jacobi-Trudi parabolic: the Levi keeps the d-chain
+    alg = Algebra.parse(algtxt)
+    p = parabolic_removing(alg, [f"d{i + 1}-d{i + 2}" for i in range(alg.n - 1)])
+    lams = [lam for lam in partitions_up_to(6, 3) if all(x <= y for x, y in zip(lam, (3, 2, 1)))]
+    assert len(lams) == 14
+    for lam in lams:
+        w = Weight.from_coeffs(alg, list(lam) + [0] * (alg.n - len(lam)))
+        module = levi_character(p, "one_dimensional", w)
+        assert euler_character(p, module) == _euler_unfolded(p, module), lam
+
+
+@pytest.mark.parametrize("algtxt", ["2|2", "2|4", "4|4", "6|6", "4|3"])
+def test_folding_keeps_the_alternating_sum(algtxt):
+    # A(w) = det(u) A(u w), and A(w) = 0 when a reflection fixes w: on random
+    # numerators, with zeros, repeated absolute values and half exponents
+    alg = Algebra.parse(algtxt)
+    group = signed_permutations(alg)
+    rng = random.Random(algtxt)
+    singular = regular = 0
+    for _ in range(12):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            e = tuple(rng.choice((0, 1, -1, 2, -2, 3, -4)) for _ in range(alg.rank))
+            terms[e] = rng.randint(-5, 5) or 1
+        folded = _fold_terms(alg, terms)
+        hits = [signed_fold(alg, e) for e in terms]
+        singular += hits.count(None)
+        regular += len(hits) - hits.count(None)
+        assert weyl_quotient(alg.n, alg.m, folded, group) == weyl_quotient(alg.n, alg.m, terms, group)
+    assert singular and regular
 
 
 def _determinant(perm, signs):

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -212,6 +213,20 @@ def test_oversized_weyl_group_exits_2(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: |W| = 7372800 for spo(10|10) exceeds the limit 100000\n"
+
+
+def test_oversized_euler_is_refused_before_the_numerator_is_expanded(capsys, tmp_path):
+    # the Borel numerator of spo(8|9) has 2^40 products of odd factors; the
+    # group is fetched first, so the refusal comes at once
+    start = time.perf_counter()
+    code = cli.main(["euler", "--algebra", "8|9", "--parabolic", "borel", "--levi-module", "trivial",
+                     "--cache-dir", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: |W| = 147456 for spo(8|9) exceeds the limit 100000\n"
+    assert elapsed < 1
 
 
 def _cache_files(path):

@@ -339,6 +339,32 @@ def test_packed_exact_div_matches_tuple_kernel(seed):
             assert got == want
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_monomial_exact_div_matches_tuple_kernel(seed):
+    # a one-term divisor is a shift and a coefficient division: the same
+    # quotient or the same failure, at the same (first non-divisible) term
+    rng = random.Random(100 + seed)
+    for rank in range(1, 8):
+        for shape, ranges in SHAPES.items():
+            h = tuple(rng.randint(lo, hi) for lo, hi in ranges(rank))  # odd entries are half exponents
+            zero = (0,) * rank
+            for den in ({zero: 1}, {zero: -1}, {h: 3}, {h: -3}, {h: 1 << 80}):
+                c = next(iter(den.values()))
+                quotient = _random_terms(rng, ranges(rank), rng.randint(1, 9), 100)
+                exact = _mul_reference(quotient, den)
+                spoiled = dict(exact)
+                for e in rng.sample(sorted(spoiled), min(2, len(spoiled))):
+                    spoiled[e] += rng.choice((1, -1))  # no longer a multiple of c unless |c| = 1
+                spoiled = {e: v for e, v in spoiled.items() if v}
+                for num in (exact, spoiled, _random_terms(rng, ranges(rank), rng.randint(1, 9), 3)):
+                    want = _division_outcome(_exact_div_reference, num, den)
+                    got = _division_outcome(lambda x, y: exact_div(P(rank, 0, x), P(rank, 0, y)).terms, num, den)
+                    assert got == want
+                    if abs(c) == 1:
+                        assert not isinstance(got, tuple)
+                assert exact_div(P(rank, 0, exact), P(rank, 0, den)) == P(rank, 0, quotient)
+
+
 def test_exact_div_guard_bit_catches_one_slot_underflow():
     # the leading monomials x0^3 x1^2 x3 and x0^2 x2^3 x3 have equal degree
     # and every field of the dividend but x2's covers the divisor's: only

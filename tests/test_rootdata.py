@@ -20,6 +20,7 @@ from spochar.rootdata import (
     rho,
     rho0,
     sharp,
+    signed_fold,
     signed_permutations,
     simple_roots,
     weight_to_partition,
@@ -217,6 +218,13 @@ def _in_chamber(alg, doubled):
     return alg.m < 2 or b[-2] >= abs(b[-1])
 
 
+def _act(perm, signs, doubled):
+    out = [0] * len(doubled)
+    for i, x in enumerate(doubled):
+        out[perm[i]] = signs[i] * x
+    return tuple(out)
+
+
 @settings(max_examples=60, deadline=None)
 @given(doubled_weights())
 def test_fold_to_dominant_is_a_dominant_orbit_invariant(case):
@@ -225,10 +233,7 @@ def test_fold_to_dominant_is_a_dominant_orbit_invariant(case):
     assert _in_chamber(alg, fold)
     assert fold_to_dominant(alg, fold) == fold
     for perm, signs, _ in signed_permutations(alg):
-        gw = [0] * alg.rank
-        for i, x in enumerate(w):
-            gw[perm[i]] = signs[i] * x
-        assert fold_to_dominant(alg, tuple(gw)) == fold
+        assert fold_to_dominant(alg, _act(perm, signs, w)) == fold
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,6 +247,33 @@ def test_fold_to_dominant_keeps_the_D_m_sign_parity(case):
     flipped = w[:-1] + (-w[-1],)
     same = 0 in w[alg.n:]
     assert (fold_to_dominant(alg, w) == fold_to_dominant(alg, flipped)) == same
+
+
+@settings(max_examples=80, deadline=None)
+@given(doubled_weights(FOLD_ALGEBRAS + [Algebra.parse(t) for t in ("4|0", "4|1", "4|2")]))
+@example((SPO24, (2, 0, -4)))  # D2: one zero entry is regular and absorbs the odd sign change
+@example((SPO24, (2, 0, 0)))  # D2: two zeros are a repeated |entry|
+@example((SPO24, (2, 4, -4)))  # D2: |4| repeated across signs, fixed by e1 + e2
+@example((Algebra.parse("2|2"), (3, -5)))  # D1: no reflection, the sign stays
+@example((SPO23, (4, 0)))  # B1: a zero is fixed by the reflection in e1
+@example((SPO43, (0, 2, 1)))  # C2: a zero is fixed by the reflection in 2d1
+def test_signed_fold_is_the_signed_orbit_fold(case):
+    # fold(g w) = (fold(w), det(g) det(w)) for every g in W; None exactly when
+    # a non-identity element fixes w; the weight is fold_to_dominant's
+    alg, w = case
+    group = signed_permutations(alg)
+    identity = (tuple(range(alg.rank)), (1,) * alg.rank)
+    fixed = any(_act(perm, signs, w) == w for perm, signs, _ in group if (perm, signs) != identity)
+    fold = signed_fold(alg, w)
+    assert (fold is None) == fixed
+    if fold is not None:
+        dominant, det = fold
+        assert dominant == fold_to_dominant(alg, w)
+        # a regular weight has exactly one element that folds it
+        assert [g_det for perm, signs, g_det in group if _act(perm, signs, w) == dominant] == [det]
+    for perm, signs, g_det in group:
+        want = None if fold is None else (fold[0], g_det * fold[1])
+        assert signed_fold(alg, _act(perm, signs, w)) == want
 
 
 def test_weight_parse_format_round_trip():
