@@ -50,6 +50,7 @@ from .rootdata import (
     rho0,
     sharp,
     weight_to_partition,
+    weyl_act,
     weyl_group,
 )
 from .superspace import (
@@ -514,7 +515,7 @@ def criterion_9():
                     blocks_split
                     and all(c >= 0 for c in resid.terms.values())
                     and lead_exp == top.doubled and lead_coef == 1
-                    and all(g.apply_poly(resid) == resid for g in weyl_group(alg)[:4])
+                    and all(resid.map_exponents(lambda e: weyl_act(g, e)) == resid for g in weyl_group(alg)[:4])
                 )
                 check(good,
                       f"spo(2|{2 * m + 1}) degree {k}: atypical top weight (Kac form invalid); "
@@ -569,7 +570,7 @@ def criterion_10():
     for alg, chi in samples:
         group = weyl_group(alg)
         for g in rng.sample(group, min(10, len(group))):
-            winv &= g.apply_poly(chi) == chi
+            winv &= chi.map_exponents(lambda e: weyl_act(g, e)) == chi
     check(winv, "every emitted character is Weyl invariant (10 random group elements each)")
 
     # block consistency of decompositions
@@ -621,15 +622,17 @@ def criterion_10():
     for algtxt in ("2|3", "4|3"):
         alg = Algebra.parse(algtxt)
         group = weyl_group(alg)
-        for g in group:
-            for h in group:
-                grp &= (g * h).sign == g.sign * h.sign
+        det = {(perm, signs): d for perm, signs, d in group}
+        for g_perm, g_signs, g_det in group:
+            for h_perm, h_signs, h_det in group:  # g after h sends slot i to g_perm[h_perm[i]]
+                signs = tuple(s * g_signs[j] for s, j in zip(h_signs, h_perm))
+                grp &= det.get((tuple(g_perm[j] for j in h_perm), signs)) == g_det * h_det
         pos = positive_roots(alg)
         allroots = {r.doubled for r in pos.even + pos.odd}
         allroots |= {tuple(-x for x in r) for r in allroots}
         for g in group:
             for r in pos.even + pos.odd:
-                grp &= g.apply_doubled(r.doubled) in allroots
+                grp &= weyl_act(g, r.doubled) in allroots
     for algtxt in ("2|3", "2|4", "4|3"):
         alg = Algebra.parse(algtxt)
         grp &= denominators(alg) == antisymmetrize(alg, rho0(alg))

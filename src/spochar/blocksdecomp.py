@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .charformulas import euler_character, hook_schur_character, kac_character, parabolic_removing
+from .charformulas import Parabolic, euler_character, hook_schur_character, kac_character, parabolic_removing
 from .laurent import LaurentPoly, grlex_key
 from .linalg import rank as matrix_rank
 from .rootdata import (
@@ -28,6 +28,7 @@ from .rootdata import (
     fold_to_dominant,
     is_dominant,
     partitions_up_to,
+    positive_roots,
     rho,
     sharp,
     validate_partition,
@@ -40,8 +41,6 @@ SPO23 = Algebra(1, 1, True)
 def is_typical(alg: Algebra, lam: Weight) -> bool:
     """(lam+rho, a) != 0 for every isotropic root a (positive ones suffice)."""
     lr = lam + rho(alg)
-    from .rootdata import positive_roots
-
     return all(lr.pair(a) != 0 for a in positive_roots(alg).isotropic)
 
 
@@ -240,7 +239,7 @@ def tensor_table(amax: int, bmax: int) -> dict:
 # -- Euler character families and the basis conjecture check --------------------------------
 
 
-def gl_parabolic(alg: Algebra) -> "Parabolic":
+def gl_parabolic(alg: Algebra) -> Parabolic:
     """The maximal parabolic whose Levi is gl(n|m): remove the tail simple
     root e_m (odd l only)."""
     if not alg.odd or alg.m < 1:

@@ -22,8 +22,10 @@ packed exponents:
   u mu dominant, and a term fixed by a reflection is dropped.  The
   alternating sum is the same, and the W-sum runs over the few folded
   terms (spo(8|3), lambda = (3,2,1): 256 -> 35).
-* Even-Levi simple modules: the Levi's alternating sum divided by the
-  binomials of its even positive roots.
+* Even-Levi simple modules: the alternating sum over the Levi's Weyl group
+  divided by the binomials of its even positive roots.  That group is a
+  filter of W: the rows that fix the orthogonal complement of the Levi's
+  span pointwise (`_levi_weyl_group`).
 
 Divisibility failure is always an internal error, never data.
 """
@@ -40,6 +42,7 @@ from .laurent import exact_div  # noqa: F401  (perfbench's tracer re-binds charf
 from .linalg import det_bareiss_laurent, rref
 from .rootdata import (
     Algebra,
+    DimensionGuard,
     Weight,
     fits_hook,
     is_dominant,
@@ -47,9 +50,9 @@ from .rootdata import (
     rho,
     rho0,
     signed_fold,
-    signed_permutations,
     simple_roots,
     validate_partition,
+    weyl_group,
 )
 from .series import super_homogeneous_series
 
@@ -293,59 +296,36 @@ def hook_schur_character(p: Parabolic, partition) -> LaurentPoly:
 
 def levi_simple_even_character(p: Parabolic, lam: Weight) -> LaurentPoly:
     """Simple Levi module character for a Levi WITHOUT odd roots, by the
-    classical Weyl character formula over the Levi's reflection group."""
+    classical Weyl character formula over the Levi's Weyl group."""
     even, odd = p.levi_positive()
     if odd:
         raise LeviMismatch("Levi has odd roots; use the gl-type constructors")
     alg = p.alg
     half = Weight(alg, [sum(r.doubled[i] for r in even) // 2 for i in range(alg.rank)])
-    group = _reflection_group(alg, even)
-    return weyl_quotient(alg.n, alg.m, {(lam + half).doubled: 1}, group, [_half(r.doubled) for r in even])
+    halves = [_half(r.doubled) for r in even]
+    return weyl_quotient(alg.n, alg.m, {(lam + half).doubled: 1}, _levi_weyl_group(p), halves)
 
 
 @lru_cache(maxsize=256)
-def _reflection_group(alg: Algebra, roots):
-    """Closure of the reflections in the given even roots, as signed
-    permutations (perm, signs, determinant) of the weight coordinates.  The
-    determinant is tracked during the closure: each reflection flips it."""
-    k = alg.rank
-    gens = []
-    for r in roots:
-        perm = list(range(k))
-        signs = [1] * k
-        support = [i for i, x in enumerate(r.doubled) if x]
-        if len(support) == 1:
-            signs[support[0]] = -1
-        elif len(support) == 2:
-            i, j = support
-            perm[i], perm[j] = j, i
-            if r.doubled[i] * r.doubled[j] > 0:
-                signs[i] = signs[j] = -1
-        else:
-            raise ValueError(f"{r.format()} is not an even root of this shape")
-        gens.append((tuple(perm), tuple(signs)))
+def _levi_weyl_group(p: Parabolic):
+    """The Weyl group of the Levi of p, as the rows of `weyl_group` that fix
+    the orthogonal complement of the Levi's span pointwise.
 
-    def compose(a, b):
-        # a after b, acting on coordinate positions: (a.b)(i) = a(b(i))
-        pa, sa = a
-        pb, sb = b
-        perm = tuple(pa[pb[i]] for i in range(k))
-        signs = tuple(sb[i] * sa[pb[i]] for i in range(k))
-        return perm, signs
-
-    identity = (tuple(range(k)), (1,) * k)
-    seen = {identity: 1}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                cand = compose(g, el)
-                if cand not in seen:
-                    seen[cand] = -seen[el]
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple((perm, signs, det) for (perm, signs), det in sorted(seen.items()))
+    By Steinberg's theorem (Humphreys, Reflection Groups and Coxeter Groups,
+    Thm 1.12) those rows form the group generated by the reflections in the
+    Levi's even roots.  As g is orthogonal, it fixes that complement iff
+    g(u) - u lies in the Levi's span, i.e. is supported on the retained
+    simple roots, for every unit vector u.  A row sends u_i to
+    signs[i] u_{perm[i]}, so the test runs once per (i, perm[i], signs[i]).
+    """
+    alg, k = p.alg, p.alg.rank
+    inside = {
+        (i, j, s): root_support(alg, Weight(alg, [2 * (s * (t == j) - (t == i)) for t in range(k)])) <= p.retained
+        for i in range(k)
+        for j in range(k)
+        for s in (1, -1)
+    }
+    return tuple(g for g in weyl_group(alg) if all(inside[move] for move in zip(range(k), g[0], g[1])))
 
 
 def levi_character(p: Parabolic, tag, arg=None) -> LeviCharacter:
@@ -391,7 +371,13 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
         warnings.warn(f"{lam.format()} is not dominant; result is a formal virtual character")
     divide, multiply = _kac_binomials(alg)
     numerator = {(lam + rho(alg)).doubled: 1}
-    return weyl_quotient(alg.n, alg.m, numerator, signed_permutations(alg), divide, multiply, integral="Kac character")
+    return weyl_quotient(alg.n, alg.m, numerator, weyl_group(alg), divide, multiply, integral="Kac character")
+
+
+# The numerator of an Euler character is refused, factor by factor, past
+# this many terms: on Borel parabolics spo(6|7) reaches 70592 terms, spo(8|7)
+# 1155072 (about 9 s and 430 MB), and spo(8|8) more than 1.5 million.
+EULER_NUMERATOR_LIMIT = 1_500_000
 
 
 def euler_character(p: Parabolic, module) -> LaurentPoly:
@@ -402,15 +388,22 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
     into the dominant chamber with its sign, and its singular terms dropped
     (`rootdata.signed_fold`), before the one `weyl_quotient` call: the
     alternating sum is unchanged, the sum over W runs over fewer terms.
+    Raises DimensionGuard once the expansion passes EULER_NUMERATOR_LIMIT
+    terms.
     """
     alg = p.alg
-    group = signed_permutations(alg)  # refuses an oversized W before the numerator is expanded
+    group = weyl_group(alg)  # refuses an oversized W before the numerator is expanded
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
     f = ch_m.shifted(rho0(alg).doubled)
     for a in positive_roots(alg).odd:
         if a not in levi_odd:
             f = f + f.shifted(tuple(-x for x in a.doubled))
+            if len(f) > EULER_NUMERATOR_LIMIT:
+                raise DimensionGuard(
+                    f"the Euler numerator of {p.describe()} has {len(f)} terms, "
+                    f"above the limit {EULER_NUMERATOR_LIMIT}"
+                )
     folded = {}
     for e, c in f.terms.items():
         hit = signed_fold(alg, e)

@@ -442,14 +442,14 @@ def _cache_key(args):
 
 def _cached_run(args):
     if getattr(args, "no_cache", False):
-        return _dispatch(args)
+        return args.fn(args)
     cdir = _cache_dir(args)
     key = _cache_key(args)
     path = os.path.join(cdir, key + ".out")
     if os.path.exists(path):
         with open(path, "rb") as fh:
             return fh.read().decode()
-    out = _dispatch(args)
+    out = args.fn(args)
     os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir)
     with os.fdopen(fd, "wb") as fh:
@@ -557,10 +557,6 @@ def _build_parser():
     sp.set_defaults(fn=cmd_batch, format="text")
 
     return ap
-
-
-def _dispatch(args):
-    return args.fn(args)
 
 
 def _outcome(run):

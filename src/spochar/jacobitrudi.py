@@ -132,11 +132,6 @@ def jt_character_e(partition, alg: Algebra) -> LaurentPoly:
 # -- formal determinant identities ------------------------------------------------
 
 
-def _generic_ring(nvars):
-    """A Laurent ring with nvars formal variables (context labels unused)."""
-    return nvars, 0
-
-
 def _gvar(nvars, i, power=1):
     v = [0] * nvars
     v[i] = 2 * power
@@ -144,17 +139,7 @@ def _gvar(nvars, i, power=1):
 
 
 def _gmono(nvars, i, power=1, coef=1):
-    n, m = _generic_ring(nvars)
-    return LaurentPoly.monomial(n, m, _gvar(nvars, i, power), coef)
-
-
-def _gone(nvars):
-    n, m = _generic_ring(nvars)
-    return LaurentPoly.one(n, m)
-
-
-def _det(matrix):
-    return det_bareiss_laurent(matrix)
+    return LaurentPoly.monomial(nvars, 0, _gvar(nvars, i, power), coef)
 
 
 def identity_suite(n: int, truncation: int = 10) -> dict:
@@ -181,7 +166,7 @@ def _cauchy_determinant_product(n):
     product of (1-z_i u_{k'})(1-z_i u_{k'}^{-1}) over k' != k.
     """
     nv = 2 * n  # z_1..z_n, u_1..u_n
-    one = _gone(nv)
+    one = LaurentPoly.one(nv, 0)
 
     def z(i, p=1):
         return _gmono(nv, i, p)
@@ -197,10 +182,10 @@ def _cauchy_determinant_product(n):
             out = out * (one - z(i) * u(kp)) * (one - z(i) * u(kp, -1))
         return out
 
-    lhs = _det([[entry(i, k) for k in range(n)] for i in range(n)])
+    lhs = det_bareiss_laurent([[entry(i, k) for k in range(n)] for i in range(n)])
     acol = [[u(i, n - 1 - j) + u(i, -(n - 1 - j)) if j < n - 1 else one for j in range(n)] for i in range(n)]
     bcol = [[one if j == 0 else z(i, j) + z(i, -j) for j in range(n)] for i in range(n)]
-    rhs = _det(acol) * _det(bcol)
+    rhs = det_bareiss_laurent(acol) * det_bareiss_laurent(bcol)
     for i in range(n):
         rhs = rhs * z(i, n - 1)
     return lhs == rhs
@@ -210,13 +195,15 @@ def _symplectic_column_factorization(n):
     """det|u^n - u^{-n}, ..., u - u^{-1}| equals
     prod_i (u_i - u_i^{-1}) * det|u^{n-1}+u^{1-n}, ..., 1|."""
     nv = n
-    one = _gone(nv)
+    one = LaurentPoly.one(nv, 0)
 
     def u(i, p=1):
         return _gmono(nv, i, p)
 
-    lhs = _det([[u(i, n - j) - u(i, -(n - j)) for j in range(n)] for i in range(n)])
-    rhs = _det([[u(i, n - 1 - j) + u(i, -(n - 1 - j)) if j < n - 1 else one for j in range(n)] for i in range(n)])
+    lhs = det_bareiss_laurent([[u(i, n - j) - u(i, -(n - j)) for j in range(n)] for i in range(n)])
+    rhs = det_bareiss_laurent(
+        [[u(i, n - 1 - j) + u(i, -(n - 1 - j)) if j < n - 1 else one for j in range(n)] for i in range(n)]
+    )
     for i in range(n):
         rhs = rhs * (u(i) - u(i, -1))
     return lhs == rhs
@@ -227,17 +214,17 @@ def _symplectic_z_determinant(n):
     (z_n^{-1}-z_n) * prod_{i<n} z_i^{-1}(1-z_i z_n)(1-z_i z_n^{-1})
     * det|z-z^{-1}, ..., z^{n-1}-z^{1-n}| (variables z_1..z_{n-1})."""
     nv = n
-    one = _gone(nv)
+    one = LaurentPoly.one(nv, 0)
 
     def z(i, p=1):
         return _gmono(nv, i, p)
 
-    lhs = _det([[z(i, -(j + 1)) - z(i, j + 1) for j in range(n)] for i in range(n)])
+    lhs = det_bareiss_laurent([[z(i, -(j + 1)) - z(i, j + 1) for j in range(n)] for i in range(n)])
     rhs = z(n - 1, -1) - z(n - 1, 1)
     for i in range(n - 1):
         rhs = rhs * z(i, -1) * (one - z(i) * z(n - 1)) * (one - z(i) * z(n - 1, -1))
     if n >= 2:
-        small = _det([[z(i, j + 1) - z(i, -(j + 1)) for j in range(n - 1)] for i in range(n - 1)])
+        small = det_bareiss_laurent([[z(i, j + 1) - z(i, -(j + 1)) for j in range(n - 1)] for i in range(n - 1)])
         rhs = rhs * small
     return lhs == rhs
 
@@ -247,8 +234,7 @@ def _half_power_geometric_series(order):
     (1+z^{-1})(u^{1/2}-u^{-1/2}) / ((1-uz)(1-u^{-1}z)), checked coefficient
     by coefficient in z after multiplying both sides by z, to the given
     truncation order."""
-    nv = 1  # single variable u carrying half powers via the doubled convention
-    n_, m_ = _generic_ring(nv)
+    n_, m_ = 1, 0  # single variable u carrying half powers via the doubled convention
 
     def umono(doubled_power):
         return LaurentPoly.monomial(n_, m_, (doubled_power,))

@@ -426,82 +426,6 @@ def conjugate_partition(lam):
 # -- Weyl group -----------------------------------------------------------------
 
 
-class WeylElement:
-    """Signed permutation pair: type B_n on the d's; B_m (odd l) or D_m
-    (even l: evenly many sign flips) on the e's.
-
-    perms map position i to image position perm[i]; w(d_i) = s_i d_{perm[i]}.
-    The sign is the determinant on the weight space, i.e. (-1)^{length},
-    computed once on construction.
-    """
-
-    __slots__ = ("sp_perm", "sp_signs", "so_perm", "so_signs", "sign")
-
-    def __init__(self, sp_perm, sp_signs, so_perm, so_signs):
-        self.sp_perm = tuple(sp_perm)
-        self.sp_signs = tuple(sp_signs)
-        self.so_perm = tuple(so_perm)
-        self.so_signs = tuple(so_signs)
-        sign = self._perm_parity(self.sp_perm) * self._perm_parity(self.so_perm)
-        for x in self.sp_signs + self.so_signs:
-            sign *= x
-        self.sign = sign
-
-    @staticmethod
-    def _perm_parity(perm):
-        seen = [False] * len(perm)
-        sign = 1
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                clen += 1
-            if clen % 2 == 0:
-                sign = -sign
-        return sign
-
-    def apply_doubled(self, exps):
-        n = len(self.sp_perm)
-        out = [0] * len(exps)
-        for i in range(n):
-            out[self.sp_perm[i]] = self.sp_signs[i] * exps[i]
-        for j in range(len(self.so_perm)):
-            out[n + self.so_perm[j]] = self.so_signs[j] * exps[n + j]
-        return tuple(out)
-
-    def apply_weight(self, w: Weight) -> Weight:
-        return Weight(w.alg, self.apply_doubled(w.doubled))
-
-    def apply_poly(self, p: LaurentPoly) -> LaurentPoly:
-        return p.map_exponents(self.apply_doubled)
-
-    def __mul__(self, other):
-        """Composition self after other."""
-        sp_perm = tuple(self.sp_perm[other.sp_perm[i]] for i in range(len(self.sp_perm)))
-        sp_signs = tuple(other.sp_signs[i] * self.sp_signs[other.sp_perm[i]] for i in range(len(self.sp_perm)))
-        so_perm = tuple(self.so_perm[other.so_perm[j]] for j in range(len(self.so_perm)))
-        so_signs = tuple(other.so_signs[j] * self.so_signs[other.so_perm[j]] for j in range(len(self.so_perm)))
-        return WeylElement(sp_perm, sp_signs, so_perm, so_signs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.sp_perm == other.sp_perm
-            and self.sp_signs == other.sp_signs
-            and self.so_perm == other.so_perm
-            and self.so_signs == other.so_signs
-        )
-
-    def __hash__(self):
-        return hash((self.sp_perm, self.sp_signs, self.so_perm, self.so_signs))
-
-    def __repr__(self):
-        return f"WeylElement(sp={self.sp_perm}/{self.sp_signs}, so={self.so_perm}/{self.so_signs})"
-
-
 # Larger Weyl groups are refused before they are enumerated: spo(8|5) has
 # |W| = 3072 and spo(8|8) 73728, while spo(10|10) would need 7.4 million
 # elements.
@@ -516,9 +440,18 @@ def weyl_order(alg: Algebra) -> int:
 
 @lru_cache(maxsize=64)
 def weyl_group(alg: Algebra):
-    """Deterministic enumeration of W, lexicographic over (sp-permutation,
-    sp-signs, so-permutation, so-signs); signs run (+1, -1) per slot.
-    Raises DimensionGuard, before enumerating, above WEYL_ORDER_LIMIT."""
+    """W as rows (perm, signs, det) over the n+m slots, acting by
+    g(w)[perm[i]] = signs[i] * w[i] (`weyl_act`): signed permutations of
+    the d-slots (type C_n), and of the e-slots with any signs (B_m, odd l)
+    or evenly many sign changes (D_m, even l).  det is the determinant on
+    the weight space, the inversion parity of perm times the product of the
+    signs.  This is the one form of W: `laurent.weyl_quotient` reads it, and
+    the Weyl group of a Levi is a filter of it.
+
+    Rows run lexicographically over (d-permutation, d-signs, e-permutation,
+    e-signs), signs (+1, -1) per slot, so every W-sum adds its terms in one
+    fixed order.  Raises DimensionGuard, before enumerating, above
+    WEYL_ORDER_LIMIT."""
     order = weyl_order(alg)
     if order > WEYL_ORDER_LIMIT:
         raise DimensionGuard(f"|W| = {order} for {alg} exceeds the limit {WEYL_ORDER_LIMIT}")
@@ -526,24 +459,26 @@ def weyl_group(alg: Algebra):
     out = []
     for sp_perm in itertools.permutations(range(n)):
         for sp_signs in itertools.product((1, -1), repeat=n):
-            for so_perm in itertools.permutations(range(m)):
+            for so_perm in itertools.permutations(range(n, n + m)):
                 for so_signs in itertools.product((1, -1), repeat=m):
-                    if not alg.odd and m >= 1 and so_signs.count(-1) % 2:
+                    if not alg.odd and so_signs.count(-1) % 2:
                         continue
-                    out.append(WeylElement(sp_perm, sp_signs, so_perm, so_signs))
+                    perm, signs = sp_perm + so_perm, sp_signs + so_signs
+                    inversions = sum(itertools.starmap(operator.gt, itertools.combinations(perm, 2)))
+                    out.append((perm, signs, (-1) ** inversions * math.prod(signs)))
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def signed_permutations(alg: Algebra):
-    """W in weyl_group's order as (perm, signs, det) over all n+m slots: the
-    form `laurent.weyl_quotient` reads."""
-    n = alg.n
-    return tuple(
-        (g.sp_perm + tuple(n + j for j in g.so_perm), g.sp_signs + g.so_signs, g.sign) for g in weyl_group(alg)
-    )
+def weyl_act(g, doubled):
+    """g(w) for a row g = (perm, signs, det) of `weyl_group` and a doubled
+    weight w: slot i of w, times signs[i], moves to slot perm[i]."""
+    perm, signs, _ = g
+    out = [0] * len(doubled)
+    for p, sign, x in zip(perm, signs, doubled):
+        out[p] = sign * x
+    return tuple(out)
 
 
 def antisymmetrize(alg: Algebra, w: Weight) -> LaurentPoly:
     """Alternating Weyl sum of e^{w}: sum over W of sign(g) e^{g(w)}."""
-    return weyl_quotient(alg.n, alg.m, {w.doubled: 1}, signed_permutations(alg))
+    return weyl_quotient(alg.n, alg.m, {w.doubled: 1}, weyl_group(alg))

@@ -47,6 +47,7 @@ from .rootdata import (
     fold_to_dominant,
     is_dominant,
     simple_roots,
+    weyl_act,
     weyl_group,
 )
 
@@ -850,7 +851,9 @@ def kernel_tensor_natural_report(alg: Algebra, k: int, natural_multiplicity: int
     checks = {
         "residual_nonnegative": all(c >= 0 for c in residual.terms.values()),
         "residual_leading_multiplicity_one": lead_coef == 1,
-        "residual_weyl_invariant": all(g.apply_poly(residual) == residual for g in group[: min(8, len(group))]),
+        "residual_weyl_invariant": all(
+            residual.map_exponents(lambda e: weyl_act(g, e)) == residual for g in group[: min(8, len(group))]
+        ),
         "all_singular_weights_expected": set(counts) <= set(factor_multiset),
     }
     return {

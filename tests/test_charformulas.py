@@ -9,7 +9,7 @@ from spochar.charformulas import (
     LeviMismatch,
     Parabolic,
     SingularVirtualDimension,
-    _reflection_group,
+    _levi_weyl_group,
     borel,
     denominators,
     euler_character,
@@ -39,7 +39,7 @@ from spochar.rootdata import (
     partitions_up_to,
     rho0,
     signed_fold,
-    signed_permutations,
+    weyl_act,
     weyl_group,
 )
 
@@ -77,8 +77,8 @@ def test_denominator_symmetry(algtxt):
     alg = Algebra.parse(algtxt)
     d0, d1 = denominators(alg), _d1(alg)
     for g in weyl_group(alg):
-        assert g.apply_poly(d0) == (d0 if g.sign == 1 else -d0)
-        assert g.apply_poly(d1) == d1
+        assert d0.map_exponents(lambda e: weyl_act(g, e)) == (d0 if g[2] == 1 else -d0)
+        assert d1.map_exponents(lambda e: weyl_act(g, e)) == d1
     # even Weyl denominator identity
     assert d0 == antisymmetrize(alg, rho0(alg))
 
@@ -97,7 +97,7 @@ def test_kac_weyl_invariance():
     for text in ["2d1+1e1", "3d1", "1d1+1e1"]:
         ch = kac_character(SPO23, W(SPO23, text))
         for g in rng.sample(weyl_group(SPO23), 4):
-            assert g.apply_poly(ch) == ch
+            assert ch.map_exponents(lambda e: weyl_act(g, e)) == ch
 
 
 def test_kac_warns_on_non_dominant():
@@ -456,7 +456,7 @@ def _euler_unfolded(p, module):
         if a not in levi_odd:
             f = f + f.shifted(tuple(-x for x in a.doubled))
     halves = [tuple(x // 2 for x in r.doubled) for r in reversed(positive_roots(alg).even)]
-    return weyl_quotient(alg.n, alg.m, f.terms, signed_permutations(alg), halves, integral="Euler character")
+    return weyl_quotient(alg.n, alg.m, f.terms, weyl_group(alg), halves, integral="Euler character")
 
 
 def _fold_terms(alg, terms):
@@ -494,7 +494,7 @@ def test_folding_keeps_the_alternating_sum(algtxt):
     # A(w) = det(u) A(u w), and A(w) = 0 when a reflection fixes w: on random
     # numerators, with zeros, repeated absolute values and half exponents
     alg = Algebra.parse(algtxt)
-    group = signed_permutations(alg)
+    group = weyl_group(alg)
     rng = random.Random(algtxt)
     singular = regular = 0
     for _ in range(12):
@@ -530,7 +530,7 @@ def test_even_levi_matches_long_division():
             even, odd = p.levi_positive()
             if odd:
                 continue
-            group = _reflection_group(alg, even)
+            group = _levi_weyl_group(p)
             assert all(det == _determinant(perm, signs) for perm, signs, det in group)
 
             def antisym(doubled):
@@ -549,6 +549,72 @@ def test_even_levi_matches_long_division():
                 assert levi_simple_even_character(p, lam) == ref, (p.describe(), lam.format())
                 count += 1
     assert count == 1104
+
+
+# -- the Levi's Weyl group against the reflection closure it replaced ----------------
+
+
+def _reflection_closure(alg, roots):
+    """Frozen copy of the closure over the reflections in the given even roots
+    that `_levi_weyl_group` replaced: signed permutations (perm, signs, det)
+    of the weight coordinates, det flipped by each reflection.  The
+    reference of the test below; do not turn it into a filter of W."""
+    k = alg.rank
+    gens = []
+    for r in roots:
+        perm = list(range(k))
+        signs = [1] * k
+        support = [i for i, x in enumerate(r.doubled) if x]
+        if len(support) == 1:
+            signs[support[0]] = -1
+        elif len(support) == 2:
+            i, j = support
+            perm[i], perm[j] = j, i
+            if r.doubled[i] * r.doubled[j] > 0:
+                signs[i] = signs[j] = -1
+        else:
+            raise ValueError(f"{r.format()} is not an even root of this shape")
+        gens.append((tuple(perm), tuple(signs)))
+
+    def compose(a, b):
+        # a after b, acting on coordinate positions: (a.b)(i) = a(b(i))
+        pa, sa = a
+        pb, sb = b
+        perm = tuple(pa[pb[i]] for i in range(k))
+        signs = tuple(sb[i] * sa[pb[i]] for i in range(k))
+        return perm, signs
+
+    identity = (tuple(range(k)), (1,) * k)
+    seen = {identity: 1}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in gens:
+                cand = compose(g, el)
+                if cand not in seen:
+                    seen[cand] = -seen[el]
+                    nxt.append(cand)
+        frontier = nxt
+    return tuple((perm, signs, det) for (perm, signs), det in sorted(seen.items()))
+
+
+def test_levi_weyl_group_is_the_reflection_closure():
+    # every parabolic, with odd roots in the Levi or not: the rows of W that
+    # fix the complement of the Levi's span are the group its even roots
+    # generate, with the same determinants
+    count = with_odd = 0
+    for text in ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1", "6|1", "4|4", "6|3"]:
+        alg = Algebra.parse(text)
+        for removed in itertools.product((False, True), repeat=alg.rank):
+            p = Parabolic(alg, frozenset(i for i, r in enumerate(removed) if r))
+            even, odd = p.levi_positive()
+            group = _levi_weyl_group(p)
+            assert len(set(group)) == len(group)
+            assert set(group) == set(_reflection_closure(alg, even)), p.describe()
+            count += 1
+            with_odd += bool(odd)
+    assert (count, with_odd) == (76, 39)
 
 
 def test_binomial_division_round_trip_and_failure():

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import time
 
 import pytest
 
+import spochar.charformulas as charformulas
 import spochar.cli as cli
 from spochar.laurent import LaurentPoly, NotDivisible
 
@@ -227,6 +229,20 @@ def test_oversized_euler_is_refused_before_the_numerator_is_expanded(capsys, tmp
     assert captured.out == ""
     assert captured.err == "error: |W| = 147456 for spo(8|9) exceeds the limit 100000\n"
     assert elapsed < 1
+
+
+def test_oversized_euler_numerator_exits_2(capsys, tmp_path, monkeypatch):
+    # the Borel numerator of spo(6|7) grows to 70592 terms; with the limit
+    # lowered it is refused after the first factor that takes it past
+    monkeypatch.setattr(charformulas, "EULER_NUMERATOR_LIMIT", 10_000)
+    code = cli.main(["euler", "--algebra", "6|7", "--parabolic", "borel", "--levi-module", "trivial",
+                     "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    hit = re.fullmatch(r"error: the Euler numerator of parabolic\(spo\(6\|7\), remove=[^)]*\) "
+                       r"has (\d+) terms, above the limit 10000\n", captured.err)
+    assert hit and 10_000 < int(hit.group(1)) <= 20_000  # one factor at most doubles it
 
 
 def _cache_files(path):

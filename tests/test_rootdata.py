@@ -21,9 +21,9 @@ from spochar.rootdata import (
     rho0,
     sharp,
     signed_fold,
-    signed_permutations,
     simple_roots,
     weight_to_partition,
+    weyl_act,
     weyl_group,
     weyl_order,
 )
@@ -153,10 +153,18 @@ def test_oversized_weyl_group_is_refused_before_enumeration():
         antisymmetrize(big, Weight.zero(big))
 
 
+def _compose(group, g, h):
+    """The row of group that is g after h: slot i goes to g's perm[h's
+    perm[i]], with h's sign there times g's."""
+    perm = tuple(g[0][j] for j in h[0])
+    signs = tuple(s * g[1][j] for s, j in zip(h[1], h[0]))
+    return next(row for row in group if row[:2] == (perm, signs))
+
+
 def test_identity_element_sign():
     group = weyl_group(SPO23)
-    identity = next(g for g in group if all(g.apply_doubled(v) == v for v in [(2, 0), (0, 2)]))
-    assert identity.sign == 1
+    identity = next(g for g in group if all(weyl_act(g, v) == v for v in [(2, 0), (0, 2)]))
+    assert identity[2] == 1
 
 
 @pytest.mark.parametrize("algtxt", ["2|3", "4|3"])
@@ -164,7 +172,7 @@ def test_sign_is_a_homomorphism(algtxt):
     group = weyl_group(Algebra.parse(algtxt))
     for g in group:
         for h in group:
-            assert (g * h).sign == g.sign * h.sign
+            assert _compose(group, g, h)[2] == g[2] * h[2]
 
 
 @pytest.mark.parametrize("algtxt", ["2|3", "4|3", "2|4"])
@@ -176,10 +184,10 @@ def test_group_permutes_roots_and_preserves_form(algtxt):
     probe = [W(alg, "1d1"), rho0(alg)]
     for g in weyl_group(alg):
         for r in pos.even + pos.odd:
-            assert g.apply_doubled(r.doubled) in roots
+            assert weyl_act(g, r.doubled) in roots
         for u in probe:
             for v in probe:
-                assert g.apply_weight(u).pair(g.apply_weight(v)) == u.pair(v)
+                assert Weight(alg, weyl_act(g, u.doubled)).pair(Weight(alg, weyl_act(g, v.doubled))) == u.pair(v)
 
 
 def test_composition_acts_correctly():
@@ -187,7 +195,7 @@ def test_composition_acts_correctly():
     v = (2, 4, 0)
     for g in group[:6]:
         for h in group[:6]:
-            assert (g * h).apply_doubled(v) == g.apply_doubled(h.apply_doubled(v))
+            assert weyl_act(_compose(group, g, h), v) == weyl_act(g, weyl_act(h, v))
 
 
 def test_antisymmetrize_regular_vs_singular():
@@ -218,13 +226,6 @@ def _in_chamber(alg, doubled):
     return alg.m < 2 or b[-2] >= abs(b[-1])
 
 
-def _act(perm, signs, doubled):
-    out = [0] * len(doubled)
-    for i, x in enumerate(doubled):
-        out[perm[i]] = signs[i] * x
-    return tuple(out)
-
-
 @settings(max_examples=60, deadline=None)
 @given(doubled_weights())
 def test_fold_to_dominant_is_a_dominant_orbit_invariant(case):
@@ -232,8 +233,8 @@ def test_fold_to_dominant_is_a_dominant_orbit_invariant(case):
     fold = fold_to_dominant(alg, w)
     assert _in_chamber(alg, fold)
     assert fold_to_dominant(alg, fold) == fold
-    for perm, signs, _ in signed_permutations(alg):
-        assert fold_to_dominant(alg, _act(perm, signs, w)) == fold
+    for g in weyl_group(alg):
+        assert fold_to_dominant(alg, weyl_act(g, w)) == fold
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,19 +262,19 @@ def test_signed_fold_is_the_signed_orbit_fold(case):
     # fold(g w) = (fold(w), det(g) det(w)) for every g in W; None exactly when
     # a non-identity element fixes w; the weight is fold_to_dominant's
     alg, w = case
-    group = signed_permutations(alg)
+    group = weyl_group(alg)
     identity = (tuple(range(alg.rank)), (1,) * alg.rank)
-    fixed = any(_act(perm, signs, w) == w for perm, signs, _ in group if (perm, signs) != identity)
+    fixed = any(weyl_act(g, w) == w for g in group if g[:2] != identity)
     fold = signed_fold(alg, w)
     assert (fold is None) == fixed
     if fold is not None:
         dominant, det = fold
         assert dominant == fold_to_dominant(alg, w)
         # a regular weight has exactly one element that folds it
-        assert [g_det for perm, signs, g_det in group if _act(perm, signs, w) == dominant] == [det]
-    for perm, signs, g_det in group:
-        want = None if fold is None else (fold[0], g_det * fold[1])
-        assert signed_fold(alg, _act(perm, signs, w)) == want
+        assert [g[2] for g in group if weyl_act(g, w) == dominant] == [det]
+    for g in group:
+        want = None if fold is None else (fold[0], g[2] * fold[1])
+        assert signed_fold(alg, weyl_act(g, w)) == want
 
 
 def test_weight_parse_format_round_trip():

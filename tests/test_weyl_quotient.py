@@ -16,7 +16,7 @@ from spochar.charformulas import (
     LeviMismatch,
     Parabolic,
     _kac_binomials,
-    _reflection_group,
+    _levi_weyl_group,
     euler_character,
     kac_character,
     levi_character,
@@ -31,8 +31,9 @@ from spochar.rootdata import (
     positive_roots,
     rho,
     rho0,
-    signed_permutations,
+    weyl_act,
     weyl_group,
+    weyl_order,
 )
 
 # -- the frozen references ------------------------------------------------------------
@@ -41,9 +42,9 @@ from spochar.rootdata import (
 def _alternate_reference(alg, terms):
     out = {}
     for g in weyl_group(alg):
-        s = g.sign
+        s = g[2]
         for e, c in terms.items():
-            k = g.apply_doubled(e)
+            k = weyl_act(g, e)
             out[k] = out.get(k, 0) + s * c
     return {e: c for e, c in out.items() if c}
 
@@ -186,7 +187,7 @@ def test_even_levi_matches_tuple_loops():
             even, odd = p.levi_positive()
             if odd:
                 continue
-            group = _reflection_group(alg, even)
+            group = _levi_weyl_group(p)
             halves = [_half(r.doubled) for r in even]
             half = Weight(alg, [sum(r.doubled[i] for r in even) // 2 for i in range(alg.rank)])
             for c in itertools.product(range(-1, 3), repeat=alg.rank):
@@ -220,8 +221,8 @@ def test_group_table_and_alternating_sums(algtxt):
     # even l: the orthogonal side is D_m, evenly many sign flips, and the
     # determinant of each signed permutation is its sign
     alg = Algebra.parse(algtxt)
-    table = signed_permutations(alg)
-    assert len(table) == len(weyl_group(alg)) == len(set(table))
+    table = weyl_group(alg)
+    assert len(table) == weyl_order(alg) == len(set(table))
     for perm, signs, det in table:
         assert det == _determinant(perm, signs)
         if not alg.odd and alg.m:
@@ -302,7 +303,7 @@ def test_identity_group_matches_tuple_loops(seed):
             assert _outcome(lambda: weyl_quotient(rank, 0, num, identity, halves).terms) == want
 
 
-def test_signed_permutations_act_as_the_tuple_loop():
+def test_signed_permutation_rows_act_as_the_tuple_loop():
     # arbitrary signed permutations and determinants, not a group: the
     # kernel's packed images against g(e)[perm[i]] = signs[i] * e[i]
     rng = random.Random(5)
