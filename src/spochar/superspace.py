@@ -26,7 +26,10 @@ with the even group, whose Weyl group W permutes the weight blocks, so the
 block at wμ has the nullity of the block at μ; the kernel dimension is the
 sum over dominant μ of nullity(μ) times the number of weights of the degree
 in μ's W-orbit, checked against dim(k) - dim(k-2).  `kernel_basis` still
-solves every block.
+solves every block.  The cyclic span of a singular vector is a g-submodule,
+so its dimension is likewise the sum over dominant μ of its span at μ times
+the size of μ's orbit; the walk keeps only the weights from which simple
+lowering steps can reach a dominant weight of the degree.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .laurent import LaurentPoly, grlex_key
@@ -305,45 +308,61 @@ class LinearOperator:
 @dataclass(frozen=True)
 class Derivation(LinearOperator):
     """Superderivation given by generator images, extended by the graded
-    Leibniz rule; parity 1 operators pick up a sign per Grassmann bit they
-    cross."""
+    Leibniz rule.  Every image is a multiple of 1 or of one generator (the
+    constructor refuses any other with ValueError), so the derivation is
+    stored as moves (source slot, target slot or None,
+    coefficient), and the image of a monomial is one monomial per move:
+    decrement the source, increment the target.  A commuting source
+    multiplies by its exponent; a parity 1 operator with a Grassmann source
+    multiplies by -1 per Grassmann bit before the source; a Grassmann target
+    is 0 when its bit is already set, else multiplies by -1 per Grassmann bit
+    strictly between source and target."""
 
     alg: Algebra
     parity: int
     images: tuple  # tuple of (slot, SuperElement)
     name: str = ""
+    moves: tuple = field(init=False, repr=False, compare=False)
 
-    def image_map(self):
-        return dict(self.images)
-
-    @cached_property
-    def _image_terms(self):
-        return tuple((slot, tuple((t, _exact(c)) for t, c in img.terms.items()))
-                     for slot, img in self.image_map().items())
+    def __post_init__(self):
+        moves = []
+        for slot, img in self.images:
+            if len(img.terms) > 1 or any(sum(t) > 1 for t in img.terms):
+                raise ValueError(f"image of slot {slot} is not a multiple of one generator or of 1")
+            moves += [(slot, t.index(1) if sum(t) else None, _exact(c)) for t, c in img.terms.items()]
+        object.__setattr__(self, "moves", tuple(moves))
 
     def monomial_image(self, mono, images):
         gs = _layout(self.alg)[1]
         out = {}
-        for slot, terms in self._image_terms:
-            e = mono[slot]
+        for src, tgt, c in self.moves:
+            e = mono[src]
             if not e:
                 continue
-            if slot >= gs:
-                crossed = sum(mono[gs:slot])
-                mult = -1 if (self.parity and crossed % 2) else 1
-                left = mono[:slot] + (0,) * (len(mono) - slot)
-            else:
-                mult = e
-                left = mono[:slot] + (e - 1,) + (0,) * (len(mono) - slot - 1)
-            right = (0,) * (slot + 1) + mono[slot + 1:]
-            for t, c in terms:
-                head, s1 = _merge_monomials(left, t, gs)
-                if head is None:
-                    continue
-                full, s2 = _merge_monomials(head, right, gs)
-                if full is not None:
-                    _bump(out, full, mult * s1 * s2 * c)
+            if src < gs:
+                c *= e
+            elif self.parity and sum(mono[gs:src]) % 2:
+                c = -c
+            new = list(mono)
+            new[src] = e - 1
+            if tgt is not None:
+                if tgt >= gs:
+                    if new[tgt]:
+                        continue
+                    lo, hi = (src, tgt) if src < tgt else (tgt, src)
+                    if sum(mono[max(lo + 1, gs):hi]) % 2:
+                        c = -c
+                new[tgt] += 1
+            _bump(out, tuple(new), c)
         return out
+
+    def weight_shift(self):
+        """Doubled weight this derivation adds to every monomial it moves."""
+        src, tgt, _ = self.moves[0]
+        shift = [-x for x in gen_weight_doubled(self.alg, src)]
+        if tgt is not None:
+            shift = [x + y for x, y in zip(shift, gen_weight_doubled(self.alg, tgt))]
+        return tuple(shift)
 
     def __repr__(self):
         return f"Derivation({self.name or 'anon'})"
@@ -645,11 +664,12 @@ def _block_singular(images, ups, dom, kern):
 
 
 def _singular_pass(alg, k, bound, images, ups):
-    """(dim ker Laplacian, singular vectors by weight) in degree k, from one
-    pass over the g0-dominant weight blocks.  The nullity of a dominant block
-    counts once for every weight of its W-orbit: the orbit's size is the
-    number of block weights with that fold, and every fold is itself a block
-    weight, since the weights of a degree are W-stable."""
+    """(dim ker Laplacian, singular vectors by weight, orbit_size) in degree
+    k, from one pass over the g0-dominant weight blocks.  orbit_size maps each
+    dominant weight of the degree to the size of its W-orbit, the number of
+    block weights with that fold; every fold is itself a block weight, since
+    the weights of a degree are W-stable.  The nullity of a dominant block
+    counts once for every weight of its W-orbit."""
     lap = doubled_laplacian(alg)
     blocks = _weight_blocks(alg, k, bound)
     orbit_size = Counter(fold_to_dominant(alg, wt) for wt, _ in blocks)
@@ -663,7 +683,7 @@ def _singular_pass(alg, k, bound, images, ups):
         vecs = _block_singular(images, ups, dom, kern)
         if vecs:
             out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
-    return kdim, out
+    return kdim, out, orbit_size
 
 
 def _check_surjective(alg, k, bound, kdim):
@@ -703,7 +723,7 @@ def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     from one pass over the weight blocks, with kernel_basis's check of the
     kernel dimension."""
     ups, _ = simple_root_operators(alg)
-    kdim, svs = _singular_pass(alg, k, bound, MonomialImages(), ups)
+    kdim, svs, _ = _singular_pass(alg, k, bound, MonomialImages(), ups)
     _check_surjective(alg, k, bound, kdim)
     return kdim, svs
 
@@ -741,24 +761,55 @@ class _SparseSpan:
         return len(self.pivots)
 
 
-def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops) -> int:
-    """Dimension of the span of vector under repeated application of ops
-    (exact: the module is finite dimensional).  Each vector is scaled to
-    ints, which leaves the span unchanged."""
+def _upward_closure(alg, orbit_size):
+    """The weights of the degree reached from its dominant weights (the keys
+    of orbit_size) by adding simple roots one at a time, each step a weight
+    of the degree, i.e. one whose fold is a key of orbit_size."""
+    simples = [a.doubled for a in simple_roots(alg)]
+    found = set(orbit_size)
+    stack = list(found)
+    while stack:
+        wt = stack.pop()
+        for a in simples:
+            up = tuple(x + y for x, y in zip(wt, a))
+            if up not in found and fold_to_dominant(alg, up) in orbit_size:
+                found.add(up)
+                stack.append(up)
+    return found
+
+
+def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops, orbit_size) -> int:
+    """dim U(g)v for a singular vector v of the degree whose dominant weights
+    and W-orbit sizes are orbit_size, with ops the simple lowering operators.
+
+    U(g)v = U(n-)v is a g-submodule, so its weight multiplicities are
+    W-invariant and dim U(g)v = sum over dominant mu of |W mu| dim U(g)v_mu.
+    A lowering path from v down to a dominant mu passes only through weights
+    of `_upward_closure`, so the walk drops every vector at another weight
+    before it reaches the span.  Exact: the module is finite dimensional, v
+    is scaled to ints once, and int derivations keep its images int."""
+    walk = _upward_closure(alg, orbit_size)
+    shifts = [op.weight_shift() for op in ops]
     images = MonomialImages()
     span = _SparseSpan()
     start = _integer_multiple(vector.terms)
     span.add(start)
-    frontier = [start]
+    top = vector.weight()
+    dims = Counter([top])
+    frontier = [(top, start)]
     while frontier:
         new = []
-        for v in frontier:
-            for op in ops:
-                w = _integer_multiple(images.apply(op, v))
+        for wt, v in frontier:
+            for op, shift in zip(ops, shifts):
+                low = tuple(x + y for x, y in zip(wt, shift))
+                if low not in walk:
+                    continue
+                w = images.apply(op, v)
                 if w and span.add(w):
-                    new.append(w)
+                    dims[low] += 1
+                    new.append((low, w))
         frontier = new
-    return span.dim
+    return sum(orbit_size[wt] * d for wt, d in dims.items() if wt in orbit_size)
 
 
 # -- tensoring a degree component with the natural module -------------------------------
@@ -772,12 +823,10 @@ def _tensor_coproduct_image(alg, images, op: Derivation, mono, slot):
     """op on the basis element mono (x) (generator at slot), by the coproduct rule."""
     gs = _layout(alg)[1]
     out = {(t, slot): c for t, c in images.image(op, mono).items()}
-    img = op.image_map().get(slot)
-    if img is not None:
-        sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
-        for t, ic in img.terms.items():
-            islot = next(i for i, e in enumerate(t) if e)
-            _bump(out, (mono, islot), sign * ic)
+    sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
+    for src, tgt, c in op.moves:
+        if src == slot:
+            _bump(out, (mono, tgt), sign * c)
     return out
 
 
@@ -890,7 +939,7 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     sum of the per-weight Laplacian nullities of the singular-vector pass."""
     images = MonomialImages()
     ups, downs = simple_root_operators(alg)
-    kdim, svs = _singular_pass(alg, k, bound, images, ups)
+    kdim, svs, orbit_size = _singular_pass(alg, k, bound, images, ups)
     _check_surjective(alg, k, bound, kdim)
     if kdim == 0:
         return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
@@ -906,7 +955,7 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     top_weight = max(svs, key=lambda w: grlex_key(w.doubled))
     top_dim = 0
     if len(svs[top_weight]) == 1:
-        top_dim = cyclic_span_dim(alg, svs[top_weight][0], downs)
+        top_dim = cyclic_span_dim(alg, svs[top_weight][0], downs, orbit_size)
 
     notes = []
     if total_sing == 1 and top_dim == kdim:

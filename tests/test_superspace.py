@@ -346,7 +346,7 @@ def _reference_apply(op, el):
     gs = _layout(alg)[1]
     total = SuperElement.zero(alg)
     for mono, coef in el.terms.items():
-        for slot, img in op.image_map().items():
+        for slot, img in op.images:
             e = mono[slot]
             if not e:
                 continue
@@ -449,7 +449,7 @@ def _reference_natural_tensor_counts(alg, k):
             images = []
             for mono, s in block:
                 img = {(t, s): c for t, c in _reference_apply(op, one(mono)).terms.items()}
-                gen_img = op.image_map().get(s)
+                gen_img = dict(op.images).get(s)
                 if gen_img is not None:
                     sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
                     for t, c in gen_img.terms.items():
@@ -598,3 +598,135 @@ def test_singular_solve_restores_fractional_kernel_vectors():
         fractional += sum(any(c.denominator > 1 for c in v.values()) for v in expected)
         assert _block_singular(images, [], dom, kern) == expected
     assert fractional
+
+
+def test_report_reads_every_degree_at_its_bound(monkeypatch):
+    # the cyclic span takes its weights from the singular pass: no read of a
+    # degree at the default bound, which a degree past 20000 would refuse
+    bounds = []
+    degree_basis_at = superspace._degree_basis
+
+    def recording(alg, k, bound):
+        bounds.append(bound)
+        return degree_basis_at(alg, k, bound)
+
+    monkeypatch.setattr(superspace, "_degree_basis", recording)
+    rep = irreducibility_report(SPO44, 3, bound=5000)
+    assert rep.classification == "irreducible"
+    assert bounds and set(bounds) == {5000}
+
+
+# -- differential test: the orbit-weighted cyclic span against the whole module --------
+#
+# A frozen copy of the cyclic span that walked every weight of the module and
+# counted every pivot, before the walk kept only the weights above a dominant
+# one and weighted each dominant weight's span by its W-orbit.
+
+from spochar.superspace import MonomialImages, cyclic_span_dim
+
+
+def _whole_module_span_dim(vector, ops):
+    from spochar.superspace import _SparseSpan, _integer_multiple
+
+    images = MonomialImages()
+    span = _SparseSpan()
+    start = _integer_multiple(vector.terms)
+    span.add(start)
+    frontier = [start]
+    while frontier:
+        new = []
+        for v in frontier:
+            for op in ops:
+                w = _integer_multiple(images.apply(op, v))
+                if w and span.add(w):
+                    new.append(w)
+        frontier = new
+    return span.dim
+
+
+# l = 2 kernels whose top vector spans less than the kernel: (top span, kernel)
+SMALLER_SPANS = {
+    **{(Algebra.parse("2|2"), k): (4, 7 if k == 2 else 8) for k in range(2, 7)},
+    (Algebra.parse("4|2"), 3): (16, 26),
+    (Algebra.parse("4|2"), 4): (16, 31),
+    (Algebra.parse("4|2"), 5): (16, 32),
+    (Algebra.parse("6|2"), 4): (64, 99),
+}
+
+SPAN_CASES = DIFFERENTIAL_CASES + [(SPO44, 6), (Algebra.parse("6|6"), 6)] + [
+    case for case in SMALLER_SPANS if case not in DIFFERENTIAL_CASES]
+
+
+@pytest.mark.parametrize("alg,k", SPAN_CASES, ids=lambda x: str(x))
+def test_orbit_weighted_span_matches_whole_module_walk(alg, k):
+    ups, downs = simple_root_operators(alg)
+    _, svs, orbit_size = superspace._singular_pass(alg, k, 20000, MonomialImages(), ups)
+    for vs in svs.values():
+        for v in vs:
+            assert cyclic_span_dim(alg, v, downs, orbit_size) == _whole_module_span_dim(v, downs)
+    if (alg, k) in SMALLER_SPANS:
+        rep = irreducibility_report(alg, k)
+        assert (rep.top_cyclic_dim, rep.kernel_dim) == SMALLER_SPANS[alg, k]
+
+
+# -- exhaustive test: generator moves against the merged images --------------------------
+#
+# A frozen copy of Derivation.monomial_image before the moves: the generator's
+# image multiplied in between the monomial's parts left and right of the
+# source slot, with the Koszul signs of `_merge_monomials`.
+
+
+def _merged_monomial_image(op, mono):
+    from spochar.superspace import _merge_monomials
+
+    gs = _layout(op.alg)[1]
+    out = {}
+    for slot, img in op.images:
+        e = mono[slot]
+        if not e:
+            continue
+        if slot >= gs:
+            mult = -1 if (op.parity and sum(mono[gs:slot]) % 2) else 1
+            left = mono[:slot] + (0,) * (len(mono) - slot)
+        else:
+            mult = e
+            left = mono[:slot] + (e - 1,) + (0,) * (len(mono) - slot - 1)
+        right = (0,) * (slot + 1) + mono[slot + 1:]
+        for t, c in img.terms.items():
+            head, s1 = _merge_monomials(left, t, gs)
+            if head is None:
+                continue
+            full, s2 = _merge_monomials(head, right, gs)
+            if full is not None:
+                out[full] = out.get(full, 0) + mult * s1 * s2 * c
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("algtxt", ["2|2", "2|3", "4|4", "6|3", "4|5"])
+def test_moves_match_merged_images(algtxt):
+    alg = Algebra.parse(algtxt)
+    gs = _layout(alg)[1]
+    pos = positive_roots(alg)
+    ops = [root_operator(alg, root) for r in pos.even + pos.odd for root in (r, -r)]
+    ops += [partial(alg, slot) for slot in range(gen_count(alg))]
+    monos = [t for k in range(5) for t in degree_basis(alg, k)]
+    odd_signs = powers = 0
+    for op in ops:
+        for mono in monos:
+            got = op.monomial_image(mono, None)
+            assert got == _merged_monomial_image(op, mono)
+            assert all(type(c) is int for c in got.values())
+            for src, _, _ in op.moves:
+                odd_signs += bool(mono[src] and src >= gs and op.parity and sum(mono[gs:src]) % 2)
+                powers += mono[src] > 1
+    assert odd_signs and powers
+
+
+def test_non_generator_image_is_refused():
+    from spochar.superspace import Derivation
+
+    x1, x2, xi1 = gens(SPO44, "x1", "x2", "xi1")
+    for img in (x1 * x2, x1 + x2, x1 * xi1, x1 * x1):
+        with pytest.raises(ValueError):
+            Derivation(SPO44, 0, ((0, img),))
+    assert Derivation(SPO44, 0, ((0, -1 * x2),)).moves == ((0, 1, -1),)
