@@ -2,7 +2,7 @@
 parabolics, Levi-module character constructors, and the closed-form virtual
 dimension.
 
-Every Weyl-type quotient here has the form (alternating Weyl sum) / D0, and
+Kac and even-Levi characters have the form (alternating Weyl sum) / D0, and
 D0 is a product of binomials e^{a/2} - e^{-a/2}, one per even positive root
 a.  Each one is a single call of the packed kernel `laurent.weyl_quotient`:
 it sums over the group, clears one binomial per pass over the terms (never
@@ -14,18 +14,24 @@ packed exponents:
   e^{d_i} - e^{-d_i} of D0 and e^{d_i/2} + e^{-d_i/2} of D1 cancel to
   1 / (e^{d_i/2} - e^{-d_i/2}), so the division runs by that binomial and
   the odd root d_i is skipped.
-* Euler: D1 is W-invariant, so the Euler character of a parabolic with
-  Levi module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a})
-  over the odd positive roots a outside the Levi, divided by D0.  The
-  numerator is first folded into the dominant chamber, Racah-Speiser
-  style: a term e^mu becomes det(u) e^{u mu} for the u in W that makes
-  u mu dominant, and a term fixed by a reflection is dropped.  The
-  alternating sum is the same, and the W-sum runs over the few folded
-  terms (spo(8|3), lambda = (3,2,1): 256 -> 35).
 * Even-Levi simple modules: the alternating sum over the Levi's Weyl group
   divided by the binomials of its even positive roots.  That group is a
   filter of W: the rows that fix the orthogonal complement of the Levi's
   span pointwise (`_levi_weyl_group`).
+
+Euler characters never sum over W.  D1 is W-invariant, so the Euler
+character of a parabolic with Levi module M is the alternating sum of
+e^{rho0} ch M prod (1 + e^{-a}) over the odd positive roots a outside the
+Levi, divided by D0.  The numerator is first folded into the dominant
+chamber, Racah-Speiser style: a term e^mu becomes det(u) e^{u mu} for the u
+in W that makes u mu dominant, and a term fixed by a reflection is dropped
+(spo(8|3), lambda = (3,2,1): 256 -> 35 terms).  Every folded term c e^nu is
+strictly dominant, so its quotient is c ch L0(nu - rho0), the character of a
+simple module of g0 = sp(2n) + so(l) (Weyl's character formula).
+`rootdata.g0_character` adds these up on dominant weights, with
+multiplicities from Freudenthal's formula (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 22.3), and expands each dominant weight
+to its W-orbit once.
 
 Divisibility failure is always an internal error, never data.
 """
@@ -44,7 +50,9 @@ from .rootdata import (
     Algebra,
     DimensionGuard,
     Weight,
+    check_weyl_order,
     fits_hook,
+    g0_character,
     is_dominant,
     positive_roots,
     rho,
@@ -376,7 +384,8 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
 
 # The numerator of an Euler character is refused, factor by factor, past
 # this many terms: on Borel parabolics spo(6|7) reaches 70592 terms, spo(8|7)
-# 1155072 (about 9 s and 430 MB), and spo(8|8) more than 1.5 million.
+# 1155072 (with the trivial module 11.8 s and 426 MB max RSS in one process,
+# 6.7 s of it the expansion), and spo(8|8) more than 1.5 million.
 EULER_NUMERATOR_LIMIT = 1_500_000
 
 
@@ -386,13 +395,15 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
 
     The numerator e^{rho0} ch M prod (1 + e^{-a}) is folded term by term
     into the dominant chamber with its sign, and its singular terms dropped
-    (`rootdata.signed_fold`), before the one `weyl_quotient` call: the
-    alternating sum is unchanged, the sum over W runs over fewer terms.
-    Raises DimensionGuard once the expansion passes EULER_NUMERATOR_LIMIT
-    terms.
+    (`rootdata.signed_fold`).  Each folded term c e^nu then contributes
+    c ch L0(nu - rho0), a g0-character computed on dominant weights by
+    Freudenthal's formula and expanded to W-orbits once
+    (`rootdata.g0_character`).  Raises DimensionGuard for a Weyl group
+    above WEYL_ORDER_LIMIT, before the numerator is expanded, and once the
+    expansion passes EULER_NUMERATOR_LIMIT terms.
     """
     alg = p.alg
-    group = weyl_group(alg)  # refuses an oversized W before the numerator is expanded
+    check_weyl_order(alg)
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
     f = ch_m.shifted(rho0(alg).doubled)
@@ -410,10 +421,7 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
         if hit:
             dominant, det = hit
             folded[dominant] = folded.get(dominant, 0) + det * c
-    # dividing by the orthogonal-side roots first keeps the intermediate
-    # quotients smaller here (the Kac orbit sums prefer the given order)
-    halves = [_half(r.doubled) for r in reversed(positive_roots(alg).even)]
-    return weyl_quotient(alg.n, alg.m, folded, group, halves, integral="Euler character")
+    return g0_character(alg, {e: c for e, c in folded.items() if c})
 
 
 # -- virtual dimension ----------------------------------------------------------------

@@ -21,8 +21,10 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
 alternating sum over a group of signed permutations, divided by binomials
 x^h - x^-h one pass per binomial along strings of terms, and multiplied by
 binomials x^h + x^-h, with one pack at the start and one unpack at the end.
-Kac, Euler and even-Levi characters and `rootdata.antisymmetrize` all call
-it.
+Kac and even-Levi characters and `rootdata.antisymmetrize` call it.  Euler
+characters do not: they are signed sums of g0-characters, computed on
+dominant weights by Freudenthal's formula (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 22.3) in `rootdata.g0_character`.
 
 `format_exponent` is the one way to write an exponent vector as a weight:
 plain text for `Weight.format`, the CLI and `repr`, compact root labels,

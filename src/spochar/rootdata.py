@@ -344,6 +344,144 @@ def fold_to_dominant(alg: Algebra, doubled):
     return _chamber_fold(alg, doubled)[0]
 
 
+# -- characters of g0 --------------------------------------------------------------
+
+
+def g0_character(alg: Algebra, numerator) -> LaurentPoly:
+    """sum over {nu: c} of c A(e^nu) / D0, where each nu is a strictly
+    dominant doubled weight (a key of `signed_fold`), A(e^nu) = sum over W
+    of det(g) e^{g(nu)}, and D0 = A(e^rho0).  No sum over W is taken.
+
+    By the Weyl character formula A(e^nu) / D0 is the character of the
+    simple g0-module L0(nu - rho0), g0 = sp(2n) + so(l).  g0, W and
+    dominance split into the d-slots (C_n) and the e-slots (B_m for odd l,
+    D_m for even l), so L0 is the product of one module per side, each
+    given by its multiplicities on dominant weights (`_dominant_character`).
+    The coefficients are added up on dominant weights, and each dominant
+    weight with a nonzero sum is expanded to its W-orbit once, at the end
+    (`_side_orbit`).  The side tables are memoised within the call.
+
+    A nu with nu - rho0 off the integral lattice raises ArithmeticError:
+    its quotient is not a Laurent polynomial or has half-integral exponents.
+    """
+    r0 = rho0(alg).doubled
+    even = [r.doubled for r in positive_roots(alg).even]
+    sides = []  # (slots, positive roots, rho, flips, {highest weight: table})
+    for slots, flips in ((slice(0, alg.n), True), (slice(alg.n, None), alg.odd)):
+        sides.append((slots, tuple(r[slots] for r in even if any(r[slots])), r0[slots], flips, {}))
+    dominant = {}
+    for nu, c in numerator.items():
+        lam = tuple(map(operator.sub, nu, r0))
+        if any(x % 2 for x in lam):
+            raise ArithmeticError(f"{format_exponent(lam, alg.n)} is not an integral weight of g0")
+        tables = []
+        for slots, roots, rho_side, flips, memo in sides:
+            top = lam[slots]
+            if top not in memo:
+                memo[top] = _dominant_character(top, roots, rho_side, flips)
+            tables.append(memo[top])
+        for mu_d, a in tables[0].items():
+            for mu_e, b in tables[1].items():
+                key = mu_d, mu_e
+                dominant[key] = dominant.get(key, 0) + c * a * b
+    live = {key: c for key, c in dominant.items() if c}
+    (_, roots_d, *_), (_, roots_e, *_) = sides
+    orbits_d = {mu_d: _side_orbit(mu_d, roots_d, True) for mu_d, _ in live}
+    orbits_e = {mu_e: _side_orbit(mu_e, roots_e, alg.odd) for _, mu_e in live}
+    out = {}
+    for (mu_d, mu_e), c in live.items():
+        for x in orbits_d[mu_d]:
+            for y in orbits_e[mu_e]:
+                out[x + y] = c
+    return LaurentPoly(alg.n, alg.m, out)
+
+
+def _dominant_character(lam, roots, rho_side, flips):
+    """{mu: multiplicity} over the dominant weights mu of the simple module
+    of dominant highest weight lam, for one side of g0: doubled weights,
+    `roots` its doubled positive roots, `rho_side` its doubled rho, `flips`
+    False for D_m (dominance x_1 >= ... >= x_{m-1} >= |x_m|).
+
+    A side without roots (l = 1, or so(2)) is abelian: {lam: 1}.  Rank 1 is
+    one root string, in closed form.  Otherwise Freudenthal's formula
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    22.3), in exact ints with the Euclidean form, which is W-invariant and
+    so a multiple of the Killing form on each simple factor:
+
+        ((lam+rho, lam+rho) - (mu+rho, mu+rho)) m(mu)
+            = 2 sum over alpha > 0, j >= 1 of m(mu + j alpha) (mu + j alpha, alpha).
+
+    The dominant weights are reached from lam by subtracting positive roots
+    and staying dominant (Stembridge, The partial order of dominant weights,
+    Adv. Math. 136, 1998), and taken in decreasing (mu, rho): each
+    mu + j alpha folds to a dominant weight above mu, already known, and its
+    string ends at the first fold that is not a weight.  A division with a
+    remainder raises ArithmeticError.
+    """
+    if not roots:
+        return {lam: 1}
+    if len(lam) == 1:
+        return {(x,): 1 for x in range(lam[0], -1, -roots[0][0])}
+
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    def shifted_norm(mu):
+        shifted = tuple(map(operator.add, mu, rho_side))
+        return dot(shifted, shifted)
+
+    def fold(w):
+        mags = sorted(map(abs, w), reverse=True)
+        if not flips and mags[-1] and sum(map((0).__gt__, w)) % 2:
+            mags[-1] = -mags[-1]
+        return tuple(mags)
+
+    weights = [lam]
+    seen = {lam}
+    for mu in weights:
+        for a in roots:
+            nu = tuple(map(operator.sub, mu, a))
+            if (nu not in seen and all(map(operator.ge, nu, nu[1:]))
+                    and (nu[-1] >= 0 if flips else nu[-2] >= -nu[-1])):
+                seen.add(nu)
+                weights.append(nu)
+    weights.sort(key=lambda mu: dot(mu, rho_side), reverse=True)
+    top = shifted_norm(lam)
+    mult = {lam: 1}
+    for mu in weights[1:]:
+        total = 0
+        for a in roots:
+            nu = tuple(map(operator.add, mu, a))
+            while c := mult.get(fold(nu)):
+                total += c * dot(nu, a)
+                nu = tuple(map(operator.add, nu, a))
+        den = top - shifted_norm(mu)
+        m, rest = divmod(2 * total, den)
+        if rest or m <= 0:
+            raise ArithmeticError(f"Freudenthal's formula gives {2 * total} / {den} at {mu}")
+        mult[mu] = m
+    return mult
+
+
+def _side_orbit(mu, roots, flips):
+    """The distinct images of a dominant doubled weight of one side of g0
+    under that side's Weyl group: signed permutations of its entries, with
+    evenly many sign changes on D_m (flips False), so that a D_m orbit
+    without a 0 entry keeps the sign parity of mu, whose last entry may be
+    negative.  A side without roots has the trivial group."""
+    if not roots:
+        return (mu,)
+    if len(mu) == 1:
+        return ((mu[0],), (-mu[0],)) if mu[0] else (mu,)
+    images = {()}
+    for x in map(abs, mu):  # insert each entry, with either sign, at every place
+        images = {w[:i] + (y,) + w[i:] for w in images for i in range(len(w) + 1) for y in (x, -x)}
+    if flips or 0 in mu:
+        return tuple(images)
+    parity = mu[-1] < 0
+    return tuple(w for w in images if sum(map((0).__gt__, w)) % 2 == parity)
+
+
 def is_dominant(w: Weight) -> bool:
     """Highest weight of a finite-dimensional simple module?
 
@@ -438,6 +576,14 @@ def weyl_order(alg: Algebra) -> int:
     return math.factorial(alg.n) * 2**alg.n * so
 
 
+def check_weyl_order(alg: Algebra) -> None:
+    """Raise DimensionGuard when |W|, by its closed form, is above
+    WEYL_ORDER_LIMIT, so that no work sized by W starts."""
+    order = weyl_order(alg)
+    if order > WEYL_ORDER_LIMIT:
+        raise DimensionGuard(f"|W| = {order} for {alg} exceeds the limit {WEYL_ORDER_LIMIT}")
+
+
 @lru_cache(maxsize=64)
 def weyl_group(alg: Algebra):
     """W as rows (perm, signs, det) over the n+m slots, acting by
@@ -451,10 +597,8 @@ def weyl_group(alg: Algebra):
     Rows run lexicographically over (d-permutation, d-signs, e-permutation,
     e-signs), signs (+1, -1) per slot, so every W-sum adds its terms in one
     fixed order.  Raises DimensionGuard, before enumerating, above
-    WEYL_ORDER_LIMIT."""
-    order = weyl_order(alg)
-    if order > WEYL_ORDER_LIMIT:
-        raise DimensionGuard(f"|W| = {order} for {alg} exceeds the limit {WEYL_ORDER_LIMIT}")
+    WEYL_ORDER_LIMIT (`check_weyl_order`)."""
+    check_weyl_order(alg)
     n, m = alg.n, alg.m
     out = []
     for sp_perm in itertools.permutations(range(n)):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from spochar import charformulas, rootdata
+from spochar.acceptance import _delta_chain_parabolic
 from spochar.charformulas import (
     LeviCharacter,
     LeviMismatch,
@@ -21,7 +23,7 @@ from spochar.charformulas import (
     parabolic_removing,
     vdim_formula,
 )
-from spochar.jacobitrudi import sym_power_char
+from spochar.jacobitrudi import jt_character, sym_power_char
 from spochar.laurent import (
     LaurentPoly,
     NotDivisible,
@@ -36,6 +38,7 @@ from spochar.rootdata import (
     is_dominant,
     positive_roots,
     rho,
+    g0_character,
     partitions_up_to,
     rho0,
     signed_fold,
@@ -415,10 +418,17 @@ def _digest(ch):
     return hashlib.sha256(repr(ch.sorted_terms()).encode()).hexdigest()[:16]
 
 
-def _euler_grid():
+EULER_GRID = ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1"]
+
+# l = 1, 2, 3 and 4 at a second d-rank: B_m and D_m sides of rank 0-2, and C_n
+# sides of rank 2 and 3
+EULER_WIDE_GRID = ["4|2", "4|4", "6|1", "6|2", "6|3"]
+
+
+def _euler_grid(algebras=EULER_GRID):
     """(algebra, removed mask, module tag, parabolic, module) over every
-    parabolic of six small algebras and every Levi module that fits."""
-    for text in ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1"]:
+    parabolic of the given algebras and every Levi module that fits."""
+    for text in algebras:
         alg = Algebra.parse(text)
         for removed in itertools.product((False, True), repeat=alg.rank):
             p = Parabolic(alg, frozenset(i for i, r in enumerate(removed) if r))
@@ -441,13 +451,15 @@ def test_euler_matches_recorded_table_on_parabolic_grid():
     assert got == EULER_RECORDED
 
 
-# -- the folded Euler numerator against the unfolded one ------------------------------
+# -- Euler characters against the unfolded W-sum ------------------------------------
 
 
 def _euler_unfolded(p, module):
     """Frozen copy of euler_character before its numerator was folded into
-    the dominant chamber: every term of e^{rho0} ch M prod (1 + e^{-a}) is
-    summed over all of W.  The reference of the tests below; do not fold."""
+    the dominant chamber and its quotient taken by g0-characters: every term
+    of e^{rho0} ch M prod (1 + e^{-a}) is summed over all of W and divided
+    by D0.  The reference of the tests below; do not fold, and do not
+    replace the W-sum."""
     alg = p.alg
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
@@ -469,11 +481,13 @@ def _fold_terms(alg, terms):
 
 
 def test_folded_euler_matches_unfolded_on_parabolic_grid():
+    # the signed sums of g0-characters against the W-sum they replaced, on
+    # every parabolic of eleven algebras
     count = 0
-    for text, mask, tag, p, module in _euler_grid():
+    for text, mask, tag, p, module in _euler_grid(EULER_GRID + EULER_WIDE_GRID):
         assert euler_character(p, module) == _euler_unfolded(p, module), (text, mask, tag)
         count += 1
-    assert count == 120
+    assert count == 344
 
 
 @pytest.mark.parametrize("algtxt", ["6|3", "8|3"])
@@ -487,6 +501,70 @@ def test_folded_euler_matches_unfolded_on_the_delta_chain(algtxt):
         w = Weight.from_coeffs(alg, list(lam) + [0] * (alg.n - len(lam)))
         module = levi_character(p, "one_dimensional", w)
         assert euler_character(p, module) == _euler_unfolded(p, module), lam
+
+
+def test_euler_equals_jacobi_trudi_on_the_spo_10_3_delta_chain():
+    # an oracle independent of both Euler paths: the paper's identity for
+    # spo(2n|3), at a rank whose W-sum (|W| = 7680) took seconds per weight
+    alg = Algebra.parse("10|3")
+    p = _delta_chain_parabolic(alg)
+    lams = [lam for lam in partitions_up_to(6, 4) if lam]
+    assert len(lams) == 26
+    for lam in lams:
+        w = Weight.from_coeffs(alg, list(lam) + [0] * (alg.n - len(lam)))
+        assert euler_character(p, levi_character(p, "one_dimensional", w)) == jt_character(lam, alg), lam
+
+
+@pytest.mark.parametrize("algtxt", ["8|1", "4|2", "6|3", "4|6", "4|7", "2|8"])
+def test_g0_character_matches_the_weyl_sum(algtxt):
+    # sums of A(e^nu) / D0 on random strictly dominant nu, against the
+    # kernel's W-sum: C_4, B_3 and D_4 sides, D_m last entries of both signs
+    alg = Algebra.parse(algtxt)
+    r0 = rho0(alg).doubled
+    halves = [tuple(x // 2 for x in r.doubled) for r in positive_roots(alg).even]
+    rng = random.Random(algtxt)
+    negative_last = 0
+    for _ in range(8):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            d = sorted((2 * rng.randint(0, 2) for _ in range(alg.n)), reverse=True)
+            e = sorted((2 * rng.randint(0, 3) for _ in range(alg.m)), reverse=True)
+            if e and not alg.odd and rng.random() < 0.5:
+                e[-1] = -e[-1]
+                negative_last += e[-1] < 0
+            nu = tuple(x + y for x, y in zip(d + e, r0))
+            terms[nu] = terms.get(nu, 0) + rng.choice((-2, -1, 1, 3))
+        terms = {nu: c for nu, c in terms.items() if c}
+        want = weyl_quotient(alg.n, alg.m, terms, weyl_group(alg), halves)
+        assert g0_character(alg, terms) == want, terms
+    assert negative_last or alg.odd or alg.m < 2
+    with pytest.raises(ArithmeticError):
+        g0_character(alg, {tuple(x + (i == 0) for i, x in enumerate(r0)): 1})
+
+
+def test_euler_character_runs_no_weyl_sum(monkeypatch):
+    # references first: the frozen W-sum on spo(4|2) and the recorded table
+    # on spo(2|2), both l = 2 (a D_1 side without roots)
+    cases = [(p, module, _euler_unfolded(p, module)) for _, _, _, p, module in _euler_grid(["4|2"])]
+    recorded = [row for row in EULER_RECORDED if row[0] == "2|2"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("euler_character enumerated W")
+
+    for module, name in [(charformulas, "weyl_quotient"), (charformulas, "weyl_group"),
+                         (rootdata, "weyl_quotient"), (rootdata, "weyl_group")]:
+        monkeypatch.setattr(module, name, refuse)
+    alg = Algebra.parse("6|3")
+    p = _delta_chain_parabolic(alg)
+    for lam in [(1,), (2, 1), (3, 2)]:
+        w = Weight.from_coeffs(alg, list(lam) + [0] * (alg.n - len(lam)))
+        assert euler_character(p, levi_character(p, "one_dimensional", w)) == jt_character(lam, alg), lam
+    assert all(euler_character(p, module) == want for p, module, want in cases) and len(cases) == 28
+    got = []
+    for text, mask, tag, p, module in _euler_grid(["2|2"]):
+        ch = euler_character(p, module)
+        got.append((text, mask, tag, len(ch), ch.evaluate_at_one(), _digest(ch)))
+    assert got == recorded
 
 
 @pytest.mark.parametrize("algtxt", ["2|2", "2|4", "4|4", "6|6", "4|3"])
