@@ -14,8 +14,8 @@ asserted in corrected form and reported, see the details of criterion 8.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .blocksdecomp import (
     SPO23,
@@ -64,12 +64,11 @@ from .superspace import (
 )
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool
-    details: list = field(default_factory=list)
+    details: list
 
 
 def _w23(a, b):

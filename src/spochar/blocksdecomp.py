@@ -14,8 +14,8 @@ a Kac-character bug and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .charformulas import Parabolic, euler_character, hook_schur_character, kac_character, parabolic_removing
 from .laurent import LaurentPoly, grlex_key
@@ -44,8 +44,7 @@ def is_typical(alg: Algebra, lam: Weight) -> bool:
     return all(lr.pair(a) != 0 for a in positive_roots(alg).isotropic)
 
 
-@dataclass(frozen=True)
-class BlockQuery:
+class BlockQuery(NamedTuple):
     lam: Weight
     mu: Weight
     max_depth: int = -1  # -1: default min(n,m)+1
@@ -54,8 +53,7 @@ class BlockQuery:
         return self.max_depth if self.max_depth >= 0 else min(alg.n, alg.m) + 1
 
 
-@dataclass
-class LinkageResult:
+class LinkageResult(NamedTuple):
     linked: bool
     inconclusive_at_depth: int | None = None
 
@@ -144,8 +142,7 @@ def irr_char(alg: Algebra, lam: Weight) -> LaurentPoly:
 # -- decomposition into bases ----------------------------------------------------------
 
 
-@dataclass
-class VirtualDecomposition:
+class VirtualDecomposition(NamedTuple):
     """Signed multiplicities of basis characters plus the unexplained rest.
 
     Reconstruction contract: sum of mult * basis_char + remainder equals the
@@ -153,8 +150,8 @@ class VirtualDecomposition:
     """
 
     basis: str
-    factors: dict = field(default_factory=dict)  # Weight -> int
-    remainder: LaurentPoly = None
+    factors: dict  # Weight -> int
+    remainder: LaurentPoly
 
     def is_clean(self):
         return self.remainder is None or self.remainder.is_zero()
@@ -188,7 +185,7 @@ def decompose(alg: Algebra, chi: LaurentPoly, basis: str = "irr") -> VirtualDeco
     Otherwise peeling stops and the rest is returned as a remainder: the
     caller decides whether that is an error.
     """
-    out = VirtualDecomposition(basis=basis)
+    factors = {}
     current = chi
     while not current.is_zero():
         exps, coef = current.leading_term()
@@ -201,10 +198,9 @@ def decompose(alg: Algebra, chi: LaurentPoly, basis: str = "irr") -> VirtualDeco
         bexps, bcoef = bchar.leading_term()
         if bexps != exps or bcoef != 1:
             break  # basis char's top is elsewhere (atypical Kac cancellation)
-        out.factors[w] = out.factors.get(w, 0) + coef
+        factors[w] = factors.get(w, 0) + coef
         current = current - coef * bchar
-    out.remainder = current
-    return out
+    return VirtualDecomposition(basis, factors, current)
 
 
 def reconstruct(alg: Algebra, dec: VirtualDecomposition) -> LaurentPoly:
@@ -255,14 +251,13 @@ def euler_of_hook(alg: Algebra, partition) -> LaurentPoly:
     return euler_character(p, hook_schur_character(p, lam))
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     bound: int
     pattern_min_ell: int
-    entries: list = field(default_factory=list)  # per-partition dicts
-    independent: bool = False
-    rank: int = 0
-    count: int = 0
+    entries: list  # per-partition dicts
+    independent: bool
+    rank: int
+    count: int
 
     def all_patterns_match(self):
         return all(e["pattern_match"] for e in self.entries if e["pattern_checked"])
@@ -287,7 +282,7 @@ def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_e
         partitions = [validate_partition(partition)]
     else:
         partitions = [lam for lam in partitions_up_to(bound) if fits_hook(lam, alg.n, alg.m)]
-    report = ConjectureReport(bound=bound, pattern_min_ell=pattern_min_ell)
+    entries = []
     coord_rows = []
     coord_index = {}
     for lam in partitions:
@@ -314,7 +309,7 @@ def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_e
             "pattern_checked": checked,
             "pattern_match": (dec.factors == expected) if checked else None,
         }
-        report.entries.append(entry)
+        entries.append(entry)
         for w in dec.factors:
             coord_index.setdefault(w, len(coord_index))
         coord_rows.append(dict(dec.factors))
@@ -325,10 +320,8 @@ def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_e
         for w, c in row.items():
             vec[coord_index[w]] = c
         matrix.append(vec)
-    report.count = len(matrix)
-    report.rank = matrix_rank(matrix) if matrix else 0
-    report.independent = report.rank == report.count
-    return report
+    rank = matrix_rank(matrix) if matrix else 0
+    return ConjectureReport(bound, pattern_min_ell, entries, rank == len(matrix), rank, len(matrix))
 
 
 def block_consistency(alg: Algebra, dec: VirtualDecomposition, max_depth: int = -1):

@@ -39,9 +39,9 @@ Divisibility failure is always an internal error, never data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, format_exponent, weyl_quotient
 from .laurent import exact_div  # noqa: F401  (perfbench's tracer re-binds charformulas.exact_div)
@@ -147,18 +147,25 @@ def root_support(alg: Algebra, w: Weight):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class Parabolic:
     """Parabolic fixed by the set of standard simple roots REMOVED from the
     diagram; the Levi keeps exactly the roots supported on the rest."""
 
-    alg: Algebra
-    removed: frozenset
+    __slots__ = ("alg", "removed")
 
-    def __post_init__(self):
-        k = self.alg.rank
-        if any(not 0 <= i < k for i in self.removed):
+    def __init__(self, alg: Algebra, removed: frozenset):
+        if any(not 0 <= i < alg.rank for i in removed):
             raise ValueError("removed indices out of range")
+        self.alg, self.removed = alg, removed
+
+    def __eq__(self, other):
+        return isinstance(other, Parabolic) and (self.alg, self.removed) == (other.alg, other.removed)
+
+    def __hash__(self):
+        return hash((self.alg, self.removed))
+
+    def __repr__(self):
+        return f"Parabolic(alg={self.alg!r}, removed={self.removed!r})"
 
     @property
     def retained(self):
@@ -211,8 +218,7 @@ def parabolic_removing(alg: Algebra, labels) -> Parabolic:
 # -- Levi modules -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeviCharacter:
+class LeviCharacter(NamedTuple):
     """Character of a finite-dimensional Levi module, plus a descriptive tag."""
 
     character: LaurentPoly

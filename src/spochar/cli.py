@@ -5,7 +5,9 @@ golden-table reproduction, with a content-addressed result cache.
 Exit codes: 0 success, 2 argument/validation error or a request above its
 size bound, 3 mathematical assertion failure (exact-division or
 consistency violations).  `batch` writes each line's code beside that
-line's output and exits with the largest.
+line's output and exits with the largest; a line's --help or --version
+text goes in its own slot.  One argument parser serves every call and
+every batch line of a process.
 """
 
 from __future__ import annotations
@@ -382,19 +384,23 @@ def cmd_reproduce(args):
     return out
 
 
-def _batch_args(line):
-    """Parse one batch line as a command line; argparse's exit becomes a
-    ValueError, i.e. exit code 2 for that line."""
-    err = io.StringIO()
+def _batch_line(line):
+    """(0, output) of one batch line, run as a single command would run.
+    argparse's own exit is the line's: with code 0 (--help, --version) its
+    printed text is the output, any other code becomes a ValueError, i.e.
+    exit code 2 for that line."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = _build_parser().parse_args(shlex.split(line))
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:
+            return 0, out.getvalue()
         lines = err.getvalue().splitlines()
         raise ValueError(lines[-1] if lines else "invalid arguments") from None
     if args.command == "batch":
         raise ValueError("a batch line cannot run batch")
-    return args
+    return 0, _cached_run(args)
 
 
 def cmd_batch(args):
@@ -405,7 +411,7 @@ def cmd_batch(args):
         commands = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     worst, slots = 0, []
     for cmd in commands:
-        code, out, err = _outcome(lambda: (0, _cached_run(_batch_args(cmd))))
+        code, out, err = _outcome(lambda: _batch_line(cmd))
         worst = max(worst, code)
         slots.append(f"$ {cmd}\n{out}" + (f"[exit {code}] {err}\n" if code else ""))
     return worst, "".join(slots)
@@ -469,6 +475,8 @@ def _add_common(sp, algebra=True):
     sp.add_argument("--no-cache", action="store_true")
 
 
+# Built on first use, once per process; cmd_* look up kac_character etc. at call time, so patches still apply.
+@lru_cache(maxsize=1)
 def _build_parser():
     ap = argparse.ArgumentParser(prog="spochar", description=__doc__)
     ap.add_argument("--version", action="version", version=f"spochar {__version__}")
@@ -566,7 +574,7 @@ def _outcome(run):
         return (*run(), "")
     except (NotDivisible, ArithmeticError, MathFailure) as exc:
         return 3, "", f"mathematical assertion failed: {exc}"
-    except (ValueError, KeyError, FileNotFoundError, DimensionGuard) as exc:
+    except (ValueError, KeyError, OSError, DimensionGuard) as exc:
         return 2, "", f"error: {exc}"
 
 

@@ -150,6 +150,8 @@ def identity_suite(n: int, truncation: int = 10) -> dict:
     """
     if n < 1 or n > 3:
         raise ValueError("identity suite is a desk-scale check: 1 <= n <= 3")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, not {truncation}")
     report = {}
     report["cauchy_determinant_product"] = _cauchy_determinant_product(n)
     report["symplectic_column_factorization"] = _symplectic_column_factorization(n)

@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -32,19 +31,26 @@ class DimensionGuard(RuntimeError):
     is allocated."""
 
 
-@dataclass(frozen=True)
 class Algebra:
     """spo(2n|l) descriptor with l = 2m+1 when odd else 2m."""
 
-    n: int
-    m: int
-    odd: bool
+    __slots__ = ("n", "m", "odd")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, m: int, odd: bool):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("m must be >= 0")
+        self.n, self.m, self.odd = n, m, odd
+
+    def __eq__(self, other):
+        return isinstance(other, Algebra) and (self.n, self.m, self.odd) == (other.n, other.m, other.odd)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.odd))
+
+    def __repr__(self):
+        return f"Algebra(n={self.n}, m={self.m}, odd={self.odd})"
 
     @property
     def ell(self):
@@ -548,9 +554,14 @@ def weight_to_partition(w: Weight):
 
 
 def validate_partition(parts):
-    lam = tuple(int(x) for x in parts if int(x) != 0)
-    if any(x < 0 for x in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"{parts} is not a partition")
+    """The parts as a tuple without trailing zeros; any other zero, a
+    negative part or an increase is refused."""
+    given = tuple(int(x) for x in parts)
+    lam = given
+    while lam and lam[-1] == 0:
+        lam = lam[:-1]
+    if any(x <= 0 for x in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"{','.join(map(str, given))} is not a partition")
     return lam
 
 

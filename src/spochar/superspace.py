@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, grlex_key
 from .linalg import nullspace
@@ -305,7 +305,6 @@ class LinearOperator:
         return self.apply(el)
 
 
-@dataclass(frozen=True)
 class Derivation(LinearOperator):
     """Superderivation given by generator images, extended by the graded
     Leibniz rule.  Every image is a multiple of 1 or of one generator (the
@@ -318,19 +317,17 @@ class Derivation(LinearOperator):
     is 0 when its bit is already set, else multiplies by -1 per Grassmann bit
     strictly between source and target."""
 
-    alg: Algebra
-    parity: int
-    images: tuple  # tuple of (slot, SuperElement)
-    name: str = ""
-    moves: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, alg: Algebra, parity: int, images: tuple, name: str = ""):
         moves = []
-        for slot, img in self.images:
+        for slot, img in images:
             if len(img.terms) > 1 or any(sum(t) > 1 for t in img.terms):
                 raise ValueError(f"image of slot {slot} is not a multiple of one generator or of 1")
             moves += [(slot, t.index(1) if sum(t) else None, _exact(c)) for t, c in img.terms.items()]
-        object.__setattr__(self, "moves", tuple(moves))
+        self.alg = alg
+        self.parity = parity
+        self.images = images  # tuple of (slot, SuperElement)
+        self.name = name
+        self.moves = tuple(moves)
 
     def monomial_image(self, mono, images):
         gs = _layout(self.alg)[1]
@@ -368,12 +365,12 @@ class Derivation(LinearOperator):
         return f"Derivation({self.name or 'anon'})"
 
 
-@dataclass(frozen=True)
 class OperatorSum(LinearOperator):
     """Sum of scaled compositions (applied right to left)."""
 
-    parts: tuple  # tuple of (coefficient, tuple-of-operators)
-    name: str = ""
+    def __init__(self, parts: tuple, name: str = ""):
+        self.parts = parts  # tuple of (coefficient, tuple-of-operators)
+        self.name = name
 
     def monomial_image(self, mono, images):
         # The inner images are not memoised: within one computation a chain
@@ -921,8 +918,7 @@ def kernel_tensor_natural_report(alg: Algebra, k: int, natural_multiplicity: int
     }
 
 
-@dataclass
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     alg: Algebra
     degree: int
     kernel_dim: int
@@ -930,7 +926,7 @@ class IrreducibilityReport:
     has_trivial_submodule: bool
     top_cyclic_dim: int
     classification: str
-    notes: list = field(default_factory=list)
+    notes: list
 
 
 def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> IrreducibilityReport:

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -281,3 +283,138 @@ def test_cached_bytes_equal_fresh_bytes(capsys, tmp_path, argv):
     fresh = run(capsys, *argv, "--no-cache")
     assert hit == miss == fresh
     assert len(_cache_files(tmp_path)) == 1
+
+
+def _slot_codes(out):
+    """Exit code of each slot of a batch's output, in order."""
+    codes = []
+    for slot in re.split(r"^\$ ", out, flags=re.M)[1:]:
+        hit = re.search(r"^\[exit (\d+)\] ", slot, flags=re.M)
+        codes.append(int(hit.group(1)) if hit else 0)
+    return codes
+
+
+def test_batch_line_help_goes_to_its_own_slot(capsys, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text(
+        "dim --algebra 2|3 --irr 1d1 --no-cache\n"
+        "kac --help\n"
+        "dim --algebra 2|3 --irr 2d1+1e1 --no-cache\n"
+    )
+    out = run(capsys, "batch", "--file", str(script))
+    assert out.startswith("$ ")
+    slots = out.split("$ ")[1:]
+    assert len(slots) == 3
+    assert slots[1].startswith("kac --help\nusage: spochar kac ")
+    assert "--weight WEIGHT" in slots[1] and "[exit" not in out
+    assert slots[0].rstrip().endswith("= 5") and slots[2].rstrip().endswith("= 30")
+    script.write_text("--version\n")
+    assert run(capsys, "batch", "--file", str(script)) == f"$ --version\nspochar {cli.__version__}\n"
+
+
+def test_identities_negative_truncation_exits_2(capsys):
+    assert cli.main(["identities", "--n", "2", "--truncation", "-5", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: truncation must be >= 0, not -5\n"
+
+
+def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    assert cli.main(["kac", "--algebra", "2|3", "--weight", "1d1", "--cache-dir", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+
+
+@pytest.mark.parametrize("text, expect", [
+    ("1,2", "error: 1,2 is not a partition\n"),
+    ("2,0,1", "error: 2,0,1 is not a partition\n"),
+    ("0,1", "error: 0,1 is not a partition\n"),
+])
+def test_jt_refuses_a_non_partition_by_its_parts(capsys, text, expect):
+    assert cli.main(["jt", "--algebra", "2|3", "--partition", text, "--no-cache"]) == 2
+    assert capsys.readouterr().err == expect
+
+
+def test_jt_zero_empty_and_trailing_zero_partitions(capsys):
+    empty = run(capsys, "jt", "--algebra", "2|3", "--partition", "", "--no-cache")
+    assert empty.startswith("D[]: vdim = 1")
+    assert run(capsys, "jt", "--algebra", "2|3", "--partition", "0", "--no-cache") == empty
+    assert run(capsys, "jt", "--algebra", "2|3", "--partition", "3,1,0", "--no-cache") == \
+        run(capsys, "jt", "--algebra", "2|3", "--partition", "3,1", "--no-cache")
+
+
+def test_import_builds_no_parser_and_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis: about 0.9 MB in every process
+    code = ("import sys, spochar.cli as c, spochar.acceptance; "
+            "print(c._build_parser.cache_info().currsize, 'dataclasses' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout == "0 False\n"
+
+
+def test_one_parser_serves_every_call_and_batch_line(capsys, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text("dim --algebra 2|3 --irr 1d1\njt --algebra 2|3 --partition 2\nkac --algebra 2|3 --weight 1d1\n")
+    cli._build_parser.cache_clear()
+    run(capsys, "dim", "--algebra", "2|3", "--irr", "1d1", cache=tmp_path)
+    run(capsys, "jt", "--algebra", "2|3", "--partition", "2,1", cache=tmp_path)
+    run(capsys, "kac", "--algebra", "2|3", "--weight", "2d1", cache=tmp_path)
+    run(capsys, "batch", "--file", str(script))
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_reused_parser_carries_no_state(capsys, tmp_path, monkeypatch):
+    paper = run(capsys, "dim", "--algebra", "2|3", "--kac", "1d1", "--closed-form",
+                "--vdim-denominator", "paper", "--no-cache")
+    assert paper.strip().endswith("= 2")
+    plain = run(capsys, "dim", "--algebra", "2|3", "--kac", "1d1", "--no-cache")
+    assert plain.strip().endswith("= 4")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kac", "--algebra", "2|3", "--bogus"])
+    assert exc.value.code == 2
+    run(capsys, "kac", "--algebra", "2|3", "--weight", "1d1", "--no-cache")
+    assert cli._build_parser.cache_info().currsize == 1
+
+    def boom(*a, **k):
+        raise NotDivisible("forced")
+
+    monkeypatch.setattr(cli, "kac_character", boom)  # after the parser exists
+    assert cli.main(["kac", "--algebra", "2|3", "--weight", "1d1", "--no-cache"]) == 3
+
+
+# Each line with the exit code it has as a single command; as a batch line
+# it must get the same code in its slot.
+SAME_CODE_LINES = [
+    ("dim --algebra 2|3 --irr 1d1", 0),
+    ("kac --algebra 2|3 --weight 1x1", 2),
+    ("kac --algebra 2|3 --weight 1d1 --bogus", 2),
+    ("kac --help", 0),
+    ("--version", 0),
+    ("identities --n 2 --truncation -5", 2),
+    ("jt --algebra 2|3 --partition 1,2", 2),
+    ("kac --algebra 10|10 --weight 1d1", 2),
+    ("euler --algebra 2|3 --parabolic remove=e1 --levi-module natural", 3),
+]
+
+
+def test_batch_line_code_equals_the_single_command_code(capsys, tmp_path, monkeypatch):
+    def boom(*a, **k):
+        raise NotDivisible("forced")
+
+    monkeypatch.setattr(cli, "euler_character", boom)
+    single = []
+    for line, want in SAME_CODE_LINES:
+        try:
+            code = cli.main(line.split() + ["--no-cache"])
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code == want, line
+        single.append(code)
+    script = tmp_path / "cmds.txt"
+    script.write_text("".join(f"{line} --no-cache\n" for line, _ in SAME_CODE_LINES))
+    out = run(capsys, "batch", "--file", str(script), expect=3)
+    assert _slot_codes(out) == single

@@ -111,3 +111,6 @@ def test_identity_suite():
         assert all(report.values()), report
     with pytest.raises(ValueError):
         identity_suite(5)
+    assert identity_suite(1, truncation=0)["half_power_geometric_series"]
+    with pytest.raises(ValueError, match="truncation"):
+        identity_suite(2, truncation=-5)

@@ -22,6 +22,7 @@ from spochar.rootdata import (
     sharp,
     signed_fold,
     simple_roots,
+    validate_partition,
     weight_to_partition,
     weyl_act,
     weyl_group,
@@ -122,6 +123,17 @@ def test_sharp_bijection_partitions_up_to_8(algtxt):
         assert w not in seen, f"sharp collision {lam} vs {seen[w]}"
         seen[w] = lam
         assert weight_to_partition(w) == lam
+
+
+def test_validate_partition_drops_only_trailing_zeros():
+    assert validate_partition((3, 1, 0)) == (3, 1)
+    assert validate_partition((0,)) == ()
+    assert validate_partition(()) == ()
+    assert validate_partition(x for x in (2, 2, 1)) == (2, 2, 1)
+    for parts in ((2, 0, 1), (0, 1), (1, 2), (2, -1)):
+        with pytest.raises(ValueError) as exc:
+            validate_partition(iter(parts))  # a generator is named by its parts
+        assert str(exc.value) == f"{','.join(map(str, parts))} is not a partition"
 
 
 def test_conjugate_partition():
