@@ -22,6 +22,7 @@ from .laurent import LaurentPoly, grlex_key
 from .linalg import rank as matrix_rank
 from .rootdata import (
     Algebra,
+    DimensionGuard,
     Weight,
     all_isotropic_roots,
     fits_hook,
@@ -222,8 +223,18 @@ def tensor_with_natural(a: int, b: int) -> VirtualDecomposition:
     return dec
 
 
+# The largest accepted tensor table (amax = bmax = 24) and conjecture check
+# (bound 27) each take about 5 s on a 2-core host, where amax = bmax = 30
+# takes 9 s and bound 35 takes 13 s.
+TENSOR_TABLE_LIMIT = 24
+CONJECTURE_BOUND_LIMIT = 27
+
+
 def tensor_table(amax: int, bmax: int) -> dict:
-    """decompose(L(a|b) * natural) for every dominant (a|b) in range."""
+    """decompose(L(a|b) * natural) for every dominant (a|b) in range.
+    Raises DimensionGuard when amax or bmax is above TENSOR_TABLE_LIMIT."""
+    if max(amax, bmax) > TENSOR_TABLE_LIMIT:
+        raise DimensionGuard(f"tensor table to a = {amax}, b = {bmax} exceeds the limit {TENSOR_TABLE_LIMIT}")
     out = {}
     for a in range(amax + 1):
         for b in range(bmax + 1):
@@ -275,12 +286,15 @@ def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_e
     factor pattern of gl(1|1)).  Weights closer to zero are reported but not
     required to match.  Linear independence is certified by the rank of the
     matrix of irreducible-basis coordinates, which is basis independent.
+    Raises DimensionGuard for a bound above CONJECTURE_BOUND_LIMIT.
     """
     if alg != SPO23:
         raise ValueError("the desk-scale conjecture check is implemented for spo(2|3)")
     if partition is not None:
         partitions = [validate_partition(partition)]
     else:
+        if bound > CONJECTURE_BOUND_LIMIT:
+            raise DimensionGuard(f"conjecture check to bound {bound} exceeds the limit {CONJECTURE_BOUND_LIMIT}")
         partitions = [lam for lam in partitions_up_to(bound) if fits_hook(lam, alg.n, alg.m)]
     entries = []
     coord_rows = []

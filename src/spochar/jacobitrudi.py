@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .linalg import det_bareiss_laurent
-from .rootdata import Algebra, HookConditionError, conjugate_partition, fits_hook, validate_partition
+from .rootdata import Algebra, DimensionGuard, HookConditionError, conjugate_partition, fits_hook, validate_partition
 from .series import (
     series_one,
     super_elementary_series,
@@ -142,16 +142,24 @@ def _gmono(nvars, i, power=1, coef=1):
     return LaurentPoly.monomial(nvars, 0, _gvar(nvars, i, power), coef)
 
 
+# The series check at truncation 1600 takes about 5 s on a 2-core host, and
+# its cost grows about as the square of the truncation.
+IDENTITY_TRUNCATION_LIMIT = 1600
+
+
 def identity_suite(n: int, truncation: int = 10) -> dict:
     """Verify, as exact Laurent-polynomial identities in formal variables,
     the four determinant/series identities behind the symmetric-power versus
     exterior-power equality of the Jacobi-Trudi characters.  Returns a dict
-    of booleans keyed by identity name.
+    of booleans keyed by identity name.  Raises DimensionGuard for a
+    truncation above IDENTITY_TRUNCATION_LIMIT.
     """
     if n < 1 or n > 3:
         raise ValueError("identity suite is a desk-scale check: 1 <= n <= 3")
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, not {truncation}")
+    if truncation > IDENTITY_TRUNCATION_LIMIT:
+        raise DimensionGuard(f"truncation {truncation} exceeds the limit {IDENTITY_TRUNCATION_LIMIT}")
     report = {}
     report["cauchy_determinant_product"] = _cauchy_determinant_product(n)
     report["symplectic_column_factorization"] = _symplectic_column_factorization(n)

@@ -330,9 +330,10 @@ class LaurentPoly:
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Exact quotient p / q; raises NotDivisible when no exact quotient exists.
 
-    A one-term divisor c x^h is a shift by -h and an exact division of each
-    coefficient by c; a coefficient that c does not divide fails with the
-    message the long division below would give, naming the first such
+    A divisor equal to the monomial 1 returns p itself, not a copy.  Any
+    other one-term divisor c x^h is a shift by -h and an exact division of
+    each coefficient by c; a coefficient that c does not divide fails with
+    the message the long division below would give, naming the first such
     coefficient in descending graded-lex order.
 
     Otherwise both operands are shifted by their minimal exponents into the ordinary
@@ -356,6 +357,8 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero(p.n, p.m)
     if len(q.terms) == 1:
         ((h, cq),) = q.terms.items()
+        if cq == 1 and not any(h):
+            return p
         bad = [e for e, c in p.terms.items() if c % cq]
         if bad:
             raise NotDivisible(f"leading coefficient {p.terms[max(bad, key=grlex_key)]} not divisible by {cq}")

@@ -1,5 +1,6 @@
 """Exact linear algebra: Fraction Gaussian elimination and fraction-free
-Bareiss determinants over the Laurent ring.
+Bareiss determinants over the Laurent ring, pivoting on the entry with the
+fewest terms.
 
 Everything here is deterministic and allocation-light; matrices are lists of
 lists and are never mutated in place unless the function says so.
@@ -101,32 +102,40 @@ def det_bareiss_laurent(matrix):
     """Determinant of a square matrix of LaurentPoly via fraction-free
     Bareiss elimination (divisions are exact in the Laurent ring).
 
-    Elimination starts from the bottom-right corner: reversing both the row
-    and the column order leaves the determinant unchanged, and on
-    Jacobi-Trudi and hook-Schur matrices that corner holds the smallest
-    powers, so the Bareiss minors stay small.  Zero pivots are handled by
-    row swaps (sign flips); a fully zero pivot column means the determinant
-    is zero.
+    Pivoting is full: step r takes as pivot the nonzero entry of the
+    remaining block with the fewest terms (ties to the first in row-major
+    order) and swaps its row and its column into place, one sign flip per
+    swap; Sylvester's identity, which makes every division exact, holds for
+    any order of rows and columns.  Jacobi-Trudi matrices are full of
+    p_0 = e_0 = 1, so most pivots and most divisors are 1: a unit pivot
+    skips its product and `exact_div` returns a dividend over 1 as it is.
+    An all-zero remaining block means the determinant is zero.
     """
     k = len(matrix)
     if k == 0:
         raise ValueError("empty matrix")
     n, m = matrix[0][0].n, matrix[0][0].m
-    a = [row[::-1] for row in reversed(matrix)]
+    one = LaurentPoly.one(n, m)
+    a = [list(row) for row in matrix]
     sign = 1
-    prev = LaurentPoly.one(n, m)
+    prev = one
     for r in range(k - 1):
-        if a[r][r].is_zero():
-            pr = next((i for i in range(r + 1, k) if not a[i][r].is_zero()), None)
-            if pr is None:
-                return LaurentPoly.zero(n, m)
+        nonzero = ((len(a[i][j]), i, j) for i in range(r, k) for j in range(r, k) if a[i][j])
+        _, pr, pc = min(nonzero, default=(0, None, None))
+        if pr is None:
+            return LaurentPoly.zero(n, m)
+        if pr != r:
             a[r], a[pr] = a[pr], a[r]
             sign = -sign
+        if pc != r:
+            for row in a[r:]:
+                row[r], row[pc] = row[pc], row[r]
+            sign = -sign
         piv = a[r][r]
+        unit = piv == one
         for i in range(r + 1, k):
             for j in range(r + 1, k):
-                a[i][j] = exact_div(piv * a[i][j] - a[i][r] * a[r][j], prev)
-            a[i][r] = LaurentPoly.zero(n, m)
+                a[i][j] = exact_div((a[i][j] if unit else piv * a[i][j]) - a[i][r] * a[r][j], prev)
         prev = piv
     result = a[k - 1][k - 1]
     return result if sign == 1 else -result

@@ -247,6 +247,32 @@ def test_oversized_euler_numerator_exits_2(capsys, tmp_path, monkeypatch):
     assert hit and 10_000 < int(hit.group(1)) <= 20_000  # one factor at most doubles it
 
 
+OVERSIZED_LINES = [
+    ("tensor-table --algebra 2|3 --amax 400 --bmax 400", "tensor table to a = 400, b = 400 exceeds the limit 24"),
+    ("tensor-table --algebra 2|3 --amax 25", "tensor table to a = 25, b = 5 exceeds the limit 24"),
+    ("conjecture-check --algebra 2|3 --bound 40", "conjecture check to bound 40 exceeds the limit 27"),
+    ("identities --n 2 --truncation 100000", "truncation 100000 exceeds the limit 1600"),
+]
+
+
+@pytest.mark.parametrize("line,message", OVERSIZED_LINES)
+def test_oversized_table_bound_or_truncation_exits_2_at_once(capsys, tmp_path, line, message):
+    start = time.perf_counter()
+    code = cli.main(line.split() + ["--cache-dir", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert elapsed < 1
+    script = tmp_path / "cmds.txt"
+    script.write_text(f"{line} --no-cache\ndim --algebra 2|3 --irr 1d1 --no-cache\n")
+    out = run(capsys, "batch", "--file", str(script), expect=2)
+    slots = out.split("$ ")[1:]
+    assert slots[0] == f"{line} --no-cache\n[exit 2] error: {message}\n"
+    assert slots[1].rstrip().endswith("= 5")
+
+
 def _cache_files(path):
     return sorted(f for f in os.listdir(path) if f.endswith(".out"))
 

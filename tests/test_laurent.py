@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spochar import jacobitrudi
+from spochar import charformulas, jacobitrudi
+from spochar.blocksdecomp import gl_parabolic
 from spochar.laurent import (
     LatticeMismatch,
     LaurentPoly,
@@ -16,9 +17,10 @@ from spochar.laurent import (
     format_exponent,
     weyl_quotient,
 )
+from spochar.laurent import core
 from spochar.laurent.core import mul_terms
 from spochar.linalg import det_bareiss_laurent
-from spochar.rootdata import Algebra, Weight
+from spochar.rootdata import Algebra, Weight, fits_hook, partitions_up_to
 
 
 def P(n, m, terms):
@@ -377,7 +379,9 @@ def test_exact_div_guard_bit_catches_one_slot_underflow():
 
 def _jt_grid_matrices(monkeypatch):
     """The matrices jacobitrudi hands to det_bareiss_laurent on the Euler =
-    Jacobi-Trudi and p-form = e-form grid and in the identity suite."""
+    Jacobi-Trudi and p-form = e-form grid and in the identity suite, and
+    charformulas for the hook Schur characters of the gl(n|m) Levis of
+    spo(4|3) and spo(6|3)."""
     seen = []
 
     def record(matrix):
@@ -385,6 +389,7 @@ def _jt_grid_matrices(monkeypatch):
         return det_bareiss_laurent(matrix)
 
     monkeypatch.setattr(jacobitrudi, "det_bareiss_laurent", record)
+    monkeypatch.setattr(charformulas, "det_bareiss_laurent", record)
     grid = {
         "4|3": ["1", "2", "3", "1,1", "2,1", "2,2", "1,1,1", "3,1", "2,1,1", "1,1,1,1", "4", "3,2", "2,2,1",
                 "1,1,1,1,1", "3,1,1", "2,1,1,1", "4,1", "5", "6"],
@@ -401,23 +406,73 @@ def _jt_grid_matrices(monkeypatch):
                 jacobitrudi.jt_character_e(lam, alg)
     for n in (1, 2, 3):
         jacobitrudi.identity_suite(n)
+    for text, size in (("4|3", 6), ("6|3", 5)):
+        alg = Algebra.parse(text)
+        for lam in partitions_up_to(size):
+            if len(lam) >= 2 and fits_hook(lam, alg.n, alg.m):
+                charformulas.hook_schur_character(gl_parabolic(alg), lam)
     return seen
 
 
-def test_bareiss_from_the_sparse_end_matches_top_left_bareiss(monkeypatch):
+def test_pivoted_bareiss_matches_top_left_bareiss(monkeypatch):
     matrices = _jt_grid_matrices(monkeypatch)
-    assert sum(len(mat) >= 3 for mat in matrices) >= 40
-    # zero pivots at the sparse end: a row swap, and a zero column
+    assert sum(len(mat) >= 3 for mat in matrices) >= 55
     one, x, y = LaurentPoly.one(2, 0), mono(2, 0, (2, 0)), mono(2, 0, (-1, 3))
     zero = LaurentPoly.zero(2, 0)
     matrices += [
+        # zero and non-unit pivots
         [[x, one], [one, zero]],
         [[x, y, one], [one, x + y, zero], [y, one, zero]],
         [[x, zero, y], [one, zero, x], [y, zero, one]],
         [[x * y - one, x, y], [y, one + y, x], [x + one, y, zero]],
+        # the fewest-terms entry needs a row swap, a column swap, both
+        [[x + y, x + one], [y, x * y + one]],
+        [[x + y, y], [x + one, x * y + one]],
+        [[x + y, x + one], [y + one, x]],
+        [[x + y, x + one, y - one], [one + x * y, x - y, x], [y + x, x * x + one, x + y + one]],
+        # the remaining block is all zero: at once, and after one step
+        [[zero, zero], [zero, zero]],
+        [[x, y, one], [x * x, x * y, x], [x * y, y * y, y]],
     ]
     for mat in matrices:
         assert det_bareiss_laurent(mat).terms == _bareiss_reference(mat)
+
+
+def test_bareiss_carries_the_sign_of_a_signed_monomial_permutation():
+    # det = sign(perm) * prod of the entries: every entry is one term, so
+    # each step pivots on the first nonzero entry of its block
+    one, x, y = LaurentPoly.one(2, 0), mono(2, 0, (2, 0)), mono(2, 0, (-1, 3))
+    zero = LaurentPoly.zero(2, 0)
+    for perm, sign in (((1, 3, 0, 2), -1), ((2, 0, 1, 3), 1), ((3, 2, 1, 0), 1), ((0, 1, 3, 2), -1)):
+        entries = [x * -2, one, y * 3, x * y * -1]
+        mat = [[entries[i] if j == perm[i] else zero for j in range(4)] for i in range(4)]
+        want = entries[0] * entries[1] * entries[2] * entries[3] * sign
+        assert det_bareiss_laurent(mat) == want
+        assert det_bareiss_laurent(mat).terms == _bareiss_reference(mat)
+
+
+def test_pivoted_bareiss_cost_on_unit_entries(monkeypatch):
+    # term pairs through the product kernel, with the power tables grown
+    # beforehand; a fixed corner pivot order needs 1.5 and 2.3 million
+    def count_pairs(fn, lam, text):
+        alg = Algebra.parse(text)
+        jacobitrudi.power_table(alg).p(8)
+        jacobitrudi.power_table(alg).e(8)
+        pairs = [0]
+
+        def counting(a, b):
+            pairs[0] += len(a) * len(b)
+            return mul_terms(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "mul_terms", counting)
+            fn(lam, alg)
+        return pairs[0]
+
+    assert count_pairs(jacobitrudi.jt_character_e, (8,), "4|3") < 100_000
+    assert count_pairs(jacobitrudi.jt_character, (1,) * 7, "6|3") < 250_000
+    p = P(2, 1, {(2, 0, -1): 3, (0, 0, 0): -1})
+    assert exact_div(p, LaurentPoly.one(2, 1)) is p
 
 
 def test_no_compiled_kernel_leftovers():
