@@ -2,36 +2,35 @@
 parabolics, Levi-module character constructors, and the closed-form virtual
 dimension.
 
-Kac and even-Levi characters have the form (alternating Weyl sum) / D0, and
-D0 is a product of binomials e^{a/2} - e^{-a/2}, one per even positive root
-a.  Each one is a single call of the packed kernel `laurent.weyl_quotient`:
-it sums over the group, clears one binomial per pass over the terms (never
-a general long division) and multiplies by the binomials of D1, all on
-packed exponents:
+Kac and Euler characters are alternating Weyl sums divided by
+D0 = prod over the even positive roots a of e^{a/2} - e^{-a/2}, and neither
+sums over W.  A numerator term e^mu is folded into the dominant chamber,
+Racah-Speiser style (`rootdata.signed_fold`): it becomes det(u) e^{u mu} for
+the u in W that makes u mu dominant, and a term fixed by a reflection is
+dropped.  Every folded term c e^nu is strictly dominant, so by Weyl's
+character formula its quotient is c times the character of a simple module
+of highest weight nu - rho.  `rootdata.weyl_character` adds these up on
+dominant weights, with multiplicities from Freudenthal's formula (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 22.3), and expands
+each dominant weight to its W-orbit once:
 
-* Kac: the alternating sum of e^{lam+rho} is divided by D0, then multiplied
-  by the binomials e^{a/2} + e^{-a/2} of D1.  For odd l the factor
+* Kac: (D1 / D0) A(e^{lam+rho}) is one folded term.  For odd l the factor
   e^{d_i} - e^{-d_i} of D0 and e^{d_i/2} + e^{-d_i/2} of D1 cancel to
-  1 / (e^{d_i/2} - e^{-d_i/2}), so the division runs by that binomial and
-  the odd root d_i is skipped.
-* Even-Levi simple modules: the alternating sum over the Levi's Weyl group
-  divided by the binomials of its even positive roots.  That group is a
-  filter of W: the rows that fix the orthogonal complement of the Levi's
-  span pointwise (`_levi_weyl_group`).
+  1 / (e^{d_i/2} - e^{-d_i/2}), so the quotient is a Weyl character of
+  so(2n+1) + so(l), whose short roots d_i replace the roots 2d_i of sp(2n)
+  and whose Weyl group is the same W.  It is then multiplied by the
+  binomials e^{a/2} + e^{-a/2} of the isotropic roots a
+  (`laurent.times_binomials`).
+* Euler: D1 is W-invariant, so the Euler character of a parabolic with Levi
+  module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a}) over
+  the odd positive roots a outside the Levi, divided by D0.  Its folded
+  terms (spo(8|3), lambda = (3,2,1): 256 -> 35) give signed sums of
+  characters of simple modules of g0 = sp(2n) + so(l).
 
-Euler characters never sum over W.  D1 is W-invariant, so the Euler
-character of a parabolic with Levi module M is the alternating sum of
-e^{rho0} ch M prod (1 + e^{-a}) over the odd positive roots a outside the
-Levi, divided by D0.  The numerator is first folded into the dominant
-chamber, Racah-Speiser style: a term e^mu becomes det(u) e^{u mu} for the u
-in W that makes u mu dominant, and a term fixed by a reflection is dropped
-(spo(8|3), lambda = (3,2,1): 256 -> 35 terms).  Every folded term c e^nu is
-strictly dominant, so its quotient is c ch L0(nu - rho0), the character of a
-simple module of g0 = sp(2n) + so(l) (Weyl's character formula).
-`rootdata.g0_character` adds these up on dominant weights, with
-multiplicities from Freudenthal's formula (Humphreys, Introduction to Lie
-Algebras and Representation Theory, 22.3), and expands each dominant weight
-to its W-orbit once.
+Even-Levi simple modules are the alternating sum over the Levi's Weyl group
+divided by the binomials of its even positive roots, one `exact_div` per
+binomial.  That group is a filter of W: the rows that fix the orthogonal
+complement of the Levi's span pointwise (`_levi_weyl_group`).
 
 Divisibility failure is always an internal error, never data.
 """
@@ -43,16 +42,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, format_exponent, weyl_quotient
-from .laurent import exact_div  # noqa: F401  (perfbench's tracer re-binds charformulas.exact_div)
+from .laurent import LatticeMismatch, LaurentPoly, exact_div, format_exponent, times_binomials
 from .linalg import det_bareiss_laurent, rref
 from .rootdata import (
     Algebra,
     DimensionGuard,
     Weight,
+    alternating_terms,
     check_weyl_order,
     fits_hook,
-    g0_character,
     is_dominant,
     positive_roots,
     rho,
@@ -60,6 +58,7 @@ from .rootdata import (
     signed_fold,
     simple_roots,
     validate_partition,
+    weyl_character,
     weyl_group,
 )
 from .series import super_homogeneous_series
@@ -81,11 +80,12 @@ def denominators(alg: Algebra):
     """D0: the product over the even positive roots a of e^{a/2} - e^{-a/2},
     expanded exactly (half exponents are fine).
 
-    The character formulas never expand a denominator; they divide and
-    multiply by its binomials inside `weyl_quotient`.  D0 is kept for the
-    even Weyl denominator identity that acceptance criterion 10 checks, and
-    under its old name because the benchmark warms and traces it.  D1, the
-    odd product, has no reader and is not expanded.
+    The character formulas never expand a denominator: Kac and Euler
+    characters are Weyl characters on dominant weights, and even-Levi
+    characters divide by one binomial at a time.  D0 is kept for the even
+    Weyl denominator identity that acceptance criterion 10 checks, and under
+    its old name because the benchmark warms and traces it.  D1, the odd
+    product, has no reader and is not expanded.
     """
     d0 = LaurentPoly.one(alg.n, alg.m)
     for r in positive_roots(alg).even:
@@ -100,18 +100,15 @@ def _half(doubled):
 
 
 @lru_cache(maxsize=64)
-def _kac_binomials(alg: Algebra):
-    """(halves of D0 to divide by, halves of D1 to multiply by) for the Kac
-    quotient, after cancelling the non-isotropic odd roots d_i (odd l)
-    against the even roots 2 d_i."""
+def _kac_roots(alg: Algebra):
+    """(doubled positive roots of the Weyl character, halves of the D1
+    binomials to multiply by) for the Kac quotient: the even roots, where
+    for odd l each 2d_i is cancelled to d_i against the odd root d_i, and
+    the halves of the isotropic roots."""
     pos = positive_roots(alg)
     short = {a.doubled for a in pos.odd if a not in pos.isotropic}
-    divide = []
-    for r in pos.even:
-        h = _half(r.doubled)
-        divide.append(_half(h) if h in short else h)
-    multiply = [_half(a.doubled) for a in pos.odd if a in pos.isotropic]
-    return tuple(divide), tuple(multiply)
+    roots = tuple(_half(r.doubled) if _half(r.doubled) in short else r.doubled for r in pos.even)
+    return roots, tuple(_half(a.doubled) for a in pos.isotropic)
 
 
 # -- parabolic subalgebras --------------------------------------------------------
@@ -316,8 +313,11 @@ def levi_simple_even_character(p: Parabolic, lam: Weight) -> LaurentPoly:
         raise LeviMismatch("Levi has odd roots; use the gl-type constructors")
     alg = p.alg
     half = Weight(alg, [sum(r.doubled[i] for r in even) // 2 for i in range(alg.rank)])
-    halves = [_half(r.doubled) for r in even]
-    return weyl_quotient(alg.n, alg.m, {(lam + half).doubled: 1}, _levi_weyl_group(p), halves)
+    out = LaurentPoly(alg.n, alg.m, alternating_terms(_levi_weyl_group(p), (lam + half).doubled))
+    for r in even:
+        h = _half(r.doubled)
+        out = exact_div(out, LaurentPoly(alg.n, alg.m, {h: 1, tuple(-x for x in h): -1}))
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -377,15 +377,23 @@ def levi_character(p: Parabolic, tag, arg=None) -> LeviCharacter:
 def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     """Virtual character (D1/D0) * alternating sum of e^{w(lam+rho)}.
 
-    The alternating sum is divided by the binomials of D0 first, then
-    multiplied by those of D1 (see the module docstring for the odd-l
-    cancellation); dividing first keeps the intermediate small.
+    lam + rho is folded into the dominant chamber (`signed_fold`); a weight
+    that a reflection fixes gives 0.  The quotient by D0 after the odd-l
+    cancellation is one Weyl character on dominant weights
+    (`rootdata.weyl_character` with the roots of `_kac_roots`), multiplied
+    by the binomials of the isotropic roots (see the module docstring).
+    Raises DimensionGuard for a Weyl group above WEYL_ORDER_LIMIT, and
+    ArithmeticError when the character has a half-integral exponent.
     """
     if lam.is_integral() and not is_dominant(lam):
         warnings.warn(f"{lam.format()} is not dominant; result is a formal virtual character")
-    divide, multiply = _kac_binomials(alg)
-    numerator = {(lam + rho(alg)).doubled: 1}
-    return weyl_quotient(alg.n, alg.m, numerator, weyl_group(alg), divide, multiply, integral="Kac character")
+    check_weyl_order(alg)
+    hit = signed_fold(alg, (lam + rho(alg)).doubled)
+    if hit is None:
+        return LaurentPoly.zero(alg.n, alg.m)
+    nu, det = hit
+    roots, halves = _kac_roots(alg)
+    return times_binomials(weyl_character(alg, {nu: det}, roots), halves)
 
 
 # The numerator of an Euler character is refused, factor by factor, past
@@ -404,16 +412,21 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
     (`rootdata.signed_fold`).  Each folded term c e^nu then contributes
     c ch L0(nu - rho0), a g0-character computed on dominant weights by
     Freudenthal's formula and expanded to W-orbits once
-    (`rootdata.g0_character`).  Raises DimensionGuard for a Weyl group
-    above WEYL_ORDER_LIMIT, before the numerator is expanded, and once the
-    expansion passes EULER_NUMERATOR_LIMIT terms.
+    (`rootdata.weyl_character` with the even positive roots).  Raises
+    LatticeMismatch for a module character of another spo(2n|l) lattice,
+    and DimensionGuard for a Weyl group above WEYL_ORDER_LIMIT, before the
+    numerator is expanded, and once the expansion passes
+    EULER_NUMERATOR_LIMIT terms.
     """
     alg = p.alg
     check_weyl_order(alg)
     ch_m = module.character if isinstance(module, LeviCharacter) else module
+    if (ch_m.n, ch_m.m) != (alg.n, alg.m):
+        raise LatticeMismatch(f"a module character on the ({ch_m.n}|{ch_m.m}) lattice for {alg}")
     _, levi_odd = p.levi_positive()
+    pos = positive_roots(alg)
     f = ch_m.shifted(rho0(alg).doubled)
-    for a in positive_roots(alg).odd:
+    for a in pos.odd:
         if a not in levi_odd:
             f = f + f.shifted(tuple(-x for x in a.doubled))
             if len(f) > EULER_NUMERATOR_LIMIT:
@@ -427,7 +440,7 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
         if hit:
             dominant, det = hit
             folded[dominant] = folded.get(dominant, 0) + det * c
-    return g0_character(alg, {e: c for e, c in folded.items() if c})
+    return weyl_character(alg, {e: c for e, c in folded.items() if c}, tuple(r.doubled for r in pos.even))
 
 
 # -- virtual dimension ----------------------------------------------------------------

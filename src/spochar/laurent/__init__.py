@@ -6,7 +6,7 @@ from .core import (
     exact_div,
     format_exponent,
     grlex_key,
-    weyl_quotient,
+    times_binomials,
 )
 
 __all__ = [
@@ -17,5 +17,5 @@ __all__ = [
     "exact_div",
     "format_exponent",
     "grlex_key",
-    "weyl_quotient",
+    "times_binomials",
 ]

@@ -11,20 +11,19 @@ graded lex (total doubled degree first, then lex), which is total and
 multiplicative, so leading-term queries and exact division are reproducible.
 
 The term-level loops (`add_terms`, `mul_terms`, `scale_shift_terms`, the
-division inside `exact_div` and the Weyl-quotient kernel `weyl_quotient`)
+division inside `exact_div` and the binomial products of `times_binomials`)
 are one pure-Python kernel.  The hot ones work on packed exponents: each
 exponent tuple becomes one int holding a bit field per slot, so multiplying
 monomials is adding ints (Monagan & Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
 
-`weyl_quotient` is the one way to evaluate a Weyl-type quotient: the
-alternating sum over a group of signed permutations, divided by binomials
-x^h - x^-h one pass per binomial along strings of terms, and multiplied by
-binomials x^h + x^-h, with one pack at the start and one unpack at the end.
-Kac and even-Levi characters and `rootdata.antisymmetrize` call it.  Euler
-characters do not: they are signed sums of g0-characters, computed on
-dominant weights by Freudenthal's formula (Humphreys, Introduction to Lie
-Algebras and Representation Theory, 22.3) in `rootdata.g0_character`.
+Weyl-type quotients are not evaluated here.  Kac and Euler characters are
+Weyl characters computed on dominant weights by Freudenthal's formula
+(Humphreys, Introduction to Lie Algebras and Representation Theory, 22.3)
+in `rootdata.weyl_character`; Kac characters are then multiplied by the
+binomials of their isotropic roots with `times_binomials`.  Even-Levi
+characters divide a sum over the Levi's Weyl group by one binomial at a
+time with `exact_div`.
 
 `format_exponent` is the one way to write an exponent vector as a weight:
 plain text for `Weight.format`, the CLI and `repr`, compact root labels,
@@ -39,7 +38,6 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-from functools import reduce
 from itertools import repeat
 from operator import itemgetter
 
@@ -416,66 +414,27 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._wrap(p.n, p.m, dict(zip(_unpack(quot, fields), quot.values())))
 
 
-# -- Weyl-type quotients ------------------------------------------------------------
+# -- binomial products -------------------------------------------------------------
 
 
-def weyl_quotient(n, m, terms, group, divide=(), multiply=(), integral=None):
-    """sum_g det(g) g(x^terms) / prod_h (x^h - x^-h) * prod_k (x^k + x^-k).
+def times_binomials(p: LaurentPoly, halves) -> LaurentPoly:
+    """p * prod over h in halves of (x^h + x^-h); p itself when halves is
+    empty.
 
-    `group` is a tuple of signed permutations (perm, signs, det) of the n+m
-    slots, acting by g(x^e) = x^f with f[perm[i]] = signs[i] * e[i]; h runs
-    over the halves in `divide`, k over those in `multiply`.  Raises
-    NotDivisible when the alternating sum is not a multiple of the
-    binomials, and, when `integral` names the result (say "Kac character"),
-    ArithmeticError if it has a half-integral exponent.
-
-    Exponents are packed once, as the group acts, and unpacked once at the
-    end.  Slot i is a field of w bits holding the exponent plus 2^(w-1), so
-    the image of a term is sum_i e[i] * gw[i] plus a constant, where
-    gw[i] = signs[i] << (w * perm[i]), and multiplying by x^h is adding the
-    packed h.  Dividing by a binomial is one pass over the terms: they are
-    grouped into strings e + Z*2h, and walking a string from the top the
-    quotient coefficient at e - h is the running sum of the coefficients
-    seen so far.  A string whose coefficients do not sum to zero (the
-    running sum at its bottom) proves the input is not a multiple; it is
-    refused before the walk, and the walk skips runs of zero, so the work is
-    proportional to the terms in and out.  A string is keyed by its member
-    at position 0, where position t counts steps of 2h in the field of h's
-    first nonzero slot.
+    Exponents are packed once and unpacked once.  Slot i is a field of w
+    bits holding the exponent plus 2^(w-1), wide enough for p's exponents
+    grown by every |h|, so multiplying by x^h is adding the packed h and
+    each binomial is one pass over the terms.
     """
-    rank = n + m
-    if not terms:
-        return LaurentPoly._wrap(n, m, {})
-    # quotients stay inside the input's exponent box, products grow by the
-    # halves' sizes, and string keys are input exponents moved along 2h by
-    # at most 2*size/|2h_i0| + 1 steps
-    size = max(max(map(abs, e)) for e in terms)
-    grown = size + sum(max(map(abs, k)) for k in multiply)
-    keys = max((2 * (size + 1) * (max(map(abs, h)) + 1) for h in divide), default=0)
-    width = max(grown.bit_length() + 1, keys.bit_length(), 2)
-    shifts = [width * i for i in range(rank)]
+    if not p.terms or not halves:
+        return p
+    grown = max(max(map(max, p.terms)), -min(map(min, p.terms))) + sum(max(map(abs, h)) for h in halves)
+    width = grown.bit_length() + 1
     offset = 1 << (width - 1)
-    mask = (1 << width) - 1
-    fields = [(s, mask, -offset) for s in shifts]
-
-    base = sum(offset << s for s in shifts)
-    acc = {}
-    get = acc.get
-    items = list(terms.items())
-    for perm, signs, det in group:
-        gw = [sign << shifts[p] for p, sign in zip(perm, signs)]
-        for e, c in items:
-            k = sum(map(operator.mul, e, gw)) + base
-            acc[k] = get(k, 0) + det * c
-    acc = {k: c for k, c in acc.items() if c}
-
-    for h in divide:
-        i0 = next((i for i, x in enumerate(h) if x), None)
-        if i0 is None:
-            raise ZeroDivisionError("x^0 - x^0 is the zero polynomial")
-        acc = _divide_strings(acc, h, i0, sum(map(operator.lshift, h, shifts)), fields)
-    for h in multiply:
-        packed_h = sum(map(operator.lshift, h, shifts))
+    weights = [1 << (width * i) for i in range(p.rank)]
+    acc = dict(zip(_pack(p.terms, weights, [-offset] * p.rank), p.terms.values()))
+    for h in halves:
+        packed_h = sum(map(operator.mul, h, weights))
         out = {k + packed_h: c for k, c in acc.items()}
         get = out.get
         for k, c in acc.items():
@@ -486,38 +445,5 @@ def weyl_quotient(n, m, terms, group, divide=(), multiply=(), integral=None):
             else:
                 del out[k]
         acc = out
-
-    if integral and reduce(operator.or_, acc, 0) & sum(1 << s for s in shifts):
-        raise ArithmeticError(f"{integral} came out non-integral")
-    return LaurentPoly._wrap(n, m, dict(zip(_unpack(acc, fields), acc.values())))
-
-
-def _divide_strings(acc, h, i0, packed_h, fields):
-    """Packed terms acc / (x^h - x^-h), string by string (see weyl_quotient)."""
-    shift, mask, _ = fields[i0]
-    step = 2 * h[i0]
-    two_h = 2 * packed_h
-    strings = {}  # key -> {position: coefficient}
-    for k, c in acc.items():
-        t = (k >> shift & mask) // step
-        key = k - t * two_h
-        coefs = strings.get(key)
-        if coefs is None:
-            strings[key] = {t: c}
-        else:
-            coefs[t] = c
-    quot = {}
-    for key, coefs in strings.items():
-        if sum(coefs.values()):  # the running sum at the bottom of the string
-            (e,) = _unpack([key + min(coefs) * two_h], fields)
-            raise NotDivisible(f"string through {e} does not clear x^{tuple(h)} - x^-{tuple(h)}")
-        ts = sorted(coefs, reverse=True)
-        run = 0
-        for t, below in zip(ts, ts[1:]):
-            run += coefs[t]
-            if run:  # the quotient terms at positions t down to below + 1
-                k = key + (2 * t - 1) * packed_h
-                for _ in range(t - below):
-                    quot[k] = run
-                    k -= two_h
-    return quot
+    fields = [(width * i, (1 << width) - 1, -offset) for i in range(p.rank)]
+    return LaurentPoly._wrap(p.n, p.m, dict(zip(_unpack(acc, fields), acc.values())))

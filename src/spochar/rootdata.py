@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, format_exponent, weyl_quotient
+from .laurent import LaurentPoly, format_exponent
 
 
 class NonIntegralWeight(ValueError):
@@ -350,41 +350,45 @@ def fold_to_dominant(alg: Algebra, doubled):
     return _chamber_fold(alg, doubled)[0]
 
 
-# -- characters of g0 --------------------------------------------------------------
+# -- Weyl characters ---------------------------------------------------------------
 
 
-def g0_character(alg: Algebra, numerator) -> LaurentPoly:
-    """sum over {nu: c} of c A(e^nu) / D0, where each nu is a strictly
+def weyl_character(alg: Algebra, numerator, roots) -> LaurentPoly:
+    """sum over {nu: c} of c A(e^nu) / D, where each nu is a strictly
     dominant doubled weight (a key of `signed_fold`), A(e^nu) = sum over W
-    of det(g) e^{g(nu)}, and D0 = A(e^rho0).  No sum over W is taken.
+    of det(g) e^{g(nu)}, `roots` are the doubled positive roots of a root
+    system with Weyl group W, rho is half their sum and D = A(e^rho).  No
+    sum over W is taken.
 
-    By the Weyl character formula A(e^nu) / D0 is the character of the
-    simple g0-module L0(nu - rho0), g0 = sp(2n) + so(l).  g0, W and
-    dominance split into the d-slots (C_n) and the e-slots (B_m for odd l,
-    D_m for even l), so L0 is the product of one module per side, each
-    given by its multiplicities on dominant weights (`_dominant_character`).
-    The coefficients are added up on dominant weights, and each dominant
-    weight with a nonzero sum is expanded to its W-orbit once, at the end
+    By the Weyl character formula A(e^nu) / D is the character of the simple
+    module of highest weight nu - rho.  Euler characters pass the even roots
+    of spo(2n|l), the roots of g0 = sp(2n) + so(l).  Kac characters for odd
+    l pass them with 2d_i replaced by d_i: the roots of so(2n+1) + so(l),
+    which has the same W.  The roots, W and dominance split into the d-slots
+    (C_n or B_n) and the e-slots (B_m for odd l, D_m for even l), so the
+    module is the product of one module per side, each given by its
+    multiplicities on dominant weights (`_dominant_character`).  The
+    coefficients are added up on dominant weights, and each dominant weight
+    with a nonzero sum is expanded to its W-orbit once, at the end
     (`_side_orbit`).  The side tables are memoised within the call.
 
-    A nu with nu - rho0 off the integral lattice raises ArithmeticError:
-    its quotient is not a Laurent polynomial or has half-integral exponents.
+    A nu with nu - rho off the integral lattice raises ArithmeticError: its
+    quotient is not a Laurent polynomial or has half-integral exponents.
     """
-    r0 = rho0(alg).doubled
-    even = [r.doubled for r in positive_roots(alg).even]
+    r0 = [sum(r[i] for r in roots) // 2 for i in range(alg.rank)]
     sides = []  # (slots, positive roots, rho, flips, {highest weight: table})
     for slots, flips in ((slice(0, alg.n), True), (slice(alg.n, None), alg.odd)):
-        sides.append((slots, tuple(r[slots] for r in even if any(r[slots])), r0[slots], flips, {}))
+        sides.append((slots, tuple(r[slots] for r in roots if any(r[slots])), tuple(r0[slots]), flips, {}))
     dominant = {}
     for nu, c in numerator.items():
         lam = tuple(map(operator.sub, nu, r0))
         if any(x % 2 for x in lam):
-            raise ArithmeticError(f"{format_exponent(lam, alg.n)} is not an integral weight of g0")
+            raise ArithmeticError(f"{format_exponent(lam, alg.n)} is not an integral highest weight")
         tables = []
-        for slots, roots, rho_side, flips, memo in sides:
+        for slots, side_roots, rho_side, flips, memo in sides:
             top = lam[slots]
             if top not in memo:
-                memo[top] = _dominant_character(top, roots, rho_side, flips)
+                memo[top] = _dominant_character(top, side_roots, rho_side, flips)
             tables.append(memo[top])
         for mu_d, a in tables[0].items():
             for mu_e, b in tables[1].items():
@@ -392,14 +396,14 @@ def g0_character(alg: Algebra, numerator) -> LaurentPoly:
                 dominant[key] = dominant.get(key, 0) + c * a * b
     live = {key: c for key, c in dominant.items() if c}
     (_, roots_d, *_), (_, roots_e, *_) = sides
-    orbits_d = {mu_d: _side_orbit(mu_d, roots_d, True) for mu_d, _ in live}
-    orbits_e = {mu_e: _side_orbit(mu_e, roots_e, alg.odd) for _, mu_e in live}
+    orbits_d = {mu_d: _side_orbit(mu_d, roots_d, True) for mu_d in {mu_d for mu_d, _ in live}}
+    orbits_e = {mu_e: _side_orbit(mu_e, roots_e, alg.odd) for mu_e in {mu_e for _, mu_e in live}}
     out = {}
     for (mu_d, mu_e), c in live.items():
         for x in orbits_d[mu_d]:
             for y in orbits_e[mu_e]:
                 out[x + y] = c
-    return LaurentPoly(alg.n, alg.m, out)
+    return LaurentPoly._wrap(alg.n, alg.m, out)
 
 
 def _dominant_character(lam, roots, rho_side, flips):
@@ -602,8 +606,9 @@ def weyl_group(alg: Algebra):
     the d-slots (type C_n), and of the e-slots with any signs (B_m, odd l)
     or evenly many sign changes (D_m, even l).  det is the determinant on
     the weight space, the inversion parity of perm times the product of the
-    signs.  This is the one form of W: `laurent.weyl_quotient` reads it, and
-    the Weyl group of a Levi is a filter of it.
+    signs.  This is the one form of W: `weyl_act` applies a row,
+    `antisymmetrize` sums over it, and the Weyl group of a Levi is a filter
+    of it.
 
     Rows run lexicographically over (d-permutation, d-signs, e-permutation,
     e-signs), signs (+1, -1) per slot, so every W-sum adds its terms in one
@@ -634,6 +639,16 @@ def weyl_act(g, doubled):
     return tuple(out)
 
 
+def alternating_terms(group, doubled):
+    """{e: c} of the alternating sum over rows of `weyl_group` (or a filter
+    of it) of det(g) e^{g(w)}, for a doubled weight w."""
+    out = {}
+    for g in group:
+        k = weyl_act(g, doubled)
+        out[k] = out.get(k, 0) + g[2]
+    return out
+
+
 def antisymmetrize(alg: Algebra, w: Weight) -> LaurentPoly:
     """Alternating Weyl sum of e^{w}: sum over W of sign(g) e^{g(w)}."""
-    return weyl_quotient(alg.n, alg.m, {w.doubled: 1}, weyl_group(alg))
+    return LaurentPoly(alg.n, alg.m, alternating_terms(weyl_group(alg), w.doubled))

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -25,12 +27,14 @@ from spochar.charformulas import (
 )
 from spochar.jacobitrudi import jt_character, sym_power_char
 from spochar.laurent import (
+    LatticeMismatch,
     LaurentPoly,
     NotDivisible,
     exact_div,
     format_exponent,
-    weyl_quotient,
+    times_binomials,
 )
+from spochar.laurent.core import _unpack
 from spochar.rootdata import (
     Algebra,
     Weight,
@@ -38,11 +42,11 @@ from spochar.rootdata import (
     is_dominant,
     positive_roots,
     rho,
-    g0_character,
     partitions_up_to,
     rho0,
     signed_fold,
     weyl_act,
+    weyl_character,
     weyl_group,
 )
 
@@ -454,6 +458,93 @@ def test_euler_matches_recorded_table_on_parabolic_grid():
 # -- Euler characters against the unfolded W-sum ------------------------------------
 
 
+def _weyl_quotient(n, m, terms, group, divide=(), multiply=(), integral=None):
+    """Frozen copy of the packed W-sum kernel `laurent.weyl_quotient` that
+    Kac, Euler and even-Levi characters were computed with before they moved
+    to Weyl characters on dominant weights:
+    sum_g det(g) g(x^terms) / prod_h (x^h - x^-h) * prod_k (x^k + x^-k).
+    The reference of the tests below; do not fold, and do not replace the
+    W-sum."""
+    rank = n + m
+    if not terms:
+        return LaurentPoly._wrap(n, m, {})
+    # quotients stay inside the input's exponent box, products grow by the
+    # halves' sizes, and string keys are input exponents moved along 2h by
+    # at most 2*size/|2h_i0| + 1 steps
+    size = max(max(map(abs, e)) for e in terms)
+    grown = size + sum(max(map(abs, k)) for k in multiply)
+    keys = max((2 * (size + 1) * (max(map(abs, h)) + 1) for h in divide), default=0)
+    width = max(grown.bit_length() + 1, keys.bit_length(), 2)
+    shifts = [width * i for i in range(rank)]
+    offset = 1 << (width - 1)
+    mask = (1 << width) - 1
+    fields = [(s, mask, -offset) for s in shifts]
+
+    base = sum(offset << s for s in shifts)
+    acc = {}
+    get = acc.get
+    items = list(terms.items())
+    for perm, signs, det in group:
+        gw = [sign << shifts[p] for p, sign in zip(perm, signs)]
+        for e, c in items:
+            k = sum(map(operator.mul, e, gw)) + base
+            acc[k] = get(k, 0) + det * c
+    acc = {k: c for k, c in acc.items() if c}
+
+    for h in divide:
+        i0 = next((i for i, x in enumerate(h) if x), None)
+        if i0 is None:
+            raise ZeroDivisionError("x^0 - x^0 is the zero polynomial")
+        acc = _divide_strings(acc, h, i0, sum(map(operator.lshift, h, shifts)), fields)
+    for h in multiply:
+        packed_h = sum(map(operator.lshift, h, shifts))
+        out = {k + packed_h: c for k, c in acc.items()}
+        get = out.get
+        for k, c in acc.items():
+            k -= packed_h
+            v = get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        acc = out
+
+    if integral and reduce(operator.or_, acc, 0) & sum(1 << s for s in shifts):
+        raise ArithmeticError(f"{integral} came out non-integral")
+    return LaurentPoly._wrap(n, m, dict(zip(_unpack(acc, fields), acc.values())))
+
+
+def _divide_strings(acc, h, i0, packed_h, fields):
+    """Packed terms acc / (x^h - x^-h), string by string (see _weyl_quotient)."""
+    shift, mask, _ = fields[i0]
+    step = 2 * h[i0]
+    two_h = 2 * packed_h
+    strings = {}  # key -> {position: coefficient}
+    for k, c in acc.items():
+        t = (k >> shift & mask) // step
+        key = k - t * two_h
+        coefs = strings.get(key)
+        if coefs is None:
+            strings[key] = {t: c}
+        else:
+            coefs[t] = c
+    quot = {}
+    for key, coefs in strings.items():
+        if sum(coefs.values()):  # the running sum at the bottom of the string
+            (e,) = _unpack([key + min(coefs) * two_h], fields)
+            raise NotDivisible(f"string through {e} does not clear x^{tuple(h)} - x^-{tuple(h)}")
+        ts = sorted(coefs, reverse=True)
+        run = 0
+        for t, below in zip(ts, ts[1:]):
+            run += coefs[t]
+            if run:  # the quotient terms at positions t down to below + 1
+                k = key + (2 * t - 1) * packed_h
+                for _ in range(t - below):
+                    quot[k] = run
+                    k -= two_h
+    return quot
+
+
 def _euler_unfolded(p, module):
     """Frozen copy of euler_character before its numerator was folded into
     the dominant chamber and its quotient taken by g0-characters: every term
@@ -468,7 +559,7 @@ def _euler_unfolded(p, module):
         if a not in levi_odd:
             f = f + f.shifted(tuple(-x for x in a.doubled))
     halves = [tuple(x // 2 for x in r.doubled) for r in reversed(positive_roots(alg).even)]
-    return weyl_quotient(alg.n, alg.m, f.terms, weyl_group(alg), halves, integral="Euler character")
+    return _weyl_quotient(alg.n, alg.m, f.terms, weyl_group(alg), halves, integral="Euler character")
 
 
 def _fold_terms(alg, terms):
@@ -517,43 +608,100 @@ def test_euler_equals_jacobi_trudi_on_the_spo_10_3_delta_chain():
 
 @pytest.mark.parametrize("algtxt", ["8|1", "4|2", "6|3", "4|6", "4|7", "2|8"])
 def test_g0_character_matches_the_weyl_sum(algtxt):
-    # sums of A(e^nu) / D0 on random strictly dominant nu, against the
-    # kernel's W-sum: C_4, B_3 and D_4 sides, D_m last entries of both signs
+    # sums of A(e^nu) / D on random strictly dominant nu, against the frozen
+    # W-sum: the even roots (C_4, B_3 and D_4 sides, D_m last entries of both
+    # signs) and, for odd l, the Kac roots, where d_i replaces 2d_i (a B_n
+    # side with half-integral rho)
     alg = Algebra.parse(algtxt)
-    r0 = rho0(alg).doubled
-    halves = [tuple(x // 2 for x in r.doubled) for r in positive_roots(alg).even]
+    even = tuple(r.doubled for r in positive_roots(alg).even)
+    systems = [even]
+    if alg.odd:
+        systems.append(tuple(_half(r) if any(r[:alg.n]) and sum(map(bool, r)) == 1 else r for r in even))
     rng = random.Random(algtxt)
     negative_last = 0
-    for _ in range(8):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            d = sorted((2 * rng.randint(0, 2) for _ in range(alg.n)), reverse=True)
-            e = sorted((2 * rng.randint(0, 3) for _ in range(alg.m)), reverse=True)
-            if e and not alg.odd and rng.random() < 0.5:
-                e[-1] = -e[-1]
-                negative_last += e[-1] < 0
-            nu = tuple(x + y for x, y in zip(d + e, r0))
-            terms[nu] = terms.get(nu, 0) + rng.choice((-2, -1, 1, 3))
-        terms = {nu: c for nu, c in terms.items() if c}
-        want = weyl_quotient(alg.n, alg.m, terms, weyl_group(alg), halves)
-        assert g0_character(alg, terms) == want, terms
+    for roots in systems:
+        r0 = [sum(col) // 2 for col in zip(*roots)]
+        halves = [_half(r) for r in roots]
+        for _ in range(8):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                d = sorted((2 * rng.randint(0, 2) for _ in range(alg.n)), reverse=True)
+                e = sorted((2 * rng.randint(0, 3) for _ in range(alg.m)), reverse=True)
+                if e and not alg.odd and rng.random() < 0.5:
+                    e[-1] = -e[-1]
+                    negative_last += e[-1] < 0
+                nu = tuple(x + y for x, y in zip(d + e, r0))
+                terms[nu] = terms.get(nu, 0) + rng.choice((-2, -1, 1, 3))
+            terms = {nu: c for nu, c in terms.items() if c}
+            want = _weyl_quotient(alg.n, alg.m, terms, weyl_group(alg), halves)
+            assert weyl_character(alg, terms, roots) == want, terms
+        with pytest.raises(ArithmeticError):
+            weyl_character(alg, {tuple(x + (i == 0) for i, x in enumerate(r0)): 1}, roots)
     assert negative_last or alg.odd or alg.m < 2
-    with pytest.raises(ArithmeticError):
-        g0_character(alg, {tuple(x + (i == 0) for i, x in enumerate(r0)): 1})
+    assert len(systems) == 1 + alg.odd
+
+
+def _half(doubled):
+    return tuple(x // 2 for x in doubled)
+
+
+def _kac_frozen(alg, lam):
+    """The Kac character as the frozen W-sum computed it: the alternating sum
+    divided by D0 after the odd-l cancellation, times the isotropic
+    binomials of D1."""
+    pos = positive_roots(alg)
+    short = {a.doubled for a in pos.odd if a not in pos.isotropic}
+    divide = []
+    for r in pos.even:
+        h = _half(r.doubled)
+        divide.append(_half(h) if h in short else h)
+    multiply = [_half(a.doubled) for a in pos.odd if a in pos.isotropic]
+    numerator = {(lam + rho(alg)).doubled: 1}
+    return _weyl_quotient(alg.n, alg.m, numerator, weyl_group(alg), divide, multiply, integral="Kac character")
+
+
+def _kac_outcome(fn, alg, lam):
+    try:
+        return fn(alg, lam)
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
+def test_kac_matches_the_frozen_w_sum_off_the_dominant_chamber():
+    # every weight of KAC_GRID with coefficients -1, -1/2, ..., 2: dominant,
+    # non-dominant, half-integral and singular ones give the same character,
+    # or ArithmeticError from both
+    outcomes = {}
+    for text in KAC_GRID:
+        alg = Algebra.parse(text)
+        for c in itertools.product(range(-2, 5), repeat=alg.rank):
+            lam = Weight(alg, c)
+            want = _kac_outcome(_kac_frozen, alg, lam)
+            if lam.is_integral() and not is_dominant(lam):
+                with pytest.warns(UserWarning, match="is not dominant"):
+                    got = _kac_outcome(kac_character, alg, lam)
+            else:
+                got = _kac_outcome(kac_character, alg, lam)
+            assert got == want, (text, lam.format())
+            kind = "error" if want == "ArithmeticError" else "zero" if want.is_zero() else "character"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes == {"character": 364, "error": 2784, "zero": 3579}
 
 
 def test_euler_character_runs_no_weyl_sum(monkeypatch):
     # references first: the frozen W-sum on spo(4|2) and the recorded table
-    # on spo(2|2), both l = 2 (a D_1 side without roots)
+    # on spo(2|2), both l = 2 (a D_1 side without roots), and the frozen
+    # Kac W-sum on dominant weights of three algebras, l odd and even
     cases = [(p, module, _euler_unfolded(p, module)) for _, _, _, p, module in _euler_grid(["4|2"])]
     recorded = [row for row in EULER_RECORDED if row[0] == "2|2"]
+    kac_cases = [(alg, lam, _kac_frozen(alg, lam))
+                 for alg in map(Algebra.parse, ["4|3", "2|5", "4|2"]) for lam in _dominant_weights(alg)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("euler_character enumerated W")
+        raise AssertionError("a character formula enumerated W")
 
-    for module, name in [(charformulas, "weyl_quotient"), (charformulas, "weyl_group"),
-                         (rootdata, "weyl_quotient"), (rootdata, "weyl_group")]:
-        monkeypatch.setattr(module, name, refuse)
+    for module in (charformulas, rootdata):
+        monkeypatch.setattr(module, "weyl_group", refuse)
     alg = Algebra.parse("6|3")
     p = _delta_chain_parabolic(alg)
     for lam in [(1,), (2, 1), (3, 2)]:
@@ -565,6 +713,41 @@ def test_euler_character_runs_no_weyl_sum(monkeypatch):
         ch = euler_character(p, module)
         got.append((text, mask, tag, len(ch), ch.evaluate_at_one(), _digest(ch)))
     assert got == recorded
+    assert all(kac_character(alg, lam) == want for alg, lam, want in kac_cases) and len(kac_cases) == 34
+
+
+def test_euler_character_refuses_a_module_of_another_lattice():
+    # the numerator shift zips rho0 with the module's exponents, so a module
+    # of another (n|m) lattice would give a wrong character
+    p = borel(Algebra.parse("4|3"))
+    with pytest.raises(LatticeMismatch, match=r"\(1\|1\) lattice for spo\(4\|3\)"):
+        euler_character(p, LaurentPoly.one(1, 1))
+    for n, m in [(2, 0), (1, 2)]:  # rank 2, and rank 3 on the wrong split
+        with pytest.raises(LatticeMismatch):
+            euler_character(p, levi_character(p, "explicit", LaurentPoly.one(n, m)))
+    trivial = levi_character(p, "trivial")
+    assert euler_character(p, levi_character(p, "explicit", LaurentPoly.one(2, 1))) == euler_character(p, trivial)
+
+
+def test_euler_of_an_even_levi_simple_module_is_that_of_its_highest_weight():
+    # E^p(L_L(lam)) = E^p(e^lam) when the Levi has no odd roots: the odd
+    # factor h = prod (1 + e^{-a}) is W_L-invariant, the sum over W_L of
+    # det(w) w(e^{rho0}) is e^{rho0 - rho_L} D_L, and
+    # ch L_L(lam) D_L = A_L(e^{lam + rho_L}); an oracle for
+    # levi_simple_even_character that shares none of its code
+    count = 0
+    for text in ["2|3", "4|3", "2|4", "2|5", "4|2", "4|1"]:
+        alg = Algebra.parse(text)
+        for removed in itertools.product((False, True), repeat=alg.rank):
+            p = Parabolic(alg, frozenset(i for i, r in enumerate(removed) if r))
+            if p.levi_positive()[1]:
+                continue
+            for c in itertools.product(range(-1, 3), repeat=alg.rank):
+                lam = Weight.from_coeffs(alg, c[:alg.n], c[alg.n:])
+                simple = euler_character(p, levi_character(p, "even_simple", lam))
+                assert simple == euler_character(p, levi_character(p, "one_dimensional", lam)), (p.describe(), c)
+                count += 1
+    assert count == 960
 
 
 @pytest.mark.parametrize("algtxt", ["2|2", "2|4", "4|4", "6|6", "4|3"])
@@ -584,7 +767,7 @@ def test_folding_keeps_the_alternating_sum(algtxt):
         hits = [signed_fold(alg, e) for e in terms]
         singular += hits.count(None)
         regular += len(hits) - hits.count(None)
-        assert weyl_quotient(alg.n, alg.m, folded, group) == weyl_quotient(alg.n, alg.m, terms, group)
+        assert _weyl_quotient(alg.n, alg.m, folded, group) == _weyl_quotient(alg.n, alg.m, terms, group)
     assert singular and regular
 
 
@@ -699,15 +882,23 @@ def test_binomial_division_round_trip_and_failure():
     x = LaurentPoly.monomial(2, 0, (3, -1))
     p = x + 5 * LaurentPoly.monomial(2, 0, (0, 2)) - 2 * LaurentPoly.one(2, 0)
     halves = [(1, 0), (1, -1), (0, 2), (1, 0)]
+
+    def binomial(h):
+        return LaurentPoly.monomial(2, 0, h) - LaurentPoly.monomial(2, 0, tuple(-v for v in h))
+
+    def divide(q, hs):
+        for h in hs:
+            q = exact_div(q, binomial(h))
+        return q
+
     prod = p
     for h in halves:
-        prod = prod * (LaurentPoly.monomial(2, 0, h) - LaurentPoly.monomial(2, 0, tuple(-v for v in h)))
-    identity = ((0, 1), (1, 1), 1),
-    assert weyl_quotient(2, 0, prod.terms, identity, halves) == p
-    assert weyl_quotient(2, 0, prod.terms, identity, halves[::-1]) == p
+        prod = prod * binomial(h)
+    assert divide(prod, halves) == p
+    assert divide(prod, halves[::-1]) == p
     plus = LaurentPoly.monomial(2, 0, (0, 2)) + LaurentPoly.monomial(2, 0, (0, -2))
-    assert weyl_quotient(2, 0, p.terms, identity, multiply=[(0, 2)]) == p * plus
+    assert times_binomials(p, [(0, 2)]) == p * plus
     with pytest.raises(NotDivisible):
-        weyl_quotient(2, 0, plus.terms, identity, [(0, 2)])
+        divide(plus, [(0, 2)])
     with pytest.raises(NotDivisible):
-        weyl_quotient(2, 0, (prod + LaurentPoly.one(2, 0)).terms, identity, halves)
+        divide(prod + LaurentPoly.one(2, 0), halves)

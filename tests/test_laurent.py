@@ -15,7 +15,7 @@ from spochar.laurent import (
     LATEX_SYMBOLS,
     exact_div,
     format_exponent,
-    weyl_quotient,
+    times_binomials,
 )
 from spochar.laurent import core
 from spochar.laurent.core import mul_terms
@@ -67,22 +67,21 @@ def test_evaluate_at_one_is_ring_hom(p, q):
 
 
 halves = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
-signed_perms = st.tuples(st.permutations(range(3)), st.tuples(*[st.sampled_from((1, -1))] * 3),
-                         st.sampled_from((1, -1)))
 
 
-@given(polys, polys, st.integers(-3, 3), st.lists(halves, max_size=2), st.lists(signed_perms, min_size=1, max_size=4))
+@given(polys, polys, st.integers(-3, 3), st.lists(halves, max_size=2))
 @settings(max_examples=150, deadline=None)
-def test_kernel_results_hold_no_zero_coefficient(p, q, k, hs, group):
+def test_kernel_results_hold_no_zero_coefficient(p, q, k, hs):
     # the kernel's results are wrapped without the constructor's filter, so
     # they must come out free of zeros themselves, cancellations included
     multiple = p
     for h in hs:
         multiple = multiple * (LaurentPoly.monomial(2, 1, h) - LaurentPoly.monomial(2, 1, tuple(-x for x in h)))
-    identity = ((0, 1, 2), (1, 1, 1), 1),
+    quotient = multiple
+    for h in hs:
+        quotient = exact_div(quotient, LaurentPoly.monomial(2, 1, h) - LaurentPoly.monomial(2, 1, tuple(-x for x in h)))
     results = [p + q, p - q, p + (-p), -p, k * p, p * q, (p + q) * (p - q), p.shifted((1, -2, 3), -1),
-               weyl_quotient(2, 1, p.terms, identity, multiply=hs), weyl_quotient(2, 1, multiple.terms, identity, hs),
-               weyl_quotient(2, 1, p.terms, tuple(group), multiply=hs)]
+               times_binomials(p, hs), times_binomials(p - q, hs), times_binomials(multiple, hs), quotient]
     if q:
         results.append(exact_div(p * q, q))
     for r in results:

@@ -1,8 +1,9 @@
-"""The packed Weyl-quotient kernel against the tuple loops it replaced.
+"""Weyl-type quotients against tuple loops: Kac, Euler and even-Levi
+characters, alternating sums and binomial products.
 
 Frozen copies of the tuple-keyed alternating Weyl sum, binomial-string
-division and binomial multiplication that `laurent.weyl_quotient` replaced
-serve as the references here; do not "optimise" them.
+division and binomial multiplication that the packed kernels replaced serve
+as the references here; do not "optimise" them.
 """
 
 import itertools
@@ -15,17 +16,17 @@ from spochar.charformulas import (
     LeviCharacter,
     LeviMismatch,
     Parabolic,
-    _kac_binomials,
     _levi_weyl_group,
     euler_character,
     kac_character,
     levi_character,
     levi_simple_even_character,
 )
-from spochar.laurent import LaurentPoly, NotDivisible, weyl_quotient
+from spochar.laurent import LaurentPoly, NotDivisible, exact_div, times_binomials
 from spochar.rootdata import (
     Algebra,
     Weight,
+    alternating_terms,
     antisymmetrize,
     is_dominant,
     positive_roots,
@@ -95,13 +96,6 @@ def _quotient_reference(terms, divide=(), multiply=()):
     return _multiply_reference(terms, multiply)
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except NotDivisible:
-        return "NotDivisible"
-
-
 def _half(doubled):
     return tuple(x // 2 for x in doubled)
 
@@ -122,6 +116,15 @@ def _dominant_weights(alg):
         if is_dominant(w):
             out.append(w)
     return out
+
+
+def _kac_binomials(alg):
+    """(halves of D0 to divide by, halves of D1 to multiply by), after the
+    odd-l cancellation of the even roots 2d_i against the odd roots d_i."""
+    pos = positive_roots(alg)
+    short = {a.doubled for a in pos.odd if a not in pos.isotropic}
+    divide = [_half(_half(r.doubled)) if _half(r.doubled) in short else _half(r.doubled) for r in pos.even]
+    return divide, [_half(a.doubled) for a in pos.isotropic]
 
 
 def test_kac_matches_tuple_loops_on_weight_grid():
@@ -282,34 +285,45 @@ def _random_cases(seed):
                 yield rank, p, halves, multiply, shape
 
 
+def P(rank, terms):
+    return LaurentPoly(rank, 0, terms)
+
+
+def _binomial(rank, h):
+    return P(rank, {h: 1}) - P(rank, {tuple(-x for x in h): 1})
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_identity_group_matches_tuple_loops(seed):
+def test_times_binomials_matches_tuple_loops(seed):
+    # every shape, wide and huge fields and half exponents included; the
+    # binomial division of the even-Levi characters is exact_div, one
+    # binomial at a time, in either order
     for rank, p, halves, multiply, shape in _random_cases(seed):
-        identity = ((tuple(range(rank)), (1,) * rank, 1),)
+        assert times_binomials(P(rank, p), multiply).terms == _multiply_reference(p, multiply)
+        assert times_binomials(P(rank, p), halves).terms == _multiply_reference(p, halves)
         prod = _binomial_product(p, halves)
         changed = {**prod, next(iter(p)): prod.get(next(iter(p)), 0) + 1}  # never a multiple
-        assert weyl_quotient(rank, 0, prod, identity, halves).terms == p
-        assert weyl_quotient(rank, 0, prod, identity, halves[::-1]).terms == p
-        with pytest.raises(NotDivisible):
-            weyl_quotient(rank, 0, changed, identity, halves)
-        assert weyl_quotient(rank, 0, p, identity, multiply=multiply).terms == _multiply_reference(p, multiply)
+        for order in (halves, halves[::-1]):
+            q = P(rank, prod)
+            for h in order:
+                q = exact_div(q, _binomial(rank, h))
+            assert q.terms == p
         if shape in ("wide", "huge"):
-            continue  # the tuple division walks every position of a string: millions and more
-        got = weyl_quotient(rank, 0, prod, identity, halves, multiply)
-        assert got.terms == _quotient_reference(prod, halves, multiply)
-        # random inputs are almost never divisible: the same outcome
-        for num in (p, changed):
-            want = _outcome(_quotient_reference, num, halves)
-            assert _outcome(lambda: weyl_quotient(rank, 0, num, identity, halves).terms) == want
+            continue  # dividing a non-multiple walks a string of millions of positions and more
+        with pytest.raises(NotDivisible):
+            q = P(rank, changed)
+            for h in halves:
+                q = exact_div(q, _binomial(rank, h))
 
 
 def test_signed_permutation_rows_act_as_the_tuple_loop():
     # arbitrary signed permutations and determinants, not a group: the
-    # kernel's packed images against g(e)[perm[i]] = signs[i] * e[i]
+    # alternating sum of `alternating_terms` against
+    # g(e)[perm[i]] = signs[i] * e[i]
     rng = random.Random(5)
     for rank in range(1, 6):
         for shape, ranges in SHAPES.items():
-            p = _random_terms(rng, ranges(rank), rng.randint(1, 6), 100)
+            (e,) = _random_terms(rng, ranges(rank), 1, 100)
             group = []
             for _ in range(rng.randint(1, 6)):
                 perm = list(range(rank))
@@ -317,42 +331,30 @@ def test_signed_permutation_rows_act_as_the_tuple_loop():
                 group.append((tuple(perm), tuple(rng.choice((1, -1)) for _ in range(rank)), rng.choice((1, -1))))
             want = {}
             for perm, signs, det in group:
-                for e, c in p.items():
-                    f = [0] * rank
-                    for i in range(rank):
-                        f[perm[i]] = signs[i] * e[i]
-                    want[tuple(f)] = want.get(tuple(f), 0) + det * c
-            want = {e: c for e, c in want.items() if c}
-            assert weyl_quotient(rank, 0, p, tuple(group)).terms == want
+                f = [0] * rank
+                for i in range(rank):
+                    f[perm[i]] = signs[i] * e[i]
+                want[tuple(f)] = want.get(tuple(f), 0) + det
+            assert {f: c for f, c in alternating_terms(group, e).items() if c} == {f: c for f, c in want.items() if c}
 
 
 def test_not_divisible_and_degenerate_inputs():
-    one = {(0, 0): 1}
-    plus = {(0, 2): 1, (0, -2): 1}
-    identity = ((0, 1), (1, 1), 1),
-    with pytest.raises(NotDivisible, match=r"string through \(0, -2\) does not clear"):
-        weyl_quotient(2, 0, plus, identity, [(0, 2)])
+    one = P(2, {(0, 0): 1})
+    plus = P(2, {(0, 2): 1, (0, -2): 1})
     with pytest.raises(NotDivisible):
-        weyl_quotient(2, 0, {(0, 4): 1, (0, 0): 1}, identity, [(0, 2)])
+        exact_div(plus, _binomial(2, (0, 2)))
+    with pytest.raises(NotDivisible):
+        exact_div(P(2, {(0, 4): 1, (0, 0): 1}), _binomial(2, (0, 2)))
     # a changed coefficient in the middle of a string
     prod = _binomial_product({(1, 0): 3, (1, 4): -2}, [(0, 2)])
-    assert weyl_quotient(2, 0, prod, identity, [(0, 2)]).terms == {(1, 0): 3, (1, 4): -2}
+    assert exact_div(P(2, prod), _binomial(2, (0, 2))).terms == {(1, 0): 3, (1, 4): -2}
     with pytest.raises(NotDivisible):
-        weyl_quotient(2, 0, {**prod, (1, 2): 1}, identity, [(0, 2)])
+        exact_div(P(2, {**prod, (1, 2): 1}), _binomial(2, (0, 2)))
     with pytest.raises(ZeroDivisionError):
-        weyl_quotient(2, 0, one, identity, [(0, 0)])
-    assert weyl_quotient(2, 0, {}, identity, [(0, 2)]).is_zero()
-    assert weyl_quotient(2, 0, one, identity).terms == one
-
-
-def test_integrality_is_checked_on_request():
-    identity = ((0, 1), (1, 1), 1),
-    half = {(1, 0): 1, (-1, 0): -1}
-    assert weyl_quotient(2, 0, half, identity).terms == half
-    with pytest.raises(ArithmeticError, match="Test character came out non-integral"):
-        weyl_quotient(2, 0, half, identity, integral="Test character")
-    # (x^{1/2} - x^{-1/2}) / (x^{1/2} - x^{-1/2}) = 1 is integral
-    assert weyl_quotient(2, 0, half, identity, [(1, 0)], integral="Test character").terms == {(0, 0): 1}
-    # a half-integral product: (x + x^-1)(x^{1/2} + x^{-1/2})
-    with pytest.raises(ArithmeticError, match="non-integral"):
-        weyl_quotient(2, 0, {(2, 0): 1, (-2, 0): 1}, identity, multiply=[(1, 0)], integral="Test character")
+        exact_div(one, _binomial(2, (0, 0)))
+    assert exact_div(P(2, {}), _binomial(2, (0, 2))).is_zero()
+    # x^0 + x^-0 = 2; no binomials leave p as it is
+    assert times_binomials(one, [(0, 0)]).terms == {(0, 0): 2}
+    assert times_binomials(P(2, {}), [(0, 2)]).is_zero()
+    assert times_binomials(one, ()) is one
+    assert times_binomials(plus, [(0, 2), (0, -2)]).terms == _multiply_reference(plus.terms, [(0, 2), (0, -2)])
