@@ -20,16 +20,20 @@ the integers where the block is integral), and the irreducibility verdicts
 below are certificates, not numerics.
 
 The singular-vector pass and the tensor counts solve only the g0-dominant
-blocks (`rootdata.fold_to_dominant`).  A singular vector is killed by the
-even raising operators, so its weight is g0-dominant.  The Laplacian commutes
-with the even group, whose Weyl group W permutes the weight blocks, so the
-block at wμ has the nullity of the block at μ; the kernel dimension is the
-sum over dominant μ of nullity(μ) times the number of weights of the degree
-in μ's W-orbit, checked against dim(k) - dim(k-2).  `kernel_basis` still
-solves every block.  The cyclic span of a singular vector is a g-submodule,
-so its dimension is likewise the sum over dominant μ of its span at μ times
-the size of μ's orbit; the walk keeps only the weights from which simple
-lowering steps can reach a dominant weight of the degree.
+blocks.  A singular vector is killed by the even raising operators, so its
+weight is g0-dominant.  The Laplacian commutes with the even group, whose
+Weyl group W permutes the weight blocks, so the block at wμ has the nullity
+of the block at μ; the kernel dimension is the sum over dominant μ of
+nullity(μ) times |Wμ|, checked against dim(k) - dim(k-2).  The pass builds no
+whole degree and no other block: the dominant weights of a degree, the
+monomials of each, |Wμ| (from the stabilizer of μ) and dim(k) are all read
+off closed forms (`_dominant_weights`, `_weight_monomials`, `_orbit_size`,
+`degree_dim`).  The tensor counts still fold the weights of the whole degree
+to find theirs, and `kernel_basis` still solves every block.  The cyclic span
+of a singular vector is a g-submodule, so its dimension is likewise the sum
+over dominant μ of its span at μ times |Wμ|; the walk keeps only the weights
+of the degree (`_is_degree_weight`) from which simple lowering steps can
+reach a dominant weight.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, grlex_key
@@ -49,9 +53,8 @@ from .rootdata import (
     Weight,
     fold_to_dominant,
     is_dominant,
+    partitions_up_to,
     simple_roots,
-    weyl_act,
-    weyl_group,
 )
 
 
@@ -395,8 +398,10 @@ def partial(alg: Algebra, slot: int) -> Derivation:
     return Derivation(alg, parity, ((slot, SuperElement.one(alg)),), f"d/d{gen_name(alg, slot)}")
 
 
+@lru_cache(maxsize=64)
 def doubled_laplacian(alg: Algebra) -> OperatorSum:
-    """2 * laplacian(alg): integer coefficients and the same kernel."""
+    """2 * laplacian(alg): integer coefficients and the same kernel.  Built
+    once per algebra; the operator is never mutated."""
     m, nc = alg.m, _layout(alg)[0]
     parts = []
     for j in range(alg.n):
@@ -519,10 +524,12 @@ def root_operator(alg: Algebra, root: Weight) -> Derivation:
     raise ValueError(f"{root.format()} is not a root of {alg}")
 
 
+@lru_cache(maxsize=64)
 def simple_root_operators(alg: Algebra):
-    """(raising, lowering) derivations for the standard simple roots."""
-    ups = [root_operator(alg, s) for s in simple_roots(alg)]
-    downs = [root_operator(alg, -s) for s in simple_roots(alg)]
+    """(raising, lowering) tuples of derivations for the standard simple
+    roots, built once per algebra."""
+    ups = tuple(root_operator(alg, s) for s in simple_roots(alg))
+    downs = tuple(root_operator(alg, -s) for s in simple_roots(alg))
     return ups, downs
 
 
@@ -547,15 +554,23 @@ def degree_basis(alg: Algebra, k: int, bound: int = 20000):
     return _degree_basis(alg, k, bound)
 
 
+def _bounded_dim(alg, k, bound):
+    """degree_dim(alg, k), refused with DimensionGuard when it exceeds bound;
+    0 for k < 0, whatever the bound."""
+    if k < 0:
+        return 0
+    dim = degree_dim(alg, k)
+    if dim > bound:
+        raise DimensionGuard(f"dim = {dim} exceeds bound {bound}")
+    return dim
+
+
 @lru_cache(maxsize=128)
 def _degree_basis(alg, k, bound):
     # called with every argument given positionally, so that one degree and
     # bound is one cache entry however the caller spelled the call
-    if k < 0:
+    if not _bounded_dim(alg, k, bound):
         return ()
-    dim = degree_dim(alg, k)
-    if dim > bound:
-        raise DimensionGuard(f"dim = {dim} exceeds bound {bound}")
     nc, gs, total = _layout(alg)
     ngr = total - gs
     out = []
@@ -587,6 +602,100 @@ def char_of_degree(alg: Algebra, k: int) -> LaurentPoly:
         w = monomial_weight_doubled(alg, mono)
         terms[w] = terms.get(w, 0) + 1
     return LaurentPoly(alg.n, alg.m, terms)
+
+
+# -- the weights of a degree --------------------------------------------------------------
+#
+# A degree-k monomial of doubled weight 2(a; b) sets, on each d-slot j, the
+# bit of xi_j (a_j = 1) or of xib_j (a_j = -1), or neither or both (a_j = 0);
+# on each e-slot it is x_i^(b_i^+ + t) xb_i^(b_i^- + t); x0 (odd l) takes the
+# degree left.  So the weights of a degree, and the monomials of each, follow
+# from the slot pairs without enumerating the degree.
+
+
+def _is_degree_weight(alg, k, doubled):
+    """Is doubled the weight of some degree-k monomial?  Its d-entries are -1,
+    0 or 1, and the slack k - sum |entries| is >= 0, made up by x0 (odd l)
+    or else in pairs: x_i xb_i, or both bits of a zero d-slot (the only
+    pairs when m = 0)."""
+    n = alg.n
+    if any(abs(x) > 2 for x in doubled[:n]):
+        return False
+    slack = k - sum(map(abs, doubled)) // 2
+    if slack < 0 or alg.odd:
+        return slack >= 0
+    return slack % 2 == 0 and (alg.m > 0 or slack <= 2 * doubled[:n].count(0))
+
+
+def _dominant_weights(alg, k):
+    """The g0-dominant doubled weights of degree k, graded-lex descending:
+    (1^p, 0^(n-p)) on the d-slots; on the e-slots a partition with at most m
+    parts and, for even l, also its copy with the last entry negated (for
+    so(2), whose W is trivial, that is every sign)."""
+    n, m = alg.n, alg.m
+    out = []
+    for p in range(min(n, k) + 1):
+        d = (2,) * p + (0,) * (n - p)
+        for lam in partitions_up_to(k - p, m):
+            e = tuple(2 * x for x in lam) + (0,) * (m - len(lam))
+            candidates = [d + e]
+            if not alg.odd and len(lam) == m > 0:  # D_m: the last entry has either sign
+                candidates.append(d + e[:-1] + (-e[-1],))
+            out += [wt for wt in candidates if _is_degree_weight(alg, k, wt)]
+    return sorted(out, key=grlex_key, reverse=True)
+
+
+def _weight_monomials(alg, k, doubled):
+    """The degree-k monomials of one doubled weight, in tuple order."""
+    n, m = alg.n, alg.m
+    a = [x // 2 for x in doubled[:n]]
+    b = [x // 2 for x in doubled[n:]]
+    x = [max(c, 0) for c in b]
+    xb = [max(-c, 0) for c in b]
+    slack = k - sum(map(abs, a)) - sum(map(abs, b))
+    zeros = [j for j, c in enumerate(a) if not c]
+    out = []
+    for both in range(min(len(zeros), slack // 2) + 1):
+        rest = slack - 2 * both
+        # (pairs x_i xb_i, [exponent of x0]): x0 takes any rest for odd l
+        if alg.odd:
+            splits = [(t, [rest - 2 * t]) for t in range(rest // 2 + 1)]
+        else:
+            splits = [(rest // 2, [])] if rest % 2 == 0 else []
+        for pair in itertools.combinations(zeros, both):
+            xi = [int(c > 0 or j in pair) for j, c in enumerate(a)]
+            xib = [int(c < 0 or j in pair) for j, c in enumerate(a)]
+            for t, x0 in splits:
+                for ts in _compositions(t, m):
+                    out.append(tuple([u + v for u, v in zip(x, ts)] + [u + v for u, v in zip(xb, ts)]
+                                     + x0 + xi + xib))
+    return sorted(out)
+
+
+def _orbit_size(alg, doubled):
+    """|W mu| for a doubled weight mu, from its stabilizer: on C_n (d-slots)
+    and B_m (e-slots, odd l), r!/prod c! * 2^(nonzero entries) for r slots
+    whose absolute values occur c times each; D_m (even l) changes signs in
+    pairs only, so it has 2^(m-1) for 2^m when no entry is 0."""
+    n = alg.n
+    size = 1
+    for side, flips in ((doubled[:n], True), (doubled[n:], alg.odd)):
+        mags = Counter(map(abs, side))
+        signs = len(side) - mags[0]
+        if not flips and side and not mags[0]:
+            signs -= 1
+        size *= factorial(len(side)) // prod(map(factorial, mags.values())) * 2**signs
+    return size
+
+
+def _weyl_invariant(alg, poly):
+    """Is a doubled-exponent LaurentPoly W-invariant?  It is iff, for every
+    dominant mu, its terms that fold to mu are all |W mu| weights of mu's
+    orbit with one coefficient; W itself is not enumerated."""
+    by_fold = {}
+    for e, c in poly.terms.items():
+        by_fold.setdefault(fold_to_dominant(alg, e), []).append(c)
+    return all(len(cs) == _orbit_size(alg, mu) and len(set(cs)) == 1 for mu, cs in by_fold.items())
 
 
 # -- per-weight blocks -------------------------------------------------------------------
@@ -662,19 +771,21 @@ def _block_singular(images, ups, dom, kern):
 
 def _singular_pass(alg, k, bound, images, ups):
     """(dim ker Laplacian, singular vectors by weight, orbit_size) in degree
-    k, from one pass over the g0-dominant weight blocks.  orbit_size maps each
-    dominant weight of the degree to the size of its W-orbit, the number of
-    block weights with that fold; every fold is itself a block weight, since
-    the weights of a degree are W-stable.  The nullity of a dominant block
-    counts once for every weight of its W-orbit."""
+    k, from one pass over the g0-dominant weight blocks, each built from its
+    slot pairs (`_weight_monomials`); no other block and no whole degree is
+    built.  orbit_size maps each dominant weight of the degree to the size
+    of its W-orbit, whose weights all lie in the degree, since the weights of
+    a degree are W-stable.  The nullity of a dominant block counts once for
+    every weight of its W-orbit.  A degree whose dimension exceeds bound is
+    refused first, as degree_basis would."""
+    _bounded_dim(alg, k, bound)
     lap = doubled_laplacian(alg)
-    blocks = _weight_blocks(alg, k, bound)
-    orbit_size = Counter(fold_to_dominant(alg, wt) for wt, _ in blocks)
     kdim = 0
     out = {}
-    for wt, dom in blocks:
-        if wt not in orbit_size:  # not dominant: no singular vector, nullity counted at its fold
-            continue
+    orbit_size = {}
+    for wt in _dominant_weights(alg, k):
+        dom = _weight_monomials(alg, k, wt)
+        orbit_size[wt] = _orbit_size(alg, wt)
         kern = _block_kernel(images, lap, dom)
         kdim += orbit_size[wt] * len(kern)
         vecs = _block_singular(images, ups, dom, kern)
@@ -684,7 +795,9 @@ def _singular_pass(alg, k, bound, images, ups):
 
 
 def _check_surjective(alg, k, bound, kdim):
-    if kdim != len(degree_basis(alg, k, bound)) - len(degree_basis(alg, k - 2, bound)):
+    """kdim must be dim(k) - dim(k-2) (surjectivity of the Laplacian one
+    degree up), both dimensions counted in closed form under bound."""
+    if kdim != _bounded_dim(alg, k, bound) - _bounded_dim(alg, k - 2, bound):
         raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {kdim}")
 
 
@@ -758,18 +871,18 @@ class _SparseSpan:
         return len(self.pivots)
 
 
-def _upward_closure(alg, orbit_size):
-    """The weights of the degree reached from its dominant weights (the keys
-    of orbit_size) by adding simple roots one at a time, each step a weight
-    of the degree, i.e. one whose fold is a key of orbit_size."""
+def _upward_closure(alg, k, dominant):
+    """The weights of degree k reached from its dominant weights (dominant)
+    by adding simple roots one at a time, each step a weight of the degree
+    (`_is_degree_weight`)."""
     simples = [a.doubled for a in simple_roots(alg)]
-    found = set(orbit_size)
+    found = set(dominant)
     stack = list(found)
     while stack:
         wt = stack.pop()
         for a in simples:
             up = tuple(x + y for x, y in zip(wt, a))
-            if up not in found and fold_to_dominant(alg, up) in orbit_size:
+            if up not in found and _is_degree_weight(alg, k, up):
                 found.add(up)
                 stack.append(up)
     return found
@@ -785,7 +898,7 @@ def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops, orbit_size) -> int:
     of `_upward_closure`, so the walk drops every vector at another weight
     before it reaches the span.  Exact: the module is finite dimensional, v
     is scaled to ints once, and int derivations keep its images int."""
-    walk = _upward_closure(alg, orbit_size)
+    walk = _upward_closure(alg, sum(next(iter(vector.terms))), orbit_size)
     shifts = [op.weight_shift() for op in ops]
     images = MonomialImages()
     span = _SparseSpan()
@@ -893,13 +1006,10 @@ def kernel_tensor_natural_report(alg: Algebra, k: int, natural_multiplicity: int
         for w in factor_multiset
         if factor_multiset[w] != counts.get(w, 0)
     }
-    group = weyl_group(alg)
     checks = {
         "residual_nonnegative": all(c >= 0 for c in residual.terms.values()),
         "residual_leading_multiplicity_one": lead_coef == 1,
-        "residual_weyl_invariant": all(
-            residual.map_exponents(lambda e: weyl_act(g, e)) == residual for g in group[: min(8, len(group))]
-        ),
+        "residual_weyl_invariant": _weyl_invariant(alg, residual),
         "all_singular_weights_expected": set(counts) <= set(factor_multiset),
     }
     return {

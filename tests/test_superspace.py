@@ -301,12 +301,11 @@ def test_degree_basis_is_one_cache_entry_per_degree():
     degree_basis(alg, 3)
     degree_basis(alg, 1)
     assert _degree_basis.cache_info().misses == 2
-    # the report and the explicit-bound spellings read the warmed entries
-    irreducibility_report(alg, 3)
+    # the explicit-bound spellings read the warmed entries
     degree_basis(alg, 3, 20000)
     degree_basis(alg, 1, bound=20000)
     info = _degree_basis.cache_info()
-    assert (info.misses, info.currsize) == (2, 2) and info.hits >= 4
+    assert (info.misses, info.currsize, info.hits) == (2, 2, 2)
 
 
 def test_oversized_degree_is_refused_before_enumeration():
@@ -410,7 +409,7 @@ def _stacked_null(columns_per_op, ncols):
 def _reference_singular_vectors(alg, k):
     from spochar.laurent import grlex_key
 
-    ops = [_reference_laplacian(alg)] + simple_root_operators(alg)[0]
+    ops = [_reference_laplacian(alg), *simple_root_operators(alg)[0]]
     groups = {}
     for t in degree_basis(alg, k):
         groups.setdefault(monomial_weight_doubled(alg, t), []).append(t)
@@ -600,20 +599,39 @@ def test_singular_solve_restores_fractional_kernel_vectors():
     assert fractional
 
 
-def test_report_reads_every_degree_at_its_bound(monkeypatch):
-    # the cyclic span takes its weights from the singular pass: no read of a
-    # degree at the default bound, which a degree past 20000 would refuse
-    bounds = []
-    degree_basis_at = superspace._degree_basis
+def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp_path):
+    # the reports build their dominant blocks from slot pairs and count the
+    # degree in closed form, so no degree is enumerated; --bound still refuses
+    # a degree past it with degree_basis's message, before any work
+    from spochar import cli
+    from spochar.superspace import DimensionGuard, kernel_dim_and_singular_vectors
 
-    def recording(alg, k, bound):
-        bounds.append(bound)
-        return degree_basis_at(alg, k, bound)
+    def refuse(*args):
+        raise AssertionError("a report enumerated a degree")
 
-    monkeypatch.setattr(superspace, "_degree_basis", recording)
+    monkeypatch.setattr(superspace, "_degree_basis", refuse)
     rep = irreducibility_report(SPO44, 3, bound=5000)
-    assert rep.classification == "irreducible"
-    assert bounds and set(bounds) == {5000}
+    assert (rep.classification, rep.kernel_dim) == ("irreducible", 80)
+    assert kernel_dim_and_singular_vectors(SPO44, 3, 5000)[0] == 80
+    alg = Algebra.parse("8|8")
+    rep = irreducibility_report(alg, 6, bound=30000)
+    assert (rep.classification, rep.kernel_dim, rep.top_cyclic_dim) == ("irreducible", 24192, 24192)
+
+    for call in (irreducibility_report, kernel_dim_and_singular_vectors, singular_vectors):
+        with pytest.raises(DimensionGuard, match="^dim = 27008 exceeds bound 20000$"):
+            call(alg, 6)
+    for flag in ((), ("--report",)):
+        code = cli.main(["laplacian", "--algebra", "8|8", "--degree", "6", *flag, "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: dim = 27008 exceeds bound 20000\n")
+    for bound in (0, 1, 20000):
+        rep = irreducibility_report(SPO44, -1, bound)
+        assert (rep.kernel_dim, rep.singular_weights, rep.classification) == (0, [], "zero")
+        assert kernel_dim_and_singular_vectors(SPO44, -1, bound) == (0, {})
+    # the kernel check reads degree k - 2 under the bound too, as it did when
+    # it counted both bases: on spo(4|0), dim(2) = 6 > dim(4) = 1
+    with pytest.raises(DimensionGuard, match="^dim = 6 exceeds bound 3$"):
+        irreducibility_report(Algebra.parse("4|0"), 4, bound=3)
 
 
 # -- differential test: the orbit-weighted cyclic span against the whole module --------
@@ -667,6 +685,159 @@ def test_orbit_weighted_span_matches_whole_module_walk(alg, k):
     if (alg, k) in SMALLER_SPANS:
         rep = irreducibility_report(alg, k)
         assert (rep.top_cyclic_dim, rep.kernel_dim) == SMALLER_SPANS[alg, k]
+
+
+# -- differential test: dominant blocks from slot pairs against the whole degree --------
+#
+# A frozen copy of the singular pass that weighed every monomial of the degree
+# (`_weight_blocks`), folded every weight to find the dominant blocks and
+# counted each orbit by its folds, and of the upward closure that folded every
+# candidate weight, before both read the dominant weights, their monomials,
+# orbit sizes and the weights of the degree from closed forms.
+
+
+def _whole_degree_singular_pass(alg, k):
+    from collections import Counter
+
+    from spochar.rootdata import fold_to_dominant
+    from spochar.superspace import _block_kernel, _block_singular, _weight_blocks, doubled_laplacian
+
+    images = MonomialImages()
+    ups, _ = simple_root_operators(alg)
+    lap = doubled_laplacian(alg)
+    blocks = _weight_blocks(alg, k, 20000)
+    orbit_size = Counter(fold_to_dominant(alg, wt) for wt, _ in blocks)
+    kdim, out = 0, {}
+    for wt, dom in blocks:
+        if wt not in orbit_size:
+            continue
+        kern = _block_kernel(images, lap, dom)
+        kdim += orbit_size[wt] * len(kern)
+        vecs = _block_singular(images, ups, dom, kern)
+        if vecs:
+            out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
+    return kdim, out, orbit_size
+
+
+def _folding_upward_closure(alg, orbit_size):
+    from spochar.rootdata import fold_to_dominant, simple_roots
+
+    simples = [a.doubled for a in simple_roots(alg)]
+    found = set(orbit_size)
+    stack = list(found)
+    while stack:
+        wt = stack.pop()
+        for a in simples:
+            up = tuple(x + y for x, y in zip(wt, a))
+            if up not in found and fold_to_dominant(alg, up) in orbit_size:
+                found.add(up)
+                stack.append(up)
+    return found
+
+
+L1_CASES = [(Algebra.parse(text), k) for text, kmax in [("2|1", 6), ("4|1", 5), ("6|1", 4)] for k in range(kmax + 1)]
+SINGULAR_PASS_CASES = SPAN_CASES + L1_CASES + [
+    (alg, k) for alg in dict.fromkeys(alg for alg, _ in SPAN_CASES + L1_CASES) for k in (-1, 0)
+    if (alg, k) not in SPAN_CASES + L1_CASES]
+
+
+@pytest.mark.parametrize("alg,k", SINGULAR_PASS_CASES, ids=lambda x: str(x))
+def test_dominant_blocks_from_slot_pairs_match_the_whole_degree_pass(alg, k):
+    ref_kdim, ref_svs, ref_orbits = _whole_degree_singular_pass(alg, k)
+    kdim, svs, orbit_size = superspace._singular_pass(alg, k, 20000, MonomialImages(), simple_root_operators(alg)[0])
+    assert kdim == ref_kdim
+    assert list(svs) == list(ref_svs)
+    for w in svs:
+        assert [_exact_terms(v) for v in svs[w]] == [_exact_terms(v) for v in ref_svs[w]]
+    assert orbit_size == dict(ref_orbits)
+    assert superspace._upward_closure(alg, k, orbit_size) == _folding_upward_closure(alg, ref_orbits)
+
+
+# Every kind of W and of slack: l = 0 (no e-slots, no x0), l = 1 (x0 only),
+# so(2), D_m and B_m, with k from -2 to 8 where the degree is small enough to
+# enumerate.
+CLOSED_FORM_GRID = [
+    (alg, k)
+    for text in ("2|0", "4|0", "6|0", "2|1", "4|1", "6|1", "2|2", "4|2", "6|2", "2|3", "4|3", "2|4", "4|4",
+                 "2|5", "4|5", "2|6", "2|7")
+    for alg in [Algebra.parse(text)]
+    for k in range(-2, 9)
+    if superspace.degree_dim(alg, k) <= 4000
+]
+
+
+def test_closed_forms_match_the_enumerated_degree():
+    from collections import Counter
+
+    from spochar.rootdata import fold_to_dominant
+
+    assert len(CLOSED_FORM_GRID) > 120
+    for alg, k in CLOSED_FORM_GRID:
+        basis = degree_basis(alg, k)
+        assert superspace.degree_dim(alg, k) == len(basis)
+        by_weight = {}
+        for t in basis:
+            by_weight.setdefault(monomial_weight_doubled(alg, t), []).append(t)
+        for wt, monos in by_weight.items():
+            assert superspace._weight_monomials(alg, k, wt) == monos
+        folds = Counter(fold_to_dominant(alg, wt) for wt in by_weight)
+        dominant = superspace._dominant_weights(alg, k)
+        assert dominant == sorted(folds, key=lambda w: (sum(w), w), reverse=True)
+        assert {mu: superspace._orbit_size(alg, mu) for mu in dominant} == folds
+        near = {wt[:i] + (wt[i] + step,) + wt[i + 1:]
+                for wt in by_weight for i in range(alg.rank) for step in (-2, 0, 2)}
+        near |= {(2,) * alg.rank, (0,) * alg.rank}
+        for wt in near:
+            assert superspace._is_degree_weight(alg, k, wt) == (wt in by_weight), (alg, k, wt)
+
+
+# -- the Weyl-invariance check -------------------------------------------------------------
+
+
+def _invariant_by_enumeration(alg, poly):
+    from spochar.rootdata import weyl_act, weyl_group
+
+    return all(poly.map_exponents(lambda e: weyl_act(g, e)) == poly for g in weyl_group(alg))
+
+
+def test_weyl_invariance_checks_all_of_w():
+    from spochar.laurent import LaurentPoly
+    from spochar.rootdata import weyl_act, weyl_group
+
+    rng = random.Random(17)
+    for text in ("4|5", "4|4", "2|2", "6|1", "4|0", "2|3"):
+        alg = Algebra.parse(text)
+        group = weyl_group(alg)
+        for _ in range(12):
+            seeds = [tuple(2 * rng.randint(-2, 2) for _ in range(alg.rank)) for _ in range(2)]
+            terms = {}
+            for seed, c in zip(seeds, (1, 2)):
+                for g in group:
+                    terms[weyl_act(g, seed)] = c
+            poly = LaurentPoly(alg.n, alg.m, terms)
+            assert superspace._weyl_invariant(alg, poly) == _invariant_by_enumeration(alg, poly)
+            broken = dict(terms)
+            broken[next(iter(broken))] += 1
+            broken = LaurentPoly(alg.n, alg.m, broken)
+            assert superspace._weyl_invariant(alg, broken) == _invariant_by_enumeration(alg, broken)
+
+    # invariant under the B_2 of the e-slots, not under the C_2 of the
+    # d-slots: the first 8 rows of W fix every d-slot, so they cannot see it
+    alg = Algebra.parse("4|5")
+    e_side = LaurentPoly(2, 2, {(2, 0, 2, 0): 1, (2, 0, -2, 0): 1, (2, 0, 0, 2): 1, (2, 0, 0, -2): 1})
+    assert all(e_side.map_exponents(lambda e: weyl_act(g, e)) == e_side for g in weyl_group(alg)[:8])
+    assert not superspace._weyl_invariant(alg, e_side)
+    assert not _invariant_by_enumeration(alg, e_side)
+
+
+def test_operators_are_built_once_per_algebra():
+    from spochar.superspace import doubled_laplacian
+
+    alg = Algebra.parse("4|3")
+    ups, downs = simple_root_operators(alg)
+    assert type(ups) is tuple and type(downs) is tuple
+    assert simple_root_operators(Algebra.parse("4|3"))[0] is ups
+    assert doubled_laplacian(Algebra.parse("4|3")) is doubled_laplacian(alg)
 
 
 # -- exhaustive test: generator moves against the merged images --------------------------
