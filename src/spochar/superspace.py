@@ -19,21 +19,19 @@ vectors and the tensor counts are solved block by block (fraction-free over
 the integers where the block is integral), and the irreducibility verdicts
 below are certificates, not numerics.
 
-The singular-vector pass and the tensor counts solve only the g0-dominant
-blocks.  A singular vector is killed by the even raising operators, so its
-weight is g0-dominant.  The Laplacian commutes with the even group, whose
-Weyl group W permutes the weight blocks, so the block at wμ has the nullity
-of the block at μ; the kernel dimension is the sum over dominant μ of
-nullity(μ) times |Wμ|, checked against dim(k) - dim(k-2).  The pass builds no
-whole degree and no other block: the dominant weights of a degree, the
-monomials of each, |Wμ| (from the stabilizer of μ) and dim(k) are all read
-off closed forms (`_dominant_weights`, `_weight_monomials`, `_orbit_size`,
-`degree_dim`).  The tensor counts still fold the weights of the whole degree
-to find theirs, and `kernel_basis` still solves every block.  The cyclic span
-of a singular vector is a g-submodule, so its dimension is likewise the sum
-over dominant μ of its span at μ times |Wμ|; the walk keeps only the weights
-of the degree (`_is_degree_weight`) from which simple lowering steps can
-reach a dominant weight.
+Every block is built from closed forms, not from an enumerated degree: the
+dominant weights of a degree, the monomials of a weight, |Wμ| (from the
+stabilizer of μ) and dim(k) (`_dominant_weights`, `_weight_monomials`,
+`_orbit_size`, `degree_dim`).  `kernel_basis` solves every weight of the
+degree, the W-orbits of the dominant ones.  The singular-vector pass and the
+tensor counts solve only the g0-dominant blocks: the even raising operators
+kill a singular vector, so its weight is g0-dominant, and W permutes the
+Laplacian's weight blocks, so the kernel dimension is the sum over dominant
+μ of nullity(μ) times |Wμ|, checked against dim(k) - dim(k-2).  The cyclic
+span of a singular vector is a g-submodule, so its dimension is likewise the
+sum over dominant μ of its span at μ times |Wμ|; the walk keeps only the
+weights of the degree (`_is_degree_weight`) from which simple lowering steps
+can reach a dominant weight.
 """
 
 from __future__ import annotations
@@ -54,7 +52,9 @@ from .rootdata import (
     fold_to_dominant,
     is_dominant,
     partitions_up_to,
+    positive_roots,
     simple_roots,
+    _side_orbit,
 )
 
 
@@ -210,13 +210,6 @@ class SuperElement:
         """Doubled weight if homogeneous, else None."""
         ws = {monomial_weight_doubled(self.alg, t) for t in self.terms}
         return ws.pop() if len(ws) == 1 else None
-
-    def character(self) -> LaurentPoly:
-        terms = {}
-        for t in self.terms:
-            w = monomial_weight_doubled(self.alg, t)
-            terms[w] = terms.get(w, 0) + 1
-        return LaurentPoly(self.alg.n, self.alg.m, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -549,8 +542,9 @@ def degree_dim(alg: Algebra, k: int) -> int:
 
 
 def degree_basis(alg: Algebra, k: int, bound: int = 20000):
-    """Canonical monomial basis of the degree-k component; refused with
-    DimensionGuard, before any enumeration, when its dimension exceeds bound."""
+    """Canonical monomial basis of the degree-k component, enumerated for
+    `char_of_degree` alone; refused with DimensionGuard, before any
+    enumeration, when its dimension exceeds bound."""
     return _degree_basis(alg, k, bound)
 
 
@@ -645,6 +639,15 @@ def _dominant_weights(alg, k):
     return sorted(out, key=grlex_key, reverse=True)
 
 
+def _degree_weights(alg, k):
+    """The doubled weights of degree k: the W-orbits of its dominant weights,
+    built per side of g0 (`_side_orbit`)."""
+    n, even = alg.n, [r.doubled for r in positive_roots(alg).even]
+    d, e = (tuple(r[side] for r in even if any(r[side])) for side in (slice(n), slice(n, None)))
+    return [x + y for mu in _dominant_weights(alg, k)
+            for x in _side_orbit(mu[:n], d, True) for y in _side_orbit(mu[n:], e, alg.odd)]
+
+
 def _weight_monomials(alg, k, doubled):
     """The degree-k monomials of one doubled weight, in tuple order."""
     n, m = alg.n, alg.m
@@ -705,15 +708,6 @@ def _weyl_invariant(alg, poly):
 # block is solved by `nullspace`; a null vector over the sorted monomials of
 # its block is the vector the whole-degree matrix would give, because a column
 # is a pivot of the block-diagonal RREF exactly when it is one in its block.
-
-
-def _weight_blocks(alg, k, bound):
-    """[(doubled weight, sorted degree-k monomials of that weight)], graded-lex
-    descending by weight."""
-    groups = {}
-    for t in degree_basis(alg, k, bound):
-        groups.setdefault(monomial_weight_doubled(alg, t), []).append(t)
-    return [(w, groups[w]) for w in sorted(groups, key=grlex_key, reverse=True)]
 
 
 def _solve_block(columns):
@@ -795,23 +789,25 @@ def _singular_pass(alg, k, bound, images, ups):
 
 
 def _check_surjective(alg, k, bound, kdim):
-    """kdim must be dim(k) - dim(k-2) (surjectivity of the Laplacian one
-    degree up), both dimensions counted in closed form under bound."""
-    if kdim != _bounded_dim(alg, k, bound) - _bounded_dim(alg, k - 2, bound):
+    """kdim must be max(0, dim(k) - dim(k-2)), counted in closed form under
+    bound.  For l > 0 the Laplacian maps degree k onto k-2 (and x1^2 or x0^2
+    embeds k-2 in k); for l = 0 it lowers an sl2 action on the Grassmann
+    algebra: onto up to the middle degree, with kernel 0 above it."""
+    if kdim != max(0, _bounded_dim(alg, k, bound) - _bounded_dim(alg, k - 2, bound)):
         raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {kdim}")
 
 
 def kernel_basis(alg: Algebra, k: int, bound: int = 20000):
     """Exact basis of ker(Laplacian) on the degree-k component, the RREF null
-    basis of the whole degree in the order of its free monomials.
-
-    Asserts the expected dimension dim(k) - dim(k-2), i.e. surjectivity of
-    the Laplacian one degree up.
-    """
+    basis of the whole degree in the order of its free monomials, solved per
+    weight of the degree (`_degree_weights`) and checked by
+    `_check_surjective`.  A degree past bound is refused first."""
+    _bounded_dim(alg, k, bound)
     images = MonomialImages()
     lap = doubled_laplacian(alg)
     found = []
-    for _, dom in _weight_blocks(alg, k, bound):
+    for wt in _degree_weights(alg, k):
+        dom = _weight_monomials(alg, k, wt)
         for v in _block_kernel(images, lap, dom):
             free = max(i for i, c in enumerate(v) if c)
             found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
@@ -945,21 +941,25 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     weight.  Exact: per weight block, the stacked constraints are the
     left-factor Laplacian plus every simple raising operator acting by the
     coproduct rule.  Only the g0-dominant blocks are solved; no other weight
-    carries a singular vector."""
-    groups = {}
-    for t in degree_basis(alg, k, bound):
-        wt = monomial_weight_doubled(alg, t)
-        for s in range(gen_count(alg)):
-            w = tuple(a + b for a, b in zip(wt, gen_weight_doubled(alg, s)))
-            groups.setdefault(w, []).append((t, s))
+    carries a singular vector.  Their weights are the folds of mu + wt(s), mu
+    dominant of degree k, and the block at nu holds the (t, s) with t of weight
+    nu - wt(s).  A degree past bound is refused first."""
+    _bounded_dim(alg, k, bound)
+    shifts = [gen_weight_doubled(alg, s) for s in range(gen_count(alg))]
+    dominant = {fold_to_dominant(alg, tuple(a + b for a, b in zip(mu, shift)))
+                for mu in _dominant_weights(alg, k) for shift in shifts}
     images = MonomialImages()
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
     counts = {}
-    dominant = [wt for wt in groups if fold_to_dominant(alg, wt) == wt]
     for wt in sorted(dominant, key=grlex_key, reverse=True):
+        block = []
+        for s, shift in enumerate(shifts):
+            low = tuple(a - b for a, b in zip(wt, shift))
+            if _is_degree_weight(alg, k, low):
+                block += [(t, s) for t in _weight_monomials(alg, k, low)]
         columns = []
-        for mono, slot in sorted(groups[wt]):
+        for mono, slot in sorted(block):
             col = {(0, (t, slot)): c for t, c in images.image(lap, mono).items()}
             for op_i, op in enumerate(ups, 1):
                 for key, c in _tensor_coproduct_image(alg, images, op, mono, slot).items():

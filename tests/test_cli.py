@@ -211,6 +211,33 @@ def test_oversized_laplacian_exits_2(capsys, tmp_path):
     assert "\n" not in err and err.startswith("error: dim = ") and "exceeds bound 100" in err
 
 
+# l = 0 degrees above the middle one: the kernel is 0 though dim(k) - dim(k-2)
+# is negative, and the command must say so rather than fail its kernel check
+L0_ZERO_KERNELS = [("4|0", 4, ()), ("4|0", 4, ("--report",)), ("2|0", 3, ("--report",)), ("6|0", 5, ())]
+
+
+@pytest.mark.parametrize("algebra,degree,flags", L0_ZERO_KERNELS)
+def test_l0_laplacian_above_the_middle_degree_exits_0(capsys, tmp_path, algebra, degree, flags):
+    argv = ["laplacian", "--algebra", algebra, "--degree", str(degree), *flags]
+    out = run(capsys, *argv, cache=tmp_path / "text")
+    assert out.startswith(f"ker(Delta) on degree {degree} of spo({algebra}): dim 0\n")
+    out = run(capsys, *argv, "--format", "json", cache=tmp_path / "json")
+    assert json.loads(out)["kernel_dim"] == 0
+
+
+def test_batch_gives_an_l0_zero_kernel_line_code_0_in_its_slot(capsys, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text(
+        "kac --algebra 2|3 --weight 1x1 --no-cache\n"
+        "laplacian --algebra 4|0 --degree 4 --report --no-cache\n"
+        "dim --algebra 2|3 --irr 1d1 --no-cache\n"
+    )
+    out = run(capsys, "batch", "--file", str(script), expect=2)
+    assert _slot_codes(out) == [2, 0, 0]
+    slot = out.split("$ ")[2]
+    assert "ker(Delta) on degree 4 of spo(4|0): dim 0" in slot and "classification: zero" in slot
+
+
 def test_oversized_weyl_group_exits_2(capsys, tmp_path):
     code = cli.main(["kac", "--algebra", "10|10", "--weight", "1d1", "--cache-dir", str(tmp_path)])
     captured = capsys.readouterr()

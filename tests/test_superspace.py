@@ -543,6 +543,111 @@ def test_block_engine_matches_dense_path(alg, k):
     assert list(counts.items()) == list(ref_counts.items())
 
 
+# -- differential test: closed-form blocks against the enumerated degree ----------------
+#
+# Frozen copies of the whole-degree grouping (`_weight_blocks`) and of the
+# `kernel_basis` and `natural_tensor_singular_counts` that read their blocks
+# from it, before both built their blocks from closed forms.  The grouping
+# also serves the every-block and whole-degree passes below.
+
+
+def _weight_blocks(alg, k, bound=20000):
+    """[(doubled weight, sorted degree-k monomials of that weight)], graded-lex
+    descending by weight."""
+    from spochar.laurent import grlex_key
+
+    groups = {}
+    for t in degree_basis(alg, k, bound):
+        groups.setdefault(monomial_weight_doubled(alg, t), []).append(t)
+    return [(w, groups[w]) for w in sorted(groups, key=grlex_key, reverse=True)]
+
+
+def _enumerating_kernel_basis(alg, k, bound=20000):
+    from spochar.superspace import MonomialImages, _block_kernel, doubled_laplacian
+
+    images = MonomialImages()
+    lap = doubled_laplacian(alg)
+    found = []
+    for _, dom in _weight_blocks(alg, k, bound):
+        for v in _block_kernel(images, lap, dom):
+            free = max(i for i, c in enumerate(v) if c)
+            found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
+    superspace._check_surjective(alg, k, bound, len(found))
+    found.sort(key=lambda pair: pair[0])
+    return [el for _, el in found]
+
+
+def _enumerating_tensor_counts(alg, k, bound=20000):
+    from spochar.laurent import grlex_key
+    from spochar.rootdata import fold_to_dominant
+    from spochar.superspace import (MonomialImages, _solve_block, _tensor_coproduct_image, doubled_laplacian,
+                                    gen_weight_doubled)
+
+    groups = {}
+    for t in degree_basis(alg, k, bound):
+        wt = monomial_weight_doubled(alg, t)
+        for s in range(gen_count(alg)):
+            w = tuple(a + b for a, b in zip(wt, gen_weight_doubled(alg, s)))
+            groups.setdefault(w, []).append((t, s))
+    images = MonomialImages()
+    ups, _ = simple_root_operators(alg)
+    lap = doubled_laplacian(alg)
+    counts = {}
+    dominant = [wt for wt in groups if fold_to_dominant(alg, wt) == wt]
+    for wt in sorted(dominant, key=grlex_key, reverse=True):
+        columns = []
+        for mono, slot in sorted(groups[wt]):
+            col = {(0, (t, slot)): c for t, c in images.image(lap, mono).items()}
+            for op_i, op in enumerate(ups, 1):
+                for key, c in _tensor_coproduct_image(alg, images, op, mono, slot).items():
+                    col[(op_i, key)] = c
+            columns.append(col)
+        dim = len(_solve_block(columns))
+        if dim:
+            counts[Weight(alg, wt)] = dim
+    return counts
+
+
+def _exact_counts(counts):
+    return [(w.alg, w.doubled, type(c), c) for w, c in counts.items()]
+
+
+# l = 0 and l = 1 at every degree up to 10 (l = 0 is zero above 2n), where
+# the kernel check and the slack of a weight differ most from the cases above
+ENUMERATION_CASES = DIFFERENTIAL_CASES + [
+    (alg, k) for text in ("2|0", "4|0", "2|1", "4|1") for alg in [Algebra.parse(text)] for k in range(-1, 11)]
+
+
+@pytest.mark.parametrize("alg,k", ENUMERATION_CASES, ids=lambda x: str(x))
+def test_closed_form_blocks_match_the_enumerated_degree(alg, k):
+    kern = kernel_basis(alg, k)
+    assert [_exact_terms(v) for v in kern] == [_exact_terms(v) for v in _enumerating_kernel_basis(alg, k)]
+    counts = natural_tensor_singular_counts(alg, k)
+    assert _exact_counts(counts) == _exact_counts(_enumerating_tensor_counts(alg, k))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_tensor_counts_match_the_enumerated_degree_on_spo66(k):
+    alg = Algebra.parse("6|6")
+    counts = natural_tensor_singular_counts(alg, k)
+    assert _exact_counts(counts) == _exact_counts(_enumerating_tensor_counts(alg, k))
+    assert counts
+
+
+def test_l0_kernel_is_zero_above_the_middle_degree():
+    # the Grassmann-only Laplacian lowers an sl2 action: it is onto up to the
+    # middle degree n + 1 and injective on no degree above it, whose kernel
+    # is 0 though dim(k) - dim(k-2) < 0
+    for n in range(1, 5):
+        alg = Algebra(n, 0, False)
+        for k in range(-1, 2 * n + 3):
+            expected = max(0, superspace.degree_dim(alg, k) - superspace.degree_dim(alg, k - 2))
+            assert len(kernel_basis(alg, k)) == expected
+            assert superspace.kernel_dim_and_singular_vectors(alg, k)[0] == expected
+            assert irreducibility_report(alg, k).kernel_dim == expected
+            assert (expected == 0) == (k > n or k < 0)
+
+
 # -- differential test: dominant blocks only against every block ------------------------
 #
 # A frozen copy of the singular pass that solved every weight block and summed
@@ -551,7 +656,7 @@ def test_block_engine_matches_dense_path(alg, k):
 
 
 def _all_blocks_singular_pass(alg, k):
-    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, _weight_blocks, doubled_laplacian
+    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, doubled_laplacian
 
     images = MonomialImages()
     ups, _ = simple_root_operators(alg)
@@ -586,7 +691,7 @@ def test_singular_solve_restores_fractional_kernel_vectors():
     # With no raising constraint every kernel vector is singular.  Blocks with
     # an x0^2 term have fractional RREF kernel vectors, which the solve scales
     # to ints and must give back exactly.
-    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, _weight_blocks, doubled_laplacian
+    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, doubled_laplacian
 
     images = MonomialImages()
     lap = doubled_laplacian(SPO25)
@@ -599,12 +704,34 @@ def test_singular_solve_restores_fractional_kernel_vectors():
     assert fractional
 
 
+# kernel_tensor_natural_report(spo(4|5), 2) as it was when the tensor counts
+# enumerated the degree
+SPO45_TENSOR_REPORT = {
+    "algebra": "spo(4|5)",
+    "degree": 2,
+    "tensor_character_vdim": 360,
+    "factor_multiset": {"2d1+1d2": 1, "1d1": 2, "1d1+1d2+1e1": 1},
+    "singular_counts": {"2d1+1d2": 1, "1d1+1d2+1e1": 1, "1d1": 1},
+    "extension_deficits": {"1d1": 1},
+    "checks": {"residual_nonnegative": True, "residual_leading_multiplicity_one": True,
+               "residual_weyl_invariant": True, "all_singular_weights_expected": True},
+    "note": "composition multiplicities are character-level bookkeeping; where the singular-vector count "
+            "falls short of the multiplicity the factors form a non-split extension that character theory "
+            "cannot see",
+}
+
+
 def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp_path):
-    # the reports build their dominant blocks from slot pairs and count the
-    # degree in closed form, so no degree is enumerated; --bound still refuses
-    # a degree past it with degree_basis's message, before any work
+    # the reports, kernel_basis and the tensor counts build their blocks from
+    # closed forms and count the degree in closed form, so no degree is
+    # enumerated; --bound still refuses a degree past it with degree_basis's
+    # message, before any block is built
     from spochar import cli
     from spochar.superspace import DimensionGuard, kernel_dim_and_singular_vectors
+
+    spo45 = Algebra.parse("4|5")
+    ref_kernel = [_exact_terms(v) for v in _enumerating_kernel_basis(SPO44, 3)]
+    ref_counts = _exact_counts(_enumerating_tensor_counts(spo45, 2))
 
     def refuse(*args):
         raise AssertionError("a report enumerated a degree")
@@ -613,13 +740,21 @@ def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp
     rep = irreducibility_report(SPO44, 3, bound=5000)
     assert (rep.classification, rep.kernel_dim) == ("irreducible", 80)
     assert kernel_dim_and_singular_vectors(SPO44, 3, 5000)[0] == 80
+    assert [_exact_terms(v) for v in kernel_basis(SPO44, 3, 5000)] == ref_kernel
+    assert _exact_counts(natural_tensor_singular_counts(spo45, 2)) == ref_counts
+    assert kernel_tensor_natural_report(spo45, 2) == SPO45_TENSOR_REPORT
     alg = Algebra.parse("8|8")
     rep = irreducibility_report(alg, 6, bound=30000)
     assert (rep.classification, rep.kernel_dim, rep.top_cyclic_dim) == ("irreducible", 24192, 24192)
 
-    for call in (irreducibility_report, kernel_dim_and_singular_vectors, singular_vectors):
-        with pytest.raises(DimensionGuard, match="^dim = 27008 exceeds bound 20000$"):
-            call(alg, 6)
+    with monkeypatch.context() as blocks:
+        blocks.setattr(superspace, "_dominant_weights", refuse)
+        for call in (irreducibility_report, kernel_dim_and_singular_vectors, singular_vectors, kernel_basis,
+                     natural_tensor_singular_counts):
+            with pytest.raises(DimensionGuard, match="^dim = 27008 exceeds bound 20000$"):
+                call(alg, 6)
+            with pytest.raises(DimensionGuard, match="^dim = 360 exceeds bound 359$"):
+                call(SPO44, 5, bound=359)
     for flag in ((), ("--report",)):
         code = cli.main(["laplacian", "--algebra", "8|8", "--degree", "6", *flag, "--cache-dir", str(tmp_path)])
         captured = capsys.readouterr()
@@ -628,10 +763,13 @@ def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp
         rep = irreducibility_report(SPO44, -1, bound)
         assert (rep.kernel_dim, rep.singular_weights, rep.classification) == (0, [], "zero")
         assert kernel_dim_and_singular_vectors(SPO44, -1, bound) == (0, {})
+        assert kernel_basis(SPO44, -1, bound) == []
+        assert natural_tensor_singular_counts(SPO44, -1, bound) == {}
     # the kernel check reads degree k - 2 under the bound too, as it did when
     # it counted both bases: on spo(4|0), dim(2) = 6 > dim(4) = 1
-    with pytest.raises(DimensionGuard, match="^dim = 6 exceeds bound 3$"):
-        irreducibility_report(Algebra.parse("4|0"), 4, bound=3)
+    for call in (irreducibility_report, kernel_basis):
+        with pytest.raises(DimensionGuard, match="^dim = 6 exceeds bound 3$"):
+            call(Algebra.parse("4|0"), 4, bound=3)
 
 
 # -- differential test: the orbit-weighted cyclic span against the whole module --------
@@ -700,7 +838,7 @@ def _whole_degree_singular_pass(alg, k):
     from collections import Counter
 
     from spochar.rootdata import fold_to_dominant
-    from spochar.superspace import _block_kernel, _block_singular, _weight_blocks, doubled_laplacian
+    from spochar.superspace import _block_kernel, _block_singular, doubled_laplacian
 
     images = MonomialImages()
     ups, _ = simple_root_operators(alg)
