@@ -27,11 +27,13 @@ degree, the W-orbits of the dominant ones.  The singular-vector pass and the
 tensor counts solve only the g0-dominant blocks: the even raising operators
 kill a singular vector, so its weight is g0-dominant, and W permutes the
 Laplacian's weight blocks, so the kernel dimension is the sum over dominant
-μ of nullity(μ) times |Wμ|, checked against dim(k) - dim(k-2).  The cyclic
-span of a singular vector is a g-submodule, so its dimension is likewise the
-sum over dominant μ of its span at μ times |Wμ|; the walk keeps only the
-weights of the degree (`_is_degree_weight`) from which simple lowering steps
-can reach a dominant weight.
+μ of nullity(μ) times |Wμ|, checked against dim(k) - dim(k-2).  The top
+singular vector v generates the kernel M exactly when dim M/n⁻M = 1 (graded
+Nakayama: n⁻ acts nilpotently).  A nonzero (M/n⁻M)_μ gives a g0-lowest
+weight -μ of M*, so μ is dominant, and dim M/n⁻M is the sum over dominant μ,
+each once, of nullity(μ) - rank sum_i f_i K_{μ+α_i} (`_deficits`).  Only
+when that sum exceeds 1 does the cyclic span of v get walked, to give its
+exact dimension (`cyclic_span_dim`).
 """
 
 from __future__ import annotations
@@ -736,6 +738,12 @@ def _integer_multiple(terms):
     return {t: c.numerator * (s // c.denominator) for t, c in terms.items()}
 
 
+def _int_vectors(dom, kern):
+    """The vectors of kern (over the monomials dom) as int term dicts, each
+    scaled by the lcm of its denominators."""
+    return [_integer_multiple({dom[i]: c for i, c in enumerate(v) if c}) for v in kern]
+
+
 def _block_singular(images, ups, dom, kern):
     """The vectors of span(kern) killed by every op in ups, as term dicts.
     kern is the block's RREF kernel basis, so v = sum a_j kern_j has v = a on
@@ -743,7 +751,7 @@ def _block_singular(images, ups, dom, kern):
     the RREF null basis of the stacked block [Laplacian; ups].  The kern_j
     are scaled to ints first; that only rescales each solution, which the
     final division by its entry at its free (largest) monomial undoes."""
-    scaled = [_integer_multiple({dom[i]: c for i, c in enumerate(v) if c}) for v in kern]
+    scaled = _int_vectors(dom, kern)
     columns = []
     for terms in scaled:
         col = {}
@@ -764,28 +772,31 @@ def _block_singular(images, ups, dom, kern):
 
 
 def _singular_pass(alg, k, bound, images, ups):
-    """(dim ker Laplacian, singular vectors by weight, orbit_size) in degree
-    k, from one pass over the g0-dominant weight blocks, each built from its
-    slot pairs (`_weight_monomials`); no other block and no whole degree is
-    built.  orbit_size maps each dominant weight of the degree to the size
-    of its W-orbit, whose weights all lie in the degree, since the weights of
-    a degree are W-stable.  The nullity of a dominant block counts once for
-    every weight of its W-orbit.  A degree whose dimension exceeds bound is
-    refused first, as degree_basis would."""
+    """(dim ker Laplacian, singular vectors by weight, orbit_size, blocks) in
+    degree k, from one pass over the g0-dominant weight blocks, each built
+    from its slot pairs (`_weight_monomials`); no other block and no whole
+    degree is built.  orbit_size maps each dominant weight of the degree to
+    the size of its W-orbit, whose weights all lie in the degree, since the
+    weights of a degree are W-stable.  The nullity of a dominant block counts
+    once for every weight of its W-orbit.  blocks maps each dominant weight
+    to (its monomials, its RREF kernel basis).  A degree whose dimension
+    exceeds bound is refused first, as degree_basis would."""
     _bounded_dim(alg, k, bound)
     lap = doubled_laplacian(alg)
     kdim = 0
     out = {}
     orbit_size = {}
+    blocks = {}
     for wt in _dominant_weights(alg, k):
         dom = _weight_monomials(alg, k, wt)
         orbit_size[wt] = _orbit_size(alg, wt)
         kern = _block_kernel(images, lap, dom)
+        blocks[wt] = dom, kern
         kdim += orbit_size[wt] * len(kern)
         vecs = _block_singular(images, ups, dom, kern)
         if vecs:
             out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
-    return kdim, out, orbit_size
+    return kdim, out, orbit_size, blocks
 
 
 def _check_surjective(alg, k, bound, kdim):
@@ -829,7 +840,7 @@ def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     from one pass over the weight blocks, with kernel_basis's check of the
     kernel dimension."""
     ups, _ = simple_root_operators(alg)
-    kdim, svs, _ = _singular_pass(alg, k, bound, MonomialImages(), ups)
+    kdim, svs, _, _ = _singular_pass(alg, k, bound, MonomialImages(), ups)
     _check_surjective(alg, k, bound, kdim)
     return kdim, svs
 
@@ -867,6 +878,41 @@ class _SparseSpan:
         return len(self.pivots)
 
 
+def _deficits(alg, k, blocks, images, downs):
+    """(mu, nullity(mu) - rank sum_i f_i K_{mu + alpha_i}) for each weight mu
+    of blocks with nonzero nullity, where blocks maps weights of degree k to
+    (monomials, RREF kernel basis), K_nu is the Laplacian kernel block at nu
+    and the f_i (downs) are the simple lowering operators.  For the kernel M,
+    n-M is the sum of the f_i M, so the deficits are the weight
+    multiplicities of M/n-M.  The kernels in blocks are ranked first; a block
+    outside them is solved once, when a weight needs it.  A weight stops as
+    soon as its rank reaches its nullity."""
+    simples = [a.doubled for a in simple_roots(alg)]
+    lap = doubled_laplacian(alg)
+    vectors = {}
+
+    def kernel_at(nu):
+        if nu not in vectors:
+            if nu in blocks:
+                dom, kern = blocks[nu]
+            else:
+                dom = _weight_monomials(alg, k, nu) if _is_degree_weight(alg, k, nu) else []
+                kern = _block_kernel(images, lap, dom)
+            vectors[nu] = _int_vectors(dom, kern)
+        return vectors[nu]
+
+    for mu, (_, kern) in blocks.items():
+        if not kern:
+            continue
+        above = sorted(((op, tuple(x + y for x, y in zip(mu, a))) for op, a in zip(downs, simples)),
+                       key=lambda pair: pair[1] not in blocks)
+        span = _SparseSpan()
+        for w in (images.apply(op, v) for op, nu in above for v in kernel_at(nu)):
+            if span.add(w) and span.dim == len(kern):
+                break
+        yield mu, len(kern) - span.dim
+
+
 def _upward_closure(alg, k, dominant):
     """The weights of degree k reached from its dominant weights (dominant)
     by adding simple roots one at a time, each step a weight of the degree
@@ -886,7 +932,9 @@ def _upward_closure(alg, k, dominant):
 
 def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops, orbit_size) -> int:
     """dim U(g)v for a singular vector v of the degree whose dominant weights
-    and W-orbit sizes are orbit_size, with ops the simple lowering operators.
+    and W-orbit sizes are orbit_size, with ops the simple lowering operators:
+    the exact fallback of `irreducibility_report` when M/n-M is not
+    1-dimensional.
 
     U(g)v = U(n-)v is a g-submodule, so its weight multiplicities are
     W-invariant and dim U(g)v = sum over dominant mu of |W mu| dim U(g)v_mu.
@@ -938,12 +986,15 @@ def _tensor_coproduct_image(alg, images, op: Derivation, mono, slot):
 
 def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     """Singular vectors of (ker Laplacian in degree k) (x) V, counted by
-    weight.  Exact: per weight block, the stacked constraints are the
-    left-factor Laplacian plus every simple raising operator acting by the
-    coproduct rule.  Only the g0-dominant blocks are solved; no other weight
-    carries a singular vector.  Their weights are the folds of mu + wt(s), mu
-    dominant of degree k, and the block at nu holds the (t, s) with t of weight
-    nu - wt(s).  A degree past bound is refused first."""
+    weight.  Exact: the Laplacian acts on the left factor, so the kernel of
+    the weight-nu block is the sum over generators s of (the Laplacian kernel
+    block at nu - wt(s)) (x) s, each solved once (`_block_kernel`); the count
+    is the nullity of every simple raising operator, acting by the coproduct
+    rule, on that kernel: the number of kernel vectors whose images do not
+    enlarge the span of those before them (`_SparseSpan`).  Only the g0-dominant blocks are solved; no other
+    weight carries a singular vector.  Their weights are the folds of
+    mu + wt(s), mu dominant of degree k.  A degree past bound is refused
+    first."""
     _bounded_dim(alg, k, bound)
     shifts = [gen_weight_doubled(alg, s) for s in range(gen_count(alg))]
     dominant = {fold_to_dominant(alg, tuple(a + b for a, b in zip(mu, shift)))
@@ -951,21 +1002,26 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     images = MonomialImages()
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
+    kernels = {}
     counts = {}
     for wt in sorted(dominant, key=grlex_key, reverse=True):
-        block = []
+        columns = []
         for s, shift in enumerate(shifts):
             low = tuple(a - b for a, b in zip(wt, shift))
-            if _is_degree_weight(alg, k, low):
-                block += [(t, s) for t in _weight_monomials(alg, k, low)]
-        columns = []
-        for mono, slot in sorted(block):
-            col = {(0, (t, slot)): c for t, c in images.image(lap, mono).items()}
-            for op_i, op in enumerate(ups, 1):
-                for key, c in _tensor_coproduct_image(alg, images, op, mono, slot).items():
-                    col[(op_i, key)] = c
-            columns.append(col)
-        dim = len(_solve_block(columns))
+            if not _is_degree_weight(alg, k, low):
+                continue
+            if low not in kernels:
+                dom = _weight_monomials(alg, k, low)
+                kernels[low] = _int_vectors(dom, _block_kernel(images, lap, dom))
+            for terms in kernels[low]:
+                col = {}
+                for op_i, op in enumerate(ups):
+                    for mono, c in terms.items():
+                        for key, v in _tensor_coproduct_image(alg, images, op, mono, s).items():
+                            _bump(col, (op_i, key), c * v)
+                columns.append(col)
+        span = _SparseSpan()
+        dim = sum(not span.add(col) for col in columns)
         if dim:
             counts[Weight(alg, wt)] = dim
     return counts
@@ -1042,10 +1098,14 @@ class IrreducibilityReport(NamedTuple):
 def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> IrreducibilityReport:
     """Classify ker(Laplacian) in degree k from its singular vectors plus an
     exact cyclicity check of the highest one.  The kernel dimension is the
-    sum of the per-weight Laplacian nullities of the singular-vector pass."""
+    sum of the per-weight Laplacian nullities of the singular-vector pass.
+    The top vector, when it is the only one of its weight, generates the
+    kernel M iff the deficits of M/n-M (`_deficits`) sum to 1, and then
+    top_cyclic_dim is the kernel dimension; otherwise `cyclic_span_dim`
+    walks its span."""
     images = MonomialImages()
     ups, downs = simple_root_operators(alg)
-    kdim, svs, orbit_size = _singular_pass(alg, k, bound, images, ups)
+    kdim, svs, orbit_size, blocks = _singular_pass(alg, k, bound, images, ups)
     _check_surjective(alg, k, bound, kdim)
     if kdim == 0:
         return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
@@ -1056,11 +1116,18 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
         not any(images.apply(op, v.terms) for op in ups + downs)
         for w, vs in svs.items() if w.is_zero() for v in vs
     )
-    del images  # cyclic_span_dim memoises its own images; do not hold both at once
-
     top_weight = max(svs, key=lambda w: grlex_key(w.doubled))
+    one_top = len(svs[top_weight]) == 1
+    # the top weight's deficit is its nullity, >= 1: the total is 1 iff no
+    # running total passes 1
+    generates = one_top and all(total <= 1 for total in itertools.accumulate(
+        d for _, d in _deficits(alg, k, blocks, images, downs)))
+    del images, blocks  # cyclic_span_dim memoises its own images; do not hold both at once
+
     top_dim = 0
-    if len(svs[top_weight]) == 1:
+    if generates:
+        top_dim = kdim
+    elif one_top:
         top_dim = cyclic_span_dim(alg, svs[top_weight][0], downs, orbit_size)
 
     notes = []

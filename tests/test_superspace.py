@@ -816,7 +816,7 @@ SPAN_CASES = DIFFERENTIAL_CASES + [(SPO44, 6), (Algebra.parse("6|6"), 6)] + [
 @pytest.mark.parametrize("alg,k", SPAN_CASES, ids=lambda x: str(x))
 def test_orbit_weighted_span_matches_whole_module_walk(alg, k):
     ups, downs = simple_root_operators(alg)
-    _, svs, orbit_size = superspace._singular_pass(alg, k, 20000, MonomialImages(), ups)
+    _, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(), ups)
     for vs in svs.values():
         for v in vs:
             assert cyclic_span_dim(alg, v, downs, orbit_size) == _whole_module_span_dim(v, downs)
@@ -882,7 +882,7 @@ SINGULAR_PASS_CASES = SPAN_CASES + L1_CASES + [
 @pytest.mark.parametrize("alg,k", SINGULAR_PASS_CASES, ids=lambda x: str(x))
 def test_dominant_blocks_from_slot_pairs_match_the_whole_degree_pass(alg, k):
     ref_kdim, ref_svs, ref_orbits = _whole_degree_singular_pass(alg, k)
-    kdim, svs, orbit_size = superspace._singular_pass(alg, k, 20000, MonomialImages(), simple_root_operators(alg)[0])
+    kdim, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(), simple_root_operators(alg)[0])
     assert kdim == ref_kdim
     assert list(svs) == list(ref_svs)
     for w in svs:
@@ -1039,3 +1039,101 @@ def test_non_generator_image_is_refused():
         with pytest.raises(ValueError):
             Derivation(SPO44, 0, ((0, img),))
     assert Derivation(SPO44, 0, ((0, -1 * x2),)).moves == ((0, 1, -1),)
+
+
+# -- differential test: cyclicity by graded Nakayama against the walk -----------------------
+#
+# A frozen copy of irreducibility_report as it was when the cyclic-span walk
+# gave every top_cyclic_dim, before the report read cyclicity off the
+# deficits of M/n-M (M the kernel) and kept the walk as the fallback for a
+# kernel that its top vector does not generate.
+
+
+def _walk_report(alg, k):
+    from spochar.laurent import grlex_key
+    from spochar.rootdata import is_dominant
+    from spochar.superspace import IrreducibilityReport
+
+    images = MonomialImages()
+    ups, downs = simple_root_operators(alg)
+    kdim, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, images, ups)
+    if kdim == 0:
+        return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
+    weights = [(w, len(vs)) for w, vs in svs.items()]
+    total_sing = sum(c for _, c in weights)
+    has_trivial = any(not any(images.apply(op, v.terms) for op in ups + downs)
+                      for w, vs in svs.items() if w.is_zero() for v in vs)
+    top_weight = max(svs, key=lambda w: grlex_key(w.doubled))
+    top_dim = cyclic_span_dim(alg, svs[top_weight][0], downs, orbit_size) if len(svs[top_weight]) == 1 else 0
+    notes = []
+    if total_sing == 1 and top_dim == kdim:
+        cls = "irreducible"
+    elif has_trivial and total_sing == 2 and len(weights) == 2:
+        cls = "reducible_with_trivial_submodule"
+        if top_dim == kdim:
+            notes.append("indecomposable: the top singular vector is cyclic and the trivial submodule sits inside its span")
+        elif top_dim == kdim - 1:
+            notes.append("splits as trivial module plus the top cyclic submodule")
+    else:
+        cls = "inconclusive"
+        notes.append("singular-vector pattern matches no implemented criterion")
+    for w, vs in svs.items():
+        if not is_dominant(w):
+            notes.append(f"non-dominant singular weight {w.format()} (unexpected)")
+    return IrreducibilityReport(alg, k, kdim, weights, has_trivial, top_dim, cls, notes)
+
+
+# spo(2|0)..spo(8|3) and spo(2|4), spo(2|5), spo(4|4): every degree k <= 7 of
+# dimension <= 3000 with a nonzero kernel, and DIFFERENTIAL_CASES
+NAKAYAMA_GRID = list(dict.fromkeys(DIFFERENTIAL_CASES + [
+    (alg, k)
+    for text in [f"{n2}|{l}" for n2 in (2, 4, 6, 8) for l in range(4)] + ["2|4", "2|5", "4|4"]
+    for alg in [Algebra.parse(text)]
+    for k in range(8)
+    if superspace.degree_dim(alg, k) <= 3000 and (alg.m > 0 or k <= alg.n)
+]))
+
+
+def test_nakayama_cyclicity_matches_the_walk(monkeypatch):
+    walked = []
+    monkeypatch.setattr(superspace, "cyclic_span_dim", lambda *args: walked.append(args) or cyclic_span_dim(*args))
+    fallbacks, not_generated = set(), set()
+    for alg, k in NAKAYAMA_GRID:
+        del walked[:]
+        rep = irreducibility_report(alg, k)
+        ref = _walk_report(alg, k)
+        assert rep == ref and len(walked) <= 1, (alg, k)
+        if walked:
+            fallbacks.add((alg, k))
+        if 0 < ref.top_cyclic_dim < ref.kernel_dim:
+            not_generated.add((alg, k))
+    # the walk runs once on exactly the kernels that their top vector does
+    # not generate: the l = 2 ones, whose top vector spans 4^n dimensions
+    assert len(NAKAYAMA_GRID) > 120
+    assert fallbacks == not_generated and len(fallbacks) == 18
+
+
+def test_no_deficit_off_the_dominant_weights():
+    # the premise of the report's sum: a nonzero (M/n-M)_mu gives a functional
+    # of weight -mu that n- kills, a g0-lowest weight of M*, so mu is dominant
+    from spochar.superspace import _block_kernel, _degree_weights, _weight_monomials, doubled_laplacian
+
+    cases = [(alg, k) for alg, k in NAKAYAMA_GRID if superspace.degree_dim(alg, k) <= 1500]
+    assert len(cases) > 80
+    for alg, k in cases:
+        images = MonomialImages()
+        lap = doubled_laplacian(alg)
+        blocks = {}
+        for wt in _degree_weights(alg, k):
+            dom = _weight_monomials(alg, k, wt)
+            blocks[wt] = dom, _block_kernel(images, lap, dom)
+        deficits = dict(superspace._deficits(alg, k, blocks, images, simple_root_operators(alg)[1]))
+        dominant = set(superspace._dominant_weights(alg, k))
+        assert all(wt in dominant for wt, d in deficits.items() if d), (alg, k)
+        rep = irreducibility_report(alg, k)
+        assert (sum(deficits.values()) == 1) == (rep.top_cyclic_dim == rep.kernel_dim > 0), (alg, k)
+
+
+def test_spo88_degree7_report_at_the_frontier():
+    rep = irreducibility_report(Algebra.parse("8|8"), 7, bound=70000)
+    assert (rep.kernel_dim, rep.top_cyclic_dim, rep.classification) == (59040, 59040, "irreducible")
