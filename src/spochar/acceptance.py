@@ -685,10 +685,18 @@ _CRITERIA = {
 
 
 def run_all(only=None):
+    """Run every criterion, or those numbered in only (a comma list or an
+    iterable of ints).  An empty selection, or one with anything but the
+    numbers of the criteria, is refused with ValueError."""
     if only is None:
         numbers = sorted(_CRITERIA)
     elif isinstance(only, str):
-        numbers = [int(x) for x in only.split(",") if x.strip()]
+        try:
+            numbers = [int(x) for x in only.split(",") if x.strip()]
+        except ValueError:
+            numbers = []
     else:
         numbers = list(only)
+    if not numbers or not set(numbers) <= _CRITERIA.keys():
+        raise ValueError(f"criteria must be a nonempty comma list of numbers in 1-{len(_CRITERIA)}, got {only!r}")
     return [_CRITERIA[k]() for k in numbers]

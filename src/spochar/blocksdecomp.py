@@ -232,7 +232,10 @@ CONJECTURE_BOUND_LIMIT = 27
 
 def tensor_table(amax: int, bmax: int) -> dict:
     """decompose(L(a|b) * natural) for every dominant (a|b) in range.
-    Raises DimensionGuard when amax or bmax is above TENSOR_TABLE_LIMIT."""
+    Raises ValueError when amax or bmax is negative and DimensionGuard when
+    either is above TENSOR_TABLE_LIMIT."""
+    if min(amax, bmax) < 0:
+        raise ValueError(f"tensor table sizes must be >= 0, got a = {amax}, b = {bmax}")
     if max(amax, bmax) > TENSOR_TABLE_LIMIT:
         raise DimensionGuard(f"tensor table to a = {amax}, b = {bmax} exceeds the limit {TENSOR_TABLE_LIMIT}")
     out = {}
@@ -286,13 +289,16 @@ def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_e
     factor pattern of gl(1|1)).  Weights closer to zero are reported but not
     required to match.  Linear independence is certified by the rank of the
     matrix of irreducible-basis coordinates, which is basis independent.
-    Raises DimensionGuard for a bound above CONJECTURE_BOUND_LIMIT.
+    Raises ValueError for a negative bound and DimensionGuard for a bound
+    above CONJECTURE_BOUND_LIMIT.
     """
     if alg != SPO23:
         raise ValueError("the desk-scale conjecture check is implemented for spo(2|3)")
     if partition is not None:
         partitions = [validate_partition(partition)]
     else:
+        if bound < 0:
+            raise ValueError(f"conjecture check bound must be >= 0, got {bound}")
         if bound > CONJECTURE_BOUND_LIMIT:
             raise DimensionGuard(f"conjecture check to bound {bound} exceeds the limit {CONJECTURE_BOUND_LIMIT}")
         partitions = [lam for lam in partitions_up_to(bound) if fits_hook(lam, alg.n, alg.m)]
@@ -324,18 +330,9 @@ def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_e
             "pattern_match": (dec.factors == expected) if checked else None,
         }
         entries.append(entry)
-        for w in dec.factors:
-            coord_index.setdefault(w, len(coord_index))
-        coord_rows.append(dict(dec.factors))
-    ncols = len(coord_index)
-    matrix = []
-    for row in coord_rows:
-        vec = [0] * ncols
-        for w, c in row.items():
-            vec[coord_index[w]] = c
-        matrix.append(vec)
-    rank = matrix_rank(matrix) if matrix else 0
-    return ConjectureReport(bound, pattern_min_ell, entries, rank == len(matrix), rank, len(matrix))
+        coord_rows.append({coord_index.setdefault(w, len(coord_index)): c for w, c in dec.factors.items() if c})
+    rank = matrix_rank(coord_rows)
+    return ConjectureReport(bound, pattern_min_ell, entries, rank == len(coord_rows), rank, len(coord_rows))
 
 
 def block_consistency(alg: Algebra, dec: VirtualDecomposition, max_depth: int = -1):

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .laurent import LatticeMismatch, LaurentPoly, exact_div, format_exponent, times_binomials
-from .linalg import det_bareiss_laurent, rref
+from .linalg import det_bareiss_laurent, nullspace
 from .rootdata import (
     Algebra,
     DimensionGuard,
@@ -114,34 +114,12 @@ def _kac_roots(alg: Algebra):
 # -- parabolic subalgebras --------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _simple_basis_solver(alg: Algebra):
-    """Row-reduce [simples | I] once so roots can be expanded in the simple
-    basis by a single matrix multiply."""
-    simples = simple_roots(alg)
-    k = alg.rank
-    aug = []
-    for r in range(k):
-        row = [Fraction(simples[c].doubled[r], 2) for c in range(k)]
-        row += [Fraction(1 if c == r else 0) for c in range(k)]
-        aug.append(row)
-    mat, pivots = rref(aug)
-    if pivots != list(range(k)):
-        raise RuntimeError("simple roots do not form a basis")
-    inv = [row[k:] for row in mat]
-    return simples, inv
-
-
 def root_support(alg: Algebra, w: Weight):
-    """Indices of simple roots appearing in the expansion of w."""
-    simples, inv = _simple_basis_solver(alg)
-    coords = [Fraction(x, 2) for x in w.doubled]
-    out = []
-    for i in range(alg.rank):
-        c = sum(inv[i][r] * coords[r] for r in range(alg.rank))
-        if c != 0:
-            out.append(i)
-    return frozenset(out)
+    """Indices of simple roots appearing in the expansion of w: the support
+    of the one null vector of the matrix [simple roots | w]."""
+    vectors = [r.doubled for r in simple_roots(alg)] + [w.doubled]
+    (null,) = nullspace([{i: x for i, x in enumerate(v) if x} for v in vectors])
+    return frozenset(i for i, c in enumerate(null[:-1]) if c)
 
 
 class Parabolic:

@@ -1,9 +1,10 @@
-"""Exact linear algebra: Fraction Gaussian elimination and fraction-free
-Bareiss determinants over the Laurent ring, pivoting on the entry with the
-fewest terms.
+"""Exact linear algebra: one sparse fraction-free elimination of int dict
+vectors (`_SparseSpan`), which gives the rank and the RREF null basis, and
+fraction-free Bareiss determinants over the Laurent ring, pivoting on the
+entry with the fewest terms.
 
-Everything here is deterministic and allocation-light; matrices are lists of
-lists and are never mutated in place unless the function says so.
+Everything here is deterministic and allocation-light; no floats and no
+Fractions are used until a null vector is scaled to 1 at its own column.
 """
 
 from __future__ import annotations
@@ -14,86 +15,88 @@ from math import gcd
 from .laurent import LaurentPoly, exact_div
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (rref_rows, pivots)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+class _SparseSpan:
+    """Span of int dict vectors (key -> nonzero coefficient), by fraction-free
+    sparse elimination: a vector is reduced against the stored ones, each
+    pivoting on its largest key, and divided by its content.  A vector may
+    carry a combination (an int dict over the caller's labels), reduced
+    alongside it, so that a residue records which inputs it came from."""
+
+    def __init__(self):
+        self.pivots = {}  # largest key -> reduced int dict
+        self.combinations = {}  # largest key -> its combination, when carried
+
+    def reduce(self, terms, combination=None):
+        """(residue of terms against the span, combination reduced alongside)."""
+        vec, comb = dict(terms), combination
+        while vec:
+            lead = max(vec)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                break
+            a, b = piv[lead], vec[lead]
+            vec = _combine(a, vec, -b, piv)
+            if comb is not None:
+                comb = _combine(a, comb, -b, self.combinations[lead])
+            g = gcd(*vec.values(), *(comb.values() if comb else ()))
+            if g > 1:
+                vec = {t: c // g for t, c in vec.items()}
+                if comb is not None:
+                    comb = {t: c // g for t, c in comb.items()}
+        return vec, comb
+
+    def add(self, terms, combination=None) -> bool:
+        """Insert; True if it enlarged the span."""
+        vec, comb = self.reduce(terms, combination)
+        if not vec:
+            return False
+        lead = max(vec)
+        self.pivots[lead] = vec
+        if comb is not None:
+            self.combinations[lead] = comb
+        return True
+
+    @property
+    def dim(self):
+        return len(self.pivots)
 
 
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+def _combine(a, u, b, v):
+    """a u + b v for int dicts, without zero values."""
+    out = {t: a * c for t, c in u.items()}
+    for t, c in v.items():
+        x = out.get(t, 0) + b * c
+        if x:
+            out[t] = x
+        else:
+            out.pop(t, None)
+    return out
 
 
-def _rref_int(rows):
-    """Fraction-free Gauss-Jordan over int: (rows, pivots) with every pivot
-    column zero outside its pivot row, rows divided by their content; the
-    RREF entry (r, c) is rows[r][c] / rows[r][pivots[r]]."""
-    mat = [list(row) for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        pv = prow[c]
-        for i in range(nrows):
-            f = mat[i][c]
-            if i != r and f:
-                row = [pv * x - f * y for x, y in zip(mat[i], prow)]
-                g = gcd(*row)
-                mat[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+def rank(vectors) -> int:
+    """Rank of a list of int dict vectors."""
+    span = _SparseSpan()
+    return sum(span.add(v) for v in vectors)
 
 
-def nullspace(rows):
-    """Basis of the right nullspace (list of Fraction vectors), from rref;
-    free variables get value 1 in their own basis vector.  Integer input is
-    eliminated fraction-free, with the same result."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    if all(type(x) is int for row in rows for x in row):
-        mat, pivots = _rref_int(rows)
-        entry = lambda r, c: Fraction(mat[r][c], mat[r][pivots[r]])
-    else:
-        mat, pivots = rref(rows)
-        entry = lambda r, c: mat[r][c]
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def nullspace(columns):
+    """RREF basis of the right nullspace of the matrix whose c-th column is
+    the int dict columns[c] (row key -> nonzero coefficient), as Fraction
+    vectors.  The columns are inserted in order; each one that does not
+    enlarge the span of those before it gives its dependency on the pivot
+    columns before it, scaled to 1 at its own entry.  That dependency is
+    unique, so these are the RREF null vectors, one per free column in
+    order; a matrix with no rows has every column free."""
+    span = _SparseSpan()
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -entry(r, fc)
+    for j, col in enumerate(columns):
+        vec, comb = span.reduce(col, {j: 1})
+        if vec:
+            span.add(vec, comb)
+            continue
+        v = [Fraction(0)] * len(columns)
+        for c, x in comb.items():
+            v[c] = Fraction(x, comb[j])
         basis.append(v)
     return basis
 

@@ -15,9 +15,9 @@ keeps the kernel).
 
 All linear algebra is exact and split into one block per weight: the
 Laplacian preserves weight and root operators shift it, so kernels, singular
-vectors and the tensor counts are solved block by block (fraction-free over
-the integers where the block is integral), and the irreducibility verdicts
-below are certificates, not numerics.
+vectors and the tensor counts are solved block by block, each block by
+one sparse fraction-free elimination of its int columns (`linalg`), and the
+irreducibility verdicts below are certificates, not numerics.
 
 Every block is built from closed forms, not from an enumerated degree: the
 dominant weights of a degree, the monomials of a weight, |Wμ| (from the
@@ -42,11 +42,11 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, grlex_key
-from .linalg import nullspace
+from .linalg import _SparseSpan, nullspace
 from .rootdata import (
     Algebra,
     DimensionGuard,
@@ -707,29 +707,15 @@ def _weyl_invariant(alg, poly):
 #
 # The Laplacian preserves weight and a root operator shifts it by its root, so
 # each linear system below splits into one small block per weight.  Every
-# block is solved by `nullspace`; a null vector over the sorted monomials of
-# its block is the vector the whole-degree matrix would give, because a column
-# is a pivot of the block-diagonal RREF exactly when it is one in its block.
-
-
-def _solve_block(columns):
-    """RREF null basis (Fraction vectors) of the matrix whose c-th column is
-    the dict columns[c] (row key -> coefficient); every vector is null when
-    there are no rows."""
-    keys = sorted({key for col in columns for key in col})
-    if not keys:
-        return [[Fraction(int(i == j)) for i in range(len(columns))] for j in range(len(columns))]
-    index = {key: r for r, key in enumerate(keys)}
-    rows = [[0] * len(columns) for _ in keys]
-    for c, col in enumerate(columns):
-        for key, v in col.items():
-            rows[index[key]][c] = v
-    return nullspace(rows)
+# block is solved by `nullspace` on the int dict columns it builds, the
+# images of its monomials; a null vector over the monomials of its block is
+# the vector the whole-degree matrix would give, because a column is a pivot
+# of the block-diagonal RREF exactly when it is one in its block.
 
 
 def _block_kernel(images, lap, dom):
     """RREF basis of ker(Laplacian) on one weight block, over dom."""
-    return _solve_block([images.image(lap, t) for t in dom])
+    return nullspace([images.image(lap, t) for t in dom])
 
 
 def _integer_multiple(terms):
@@ -760,7 +746,7 @@ def _block_singular(images, ups, dom, kern):
                 col[(op_i, t)] = c
         columns.append(col)
     out = []
-    for a in _solve_block(columns):
+    for a in nullspace(columns):
         vec = {}
         for aj, terms in zip(a, scaled):
             if aj:
@@ -846,36 +832,6 @@ def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
 
 
 # -- cyclic spans and irreducibility ----------------------------------------------------
-
-
-class _SparseSpan:
-    """Row space of int term dicts, by fraction-free sparse elimination;
-    pivot = largest monomial in tuple order."""
-
-    def __init__(self):
-        self.pivots = {}  # monomial -> reduced int dict(monomial -> coefficient)
-
-    def add(self, terms) -> bool:
-        """Insert; True if it enlarged the span."""
-        vec = dict(terms)
-        while vec:
-            lead = max(vec)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                self.pivots[lead] = vec
-                return True
-            a, b = piv[lead], vec[lead]
-            vec = {t: a * c for t, c in vec.items()}
-            for t, pc in piv.items():
-                _bump(vec, t, -b * pc)
-            g = gcd(*vec.values())
-            if g > 1:
-                vec = {t: c // g for t, c in vec.items()}
-        return False
-
-    @property
-    def dim(self):
-        return len(self.pivots)
 
 
 def _deficits(alg, k, blocks, images, downs):

@@ -300,6 +300,43 @@ def test_oversized_table_bound_or_truncation_exits_2_at_once(capsys, tmp_path, l
     assert slots[1].rstrip().endswith("= 5")
 
 
+NEGATIVE_LINES = [
+    ("tensor-table --algebra 2|3 --amax -1", "tensor table sizes must be >= 0, got a = -1, b = 5"),
+    ("tensor-table --algebra 2|3 --bmax -2", "tensor table sizes must be >= 0, got a = 5, b = -2"),
+    ("conjecture-check --algebra 2|3 --bound -1", "conjecture check bound must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("line,message", NEGATIVE_LINES)
+def test_negative_table_size_or_bound_exits_2(capsys, tmp_path, line, message):
+    code = cli.main(line.split() + ["--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+CRITERIA_RANGE = "criteria must be a nonempty comma list of numbers in 1-11"
+
+
+@pytest.mark.parametrize("criteria", [",", "12", "0", "5,12", " ", "a"])
+def test_reproduce_refuses_an_empty_or_unknown_criterion(capsys, tmp_path, criteria):
+    code = cli.main(["reproduce-paper", "--criteria", criteria, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {CRITERIA_RANGE}, got {criteria!r}\n"
+
+
+def test_batch_line_with_an_unknown_criterion_exits_2(capsys, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text("reproduce-paper --criteria 12 --no-cache\ndim --algebra 2|3 --irr 1d1 --no-cache\n")
+    out = run(capsys, "batch", "--file", str(script), expect=2)
+    slots = out.split("$ ")[1:]
+    assert slots[0] == f"reproduce-paper --criteria 12 --no-cache\n[exit 2] error: {CRITERIA_RANGE}, got '12'\n"
+    assert slots[1].rstrip().endswith("= 5")
+
+
 def _cache_files(path):
     return sorted(f for f in os.listdir(path) if f.endswith(".out"))
 

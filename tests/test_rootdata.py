@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spochar.linalg import rref
 from spochar.rootdata import (
     WEYL_ORDER_LIMIT,
     Algebra,
@@ -28,6 +27,7 @@ from spochar.rootdata import (
     weyl_group,
     weyl_order,
 )
+from test_linalg import rref
 
 SPO23 = Algebra.parse("2|3")
 SPO24 = Algebra.parse("2|4")

@@ -192,8 +192,8 @@ def test_characters_match_exterior_powers():
 def test_kernel_character_is_e_k_minus_e_k_2():
     # per weight block, the kernel dimension of the Laplacian must equal the
     # coefficient of that weight in e_k - e_{k-2}
-    from spochar.linalg import nullspace
     from spochar.superspace import monomial_weight_doubled
+    from test_linalg import nullspace
 
     for alg, k in [(SPO23, 3), (SPO25, 2), (SPO44, 3)]:
         expected = ext_power_char(alg, k) - ext_power_char(alg, k - 2)
@@ -328,7 +328,7 @@ def test_oversized_degree_is_refused_before_enumeration():
 # applied through SuperElement products, the Laplacian with its 1/2, one dense
 # Fraction matrix per degree (or per stacked weight block) and `nullspace`.
 
-from spochar.linalg import nullspace as _dense_nullspace
+from test_linalg import nullspace as _dense_nullspace
 from spochar.superspace import OperatorSum, _layout, monomial_weight_doubled
 
 
@@ -580,8 +580,8 @@ def _enumerating_kernel_basis(alg, k, bound=20000):
 def _enumerating_tensor_counts(alg, k, bound=20000):
     from spochar.laurent import grlex_key
     from spochar.rootdata import fold_to_dominant
-    from spochar.superspace import (MonomialImages, _solve_block, _tensor_coproduct_image, doubled_laplacian,
-                                    gen_weight_doubled)
+    from spochar.superspace import MonomialImages, _tensor_coproduct_image, doubled_laplacian, gen_weight_doubled
+    from test_linalg import _solve_block
 
     groups = {}
     for t in degree_basis(alg, k, bound):
@@ -782,7 +782,8 @@ from spochar.superspace import MonomialImages, cyclic_span_dim
 
 
 def _whole_module_span_dim(vector, ops):
-    from spochar.superspace import _SparseSpan, _integer_multiple
+    from spochar.linalg import _SparseSpan
+    from spochar.superspace import _integer_multiple
 
     images = MonomialImages()
     span = _SparseSpan()
