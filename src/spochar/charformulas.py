@@ -119,7 +119,7 @@ def root_support(alg: Algebra, w: Weight):
     of the one null vector of the matrix [simple roots | w]."""
     vectors = [r.doubled for r in simple_roots(alg)] + [w.doubled]
     (null,) = nullspace([{i: x for i, x in enumerate(v) if x} for v in vectors])
-    return frozenset(i for i, c in enumerate(null[:-1]) if c)
+    return frozenset(null) - {len(vectors) - 1}
 
 
 class Parabolic:

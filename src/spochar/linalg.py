@@ -1,15 +1,16 @@
 """Exact linear algebra: one sparse fraction-free elimination of int dict
-vectors (`_SparseSpan`), which gives the rank and the RREF null basis, and
-fraction-free Bareiss determinants over the Laurent ring, pivoting on the
-entry with the fewest terms.
+vectors (`_SparseSpan`), which gives the rank and a primitive integer null
+basis (each vector the RREF one times a positive int), and fraction-free
+Bareiss determinants over the Laurent ring, pivoting on the entry with the
+fewest terms.
 
 Everything here is deterministic and allocation-light; no floats and no
-Fractions are used until a null vector is scaled to 1 at its own column.
+Fractions are used: a caller that wants the RREF vector divides by the
+entry at its own column.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPoly, exact_div
@@ -80,24 +81,22 @@ def rank(vectors) -> int:
 
 
 def nullspace(columns):
-    """RREF basis of the right nullspace of the matrix whose c-th column is
-    the int dict columns[c] (row key -> nonzero coefficient), as Fraction
-    vectors.  The columns are inserted in order; each one that does not
-    enlarge the span of those before it gives its dependency on the pivot
-    columns before it, scaled to 1 at its own entry.  That dependency is
-    unique, so these are the RREF null vectors, one per free column in
-    order; a matrix with no rows has every column free."""
+    """Integer basis of the right nullspace of the matrix whose c-th column
+    is the int dict columns[c] (row key -> nonzero coefficient), one dict
+    column -> int per free column, in order.  The columns are inserted in
+    order; each one that does not enlarge the span of those before it gives
+    its dependency on the pivot columns before it: primitive (gcd 1) and
+    positive at its own column, its largest key.  That dependency is unique
+    up to scale, so dividing it by its own entry gives the RREF null vector;
+    a matrix with no rows has every column free."""
     span = _SparseSpan()
     basis = []
     for j, col in enumerate(columns):
         vec, comb = span.reduce(col, {j: 1})
         if vec:
             span.add(vec, comb)
-            continue
-        v = [Fraction(0)] * len(columns)
-        for c, x in comb.items():
-            v[c] = Fraction(x, comb[j])
-        basis.append(v)
+        else:
+            basis.append(comb if comb[j] > 0 else {c: -x for c, x in comb.items()})
     return basis
 
 

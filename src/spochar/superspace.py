@@ -11,13 +11,17 @@ pinned by the Laplacian-kernel calibration test, not by decree.  An operator
 is applied as a sum of its images of basis monomials (`MonomialImages`),
 each computed once per computation, with int coefficients for derivations
 and for the Laplacian scaled by 2 (which clears the 1/2 of the x0 term and
-keeps the kernel).
+keeps the kernel).  The Laplacian writes each image in closed form, one
+monomial per part (`Laplacian`).
 
 All linear algebra is exact and split into one block per weight: the
 Laplacian preserves weight and root operators shift it, so kernels, singular
 vectors and the tensor counts are solved block by block, each block by
 one sparse fraction-free elimination of its int columns (`linalg`), and the
-irreducibility verdicts below are certificates, not numerics.
+irreducibility verdicts below are certificates, not numerics.  A block's
+kernel basis stays in ints, each vector the RREF one times a positive int;
+Fractions appear only where `kernel_basis` and the singular solve scale a
+vector to 1 at its largest monomial.
 
 Every block is built from closed forms, not from an enumerated degree: the
 dominant weights of a degree, the monomials of a weight, |Wμ| (from the
@@ -259,15 +263,6 @@ def _exact(c):
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
-def _apply_terms(image, terms):
-    """Sum of c * image(mono) over a dict monomial -> c, as such a dict."""
-    out = {}
-    for mono, c in terms.items():
-        for t, ic in image(mono).items():
-            _bump(out, t, c * ic)
-    return out
-
-
 class MonomialImages:
     """Images of basis monomials under operators, each computed once and kept
     for the life of this object, which is one computation (not a global
@@ -289,7 +284,11 @@ class MonomialImages:
 
     def apply(self, op, terms):
         """op applied to a dict monomial -> coefficient, as such a dict."""
-        return _apply_terms(lambda mono: self.image(op, mono), terms)
+        out = {}
+        for mono, c in terms.items():
+            for t, ic in self.image(op, mono).items():
+                _bump(out, t, c * ic)
+        return out
 
 
 class LinearOperator:
@@ -363,56 +362,58 @@ class Derivation(LinearOperator):
         return f"Derivation({self.name or 'anon'})"
 
 
-class OperatorSum(LinearOperator):
-    """Sum of scaled compositions (applied right to left)."""
+class Laplacian(LinearOperator):
+    """c_xi sum_j d_xi_j d_xib_j + c_x sum_i d_x_i d_xb_i + c_x0 d_x0^2 (the
+    x0 part only for odd l) for coefficients (c_xi, c_x, c_x0), in closed
+    form: each part sends a monomial to one monomial or to 0.  It clears
+    both bits of xi_j xib_j, times -1 when the Grassmann bits strictly
+    between them are even in number, else +1 (the two left derivatives pass
+    the bits before xi_j twice and xi_j itself once); it lowers
+    x_i^a xb_i^b to x_i^(a-1) xb_i^(b-1), times ab, and x0^c to x0^(c-2),
+    times c(c-1)."""
 
-    def __init__(self, parts: tuple, name: str = ""):
-        self.parts = parts  # tuple of (coefficient, tuple-of-operators)
-        self.name = name
+    def __init__(self, alg: Algebra, coefficients: tuple):
+        self.alg = alg
+        self.coefficients = coefficients
 
     def monomial_image(self, mono, images):
-        # The inner images are not memoised: within one computation a chain
-        # meets each intermediate monomial once (m - x determines m).
+        alg = self.alg
+        n, m, gs = alg.n, alg.m, _layout(alg)[1]
+        c_xi, c_x, c_x0 = self.coefficients
         out = {}
-        for coef, chain in self.parts:
-            cur = {mono: 1}
-            for op in reversed(chain):
-                cur = _apply_terms(lambda t: op.monomial_image(t, images), cur)
-            for t, c in cur.items():
-                _bump(out, t, coef * c)
+        for j in range(gs, gs + n):
+            if mono[j] and mono[j + n]:
+                new = list(mono)
+                new[j] = new[j + n] = 0
+                out[tuple(new)] = c_xi if sum(mono[j + 1:j + n]) % 2 else -c_xi
+        for i in range(m):
+            a, b = mono[i], mono[m + i]
+            if a and b:
+                new = list(mono)
+                new[i], new[m + i] = a - 1, b - 1
+                out[tuple(new)] = c_x * a * b
+        c = mono[2 * m] if alg.odd else 0
+        if c > 1:
+            new = list(mono)
+            new[2 * m] = c - 2
+            out[tuple(new)] = c_x0 * c * (c - 1)
         return out
 
     def __repr__(self):
-        return f"OperatorSum({self.name or 'anon'})"
-
-
-def partial(alg: Algebra, slot: int) -> Derivation:
-    """Left partial derivative with respect to one generator."""
-    gs = _layout(alg)[1]
-    parity = 1 if slot >= gs else 0
-    return Derivation(alg, parity, ((slot, SuperElement.one(alg)),), f"d/d{gen_name(alg, slot)}")
+        return f"Laplacian{self.coefficients}"
 
 
 @lru_cache(maxsize=64)
-def doubled_laplacian(alg: Algebra) -> OperatorSum:
+def doubled_laplacian(alg: Algebra) -> Laplacian:
     """2 * laplacian(alg): integer coefficients and the same kernel.  Built
     once per algebra; the operator is never mutated."""
-    m, nc = alg.m, _layout(alg)[0]
-    parts = []
-    for j in range(alg.n):
-        parts.append((2, (partial(alg, nc + j), partial(alg, nc + alg.n + j))))
-    for i in range(m):
-        parts.append((-2, (partial(alg, i), partial(alg, m + i))))
-    if alg.odd:
-        parts.append((-1, (partial(alg, 2 * m), partial(alg, 2 * m))))
-    return OperatorSum(tuple(parts), "2*laplacian")
+    return Laplacian(alg, (2, -2, -1))
 
 
-def laplacian(alg: Algebra) -> OperatorSum:
+def laplacian(alg: Algebra) -> Laplacian:
     """Degree -2 invariant operator: sum_j d_xi_j d_xib_j
     - sum_i d_x_i d_xb_i - 1/2 d_x0^2 (the x0 term only for odd l)."""
-    doubled = doubled_laplacian(alg).parts
-    return OperatorSum(tuple((_exact(Fraction(c, 2)), chain) for c, chain in doubled), "laplacian")
+    return Laplacian(alg, tuple(_exact(Fraction(c, 2)) for c in doubled_laplacian(alg).coefficients))
 
 
 # -- the g-action on generators ------------------------------------------------------
@@ -708,14 +709,18 @@ def _weyl_invariant(alg, poly):
 # The Laplacian preserves weight and a root operator shifts it by its root, so
 # each linear system below splits into one small block per weight.  Every
 # block is solved by `nullspace` on the int dict columns it builds, the
-# images of its monomials; a null vector over the monomials of its block is
-# the vector the whole-degree matrix would give, because a column is a pivot
-# of the block-diagonal RREF exactly when it is one in its block.
+# images of its monomials; a null vector over the monomials of its block is,
+# up to a positive int, the vector the whole-degree matrix would give,
+# because a column is a pivot of the block-diagonal RREF exactly when it is
+# one in its block.
 
 
 def _block_kernel(images, lap, dom):
-    """RREF basis of ker(Laplacian) on one weight block, over dom."""
-    return nullspace([images.image(lap, t) for t in dom])
+    """Integer basis of ker(Laplacian) on one weight block, whose monomials
+    dom are sorted: one int dict monomial -> coefficient per free monomial,
+    in order, primitive and positive at that monomial, its largest.  Divided
+    by that entry, each is the block's RREF null vector."""
+    return [{dom[c]: x for c, x in v.items()} for v in nullspace([images.image(lap, t) for t in dom])]
 
 
 def _integer_multiple(terms):
@@ -724,22 +729,16 @@ def _integer_multiple(terms):
     return {t: c.numerator * (s // c.denominator) for t, c in terms.items()}
 
 
-def _int_vectors(dom, kern):
-    """The vectors of kern (over the monomials dom) as int term dicts, each
-    scaled by the lcm of its denominators."""
-    return [_integer_multiple({dom[i]: c for i, c in enumerate(v) if c}) for v in kern]
-
-
-def _block_singular(images, ups, dom, kern):
-    """The vectors of span(kern) killed by every op in ups, as term dicts.
-    kern is the block's RREF kernel basis, so v = sum a_j kern_j has v = a on
-    kern's free columns, and the RREF null basis in the a-coordinates gives
-    the RREF null basis of the stacked block [Laplacian; ups].  The kern_j
-    are scaled to ints first; that only rescales each solution, which the
-    final division by its entry at its free (largest) monomial undoes."""
-    scaled = _int_vectors(dom, kern)
+def _block_singular(images, ups, kern):
+    """The vectors of span(kern) killed by every op in ups, as term dicts of
+    Fractions, sorted, each 1 at its largest monomial.  kern is the block's
+    integer kernel basis, kern_j = s_j r_j for the RREF basis r_j and ints
+    s_j > 0, so v = sum a_j kern_j has v = s a on the free columns of r, and
+    the null basis in the a-coordinates gives, up to scale, the RREF null
+    basis of the stacked block [Laplacian; ups]; the division by its entry
+    at its free (largest) monomial fixes the scale."""
     columns = []
-    for terms in scaled:
+    for terms in kern:
         col = {}
         for op_i, op in enumerate(ups):
             for t, c in images.apply(op, terms).items():
@@ -748,12 +747,11 @@ def _block_singular(images, ups, dom, kern):
     out = []
     for a in nullspace(columns):
         vec = {}
-        for aj, terms in zip(a, scaled):
-            if aj:
-                for t, c in terms.items():
-                    _bump(vec, t, aj * c)
+        for j, aj in a.items():
+            for t, c in kern[j].items():
+                _bump(vec, t, aj * c)
         lead = vec[max(vec)]
-        out.append({t: vec[t] / lead for t in sorted(vec)})
+        out.append({t: Fraction(vec[t], lead) for t in sorted(vec)})
     return out
 
 
@@ -765,7 +763,7 @@ def _singular_pass(alg, k, bound, images, ups):
     the size of its W-orbit, whose weights all lie in the degree, since the
     weights of a degree are W-stable.  The nullity of a dominant block counts
     once for every weight of its W-orbit.  blocks maps each dominant weight
-    to (its monomials, its RREF kernel basis).  A degree whose dimension
+    to its integer kernel basis (`_block_kernel`).  A degree whose dimension
     exceeds bound is refused first, as degree_basis would."""
     _bounded_dim(alg, k, bound)
     lap = doubled_laplacian(alg)
@@ -774,12 +772,10 @@ def _singular_pass(alg, k, bound, images, ups):
     orbit_size = {}
     blocks = {}
     for wt in _dominant_weights(alg, k):
-        dom = _weight_monomials(alg, k, wt)
         orbit_size[wt] = _orbit_size(alg, wt)
-        kern = _block_kernel(images, lap, dom)
-        blocks[wt] = dom, kern
+        kern = blocks[wt] = _block_kernel(images, lap, _weight_monomials(alg, k, wt))
         kdim += orbit_size[wt] * len(kern)
-        vecs = _block_singular(images, ups, dom, kern)
+        vecs = _block_singular(images, ups, kern)
         if vecs:
             out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
     return kdim, out, orbit_size, blocks
@@ -798,16 +794,17 @@ def kernel_basis(alg: Algebra, k: int, bound: int = 20000):
     """Exact basis of ker(Laplacian) on the degree-k component, the RREF null
     basis of the whole degree in the order of its free monomials, solved per
     weight of the degree (`_degree_weights`) and checked by
-    `_check_surjective`.  A degree past bound is refused first."""
+    `_check_surjective`: each integer block vector (`_block_kernel`) divided
+    by its entry at its free (largest) monomial, as Fractions.  A degree
+    past bound is refused first."""
     _bounded_dim(alg, k, bound)
     images = MonomialImages()
     lap = doubled_laplacian(alg)
     found = []
     for wt in _degree_weights(alg, k):
-        dom = _weight_monomials(alg, k, wt)
-        for v in _block_kernel(images, lap, dom):
-            free = max(i for i, c in enumerate(v) if c)
-            found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
+        for v in _block_kernel(images, lap, _weight_monomials(alg, k, wt)):
+            free = max(v)
+            found.append((free, SuperElement(alg, {t: Fraction(v[t], v[free]) for t in sorted(v)})))
     _check_surjective(alg, k, bound, len(found))
     found.sort(key=lambda pair: pair[0])
     return [el for _, el in found]
@@ -837,27 +834,23 @@ def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
 def _deficits(alg, k, blocks, images, downs):
     """(mu, nullity(mu) - rank sum_i f_i K_{mu + alpha_i}) for each weight mu
     of blocks with nonzero nullity, where blocks maps weights of degree k to
-    (monomials, RREF kernel basis), K_nu is the Laplacian kernel block at nu
-    and the f_i (downs) are the simple lowering operators.  For the kernel M,
-    n-M is the sum of the f_i M, so the deficits are the weight
-    multiplicities of M/n-M.  The kernels in blocks are ranked first; a block
-    outside them is solved once, when a weight needs it.  A weight stops as
-    soon as its rank reaches its nullity."""
+    integer kernel bases (`_block_kernel`), K_nu is the Laplacian kernel
+    block at nu and the f_i (downs) are the simple lowering operators.  For
+    the kernel M, n-M is the sum of the f_i M, so the deficits are the
+    weight multiplicities of M/n-M.  The kernels in blocks are ranked first;
+    a block outside them is solved once, when a weight needs it.  A weight
+    stops as soon as its rank reaches its nullity."""
     simples = [a.doubled for a in simple_roots(alg)]
     lap = doubled_laplacian(alg)
-    vectors = {}
+    vectors = dict(blocks)
 
     def kernel_at(nu):
         if nu not in vectors:
-            if nu in blocks:
-                dom, kern = blocks[nu]
-            else:
-                dom = _weight_monomials(alg, k, nu) if _is_degree_weight(alg, k, nu) else []
-                kern = _block_kernel(images, lap, dom)
-            vectors[nu] = _int_vectors(dom, kern)
+            dom = _weight_monomials(alg, k, nu) if _is_degree_weight(alg, k, nu) else []
+            vectors[nu] = _block_kernel(images, lap, dom)
         return vectors[nu]
 
-    for mu, (_, kern) in blocks.items():
+    for mu, kern in blocks.items():
         if not kern:
             continue
         above = sorted(((op, tuple(x + y for x, y in zip(mu, a))) for op, a in zip(downs, simples)),
@@ -967,8 +960,7 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
             if not _is_degree_weight(alg, k, low):
                 continue
             if low not in kernels:
-                dom = _weight_monomials(alg, k, low)
-                kernels[low] = _int_vectors(dom, _block_kernel(images, lap, dom))
+                kernels[low] = _block_kernel(images, lap, _weight_monomials(alg, k, low))
             for terms in kernels[low]:
                 col = {}
                 for op_i, op in enumerate(ups):

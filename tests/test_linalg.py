@@ -173,13 +173,22 @@ def _column_sets(seed):
                     yield _random_columns(rng, nrows, ncols, bound, rank, keys)
 
 
+def _rref_vector(v, ncols):
+    """An integer null vector divided by its entry at its own (largest)
+    column, as a dense Fraction list."""
+    own = v[max(v)]
+    return [Fraction(v.get(c, 0), own) for c in range(ncols)]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_nullspace_matches_the_dense_rref_null_basis(seed):
     count = free = mixed = 0
     for columns in _column_sets(seed):
         got = linalg.nullspace(columns)
-        assert got == _solve_block(columns), columns
-        assert all(type(x) is Fraction for v in got for x in v)
+        for v in got:
+            assert all(type(x) is int and x for x in v.values()), v
+            assert set(v) <= set(range(len(columns))) and v[max(v)] > 0 and gcd(*v.values()) == 1, v
+        assert [_rref_vector(v, len(columns)) for v in got] == _solve_block(columns), columns
         count += 1
         free += len(got)
         mixed += 0 < len(got) < len(columns)
@@ -190,7 +199,7 @@ def test_nullspace_matches_the_dense_rref_null_basis(seed):
 def test_nullspace_does_not_touch_its_columns():
     columns = [{2: 4, 0: 6}, {2: 2, 0: 3}, {1: 1}]
     copy = [dict(c) for c in columns]
-    assert linalg.nullspace(columns) == [[Fraction(-1, 2), Fraction(1), Fraction(0)]]
+    assert linalg.nullspace(columns) == [{0: -1, 1: 2}]
     assert columns == copy
 
 

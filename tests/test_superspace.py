@@ -19,7 +19,6 @@ from spochar.superspace import (
     laplacian,
     monomial_weight_doubled,
     natural_tensor_singular_counts,
-    partial,
     root_operator,
     simple_root_operators,
     singular_vectors,
@@ -325,11 +324,14 @@ def test_oversized_degree_is_refused_before_enumeration():
 # -- differential test: the per-weight block engine against the dense path ------------
 #
 # A frozen copy of the whole-degree path the block engine replaced: operators
-# applied through SuperElement products, the Laplacian with its 1/2, one dense
-# Fraction matrix per degree (or per stacked weight block) and `nullspace`.
+# applied through SuperElement products, the Laplacian with its 1/2 as a sum
+# of partial-derivative chains (the frozen `OperatorSum` of
+# tests/test_laplacian.py), one dense Fraction matrix per degree (or per
+# stacked weight block) and `nullspace`.
 
+from test_laplacian import OperatorSum, partial
 from test_linalg import nullspace as _dense_nullspace
-from spochar.superspace import OperatorSum, _layout, monomial_weight_doubled
+from spochar.superspace import _layout, monomial_weight_doubled
 
 
 def _reference_apply(op, el):
@@ -562,14 +564,29 @@ def _weight_blocks(alg, k, bound=20000):
     return [(w, groups[w]) for w in sorted(groups, key=grlex_key, reverse=True)]
 
 
+def _checked_block_kernel(images, lap, dom):
+    """`_block_kernel` on one block, checked against the frozen dense RREF
+    null basis: each vector, divided by its entry at its largest monomial,
+    is the dense one, in order and with Fraction values."""
+    from spochar.superspace import _block_kernel
+    from test_linalg import _solve_block
+
+    kern = _block_kernel(images, lap, dom)
+    dense = _solve_block([images.image(lap, t) for t in dom])
+    assert [[(t, Fraction(c, v[max(v)])) for t, c in sorted(v.items())] for v in kern] == [
+        [(dom[i], c) for i, c in enumerate(v) if c] for v in dense]
+    return kern
+
+
 def _enumerating_kernel_basis(alg, k, bound=20000):
-    from spochar.superspace import MonomialImages, _block_kernel, doubled_laplacian
+    from spochar.superspace import MonomialImages, doubled_laplacian
+    from test_linalg import _solve_block
 
     images = MonomialImages()
     lap = doubled_laplacian(alg)
     found = []
     for _, dom in _weight_blocks(alg, k, bound):
-        for v in _block_kernel(images, lap, dom):
+        for v in _solve_block([images.image(lap, t) for t in dom]):
             free = max(i for i, c in enumerate(v) if c)
             found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
     superspace._check_surjective(alg, k, bound, len(found))
@@ -656,16 +673,16 @@ def test_l0_kernel_is_zero_above_the_middle_degree():
 
 
 def _all_blocks_singular_pass(alg, k):
-    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, doubled_laplacian
+    from spochar.superspace import MonomialImages, _block_singular, doubled_laplacian
 
     images = MonomialImages()
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
     kdim, out = 0, {}
     for wt, dom in _weight_blocks(alg, k, 20000):
-        kern = _block_kernel(images, lap, dom)
+        kern = _checked_block_kernel(images, lap, dom)
         kdim += len(kern)
-        vecs = _block_singular(images, ups, dom, kern)
+        vecs = _block_singular(images, ups, kern)
         if vecs:
             out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
     return kdim, out
@@ -689,19 +706,47 @@ def test_dominant_blocks_match_every_block(alg, k):
 
 def test_singular_solve_restores_fractional_kernel_vectors():
     # With no raising constraint every kernel vector is singular.  Blocks with
-    # an x0^2 term have fractional RREF kernel vectors, which the solve scales
-    # to ints and must give back exactly.
+    # an x0^2 term have fractional RREF kernel vectors (the frozen dense
+    # solve), which the integer kernel basis scales to ints and the solve
+    # must give back exactly, as Fractions.
     from spochar.superspace import MonomialImages, _block_kernel, _block_singular, doubled_laplacian
+    from test_linalg import _solve_block
 
     images = MonomialImages()
     lap = doubled_laplacian(SPO25)
     fractional = 0
     for _, dom in _weight_blocks(SPO25, 4, 20000):
         kern = _block_kernel(images, lap, dom)
-        expected = [{dom[i]: c for i, c in enumerate(v) if c} for v in kern]
+        dense = _solve_block([images.image(lap, t) for t in dom])
+        expected = [{dom[i]: c for i, c in enumerate(v) if c} for v in dense]
         fractional += sum(any(c.denominator > 1 for c in v.values()) for v in expected)
-        assert _block_singular(images, [], dom, kern) == expected
+        got = _block_singular(images, [], kern)
+        assert [[(t, type(c), c) for t, c in v.items()] for v in got] == [
+            [(t, type(c), c) for t, c in v.items()] for v in expected]
     assert fractional
+
+
+def test_no_float_coefficients():
+    # exactness: kernel vectors, singular vectors and Laplacian images carry
+    # ints or Fractions only, never a float (int / int would give one)
+    exact = lambda el: all(type(c) in (int, Fraction) for c in el.terms.values())
+    checked = 0
+    for text, kmax in [("2|0", 2), ("4|0", 3), ("2|1", 4), ("2|2", 3), ("2|3", 4), ("4|3", 3), ("4|4", 3)]:
+        alg = Algebra.parse(text)
+        lap = laplacian(alg)
+        for k in range(kmax + 1):
+            kern = kernel_basis(alg, k)
+            assert all(exact(v) for v in kern)
+            assert all(exact(v) for vs in singular_vectors(alg, k).values() for v in vs)
+            basis = degree_basis(alg, k)
+            els = [SuperElement(alg, {t: Fraction(1)}) for t in basis] + [
+                SuperElement(alg, {t: i + 1 for i, t in enumerate(basis)}),
+                SuperElement(alg, {t: Fraction(1, i + 2) for i, t in enumerate(basis)})]
+            for el in els:
+                image = lap.apply(el)
+                assert exact(image)
+                checked += len(image.terms)
+    assert checked > 150
 
 
 # kernel_tensor_natural_report(spo(4|5), 2) as it was when the tensor counts
@@ -839,7 +884,7 @@ def _whole_degree_singular_pass(alg, k):
     from collections import Counter
 
     from spochar.rootdata import fold_to_dominant
-    from spochar.superspace import _block_kernel, _block_singular, doubled_laplacian
+    from spochar.superspace import _block_singular, doubled_laplacian
 
     images = MonomialImages()
     ups, _ = simple_root_operators(alg)
@@ -850,9 +895,9 @@ def _whole_degree_singular_pass(alg, k):
     for wt, dom in blocks:
         if wt not in orbit_size:
             continue
-        kern = _block_kernel(images, lap, dom)
+        kern = _checked_block_kernel(images, lap, dom)
         kdim += orbit_size[wt] * len(kern)
-        vecs = _block_singular(images, ups, dom, kern)
+        vecs = _block_singular(images, ups, kern)
         if vecs:
             out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
     return kdim, out, orbit_size
@@ -1117,7 +1162,7 @@ def test_nakayama_cyclicity_matches_the_walk(monkeypatch):
 def test_no_deficit_off_the_dominant_weights():
     # the premise of the report's sum: a nonzero (M/n-M)_mu gives a functional
     # of weight -mu that n- kills, a g0-lowest weight of M*, so mu is dominant
-    from spochar.superspace import _block_kernel, _degree_weights, _weight_monomials, doubled_laplacian
+    from spochar.superspace import _degree_weights, _weight_monomials, doubled_laplacian
 
     cases = [(alg, k) for alg, k in NAKAYAMA_GRID if superspace.degree_dim(alg, k) <= 1500]
     assert len(cases) > 80
@@ -1126,8 +1171,7 @@ def test_no_deficit_off_the_dominant_weights():
         lap = doubled_laplacian(alg)
         blocks = {}
         for wt in _degree_weights(alg, k):
-            dom = _weight_monomials(alg, k, wt)
-            blocks[wt] = dom, _block_kernel(images, lap, dom)
+            blocks[wt] = _checked_block_kernel(images, lap, _weight_monomials(alg, k, wt))
         deficits = dict(superspace._deficits(alg, k, blocks, images, simple_root_operators(alg)[1]))
         dominant = set(superspace._dominant_weights(alg, k))
         assert all(wt in dominant for wt, d in deficits.items() if d), (alg, k)
