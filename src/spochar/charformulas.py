@@ -11,16 +11,21 @@ dropped.  Every folded term c e^nu is strictly dominant, so by Weyl's
 character formula its quotient is c times the character of a simple module
 of highest weight nu - rho.  `rootdata.weyl_character` adds these up on
 dominant weights, with multiplicities from Freudenthal's formula (Humphreys,
-Introduction to Lie Algebras and Representation Theory, 22.3), and expands
-each dominant weight to its W-orbit once:
+Introduction to Lie Algebras and Representation Theory, 22.3), lists each
+dominant weight's orbit on the sign-free orthant (`orthant_character`) and
+expands those terms to their sign images once (`_sign_images`):
 
 * Kac: (D1 / D0) A(e^{lam+rho}) is one folded term.  For odd l the factor
   e^{d_i} - e^{-d_i} of D0 and e^{d_i/2} + e^{-d_i/2} of D1 cancel to
   1 / (e^{d_i/2} - e^{-d_i/2}), so the quotient is a Weyl character of
   so(2n+1) + so(l), whose short roots d_i replace the roots 2d_i of sp(2n)
   and whose Weyl group is the same W.  It is then multiplied by the
-  binomials e^{a/2} + e^{-a/2} of the isotropic roots a
-  (`laurent.times_binomials`).
+  binomials e^{a/2} + e^{-a/2} of the isotropic roots a.  Those of
+  d_i - e_j and d_i + e_j multiply to e^{d_i} + e^{-d_i} + e^{e_j} +
+  e^{-e_j}, which, like the Weyl character, is invariant under every
+  single sign change on the sign-free slots (`rootdata.sign_free_slots`).
+  So the product is taken on the orthant terms (`laurent.times_isotropic`)
+  between the two steps of `weyl_character`, and expanded once.
 * Euler: D1 is W-invariant, so the Euler character of a parabolic with Levi
   module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a}) over
   the odd positive roots a outside the Levi, divided by D0.  Its folded
@@ -42,19 +47,22 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import LatticeMismatch, LaurentPoly, exact_div, format_exponent, times_binomials
+from .laurent import LatticeMismatch, LaurentPoly, exact_div, format_exponent, times_isotropic
 from .linalg import det_bareiss_laurent, nullspace
 from .rootdata import (
     Algebra,
     DimensionGuard,
     Weight,
+    _sign_images,
     alternating_terms,
     check_weyl_order,
     fits_hook,
     is_dominant,
+    orthant_character,
     positive_roots,
     rho,
     rho0,
+    sign_free_slots,
     signed_fold,
     simple_roots,
     validate_partition,
@@ -101,14 +109,12 @@ def _half(doubled):
 
 @lru_cache(maxsize=64)
 def _kac_roots(alg: Algebra):
-    """(doubled positive roots of the Weyl character, halves of the D1
-    binomials to multiply by) for the Kac quotient: the even roots, where
-    for odd l each 2d_i is cancelled to d_i against the odd root d_i, and
-    the halves of the isotropic roots."""
+    """The doubled positive roots of the Weyl character in the Kac quotient:
+    the even roots, where for odd l each 2d_i is cancelled to d_i against
+    the odd root d_i."""
     pos = positive_roots(alg)
     short = {a.doubled for a in pos.odd if a not in pos.isotropic}
-    roots = tuple(_half(r.doubled) if _half(r.doubled) in short else r.doubled for r in pos.even)
-    return roots, tuple(_half(a.doubled) for a in pos.isotropic)
+    return tuple(_half(r.doubled) if _half(r.doubled) in short else r.doubled for r in pos.even)
 
 
 # -- parabolic subalgebras --------------------------------------------------------
@@ -359,7 +365,9 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     that a reflection fixes gives 0.  The quotient by D0 after the odd-l
     cancellation is one Weyl character on dominant weights
     (`rootdata.weyl_character` with the roots of `_kac_roots`), multiplied
-    by the binomials of the isotropic roots (see the module docstring).
+    by the binomials of the isotropic roots on its sign-free orthant
+    (`rootdata.orthant_character`, `laurent.times_isotropic`) and then
+    expanded to the sign images (see the module docstring).
     Raises DimensionGuard for a Weyl group above WEYL_ORDER_LIMIT, and
     ArithmeticError when the character has a half-integral exponent.
     """
@@ -369,9 +377,8 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     hit = signed_fold(alg, (lam + rho(alg)).doubled)
     if hit is None:
         return LaurentPoly.zero(alg.n, alg.m)
-    nu, det = hit
-    roots, halves = _kac_roots(alg)
-    return times_binomials(weyl_character(alg, {nu: det}, roots), halves)
+    orthant = orthant_character(alg, {hit[0]: hit[1]}, _kac_roots(alg))
+    return _sign_images(alg, times_isotropic(orthant, sign_free_slots(alg)))
 
 
 # The numerator of an Euler character is refused, factor by factor, past

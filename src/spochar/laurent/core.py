@@ -11,7 +11,7 @@ graded lex (total doubled degree first, then lex), which is total and
 multiplicative, so leading-term queries and exact division are reproducible.
 
 The term-level loops (`add_terms`, `mul_terms`, `scale_shift_terms`, the
-division inside `exact_div` and the binomial products of `times_binomials`)
+division inside `exact_div` and the isotropic product of `times_isotropic`)
 are one pure-Python kernel.  The hot ones work on packed exponents: each
 exponent tuple becomes one int holding a bit field per slot, so multiplying
 monomials is adding ints (Monagan & Pearce, "Polynomial division using
@@ -20,10 +20,11 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
 Weyl-type quotients are not evaluated here.  Kac and Euler characters are
 Weyl characters computed on dominant weights by Freudenthal's formula
 (Humphreys, Introduction to Lie Algebras and Representation Theory, 22.3)
-in `rootdata.weyl_character`; Kac characters are then multiplied by the
-binomials of their isotropic roots with `times_binomials`.  Even-Levi
-characters divide a sum over the Levi's Weyl group by one binomial at a
-time with `exact_div`.
+in `rootdata.weyl_character`.  Kac characters are multiplied by the
+binomials of their isotropic roots with `times_isotropic`, on the terms of
+one sign orbit each (`rootdata.orthant_character`), before the signs are
+expanded.  Even-Levi characters divide a sum over the Levi's Weyl group by
+one binomial at a time with `exact_div`.
 
 `format_exponent` is the one way to write an exponent vector as a weight:
 plain text for `Weight.format`, the CLI and `repr`, compact root labels,
@@ -38,7 +39,7 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 
 
@@ -414,36 +415,65 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._wrap(p.n, p.m, dict(zip(_unpack(quot, fields), quot.values())))
 
 
-# -- binomial products -------------------------------------------------------------
+# -- isotropic products -------------------------------------------------------------
 
 
-def times_binomials(p: LaurentPoly, halves) -> LaurentPoly:
-    """p * prod over h in halves of (x^h + x^-h); p itself when halves is
-    empty.
+def times_isotropic(p: LaurentPoly, sign_free) -> LaurentPoly:
+    """The orthant terms of p * prod over i < n, j < m of
+    (x_i^2 + x_i^-2 + x_{n+j}^2 + x_{n+j}^-2), for p given by its orthant
+    terms; p itself when m = 0 or p is 0.
 
-    Exponents are packed once and unpacked once.  Slot i is a field of w
-    bits holding the exponent plus 2^(w-1), wide enough for p's exponents
-    grown by every |h|, so multiplying by x^h is adding the packed h and
-    each binomial is one pass over the terms.
+    Each factor is the product of the binomials of the isotropic roots
+    d_i -/+ e_j, (e^{(d_i-e_j)/2} + e^{-(d_i-e_j)/2})(e^{(d_i+e_j)/2} +
+    e^{-(d_i+e_j)/2}) = e^{d_i} + e^{-d_i} + e^{e_j} + e^{-e_j}.  p and every
+    factor are invariant under the sign change of each slot in `sign_free`,
+    so the terms with all those exponents >= 0, the orthant terms,
+    determine them.  A sign-free exponent that is negative or odd raises
+    ValueError.
+
+    Exponents are packed once and unpacked once, one pass per factor.  A +2
+    shift stays in the orthant.  A -2 shift of a slot whose field reads v
+    reflects at the wall: a plain shift for v >= 3, onto 0 with twice the
+    coefficient for v = 2 (the term at -2 mirrors the one at +2), dropped
+    for v = 0.  A sign-free field holds the exponent itself; any other
+    holds it plus 2^(w-1), which keeps the field above 2, so its shifts are
+    plain.  The w bits of a field hold the exponents grown by 2 per factor.
     """
-    if not p.terms or not halves:
+    n, m = p.n, p.m
+    if not p.terms or not m:
         return p
-    grown = max(max(map(max, p.terms)), -min(map(min, p.terms))) + sum(max(map(abs, h)) for h in halves)
-    width = grown.bit_length() + 1
-    offset = 1 << (width - 1)
-    weights = [1 << (width * i) for i in range(p.rank)]
-    acc = dict(zip(_pack(p.terms, weights, [-offset] * p.rank), p.terms.values()))
-    for h in halves:
-        packed_h = sum(map(operator.mul, h, weights))
-        out = {k + packed_h: c for k, c in acc.items()}
+    free = frozenset(sign_free)
+    if any(e[s] < 0 or e[s] % 2 for e in p.terms for s in free):
+        raise ValueError(f"sign-free slots {sorted(free)} of an orthant term are not even and >= 0")
+    grown = max(max(map(max, p.terms)), -min(map(min, p.terms))) + 2 * max(n, m)
+    width = grown.bit_length() + 2
+    lows = [0 if s in free else -(1 << (width - 1)) for s in range(n + m)]
+    weights = [1 << (width * s) for s in range(n + m)]
+    mask = (1 << width) - 1
+    acc = dict(zip(_pack(p.terms, weights, lows), p.terms.values()))
+    for i, j in product(range(n), range(n, n + m)):
+        up_d, shift_d, up_e, shift_e = 2 * weights[i], width * i, 2 * weights[j], width * j
+        out = {k + up_d: c for k, c in acc.items()}
         get = out.get
         for k, c in acc.items():
-            k -= packed_h
-            v = get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
+            v = k >> shift_d & mask
+            if v > 2:
+                t = k - up_d
+                out[t] = get(t, 0) + c
+            elif v:
+                t = k - up_d
+                out[t] = get(t, 0) + 2 * c
+            t = k + up_e
+            out[t] = get(t, 0) + c
+            v = k >> shift_e & mask
+            if v > 2:
+                t = k - up_e
+                out[t] = get(t, 0) + c
+            elif v:
+                t = k - up_e
+                out[t] = get(t, 0) + 2 * c
         acc = out
-    fields = [(width * i, (1 << width) - 1, -offset) for i in range(p.rank)]
-    return LaurentPoly._wrap(p.n, p.m, dict(zip(_unpack(acc, fields), acc.values())))
+    if 0 in acc.values():  # cancellations leave zeros until here
+        acc = {k: c for k, c in acc.items() if c}
+    fields = [(width * s, mask, lo) for s, lo in enumerate(lows)]
+    return LaurentPoly._wrap(n, m, dict(zip(_unpack(acc, fields), acc.values())))

@@ -358,19 +358,38 @@ def weyl_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     dominant doubled weight (a key of `signed_fold`), A(e^nu) = sum over W
     of det(g) e^{g(nu)}, `roots` are the doubled positive roots of a root
     system with Weyl group W, rho is half their sum and D = A(e^rho).  No
-    sum over W is taken.
+    sum over W is taken: the result is `orthant_character` expanded to its
+    sign images (`_sign_images`).
 
     By the Weyl character formula A(e^nu) / D is the character of the simple
     module of highest weight nu - rho.  Euler characters pass the even roots
     of spo(2n|l), the roots of g0 = sp(2n) + so(l).  Kac characters for odd
     l pass them with 2d_i replaced by d_i: the roots of so(2n+1) + so(l),
-    which has the same W.  The roots, W and dominance split into the d-slots
-    (C_n or B_n) and the e-slots (B_m for odd l, D_m for even l), so the
-    module is the product of one module per side, each given by its
-    multiplicities on dominant weights (`_dominant_character`).  The
-    coefficients are added up on dominant weights, and each dominant weight
-    with a nonzero sum is expanded to its W-orbit once, at the end
-    (`_side_orbit`).  The side tables are memoised within the call.
+    which has the same W.
+    """
+    return _sign_images(alg, orthant_character(alg, numerator, roots))
+
+
+def sign_free_slots(alg: Algebra):
+    """The slots where W changes any single sign: the d-slots (C_n), and the
+    e-slots too for odd l (B_m); the D_m side of even l changes signs in
+    pairs only."""
+    return range(alg.n + alg.m if alg.odd else alg.n)
+
+
+def orthant_character(alg: Algebra, numerator, roots) -> LaurentPoly:
+    """The terms of `weyl_character(alg, numerator, roots)` whose exponents
+    on `sign_free_slots(alg)` are all >= 0: the character is invariant
+    under each sign change there, so these terms determine it.
+
+    The roots, W and dominance split into the d-slots (C_n or B_n) and the
+    e-slots (B_m for odd l, D_m for even l), so the module is the product of
+    one module per side, each given by its multiplicities on dominant
+    weights (`_dominant_character`).  The coefficients are added up on
+    dominant weights; each dominant weight with a nonzero sum becomes, on a
+    sign-free side, the distinct permutations of its entries (all >= 0),
+    and on the D_m side its orbit (`_side_orbit`).  The side tables are
+    memoised within the call.
 
     A nu with nu - rho off the integral lattice raises ArithmeticError: its
     quotient is not a Laurent polynomial or has half-integral exponents.
@@ -396,13 +415,25 @@ def weyl_character(alg: Algebra, numerator, roots) -> LaurentPoly:
                 dominant[key] = dominant.get(key, 0) + c * a * b
     live = {key: c for key, c in dominant.items() if c}
     (_, roots_d, *_), (_, roots_e, *_) = sides
-    orbits_d = {mu_d: _side_orbit(mu_d, roots_d, True) for mu_d in {mu_d for mu_d, _ in live}}
-    orbits_e = {mu_e: _side_orbit(mu_e, roots_e, alg.odd) for mu_e in {mu_e for _, mu_e in live}}
+    orbits_d = {mu_d: _permutations(mu_d) for mu_d in {mu_d for mu_d, _ in live}}
+    orbits_e = {mu_e: _permutations(mu_e) if alg.odd else _side_orbit(mu_e, roots_e, False)
+                for mu_e in {mu_e for _, mu_e in live}}
     out = {}
     for (mu_d, mu_e), c in live.items():
         for x in orbits_d[mu_d]:
             for y in orbits_e[mu_e]:
                 out[x + y] = c
+    return LaurentPoly._wrap(alg.n, alg.m, out)
+
+
+def _sign_images(alg: Algebra, p: LaurentPoly) -> LaurentPoly:
+    """The polynomial of which p holds the orthant terms: every term of p
+    with each nonzero exponent on `sign_free_slots(alg)` taken with either
+    sign, at the term's coefficient."""
+    free = sign_free_slots(alg)
+    out = {}
+    for e, c in p.terms.items():
+        out.update(dict.fromkeys(itertools.product(*[(x, -x) if x and s in free else (x,) for s, x in enumerate(e)]), c))
     return LaurentPoly._wrap(alg.n, alg.m, out)
 
 
@@ -471,6 +502,14 @@ def _dominant_character(lam, roots, rho_side, flips):
             raise ArithmeticError(f"Freudenthal's formula gives {2 * total} / {den} at {mu}")
         mult[mu] = m
     return mult
+
+
+def _permutations(mu):
+    """The distinct permutations of a tuple."""
+    images = {()}
+    for x in mu:  # insert each entry at every place
+        images = {w[:i] + (x,) + w[i:] for w in images for i in range(len(w) + 1)}
+    return tuple(images)
 
 
 def _side_orbit(mu, roots, flips):

@@ -32,12 +32,14 @@ from spochar.laurent import (
     NotDivisible,
     exact_div,
     format_exponent,
-    times_binomials,
+    times_isotropic,
 )
 from spochar.laurent.core import _unpack
 from spochar.rootdata import (
     Algebra,
     Weight,
+    _dominant_character,
+    _side_orbit,
     antisymmetrize,
     is_dominant,
     positive_roots,
@@ -49,6 +51,7 @@ from spochar.rootdata import (
     weyl_character,
     weyl_group,
 )
+from test_weyl_quotient import times_binomials
 
 SPO23 = Algebra.parse("2|3")
 SPO24 = Algebra.parse("2|4")
@@ -688,6 +691,100 @@ def test_kac_matches_the_frozen_w_sum_off_the_dominant_chamber():
     assert outcomes == {"character": 364, "error": 2784, "zero": 3579}
 
 
+def _frozen_weyl_character(alg, numerator, roots):
+    """The Weyl character as `rootdata.weyl_character` computed it before
+    the orthant split: each dominant weight expanded to its whole W-orbit
+    (frozen, body verbatim)."""
+    r0 = [sum(r[i] for r in roots) // 2 for i in range(alg.rank)]
+    sides = []  # (slots, positive roots, rho, flips, {highest weight: table})
+    for slots, flips in ((slice(0, alg.n), True), (slice(alg.n, None), alg.odd)):
+        sides.append((slots, tuple(r[slots] for r in roots if any(r[slots])), tuple(r0[slots]), flips, {}))
+    dominant = {}
+    for nu, c in numerator.items():
+        lam = tuple(map(operator.sub, nu, r0))
+        if any(x % 2 for x in lam):
+            raise ArithmeticError(f"{format_exponent(lam, alg.n)} is not an integral highest weight")
+        tables = []
+        for slots, side_roots, rho_side, flips, memo in sides:
+            top = lam[slots]
+            if top not in memo:
+                memo[top] = _dominant_character(top, side_roots, rho_side, flips)
+            tables.append(memo[top])
+        for mu_d, a in tables[0].items():
+            for mu_e, b in tables[1].items():
+                key = mu_d, mu_e
+                dominant[key] = dominant.get(key, 0) + c * a * b
+    live = {key: c for key, c in dominant.items() if c}
+    (_, roots_d, *_), (_, roots_e, *_) = sides
+    orbits_d = {mu_d: _side_orbit(mu_d, roots_d, True) for mu_d in {mu_d for mu_d, _ in live}}
+    orbits_e = {mu_e: _side_orbit(mu_e, roots_e, alg.odd) for mu_e in {mu_e for _, mu_e in live}}
+    out = {}
+    for (mu_d, mu_e), c in live.items():
+        for x in orbits_d[mu_d]:
+            for y in orbits_e[mu_e]:
+                out[x + y] = c
+    return LaurentPoly._wrap(alg.n, alg.m, out)
+
+
+def _kac_binomial_path(alg, lam):
+    """The Kac character as the parent path computed it: the frozen
+    `weyl_character` on the roots of so(2n+1) + so(l) (l odd) or g0 (l even),
+    times every isotropic binomial with the frozen `times_binomials`."""
+    hit = signed_fold(alg, (lam + rho(alg)).doubled)
+    if hit is None:
+        return LaurentPoly.zero(alg.n, alg.m)
+    pos = positive_roots(alg)
+    short = {a.doubled for a in pos.odd if a not in pos.isotropic}
+    roots = tuple(_half(r.doubled) if _half(r.doubled) in short else r.doubled for r in pos.even)
+    halves = tuple(_half(a.doubled) for a in pos.isotropic)
+    return times_binomials(_frozen_weyl_character(alg, {hit[0]: hit[1]}, roots), halves)
+
+
+KAC_RANDOM_GRID = ["2|2", "4|2", "6|2", "2|3", "4|3", "6|3", "2|4", "4|4", "6|4", "2|5", "4|5", "2|6", "4|6", "2|7",
+                   "4|7", "2|8", "6|5", "8|3"]
+
+
+def _random_dominant(alg, rng):
+    """A random dominant weight with a_i <= 4 and |b_j| <= 3.  For even l,
+    half of them have a negative D_m last entry, which the hook condition
+    allows only with a_n >= m and every b_j nonzero."""
+    negative = not alg.odd and alg.m and rng.random() < 0.5
+    while True:
+        a = sorted((rng.randint(alg.m if negative else 0, 4) for _ in range(alg.n)), reverse=True)
+        b = sorted((rng.randint(1 if negative else 0, 3) for _ in range(alg.m)), reverse=True)
+        if negative:
+            b[-1] = -b[-1]
+        lam = Weight.from_coeffs(alg, a, b)
+        if is_dominant(lam):
+            return lam
+
+
+@pytest.mark.parametrize("algtxt", KAC_RANDOM_GRID)
+def test_kac_matches_the_frozen_binomial_path_on_random_dominant_weights(algtxt):
+    # 25 random dominant weights per algebra against the parent path; the
+    # Euler route, weyl_character on the even roots, against its frozen copy
+    alg = Algebra.parse(algtxt)
+    rng = random.Random(algtxt)
+    negative_last = 0
+    even = tuple(r.doubled for r in positive_roots(alg).even)
+    for _ in range(25):
+        lam = _random_dominant(alg, rng)
+        negative_last += lam.doubled[-1] < 0 and not alg.odd
+        assert kac_character(alg, lam) == _kac_binomial_path(alg, lam), lam.format()
+        top = {(lam + rho0(alg)).doubled: rng.choice((-2, 1))}
+        assert weyl_character(alg, top, even) == _frozen_weyl_character(alg, top, even)
+    assert (negative_last > 5) == (not alg.odd)
+
+
+def test_spo85_frontier_kac_character():
+    alg = Algebra.parse("8|5")
+    lam = W(alg, "4d1+3d2+2d3+2d4+1e1")
+    ch = kac_character(alg, lam)
+    assert len(ch) == 213117
+    assert ch.evaluate_at_one() == 75694080 == vdim_formula(alg, lam)
+    assert ch == _kac_binomial_path(alg, lam)
+
+
 def test_euler_character_runs_no_weyl_sum(monkeypatch):
     # references first: the frozen W-sum on spo(4|2) and the recorded table
     # on spo(2|2), both l = 2 (a D_1 side without roots), and the frozen
@@ -897,7 +994,10 @@ def test_binomial_division_round_trip_and_failure():
     assert divide(prod, halves) == p
     assert divide(prod, halves[::-1]) == p
     plus = LaurentPoly.monomial(2, 0, (0, 2)) + LaurentPoly.monomial(2, 0, (0, -2))
-    assert times_binomials(p, [(0, 2)]) == p * plus
+    # the isotropic product with no sign-free slot, on p read on spo(2|2)
+    iso = LaurentPoly(1, 1, p.terms)
+    square = LaurentPoly(1, 1, {(2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1})
+    assert times_isotropic(iso, ()) == iso * square
     with pytest.raises(NotDivisible):
         divide(plus, [(0, 2)])
     with pytest.raises(NotDivisible):

@@ -15,7 +15,7 @@ from spochar.laurent import (
     LATEX_SYMBOLS,
     exact_div,
     format_exponent,
-    times_binomials,
+    times_isotropic,
 )
 from spochar.laurent import core
 from spochar.laurent.core import mul_terms
@@ -80,8 +80,12 @@ def test_kernel_results_hold_no_zero_coefficient(p, q, k, hs):
     quotient = multiple
     for h in hs:
         quotient = exact_div(quotient, LaurentPoly.monomial(2, 1, h) - LaurentPoly.monomial(2, 1, tuple(-x for x in h)))
+    # the isotropic product on the orthant of its sign-free slots: p as it
+    # is with none, and with the d-slots doubled and made >= 0
+    orthant = P(2, 1, {(2 * abs(e[0]), 2 * abs(e[1]), e[2]): c for e, c in (p - q).terms.items()})
     results = [p + q, p - q, p + (-p), -p, k * p, p * q, (p + q) * (p - q), p.shifted((1, -2, 3), -1),
-               times_binomials(p, hs), times_binomials(p - q, hs), times_binomials(multiple, hs), quotient]
+               times_isotropic(p, ()), times_isotropic(p - q, ()), times_isotropic(multiple, ()),
+               times_isotropic(orthant, (0, 1)), quotient]
     if q:
         results.append(exact_div(p * q, q))
     for r in results:

@@ -3,7 +3,9 @@ characters, alternating sums and binomial products.
 
 Frozen copies of the tuple-keyed alternating Weyl sum, binomial-string
 division and binomial multiplication that the packed kernels replaced serve
-as the references here; do not "optimise" them.
+as the references here, and so does a frozen copy of the packed binomial
+product `times_binomials` that `times_isotropic` replaced; do not
+"optimise" them.
 """
 
 import itertools
@@ -22,16 +24,19 @@ from spochar.charformulas import (
     levi_character,
     levi_simple_even_character,
 )
-from spochar.laurent import LaurentPoly, NotDivisible, exact_div, times_binomials
+from spochar.laurent import LaurentPoly, NotDivisible, exact_div, times_isotropic
+from spochar.laurent.core import _pack, _unpack
 from spochar.rootdata import (
     Algebra,
     Weight,
+    _sign_images,
     alternating_terms,
     antisymmetrize,
     is_dominant,
     positive_roots,
     rho,
     rho0,
+    sign_free_slots,
     weyl_act,
     weyl_group,
     weyl_order,
@@ -88,6 +93,38 @@ def _multiply_reference(terms, halves):
                 out[k] = out.get(k, 0) + c
         terms = {e: c for e, c in out.items() if c}
     return terms
+
+
+def times_binomials(p: LaurentPoly, halves) -> LaurentPoly:
+    """p * prod over h in halves of (x^h + x^-h); p itself when halves is
+    empty.
+
+    Exponents are packed once and unpacked once.  Slot i is a field of w
+    bits holding the exponent plus 2^(w-1), wide enough for p's exponents
+    grown by every |h|, so multiplying by x^h is adding the packed h and
+    each binomial is one pass over the terms.
+    """
+    if not p.terms or not halves:
+        return p
+    grown = max(max(map(max, p.terms)), -min(map(min, p.terms))) + sum(max(map(abs, h)) for h in halves)
+    width = grown.bit_length() + 1
+    offset = 1 << (width - 1)
+    weights = [1 << (width * i) for i in range(p.rank)]
+    acc = dict(zip(_pack(p.terms, weights, [-offset] * p.rank), p.terms.values()))
+    for h in halves:
+        packed_h = sum(map(operator.mul, h, weights))
+        out = {k + packed_h: c for k, c in acc.items()}
+        get = out.get
+        for k, c in acc.items():
+            k -= packed_h
+            v = get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        acc = out
+    fields = [(width * i, (1 << width) - 1, -offset) for i in range(p.rank)]
+    return LaurentPoly._wrap(p.n, p.m, dict(zip(_unpack(acc, fields), acc.values())))
 
 
 def _quotient_reference(terms, divide=(), multiply=()):
@@ -358,3 +395,72 @@ def test_not_divisible_and_degenerate_inputs():
     assert times_binomials(P(2, {}), [(0, 2)]).is_zero()
     assert times_binomials(one, ()) is one
     assert times_binomials(plus, [(0, 2), (0, -2)]).terms == _multiply_reference(plus.terms, [(0, 2), (0, -2)])
+
+
+# -- the isotropic product on the sign-free orthant -------------------------------------
+
+ISOTROPIC_GRID = ["2|1", "2|2", "4|2", "6|2", "2|3", "4|3", "6|3", "2|4", "4|4", "2|5", "4|5", "2|6"]
+
+
+def _orbit_sums(alg, rng):
+    """Random integral W-invariant terms: orbit sums, with random nonzero
+    coefficients of both signs, of dominant doubled weights whose entries
+    are 0, 2, 4 or 6, D_m last entries of both signs."""
+    group = weyl_group(alg)
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        d = sorted((rng.choice((0, 2, 4, 6)) for _ in range(alg.n)), reverse=True)
+        e = sorted((rng.choice((0, 2, 4)) for _ in range(alg.m)), reverse=True)
+        if e and not alg.odd and rng.random() < 0.5:
+            e[-1] = -e[-1]
+        c = rng.choice((-3, -1, 1, 2, 5))
+        for w in {weyl_act(g, tuple(d + e)) for g in group}:
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("algtxt", ISOTROPIC_GRID)
+def test_times_isotropic_matches_the_frozen_binomial_product(algtxt):
+    # the sign images of the orthant product are the frozen full product of
+    # the isotropic binomials, term for term, and the orthant product is the
+    # orthant part of it; the sign-free slots are those of the single sign
+    # changes in W
+    alg = Algebra.parse(algtxt)
+    identity = tuple(range(alg.rank))
+    flips = {signs.index(-1) for perm, signs, _ in weyl_group(alg) if perm == identity and signs.count(-1) == 1}
+    free = sign_free_slots(alg)
+    assert set(free) == flips
+    halves = [_half(a.doubled) for a in positive_roots(alg).isotropic]
+    rng = random.Random(algtxt)
+    walls = set()
+    for _ in range(12):
+        full = _orbit_sums(alg, rng)
+        orthant = {e: c for e, c in full.items() if all(e[s] >= 0 for s in free)}
+        walls.update(e[s] for e in orthant for s in free)
+        want = times_binomials(LaurentPoly(alg.n, alg.m, full), halves)
+        got = times_isotropic(LaurentPoly(alg.n, alg.m, orthant), free)
+        assert got.terms == {e: c for e, c in want.terms.items() if all(e[s] >= 0 for s in free)}
+        assert _sign_images(alg, got).terms == want.terms
+        assert _sign_images(alg, LaurentPoly(alg.n, alg.m, orthant)).terms == full
+    assert {0, 2, 4} <= walls
+
+
+def test_times_isotropic_refuses_odd_or_negative_sign_free_exponents_and_keeps_degenerate_inputs():
+    # D_1 (l = 2) is not sign-free: any exponent is admissible there
+    p = LaurentPoly(1, 1, {(2, -3): 1, (0, 1): -2})
+    assert times_isotropic(p, [0]).terms == {(4, -3): 1, (2, -1): 1, (2, -5): 1, (0, -3): 2, (2, 1): -2,
+                                             (0, 3): -2, (0, -1): -2}
+    with pytest.raises(ValueError, match="not even and >= 0"):
+        times_isotropic(LaurentPoly(1, 1, {(2, 0): 1, (3, 0): 1}), [0])
+    with pytest.raises(ValueError, match="not even and >= 0"):
+        times_isotropic(LaurentPoly(1, 1, {(-2, 0): 1}), [0, 1])
+    with pytest.raises(ValueError, match="not even and >= 0"):
+        times_isotropic(LaurentPoly(1, 1, {(0, 1): 1}), [0, 1])
+    # no isotropic roots (m = 0), or p = 0: p itself
+    one = LaurentPoly.one(2, 0)
+    assert times_isotropic(one, [0, 1]) is one
+    zero = LaurentPoly.zero(1, 1)
+    assert times_isotropic(zero, [0, 1]) is zero
+    # a cancellation leaves no zero coefficient
+    q = LaurentPoly(1, 1, {(2, 0): 1, (0, 2): -1})
+    assert times_isotropic(q, [0, 1]).terms == {(4, 0): 1, (0, 4): -1}
