@@ -378,7 +378,8 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     if hit is None:
         return LaurentPoly.zero(alg.n, alg.m)
     orthant = orthant_character(alg, {hit[0]: hit[1]}, _kac_roots(alg))
-    return _sign_images(alg, times_isotropic(orthant, sign_free_slots(alg)))
+    free = sign_free_slots(alg)
+    return _sign_images(times_isotropic(orthant, free), free)
 
 
 # The numerator of an Euler character is refused, factor by factor, past

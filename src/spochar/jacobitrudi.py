@@ -6,70 +6,109 @@ suite behind their equality.
 Conventions: p_r = 0 and e_r = 0 for r < 0; for a partition lambda the
 staircase shift is lambda* = (lambda_1, lambda_2 - 1, ..., lambda_k - k + 1),
 which may go negative.
+
+The u-basis.  The natural module C^{2n|l} has weights +-d_i, +-e_j, and 0
+for odd l, so every p_r and e_r is invariant under each single sign change
+on each slot, the D_m e-slots of even l included.  It is then a polynomial
+in u_s = t_s + t_s^-1, where t_s is e^{d_i} or e^{e_j}.  The power tables
+are built in Z[u_1, ..., u_{n+m}], a `LaurentPoly` whose slot s holds the
+plain u_s-degree: by the generating functions, p-series multiply by
+1/(1 - u z + z^2) per d-slot, by (1 + v z + z^2) per e-slot and by (1 + z)
+for the zero weight; e-series exchange the two factor types, the zero
+weight giving 1/(1 - z).  Each factor is a three-term recurrence.  The
+Jacobi-Trudi determinants run on these entries, and `from_u_basis` expands
+each result once: per slot u^k = sum over j <= k/2 of C(k, j) O_{k-2j}, with
+O_a = t^a + t^-a for a > 0 and O_0 = 1, so the central term keeps C(k, k/2);
+the terms with every exponent >= 0 come first and their sign images follow
+(`rootdata._sign_images` on every slot).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .laurent import LaurentPoly
 from .linalg import det_bareiss_laurent
-from .rootdata import Algebra, DimensionGuard, HookConditionError, conjugate_partition, fits_hook, validate_partition
-from .series import (
-    series_one,
-    super_elementary_series,
-    super_homogeneous_series,
-    times_geometric,
+from .rootdata import (
+    Algebra,
+    DimensionGuard,
+    HookConditionError,
+    _sign_images,
+    conjugate_partition,
+    fits_hook,
+    validate_partition,
 )
+from .series import series_one, times_geometric, times_linear
 
 
-def _natural_weights(alg: Algebra):
-    """(even, odd) doubled weight tuples of the natural module C^{2n|l}."""
-    even = []
-    odd = []
-    for i in range(alg.n):
-        v = [0] * alg.rank
-        v[i] = 2
-        even.append(tuple(v))
-        even.append(tuple(-x for x in v))
-    for j in range(alg.m):
-        v = [0] * alg.rank
-        v[alg.n + j] = 2
-        odd.append(tuple(v))
-        odd.append(tuple(-x for x in v))
-    if alg.odd:
-        odd.append((0,) * alg.rank)
-    return even, odd
+def _times_factor(series, unit, geometric):
+    """series times 1/(1 - x z + z^2) if geometric, else times
+    (1 + x z + z^2), in place, where x is the monomial u^unit: a three-term
+    recurrence, upward for the quotient, downward for the product."""
+    for k in range(1, len(series)) if geometric else range(len(series) - 1, 0, -1):
+        step = series[k] + series[k - 1].shifted(unit)
+        if k >= 2:
+            step = step - series[k - 2] if geometric else step + series[k - 2]
+        series[k] = step
+
+
+def _u_series(alg: Algebra, order, exterior):
+    """[p_0, ..., p_order] (or the e_r when exterior) in the u-basis."""
+    series = series_one(alg.n, alg.m, order)
+    for s in range(alg.rank):
+        _times_factor(series, tuple(int(t == s) for t in range(alg.rank)), (s < alg.n) != exterior)
+    if alg.odd:  # the zero weight: 1/(1 - z) for the e_r, 1 + z for the p_r
+        series = (times_geometric if exterior else times_linear)(series, (0,) * alg.rank, alg.n, alg.m)
+    return series
+
+
+def from_u_basis(p: LaurentPoly) -> LaurentPoly:
+    """The character whose u-basis form is p (see the module docstring)."""
+    terms = p.terms
+    for s in range(p.rank):
+        out = {}
+        get = out.get
+        for e, c in terms.items():
+            k = e[s]
+            head, tail = e[:s], e[s + 1:]
+            for j in range(k // 2 + 1):
+                key = head + (2 * (k - 2 * j),) + tail
+                out[key] = get(key, 0) + comb(k, j) * c
+        terms = {e: c for e, c in out.items() if c}
+    return _sign_images(LaurentPoly._wrap(p.n, p.m, terms), range(p.rank))
 
 
 class PowerTable:
-    """Cached lists of p_r (symmetric powers) and e_r (exterior powers) of
-    the natural module, grown on demand."""
+    """p_r (symmetric powers) and e_r (exterior powers) of the natural
+    module: u-basis lists grown on demand, each r expanded at most once."""
 
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self._p = None
-        self._e = None
+        self._u = {"p": [], "e": []}
+        self._full = {"p": {}, "e": {}}
 
-    def _grow(self, which, order):
-        even, odd = _natural_weights(self.alg)
-        if which == "p":
-            return super_homogeneous_series(even, odd, self.alg.n, self.alg.m, order)
-        return super_elementary_series(even, odd, self.alg.n, self.alg.m, order)
+    def u(self, which, r: int) -> LaurentPoly:
+        """p_r (which "p") or e_r (which "e") in the u-basis."""
+        if r < 0:
+            return LaurentPoly.zero(self.alg.n, self.alg.m)
+        if len(self._u[which]) <= r:
+            self._u[which] = _u_series(self.alg, max(r, 8), which == "e")
+        return self._u[which][r]
+
+    def _expanded(self, which, r):
+        if r < 0:
+            return LaurentPoly.zero(self.alg.n, self.alg.m)
+        full = self._full[which]
+        if r not in full:
+            full[r] = from_u_basis(self.u(which, r))
+        return full[r]
 
     def p(self, r: int) -> LaurentPoly:
-        if r < 0:
-            return LaurentPoly.zero(self.alg.n, self.alg.m)
-        if self._p is None or len(self._p) <= r:
-            self._p = self._grow("p", max(r, 8))
-        return self._p[r]
+        return self._expanded("p", r)
 
     def e(self, r: int) -> LaurentPoly:
-        if r < 0:
-            return LaurentPoly.zero(self.alg.n, self.alg.m)
-        if self._e is None or len(self._e) <= r:
-            self._e = self._grow("e", max(r, 8))
-        return self._e[r]
+        return self._expanded("e", r)
 
 
 @lru_cache(maxsize=64)
@@ -94,7 +133,8 @@ def _check_hook(lam, alg):
 
 def jt_character(partition, alg: Algebra) -> LaurentPoly:
     """Jacobi-Trudi determinant in symmetric-power characters: column 0 is
-    p_{lambda*}, column j is p_{lambda*+j} + p_{lambda*-j}."""
+    p_{lambda*}, column j is p_{lambda*+j} + p_{lambda*-j}.  The determinant
+    is taken in the u-basis and expanded once."""
     lam = validate_partition(partition)
     _check_hook(lam, alg)
     if not lam:
@@ -105,15 +145,16 @@ def jt_character(partition, alg: Algebra) -> LaurentPoly:
 
     def entry(i, j):
         if j == 0:
-            return tab.p(star[i])
-        return tab.p(star[i] + j) + tab.p(star[i] - j)
+            return tab.u("p", star[i])
+        return tab.u("p", star[i] + j) + tab.u("p", star[i] - j)
 
-    return det_bareiss_laurent([[entry(i, j) for j in range(k)] for i in range(k)])
+    return from_u_basis(det_bareiss_laurent([[entry(i, j) for j in range(k)] for i in range(k)]))
 
 
 def jt_character_e(partition, alg: Algebra) -> LaurentPoly:
     """The equal exterior-power determinant form: with mu the conjugate
-    partition, column j is e_{mu*+j} - e_{mu*-j-2}."""
+    partition, column j is e_{mu*+j} - e_{mu*-j-2}.  The determinant is
+    taken in the u-basis and expanded once."""
     lam = validate_partition(partition)
     _check_hook(lam, alg)
     if not lam:
@@ -124,9 +165,9 @@ def jt_character_e(partition, alg: Algebra) -> LaurentPoly:
     star = [mu[i] - i for i in range(k)]
 
     def entry(i, j):
-        return tab.e(star[i] + j) - tab.e(star[i] - j - 2)
+        return tab.u("e", star[i] + j) - tab.u("e", star[i] - j - 2)
 
-    return det_bareiss_laurent([[entry(i, j) for j in range(k)] for i in range(k)])
+    return from_u_basis(det_bareiss_laurent([[entry(i, j) for j in range(k)] for i in range(k)]))
 
 
 # -- formal determinant identities ------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from operator import itemgetter
 
 
@@ -332,22 +332,17 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     A divisor equal to the monomial 1 returns p itself, not a copy.  Any
     other one-term divisor c x^h is a shift by -h and an exact division of
     each coefficient by c; a coefficient that c does not divide fails with
-    the message the long division below would give, naming the first such
+    the message `_long_division` would give, naming the first such
     coefficient in descending graded-lex order.
 
-    Otherwise both operands are shifted by their minimal exponents into the ordinary
-    polynomial ring, where graded-lex is a well-order, then long division by
-    the single divisor runs with a lazy-deletion heap tracking the leading
-    term of the remainder.  Any failure of leading-monomial or leading-
-    coefficient divisibility proves p is not a multiple of q.
-
-    Monomials are packed ints: the total degree in the top field, then slots
-    0, 1, ..., so int order is graded-lex.  No monomial the division meets
-    has a degree above the larger leading degree of the two operands (the
-    leading terms of the remainder only fall), so fields of that many bits
-    plus one guard bit each never carry.  With G the guard bits,
-    (e | G) - m keeps the guard bit of exactly those fields where e is at
-    least m: m divides e iff all of G survives.
+    Otherwise p must pass a face test first (`_check_faces`).  If p = q f,
+    then in each slot s the face of p at its smallest (or largest)
+    s-exponent, the terms with that exponent, is the product of the faces
+    of q and f there (their product is not zero), and the exponent spans
+    (max - min per slot) of a product add up.  So p and each of its faces
+    span at least as much in every slot as q and its face; where one spans
+    less, p is refused at once, whatever the distance the long division
+    (`_long_division`) would walk before it failed.
     """
     p._check(q)
     if q.is_zero():
@@ -363,6 +358,27 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             raise NotDivisible(f"leading coefficient {p.terms[max(bad, key=grlex_key)]} not divisible by {cq}")
         return LaurentPoly._wrap(p.n, p.m, {tuple(map(operator.sub, e, h)): c // cq for e, c in p.terms.items()})
 
+    _check_faces(p, q)
+    return _long_division(p, q)
+
+
+def _long_division(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p / q for nonzero p and q of one rank, by long division.
+
+    Both operands are shifted by their minimal exponents into the ordinary
+    polynomial ring, where graded-lex is a well-order, and long division by
+    the single divisor runs with a lazy-deletion heap tracking the leading
+    term of the remainder.  Any failure of leading-monomial or leading-
+    coefficient divisibility proves p is not a multiple of q.
+
+    Monomials are packed ints: the total degree in the top field, then slots
+    0, 1, ..., so int order is graded-lex.  No monomial the division meets
+    has a degree above the larger leading degree of the two operands (the
+    leading terms of the remainder only fall), so fields of that many bits
+    plus one guard bit each never carry.  With G the guard bits,
+    (e | G) - m keeps the guard bit of exactly those fields where e is at
+    least m: m divides e iff all of G survives.
+    """
     rank = p.rank
     minp = [min(map(itemgetter(i), p.terms)) for i in range(rank)]
     minq = [min(map(itemgetter(i), q.terms)) for i in range(rank)]
@@ -413,6 +429,37 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     fields = [(s, mask, x - y) for s, x, y in zip(shifts, minp, minq)]
     return LaurentPoly._wrap(p.n, p.m, dict(zip(_unpack(quot, fields), quot.values())))
+
+
+def _check_faces(p, q):
+    """Raise NotDivisible when p, or its face at either end of a slot, spans
+    less in some slot than q or q's face at the same end (see `exact_div`).
+    Only the slots where q's face spans something are read."""
+    keys_p, keys_q = list(p.terms), list(q.terms)
+    for s in range(p.rank):
+        col_p, col_q = list(map(itemgetter(s), keys_p)), list(map(itemgetter(s), keys_q))
+        lo_p, hi_p, lo_q, hi_q = min(col_p), max(col_p), min(col_q), max(col_q)
+        if hi_p - lo_p < hi_q - lo_q:
+            raise NotDivisible(f"the dividend spans {hi_p - lo_p} in slot {s}, less than the divisor's {hi_q - lo_q}")
+        for end, x_p, x_q in (("smallest", lo_p, lo_q), ("largest", hi_p, hi_q)):
+            face_q = list(compress(keys_q, map(operator.eq, col_q, repeat(x_q))))
+            face_p = None
+            for t in range(p.rank):
+                span_q = _span(face_q, t)
+                if not span_q:
+                    continue
+                if face_p is None:
+                    face_p = list(compress(keys_p, map(operator.eq, col_p, repeat(x_p))))
+                span_p = _span(face_p, t)
+                if span_p < span_q:
+                    raise NotDivisible(f"the dividend's face at the {end} exponent of slot {s} spans {span_p} "
+                                       f"in slot {t}, less than the divisor's {span_q}")
+
+
+def _span(exps, t):
+    """max - min of the slot-t exponents."""
+    col = list(map(itemgetter(t), exps))
+    return max(col) - min(col)
 
 
 # -- isotropic products -------------------------------------------------------------

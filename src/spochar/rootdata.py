@@ -367,7 +367,7 @@ def weyl_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     l pass them with 2d_i replaced by d_i: the roots of so(2n+1) + so(l),
     which has the same W.
     """
-    return _sign_images(alg, orthant_character(alg, numerator, roots))
+    return _sign_images(orthant_character(alg, numerator, roots), sign_free_slots(alg))
 
 
 def sign_free_slots(alg: Algebra):
@@ -426,15 +426,15 @@ def orthant_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     return LaurentPoly._wrap(alg.n, alg.m, out)
 
 
-def _sign_images(alg: Algebra, p: LaurentPoly) -> LaurentPoly:
-    """The polynomial of which p holds the orthant terms: every term of p
-    with each nonzero exponent on `sign_free_slots(alg)` taken with either
-    sign, at the term's coefficient."""
-    free = sign_free_slots(alg)
+def _sign_images(p: LaurentPoly, slots) -> LaurentPoly:
+    """The polynomial of which p holds the terms with every exponent on
+    `slots` >= 0: every term of p with each nonzero exponent on `slots`
+    taken with either sign, at the term's coefficient.  Weyl characters
+    pass `sign_free_slots(alg)`, Jacobi-Trudi characters every slot."""
     out = {}
     for e, c in p.terms.items():
-        out.update(dict.fromkeys(itertools.product(*[(x, -x) if x and s in free else (x,) for s, x in enumerate(e)]), c))
-    return LaurentPoly._wrap(alg.n, alg.m, out)
+        out.update(dict.fromkeys(itertools.product(*[(x, -x) if x and s in slots else (x,) for s, x in enumerate(e)]), c))
+    return LaurentPoly._wrap(p.n, p.m, out)
 
 
 def _dominant_character(lam, roots, rho_side, flips):

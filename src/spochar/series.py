@@ -43,12 +43,3 @@ def super_homogeneous_series(even_weights, odd_weights, n, m, order):
         s = times_linear(s, w, n, m)
     return s
 
-
-def super_elementary_series(even_weights, odd_weights, n, m, order):
-    """Super exterior powers: roles of the two factor types exchanged."""
-    s = series_one(n, m, order)
-    for w in even_weights:
-        s = times_linear(s, w, n, m)
-    for w in odd_weights:
-        s = times_geometric(s, w, n, m)
-    return s

@@ -333,15 +333,26 @@ def test_packed_mul_drops_cancelled_terms():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_packed_exact_div_matches_tuple_kernel(seed):
+    refused = walked = 0
     for rank, a, b in _random_operands(seed):
         p = _mul_reference(a, b)
         assert exact_div(P(rank, 0, p), P(rank, 0, b)) == P(rank, 0, a)
-        # random pairs, almost never divisible: the same quotient or the same
-        # failure, at the same leading term
+        # random pairs, almost never divisible: the long division gives the
+        # same quotient or the same failure, at the same leading term;
+        # exact_div gives that outcome too, or refuses a non-multiple by its
+        # faces before the walk
         for num, den in ((a, b), (b, a), ({**p, next(iter(a)): 1}, b)):
             want = _division_outcome(_exact_div_reference, num, den)
+            assert _division_outcome(lambda x, y: core._long_division(P(rank, 0, x), P(rank, 0, y)).terms,
+                                     num, den) == want
             got = _division_outcome(lambda x, y: exact_div(P(rank, 0, x), P(rank, 0, y)).terms, num, den)
-            assert got == want
+            if got != want:
+                assert isinstance(want, tuple) and got[0] == "NotDivisible" and "less than" in got[1], (got, want)
+                refused += 1
+            elif isinstance(want, tuple):
+                walked += 1
+    # both ways of failing occur
+    assert refused > 50 and walked > 50, (refused, walked)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -370,14 +381,45 @@ def test_monomial_exact_div_matches_tuple_kernel(seed):
                 assert exact_div(P(rank, 0, exact), P(rank, 0, den)) == P(rank, 0, quotient)
 
 
+def test_exact_div_refuses_a_far_spread_non_multiple_by_its_faces():
+    # the long division of 3x^(1,2000000) + x^(0,-3000000) by
+    # x^(0,2) - x^(0,-2) walks millions of positions before it fails; the
+    # face at the smallest exponent of slot 0 is the one term x^(0,-3000000),
+    # which spans less in slot 1 than the divisor's face there, the whole
+    # divisor
+    p = P(2, 0, {(1, 2_000_000): 3, (0, -3_000_000): 1})
+    q = P(2, 0, {(0, 2): 1, (0, -2): -1})
+    with pytest.raises(NotDivisible, match=re.escape(
+            "face at the smallest exponent of slot 0 spans 0 in slot 1, less than the divisor's 4")):
+        exact_div(p, q)
+    # the whole support spans less, then the face at the smallest and at the
+    # largest exponent of slot 0
+    one_slot = P(2, 0, {(0, 0): 1, (0, 1): 1})
+    for num, den, message in (
+            (P(2, 0, {(0, 0): 1, (4, 0): 1}), P(2, 0, {(0, 0): 1, (0, 3): 1}), "spans 0 in slot 1, less than the divisor's 3"),
+            (P(2, 0, {(0, 0): 1, (5, 1): 1, (6, 0): 1}), one_slot, "smallest exponent of slot 0 spans 0 in slot 1"),
+            (P(2, 0, {(0, 0): 1, (0, 1): 1, (6, 0): 1}), one_slot, "largest exponent of slot 0 spans 0 in slot 1")):
+        with pytest.raises(NotDivisible, match=re.escape(message)):
+            exact_div(num, den)
+    # faces as wide as the divisor's: the long division decides
+    assert exact_div(P(2, 0, {(0, 0): 1, (0, 1): 1, (6, 0): 1, (6, 1): 1}), P(2, 0, {(0, 0): 1, (0, 1): 1})) == \
+        P(2, 0, {(0, 0): 1, (6, 0): 1})
+
+
 def test_exact_div_guard_bit_catches_one_slot_underflow():
     # the leading monomials x0^3 x1^2 x3 and x0^2 x2^3 x3 have equal degree
     # and every field of the dividend but x2's covers the divisor's: only
-    # x2's guard bit is borrowed
+    # x2's guard bit is borrowed.  The terms m and x0 x1^2 x2^3 widen the
+    # dividend's faces to span what the divisor's do, so the face test lets
+    # it through to the long division; without them the face test refuses it.
     e, m = (3, 2, 0, 1), (2, 0, 3, 1)
     one = (0, 0, 0, 0)
     with pytest.raises(NotDivisible, match=re.escape(f"leading monomial {e} not divisible by {m}")):
+        exact_div(P(4, 0, {e: 1, m: 1, (1, 2, 3, 0): 1, one: 1}), P(4, 0, {m: 1, one: 1}))
+    with pytest.raises(NotDivisible, match="less than the divisor's"):
         exact_div(P(4, 0, {e: 1, one: 1}), P(4, 0, {m: 1, one: 1}))
+    with pytest.raises(NotDivisible, match=re.escape(f"leading monomial {e} not divisible by {m}")):
+        core._long_division(P(4, 0, {e: 1, one: 1}), P(4, 0, {m: 1, one: 1}))
 
 
 def _jt_grid_matrices(monkeypatch):
