@@ -160,6 +160,16 @@ def _emit(args, payload, text, latex=None):
     return text + "\n"
 
 
+def _emit_character(args, alg, ch: LaurentPoly, head, kind, **extra):
+    """`_emit` for a character command, which builds only the format asked
+    for: the JSON payload, the text and the LaTeX each sort the terms."""
+    if args.format == "json":
+        return _emit(args, _char_payload(alg, kind, ch, **extra), None)
+    if args.format == "latex":
+        return _emit(args, None, None, _char_latex(alg, ch))
+    return _emit(args, None, f"{head}: {_char_text(ch)}")
+
+
 # -- command handlers -----------------------------------------------------------------
 
 
@@ -167,8 +177,7 @@ def cmd_kac(args):
     alg = _algebra(args)
     w = Weight.parse(alg, args.weight)
     ch = kac_character(alg, w)
-    payload = _char_payload(alg, "kac", ch, weight=w.format())
-    return _emit(args, payload, f"K({w.format()}): {_char_text(ch)}", _char_latex(alg, ch))
+    return _emit_character(args, alg, ch, f"K({w.format()})", "kac", weight=w.format())
 
 
 def cmd_euler(args):
@@ -176,24 +185,22 @@ def cmd_euler(args):
     p = _parabolic(alg, args.parabolic)
     mod = _levi_module(p, args.levi_module)
     ch = euler_character(p, mod)
-    payload = _char_payload(alg, "euler", ch, parabolic=p.describe(), levi_module=mod.tag)
-    return _emit(args, payload, f"E[{p.describe()}]({mod.tag}): {_char_text(ch)}", _char_latex(alg, ch))
+    return _emit_character(args, alg, ch, f"E[{p.describe()}]({mod.tag})", "euler",
+                           parabolic=p.describe(), levi_module=mod.tag)
 
 
 def cmd_jt(args):
     alg = _algebra(args)
     lam = _partition(args.partition)
     ch = jt_character(lam, alg)
-    payload = _char_payload(alg, "jacobi_trudi", ch, partition=list(lam))
-    return _emit(args, payload, f"D{list(lam)}: {_char_text(ch)}", _char_latex(alg, ch))
+    return _emit_character(args, alg, ch, f"D{list(lam)}", "jacobi_trudi", partition=list(lam))
 
 
 def cmd_irr(args):
     alg = _algebra(args)
     w = Weight.parse(alg, args.weight)
     ch = irr_char(alg, w)
-    payload = _char_payload(alg, "irreducible", ch, weight=w.format())
-    return _emit(args, payload, f"L({w.format()}): {_char_text(ch)}", _char_latex(alg, ch))
+    return _emit_character(args, alg, ch, f"L({w.format()})", "irreducible", weight=w.format())
 
 
 def cmd_dim(args):

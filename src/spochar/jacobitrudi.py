@@ -21,6 +21,20 @@ each result once: per slot u^k = sum over j <= k/2 of C(k, j) O_{k-2j}, with
 O_a = t^a + t^-a for a > 0 and O_0 = 1, so the central term keeps C(k, k/2);
 the terms with every exponent >= 0 come first and their sign images follow
 (`rootdata._sign_images` on every slot).
+
+Packed tables.  `PowerTable` keeps the u-basis p_r and e_r only as packed
+term dicts {int: coefficient} (`laurent.Packing`), one fixed unsigned layout
+per field width: u-degrees are >= 0, so slot s is a plain bit field and
+multiplying monomials is adding ints.  A determinant builds its entries as
+sums of packed dicts, `linalg.det_bareiss_laurent` eliminates on them in
+that layout, and `from_u_basis` runs its binomial step on the int keys and
+unpacks once.  The width is proven, not guessed: let B be the sum over the
+rows of the row's largest u-degree, sum_i max(lambda*_i + k - 1, 0) for
+the p-form (the conjugate partition's for the e-form), as p_r and e_r have
+u-degree at most r in each slot.  Every minor then has u-degree at most B
+in each slot, so a product of two minors before Bareiss divides it reaches
+at most 2B, and so does the O-exponent 2k of `from_u_basis`.  Each field
+holds 0..2B, rounded up to whole bytes (`_width`).
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Packing
 from .linalg import det_bareiss_laurent
 from .rootdata import (
     Algebra,
@@ -63,45 +77,85 @@ def _u_series(alg: Algebra, order, exterior):
     return series
 
 
-def from_u_basis(p: LaurentPoly) -> LaurentPoly:
-    """The character whose u-basis form is p (see the module docstring)."""
-    terms = p.terms
-    for s in range(p.rank):
+def from_u_basis(p, packing) -> LaurentPoly:
+    """The character whose u-basis form is the packed term dict p, in the
+    unsigned `packing` (see the module docstring): the binomial step runs
+    slot by slot on the int keys, u^k = sum over j <= k/2 of C(k, j)
+    O_{k-2j} with O_a read as t^a, which moves the field of slot s by k - 4j.
+    Then the terms are unpacked once and every sign image is added."""
+    width, rank = packing.width, packing.n + packing.m
+    mask = (1 << width) - 1
+    terms = p
+    for s in range(rank):
+        shift = width * s
+        steps = {}  # k -> [(key offset, C(k, j))]
         out = {}
         get = out.get
-        for e, c in terms.items():
-            k = e[s]
-            head, tail = e[:s], e[s + 1:]
-            for j in range(k // 2 + 1):
-                key = head + (2 * (k - 2 * j),) + tail
-                out[key] = get(key, 0) + comb(k, j) * c
-        terms = {e: c for e, c in out.items() if c}
-    return _sign_images(LaurentPoly._wrap(p.n, p.m, terms), range(p.rank))
+        for key, c in terms.items():
+            k = key >> shift & mask
+            if k not in steps:
+                steps[k] = [((k - 4 * j) << shift, comb(k, j)) for j in range(k // 2 + 1)]
+            for offset, b in steps[k]:
+                t = key + offset
+                out[t] = get(t, 0) + b * c
+        terms = {t: c for t, c in out.items() if c} if 0 in out.values() else out
+    return _sign_images(packing.unpack(terms), range(rank))
+
+
+def _width(bound):
+    """Field width of the packed tables for a determinant whose rows'
+    largest u-degrees sum to B = bound: B bounds every minor's u-degree in
+    each slot, so a product of two minors before its division reaches at
+    most 2B, and so does the O-exponent 2k that `from_u_basis` forms.  The
+    fields hold 0..2B, rounded up to whole bytes so that most determinants
+    share one table."""
+    return max(8, -(-(2 * bound).bit_length() // 8) * 8)
 
 
 class PowerTable:
     """p_r (symmetric powers) and e_r (exterior powers) of the natural
-    module: u-basis lists grown on demand, each r expanded at most once."""
+    module in the u-basis, kept only as packed term dicts, one list per
+    field width in use; each r is expanded at most once.  A series is built
+    to max(r, 2 len, 8) when r passes its length len, so that it is built a
+    logarithmic number of times, and every list of it is packed again."""
 
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self._u = {"p": [], "e": []}
+        self._len = {"p": 0, "e": 0}  # length of each series
+        self._packings = {}  # width -> Packing
+        self._packed = {}  # (which, width) -> [packed p_r or e_r]
         self._full = {"p": {}, "e": {}}
 
-    def u(self, which, r: int) -> LaurentPoly:
-        """p_r (which "p") or e_r (which "e") in the u-basis."""
+    def packing(self, bound) -> Packing:
+        """The unsigned layout of the tables for the u-degree bound B (`_width`)."""
+        width = _width(bound)
+        if width not in self._packings:
+            self._packings[width] = Packing(self.alg.n, self.alg.m, width)
+        return self._packings[width]
+
+    def packed(self, which, r: int, packing: Packing) -> dict:
+        """p_r (which "p") or e_r (which "e") in the u-basis, as a packed
+        term dict in packing, one of `self.packing`."""
         if r < 0:
-            return LaurentPoly.zero(self.alg.n, self.alg.m)
-        if len(self._u[which]) <= r:
-            self._u[which] = _u_series(self.alg, max(r, 8), which == "e")
-        return self._u[which][r]
+            return {}
+        rows = self._packed.get((which, packing.width), ())
+        if len(rows) <= r:
+            if self._len[which] <= r:
+                self._len[which] = max(r, 2 * self._len[which], 8) + 1
+            series = _u_series(self.alg, self._len[which] - 1, which == "e")
+            for width, other in self._packings.items():
+                if width == packing.width or (which, width) in self._packed:
+                    self._packed[which, width] = [other.pack(x.terms) for x in series]
+            rows = self._packed[which, packing.width]
+        return rows[r]
 
     def _expanded(self, which, r):
         if r < 0:
             return LaurentPoly.zero(self.alg.n, self.alg.m)
         full = self._full[which]
         if r not in full:
-            full[r] = from_u_basis(self.u(which, r))
+            packing = self.packing(r)
+            full[r] = from_u_basis(self.packed(which, r, packing), packing)
         return full[r]
 
     def p(self, r: int) -> LaurentPoly:
@@ -131,6 +185,35 @@ def _check_hook(lam, alg):
         raise HookConditionError(f"{lam} does not fit the ({alg.n}|{alg.m}) hook")
 
 
+def _plus(a, b, sign):
+    """a + sign * b for packed term dicts; a itself when b is zero."""
+    if not b:
+        return a
+    out = dict(a)
+    for t, c in b.items():
+        v = out.get(t, 0) + sign * c
+        if v:
+            out[t] = v
+        else:
+            del out[t]
+    return out
+
+
+def _jt_determinant(alg, which, star, entry) -> LaurentPoly:
+    """The expanded determinant of the k x k matrix of entry(power, star[i],
+    j), where power(r) is the packed u-basis p_r or e_r (which): the largest
+    power in row i is star[i] + k - 1, whose u-degree bounds the row's."""
+    k = len(star)
+    tab = power_table(alg)
+    packing = tab.packing(sum(max(s + k - 1, 0) for s in star))
+
+    def power(r):
+        return tab.packed(which, r, packing)
+
+    matrix = [[entry(power, star[i], j) for j in range(k)] for i in range(k)]
+    return from_u_basis(det_bareiss_laurent(matrix, packing), packing)
+
+
 def jt_character(partition, alg: Algebra) -> LaurentPoly:
     """Jacobi-Trudi determinant in symmetric-power characters: column 0 is
     p_{lambda*}, column j is p_{lambda*+j} + p_{lambda*-j}.  The determinant
@@ -139,16 +222,11 @@ def jt_character(partition, alg: Algebra) -> LaurentPoly:
     _check_hook(lam, alg)
     if not lam:
         return LaurentPoly.one(alg.n, alg.m)
-    k = len(lam)
-    tab = power_table(alg)
-    star = [lam[i] - i for i in range(k)]
 
-    def entry(i, j):
-        if j == 0:
-            return tab.u("p", star[i])
-        return tab.u("p", star[i] + j) + tab.u("p", star[i] - j)
+    def entry(power, s, j):
+        return power(s) if j == 0 else _plus(power(s + j), power(s - j), 1)
 
-    return from_u_basis(det_bareiss_laurent([[entry(i, j) for j in range(k)] for i in range(k)]))
+    return _jt_determinant(alg, "p", [lam[i] - i for i in range(len(lam))], entry)
 
 
 def jt_character_e(partition, alg: Algebra) -> LaurentPoly:
@@ -160,14 +238,11 @@ def jt_character_e(partition, alg: Algebra) -> LaurentPoly:
     if not lam:
         return LaurentPoly.one(alg.n, alg.m)
     mu = conjugate_partition(lam)
-    k = len(mu)
-    tab = power_table(alg)
-    star = [mu[i] - i for i in range(k)]
 
-    def entry(i, j):
-        return tab.u("e", star[i] + j) - tab.u("e", star[i] - j - 2)
+    def entry(power, s, j):
+        return _plus(power(s + j), power(s - j - 2), -1)
 
-    return from_u_basis(det_bareiss_laurent([[entry(i, j) for j in range(k)] for i in range(k)]))
+    return _jt_determinant(alg, "e", [mu[i] - i for i in range(len(mu))], entry)
 
 
 # -- formal determinant identities ------------------------------------------------

@@ -3,6 +3,7 @@ from .core import (
     LatticeMismatch,
     LaurentPoly,
     NotDivisible,
+    Packing,
     exact_div,
     format_exponent,
     grlex_key,
@@ -14,6 +15,7 @@ __all__ = [
     "LatticeMismatch",
     "LaurentPoly",
     "NotDivisible",
+    "Packing",
     "exact_div",
     "format_exponent",
     "grlex_key",

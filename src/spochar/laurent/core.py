@@ -15,7 +15,10 @@ division inside `exact_div` and the isotropic product of `times_isotropic`)
 are one pure-Python kernel.  The hot ones work on packed exponents: each
 exponent tuple becomes one int holding a bit field per slot, so multiplying
 monomials is adding ints (Monagan & Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  These
+size a layout per call; `Packing` is one fixed layout for term dicts kept
+packed across many products (the Jacobi-Trudi power tables and the Bareiss
+elimination of `linalg.det_bareiss_laurent`).
 
 Weyl-type quotients are not evaluated here.  Kac and Euler characters are
 Weyl characters computed on dominant weights by Freudenthal's formula
@@ -159,6 +162,41 @@ def _unpack(packed, fields):
         for s, mask, lo in fields
     ]
     return zip(*slots) if slots else repeat(())
+
+
+class Packing:
+    """One fixed packed layout of the exponents of n + m slots, for term
+    dicts kept packed across many products ({packed exponent: coefficient}).
+
+    Slot s is the `width`-bit field at bit width * s, and an exponent e packs
+    to the sum of e_s 2^(width s).  Packing is linear, so adding two packed
+    exponents multiplies the monomials, with no offset to carry along.
+    Unsigned fields read back 0 <= e_s < 2^width; signed ones read back
+    -2^(width-1) <= e_s < 2^(width-1), through a bias of 2^(width-1) per
+    field.  A packed exponent reads back right only if every slot of it lies
+    in that range: the caller sizes the width for every exponent it forms.
+    """
+
+    __slots__ = ("n", "m", "width", "_weights", "_lows", "_bias", "_fields")
+
+    ONE = {0: 1}  # the polynomial 1 in every layout; never mutated
+
+    def __init__(self, n, m, width, signed=False):
+        half = 1 << (width - 1) if signed else 0
+        self.n, self.m, self.width = n, m, width
+        self._weights = [1 << (width * s) for s in range(n + m)]
+        self._lows = [0] * (n + m)
+        self._bias = half * sum(self._weights)
+        self._fields = [(width * s, (1 << width) - 1, -half) for s in range(n + m)]
+
+    def pack(self, terms):
+        """The packed term dict of a term dict keyed by exponent tuples."""
+        return dict(zip(_pack(terms, self._weights, self._lows), terms.values()))
+
+    def unpack(self, packed) -> LaurentPoly:
+        """The polynomial whose packed term dict is packed."""
+        keys = [k + self._bias for k in packed] if self._bias else packed
+        return LaurentPoly._wrap(self.n, self.m, dict(zip(_unpack(keys, self._fields), packed.values())))
 
 
 class LaurentPoly:
@@ -326,7 +364,7 @@ class LaurentPoly:
 # -- exact division -----------------------------------------------------------------
 
 
-def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+def exact_div(p, q, packing=None):
     """Exact quotient p / q; raises NotDivisible when no exact quotient exists.
 
     A divisor equal to the monomial 1 returns p itself, not a copy.  Any
@@ -343,7 +381,21 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     span at least as much in every slot as q and its face; where one spans
     less, p is refused at once, whatever the distance the long division
     (`_long_division`) would walk before it failed.
+
+    With `packing`, p and q are packed term dicts in that layout and so is
+    the quotient, as the Bareiss elimination of `linalg.det_bareiss_laurent`
+    keeps them: a divisor equal to 1 returns p itself, and any other one is
+    divided as above, p and q unpacked once and the quotient packed again.
     """
+    if packing is None:
+        return _quotient(p, q)
+    if q == Packing.ONE:
+        return p
+    return packing.pack(_quotient(packing.unpack(p), packing.unpack(q)).terms)
+
+
+def _quotient(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """`exact_div` of two LaurentPoly."""
     p._check(q)
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")

@@ -1,8 +1,8 @@
 """Exact linear algebra: one sparse fraction-free elimination of int dict
 vectors (`_SparseSpan`), which gives the rank and a primitive integer null
-basis (each vector the RREF one times a positive int), and fraction-free
-Bareiss determinants over the Laurent ring, pivoting on the entry with the
-fewest terms.
+basis (each vector the RREF one times a positive int), and one
+fraction-free Bareiss elimination over the Laurent ring, on packed term
+dicts, pivoting on the entry with the fewest terms.
 
 Everything here is deterministic and allocation-light; no floats and no
 Fractions are used: a caller that wants the RREF vector divides by the
@@ -12,8 +12,9 @@ entry at its own column.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 
-from .laurent import LaurentPoly, exact_div
+from .laurent import LaurentPoly, Packing, exact_div
 
 
 class _SparseSpan:
@@ -100,32 +101,46 @@ def nullspace(columns):
     return basis
 
 
-def det_bareiss_laurent(matrix):
-    """Determinant of a square matrix of LaurentPoly via fraction-free
-    Bareiss elimination (divisions are exact in the Laurent ring).
+def det_bareiss_laurent(matrix, packing=None):
+    """Determinant of a square matrix over the Laurent ring via
+    fraction-free Bareiss elimination (divisions are exact in the Laurent
+    ring).
+
+    The entries are LaurentPoly, packed once into a signed `Packing` of the
+    matrix (`_signed_packing`), and the determinant is unpacked once.  With
+    `packing` they are packed term dicts in that layout already, as the
+    Jacobi-Trudi power tables keep them, and so is the determinant; the
+    caller has sized its fields for every product of two minors.
 
     Pivoting is full: step r takes as pivot the nonzero entry of the
     remaining block with the fewest terms (ties to the first in row-major
     order) and swaps its row and its column into place, one sign flip per
     swap; Sylvester's identity, which makes every division exact, holds for
-    any order of rows and columns.  Jacobi-Trudi matrices are full of
-    p_0 = e_0 = 1, so most pivots and most divisors are 1: a unit pivot
-    skips its product and `exact_div` returns a dividend over 1 as it is.
-    An all-zero remaining block means the determinant is zero.
+    any order of rows and columns.  Each entry of the block is then
+    piv a_ij - a_ir a_rj, formed in one pass over the packed terms, divided
+    by the previous pivot with `exact_div` in the packed layout.
+    Jacobi-Trudi matrices are full of p_0 = e_0 = 1, so most pivots and
+    most divisors are 1: a unit pivot skips its product, and `exact_div`
+    returns a dividend over 1 as it is; any other divisor costs one unpack
+    and one repack.  An all-zero remaining block means the determinant is
+    zero.
     """
     k = len(matrix)
     if k == 0:
         raise ValueError("empty matrix")
-    n, m = matrix[0][0].n, matrix[0][0].m
-    one = LaurentPoly.one(n, m)
-    a = [list(row) for row in matrix]
+    laurent = packing is None
+    if laurent:
+        packing = _signed_packing(matrix)
+        a = [[packing.pack(x.terms) for x in row] for row in matrix]
+    else:
+        a = [list(row) for row in matrix]
     sign = 1
-    prev = one
+    prev = Packing.ONE
     for r in range(k - 1):
         nonzero = ((len(a[i][j]), i, j) for i in range(r, k) for j in range(r, k) if a[i][j])
         _, pr, pc = min(nonzero, default=(0, None, None))
         if pr is None:
-            return LaurentPoly.zero(n, m)
+            return LaurentPoly.zero(packing.n, packing.m) if laurent else {}
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
             sign = -sign
@@ -133,11 +148,55 @@ def det_bareiss_laurent(matrix):
             for row in a[r:]:
                 row[r], row[pc] = row[pc], row[r]
             sign = -sign
-        piv = a[r][r]
-        unit = piv == one
-        for i in range(r + 1, k):
+        piv, top = a[r][r], a[r]
+        for row in a[r + 1:]:
             for j in range(r + 1, k):
-                a[i][j] = exact_div((a[i][j] if unit else piv * a[i][j]) - a[i][r] * a[r][j], prev)
+                row[j] = exact_div(_fused(piv, row[j], row[r], top[j]), prev, packing)
         prev = piv
-    result = a[k - 1][k - 1]
-    return result if sign == 1 else -result
+    det = a[k - 1][k - 1]
+    if sign == -1:
+        det = {t: -c for t, c in det.items()}
+    return packing.unpack(det) if laurent else det
+
+
+def _fused(piv, a_ij, a_ir, a_rj):
+    """piv a_ij - a_ir a_rj for packed term dicts, in one pass that adds
+    both products into one dict; a_ij itself when piv is 1 and a_ir a_rj
+    is 0."""
+    if piv != Packing.ONE:
+        out = {}
+        get = out.get
+        for kp, cp in piv.items():
+            for ka, ca in a_ij.items():
+                t = kp + ka
+                out[t] = get(t, 0) + cp * ca
+    elif a_ir and a_rj:
+        out = dict(a_ij)
+    else:
+        return a_ij
+    get = out.get
+    for ka, ca in a_ir.items():
+        for kb, cb in a_rj.items():
+            t = ka + kb
+            out[t] = get(t, 0) - ca * cb
+    return {t: c for t, c in out.items() if c} if 0 in out.values() else out
+
+
+def _signed_packing(matrix):
+    """A signed `Packing` in which every exponent that the elimination of
+    matrix forms reads back.  In each slot, a minor's exponent lies between
+    lo, the sum over the rows of the row's smallest exponent (or 0 where that
+    is positive), and hi, the sum of the rows' largest (or 0); a product of
+    two minors lies within twice those.  The fields hold -M..M for M the
+    largest of 2|lo| and 2|hi| over the slots."""
+    n, m = matrix[0][0].n, matrix[0][0].m
+    lo, hi = [0] * (n + m), [0] * (n + m)
+    zero = (0,) * (n + m)
+    for row in matrix:
+        keys = [zero, *(e for x in row for e in x.terms)]
+        for s in range(n + m):
+            col = list(map(itemgetter(s), keys))
+            lo[s] += min(col)
+            hi[s] += max(col)
+    bound = 2 * max(max(hi), -min(lo))
+    return Packing(n, m, bound.bit_length() + 1, signed=True)

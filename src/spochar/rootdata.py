@@ -215,6 +215,7 @@ def _unit(alg, i):
     return Weight(alg, v)
 
 
+@lru_cache(maxsize=64)
 def positive_roots(alg: Algebra) -> PositiveRoots:
     """Standard positive systems; isotropic odd roots are the d_i +/- e_j."""
     n, m = alg.n, alg.m

@@ -1,9 +1,12 @@
+import hashlib
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -508,3 +511,30 @@ def test_batch_line_code_equals_the_single_command_code(capsys, tmp_path, monkey
     script.write_text("".join(f"{line} --no-cache\n" for line, _ in SAME_CODE_LINES))
     out = run(capsys, "batch", "--file", str(script), expect=3)
     assert _slot_codes(out) == single
+
+
+def _cli_session_lines():
+    """Every line of the benchmark's cli_session pools, without its --format."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lines = set()
+    for line in (*workloads.CLI_OPEN, *workloads.CLI_LIGHT, *workloads.CLI_HEAVY):
+        words = line.split()
+        if "--format" in words:
+            at = words.index("--format")
+            del words[at:at + 2]
+        lines.add(" ".join(words))
+    return lines
+
+
+def test_cli_session_lines_print_the_recorded_bytes(capsys):
+    # exit code and sha256 prefix of stdout for every cli_session line in
+    # each format, recorded when every format was still rendered on each call
+    recorded = json.loads((Path(__file__).parent / "cli_session_digests.json").read_text())
+    assert {f"{line} --format {fmt}" for line in _cli_session_lines() for fmt in ("text", "json", "latex")} <= set(recorded)
+    for line, (code, digest) in recorded.items():
+        assert cli.main(line.split() + ["--no-cache"]) == code, line
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest, line

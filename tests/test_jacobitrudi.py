@@ -238,7 +238,7 @@ def test_power_table_expands_each_power_once(monkeypatch):
     alg = Algebra.parse("4|3")
     calls = []
     expand = jacobitrudi.from_u_basis
-    monkeypatch.setattr(jacobitrudi, "from_u_basis", lambda p: calls.append(p) or expand(p))
+    monkeypatch.setattr(jacobitrudi, "from_u_basis", lambda *args: calls.append(args) or expand(*args))
     table = PowerTable(alg)
     first = [table.p(r) for r in range(10)] + [table.e(r) for r in range(10)]
     assert len(calls) == 20

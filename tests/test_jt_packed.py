@@ -1,0 +1,249 @@
+"""The packed Jacobi-Trudi path against the tuple u-basis path it replaced.
+
+`_det_bareiss_tuple` and `_from_u_basis_tuple` are frozen copies of the
+LaurentPoly Bareiss elimination and of the tuple u-basis expansion as
+jacobitrudi and linalg ran them before the determinants moved onto packed
+term dicts; `_jt_tuple` and `_jt_e_tuple` build the determinant entries as
+they were, from `PowerTable.u`.  Every comparison is term for term.
+"""
+
+from math import comb
+
+import pytest
+
+from spochar import charformulas, jacobitrudi, linalg
+from spochar.blocksdecomp import gl_parabolic
+from spochar.jacobitrudi import (
+    PowerTable,
+    ext_power_char,
+    identity_suite,
+    jt_character,
+    jt_character_e,
+    power_table,
+    sym_power_char,
+)
+from spochar.laurent import LaurentPoly, exact_div
+from spochar.linalg import det_bareiss_laurent
+from spochar.rootdata import (
+    Algebra,
+    _sign_images,
+    conjugate_partition,
+    fits_hook,
+    partitions_up_to,
+    validate_partition,
+)
+from test_jacobitrudi import _euler_jt_grid
+
+
+def _det_bareiss_tuple(matrix):
+    """Determinant of a square matrix of LaurentPoly via fraction-free
+    Bareiss elimination (divisions are exact in the Laurent ring).
+
+    Pivoting is full: step r takes as pivot the nonzero entry of the
+    remaining block with the fewest terms (ties to the first in row-major
+    order) and swaps its row and its column into place, one sign flip per
+    swap; Sylvester's identity, which makes every division exact, holds for
+    any order of rows and columns.  Jacobi-Trudi matrices are full of
+    p_0 = e_0 = 1, so most pivots and most divisors are 1: a unit pivot
+    skips its product and `exact_div` returns a dividend over 1 as it is.
+    An all-zero remaining block means the determinant is zero.
+    """
+    k = len(matrix)
+    if k == 0:
+        raise ValueError("empty matrix")
+    n, m = matrix[0][0].n, matrix[0][0].m
+    one = LaurentPoly.one(n, m)
+    a = [list(row) for row in matrix]
+    sign = 1
+    prev = one
+    for r in range(k - 1):
+        nonzero = ((len(a[i][j]), i, j) for i in range(r, k) for j in range(r, k) if a[i][j])
+        _, pr, pc = min(nonzero, default=(0, None, None))
+        if pr is None:
+            return LaurentPoly.zero(n, m)
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        if pc != r:
+            for row in a[r:]:
+                row[r], row[pc] = row[pc], row[r]
+            sign = -sign
+        piv = a[r][r]
+        unit = piv == one
+        for i in range(r + 1, k):
+            for j in range(r + 1, k):
+                a[i][j] = exact_div((a[i][j] if unit else piv * a[i][j]) - a[i][r] * a[r][j], prev)
+        prev = piv
+    result = a[k - 1][k - 1]
+    return result if sign == 1 else -result
+
+
+def _from_u_basis_tuple(p: LaurentPoly) -> LaurentPoly:
+    """The character whose u-basis form is p (see the module docstring)."""
+    terms = p.terms
+    for s in range(p.rank):
+        out = {}
+        get = out.get
+        for e, c in terms.items():
+            k = e[s]
+            head, tail = e[:s], e[s + 1:]
+            for j in range(k // 2 + 1):
+                key = head + (2 * (k - 2 * j),) + tail
+                out[key] = get(key, 0) + comb(k, j) * c
+        terms = {e: c for e, c in out.items() if c}
+    return _sign_images(LaurentPoly._wrap(p.n, p.m, terms), range(p.rank))
+
+
+def _u(alg, which, r):
+    """p_r (which "p") or e_r (which "e") in the u-basis, unpacked from the
+    power table."""
+    if r < 0:
+        return LaurentPoly.zero(alg.n, alg.m)
+    tab = power_table(alg)
+    packing = tab.packing(r)
+    return packing.unpack(tab.packed(which, r, packing))
+
+
+def _jt_tuple(partition, alg):
+    lam = validate_partition(partition)
+    if not lam:
+        return LaurentPoly.one(alg.n, alg.m)
+    k = len(lam)
+    star = [lam[i] - i for i in range(k)]
+
+    def entry(i, j):
+        if j == 0:
+            return _u(alg, "p", star[i])
+        return _u(alg, "p", star[i] + j) + _u(alg, "p", star[i] - j)
+
+    return _from_u_basis_tuple(_det_bareiss_tuple([[entry(i, j) for j in range(k)] for i in range(k)]))
+
+
+def _jt_e_tuple(partition, alg):
+    lam = validate_partition(partition)
+    if not lam:
+        return LaurentPoly.one(alg.n, alg.m)
+    mu = conjugate_partition(lam)
+    k = len(mu)
+    star = [mu[i] - i for i in range(k)]
+
+    def entry(i, j):
+        return _u(alg, "e", star[i] + j) - _u(alg, "e", star[i] - j - 2)
+
+    return _from_u_basis_tuple(_det_bareiss_tuple([[entry(i, j) for j in range(k)] for i in range(k)]))
+
+
+def _assert_both_forms(lam, alg):
+    assert jt_character(lam, alg).terms == _jt_tuple(lam, alg).terms, (str(alg), lam)
+    assert jt_character_e(lam, alg).terms == _jt_e_tuple(lam, alg).terms, (str(alg), lam)
+
+
+def test_packed_jacobi_trudi_matches_the_tuple_path_on_the_benchmark_grid():
+    grid = _euler_jt_grid()
+    assert len(grid) == 56
+    for algtxt, lam in grid:
+        _assert_both_forms(lam, Algebra.parse(algtxt))
+
+
+# odd and even l, l = 2 (a D_1 side without roots) among them
+GATE_ALGEBRAS = ["2|2", "4|2", "2|3", "4|3", "6|3", "2|4", "4|4", "2|5"]
+
+
+@pytest.mark.parametrize("algtxt", GATE_ALGEBRAS)
+def test_packed_jacobi_trudi_matches_the_tuple_path(algtxt):
+    alg = Algebra.parse(algtxt)
+    lams = [lam for lam in partitions_up_to(7) if fits_hook(lam, alg.n, alg.m)]
+    for lam in lams:
+        _assert_both_forms(lam, alg)
+
+
+@pytest.mark.parametrize("algtxt, lam", [("6|3", (3, 3, 3)), ("6|4", (4, 4, 4))])
+def test_packed_jacobi_trudi_divides_by_a_non_unit_pivot(monkeypatch, algtxt, lam):
+    # the only determinants here whose elimination divides by a pivot other
+    # than 1; both forms take that division
+    alg = Algebra.parse(algtxt)
+    divisors = []
+
+    def recording(p, q, packing=None):
+        divisors.append(q)
+        return exact_div(p, q, packing)
+
+    monkeypatch.setattr(linalg, "exact_div", recording)
+    for form in (jt_character, jt_character_e):
+        divisors.clear()
+        form(lam, alg)
+        assert any(len(q) > 1 for q in divisors), form.__name__
+    monkeypatch.undo()
+    _assert_both_forms(lam, alg)
+
+
+@pytest.mark.parametrize("lam", [(128,), (127, 1)])
+def test_packed_jacobi_trudi_just_above_a_field_width_step(lam):
+    # B = 128 and 129: the fields must hold 2B >= 256, one bit more than a
+    # byte, so sizing them from B would carry into the next slot
+    alg = Algebra.parse("2|3")
+    assert jt_character(lam, alg).terms == _jt_tuple(lam, alg).terms
+    mu = conjugate_partition(lam)
+    assert jt_character_e(mu, alg).terms == _jt_e_tuple(mu, alg).terms
+
+
+@pytest.mark.parametrize("algtxt", ["2|0", "2|1", "2|2", "4|3", "2|4", "4|5"])
+def test_packed_power_characters_match_the_tuple_expansion(algtxt):
+    alg = Algebra.parse(algtxt)
+    for r in range(13):
+        assert sym_power_char(alg, r).terms == _from_u_basis_tuple(_u(alg, "p", r)).terms, r
+        assert ext_power_char(alg, r).terms == _from_u_basis_tuple(_u(alg, "e", r)).terms, r
+
+
+def test_signed_layout_matches_the_tuple_elimination(monkeypatch):
+    # det_bareiss_laurent on LaurentPoly entries: the hook Schur characters
+    # of the gl(n|m) Levis of spo(4|3) and spo(6|3), and the identity suite
+    seen = []
+
+    def record(matrix, packing=None):
+        assert packing is None
+        seen.append([list(row) for row in matrix])
+        return det_bareiss_laurent(matrix)
+
+    monkeypatch.setattr(charformulas, "det_bareiss_laurent", record)
+    monkeypatch.setattr(jacobitrudi, "det_bareiss_laurent", record)
+    for text, size in (("4|3", 6), ("6|3", 5)):
+        alg = Algebra.parse(text)
+        for lam in partitions_up_to(size):
+            if fits_hook(lam, alg.n, alg.m):
+                charformulas.hook_schur_character(gl_parabolic(alg), lam)
+    for n in (1, 2, 3):
+        assert all(identity_suite(n).values())
+    assert len(seen) >= 50
+    divisors = []
+
+    def recording(p, q, packing=None):
+        divisors.append(q)
+        return exact_div(p, q, packing)
+
+    monkeypatch.setattr(linalg, "exact_div", recording)
+    for mat in seen:
+        assert det_bareiss_laurent(mat).terms == _det_bareiss_tuple(mat).terms
+    assert any(len(q) > 1 for q in divisors)  # some divide by a pivot other than 1
+
+
+def test_power_table_grows_geometrically(monkeypatch):
+    # r = 0..40 builds each series 4 times, to 8, 18, 38 and 78, not once
+    # per r past 8; a width new to the table builds it once more
+    alg = Algebra.parse("4|3")
+    builds = []
+    series = jacobitrudi._u_series
+    monkeypatch.setattr(jacobitrudi, "_u_series", lambda *args: builds.append(args) or series(*args))
+    table = PowerTable(alg)
+    narrow, wide = table.packing(0), table.packing(200)
+    assert (narrow.width, wide.width) == (8, 16)
+    got = {}
+    for packing in (narrow, wide):
+        for which in "pe":
+            got[which, packing.width] = [table.packed(which, r, packing) for r in range(41)]
+    for exterior in (False, True):
+        assert [order for _, order, ext in builds if ext == exterior] == [8, 18, 38, 78, 78]
+    for which in "pe":
+        whole = series(alg, 40, which == "e")
+        for packing in (narrow, wide):
+            assert got[which, packing.width] == [packing.pack(x.terms) for x in whole]

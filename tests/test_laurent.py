@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spochar import charformulas, jacobitrudi
+from spochar import charformulas, jacobitrudi, linalg
 from spochar.blocksdecomp import gl_parabolic
 from spochar.laurent import (
     LatticeMismatch,
     LaurentPoly,
     NotDivisible,
     LATEX_SYMBOLS,
+    Packing,
     exact_div,
     format_exponent,
     times_isotropic,
@@ -429,9 +430,11 @@ def _jt_grid_matrices(monkeypatch):
     spo(4|3) and spo(6|3)."""
     seen = []
 
-    def record(matrix):
-        seen.append([row[:] for row in matrix])
-        return det_bareiss_laurent(matrix)
+    def record(matrix, packing=None):
+        # the Jacobi-Trudi determinants hand over packed u-basis entries:
+        # recorded as the polynomials they pack
+        seen.append([[x if packing is None else packing.unpack(x) for x in row] for row in matrix])
+        return det_bareiss_laurent(matrix, packing)
 
     monkeypatch.setattr(jacobitrudi, "det_bareiss_laurent", record)
     monkeypatch.setattr(charformulas, "det_bareiss_laurent", record)
@@ -497,13 +500,19 @@ def test_bareiss_carries_the_sign_of_a_signed_monomial_permutation():
 
 
 def test_pivoted_bareiss_cost_on_unit_entries(monkeypatch):
-    # term pairs through the product kernel, with the power tables grown
-    # beforehand; a fixed corner pivot order needs 1.5 and 2.3 million
+    # term pairs through the elimination's products and through the product
+    # kernel, with the power tables grown beforehand; a fixed corner pivot
+    # order needs about 86 and 74 thousand on the u-basis entries
     def count_pairs(fn, lam, text):
         alg = Algebra.parse(text)
         jacobitrudi.power_table(alg).p(8)
         jacobitrudi.power_table(alg).e(8)
         pairs = [0]
+        fused = linalg._fused
+
+        def counting_fused(piv, a_ij, a_ir, a_rj):
+            pairs[0] += (len(piv) * len(a_ij) if piv != Packing.ONE else 0) + len(a_ir) * len(a_rj)
+            return fused(piv, a_ij, a_ir, a_rj)
 
         def counting(a, b):
             pairs[0] += len(a) * len(b)
@@ -511,11 +520,12 @@ def test_pivoted_bareiss_cost_on_unit_entries(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(core, "mul_terms", counting)
+            patch.setattr(linalg, "_fused", counting_fused)
             fn(lam, alg)
         return pairs[0]
 
-    assert count_pairs(jacobitrudi.jt_character_e, (8,), "4|3") < 100_000
-    assert count_pairs(jacobitrudi.jt_character, (1,) * 7, "6|3") < 250_000
+    assert count_pairs(jacobitrudi.jt_character_e, (8,), "4|3") < 20_000
+    assert count_pairs(jacobitrudi.jt_character, (1,) * 7, "6|3") < 20_000
     p = P(2, 1, {(2, 0, -1): 3, (0, 0, 0): -1})
     assert exact_div(p, LaurentPoly.one(2, 1)) is p
 

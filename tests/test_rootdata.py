@@ -92,6 +92,16 @@ def test_rho_closed_forms():
         assert rho(alg) == rho0(alg) - _rho1(alg)
 
 
+@pytest.mark.parametrize(
+    "text", ["2|0", "4|0", "2|1", "4|1", "2|2", "4|2", "2|3", "4|3", "6|3", "2|4", "4|4", "8|5"]
+)
+def test_cached_positive_roots_equal_a_fresh_build(text):
+    alg = Algebra.parse(text)
+    cached = positive_roots(alg)
+    assert positive_roots(Algebra.parse(text)) is cached
+    assert cached == positive_roots.__wrapped__(alg)
+
+
 def test_dominance():
     assert not is_dominant(W(SPO24, "1d1+1e1+1e2"))  # hook violation
     assert is_dominant(W(SPO24, "2d1+1e1+1e2"))
