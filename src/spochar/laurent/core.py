@@ -20,14 +20,11 @@ size a layout per call; `Packing` is one fixed layout for term dicts kept
 packed across many products (the Jacobi-Trudi power tables and the Bareiss
 elimination of `linalg.det_bareiss_laurent`).
 
-Weyl-type quotients are not evaluated here.  Kac and Euler characters are
-Weyl characters computed on dominant weights by Freudenthal's formula
-(Humphreys, Introduction to Lie Algebras and Representation Theory, 22.3)
-in `rootdata.weyl_character`.  Kac characters are multiplied by the
-binomials of their isotropic roots with `times_isotropic`, on the terms of
-one sign orbit each (`rootdata.orthant_character`), before the signs are
-expanded.  Even-Levi characters divide a sum over the Levi's Weyl group by
-one binomial at a time with `exact_div`.
+Weyl-type quotients are not evaluated here: Kac, Euler and even-Levi
+characters are Weyl characters on dominant weights (`rootdata.weyl_character`).
+Kac characters are multiplied by the binomials of their isotropic roots
+with `times_isotropic`, on the terms of one sign orbit each
+(`rootdata.orthant_character`), before the signs are expanded.
 
 `format_exponent` is the one way to write an exponent vector as a weight:
 plain text for `Weight.format`, the CLI and `repr`, compact root labels,

@@ -298,140 +298,162 @@ def rho0(alg: Algebra) -> Weight:
     return Weight(alg, [x // 2 for x in tot])
 
 
-def _chamber_fold(alg: Algebra, doubled):
-    """(dominant, det): the g0-dominant weight u(w) in the W-orbit of a
-    doubled weight w, and det(u), or 0 when a reflection of W fixes w.
+@lru_cache(maxsize=256)
+def _factors(rank, roots):
+    """The simple factors (slots, roots, rho, flips) of the doubled positive
+    roots `roots` on `rank` slots: slices of consecutive slots, cut where no
+    root spans the cut, with the roots and doubled rho on the slice.  A
+    factor with a one-slot root (x_i or 2x_i) is B or C (flips True: W
+    changes any sign), else one with a root x_i + x_j is D (False: signs
+    change in pairs), else A or a slot without a root (None).  g0 is C_n on
+    the d-slots and B_m or D_m on the e-slots; an even Levi is A-chains and
+    at most one B, C or D tail."""
+    cuts = set(range(1, rank))
+    for r in roots:
+        support = [i for i, x in enumerate(r) if x]
+        cuts -= set(range(support[0] + 1, support[-1] + 1))
+    bounds = [0, *sorted(cuts), rank]
+    out = []
+    for slots in itertools.starmap(slice, zip(bounds, bounds[1:])):
+        own = tuple(r[slots] for r in roots if any(r[slots]))
+        flips = True if any(sum(map(bool, r)) == 1 for r in own) else False if any(map(sum, own)) else None
+        out.append((slots, own, tuple(sum(col) // 2 for col in zip(*own)) or (0,) * (slots.stop - slots.start), flips))
+    return tuple(out)
 
-    W acts by signed permutations: of the d-slots (type C_n), and of the
-    e-slots with any signs (B_m, odd l) or evenly many sign changes (D_m,
-    even l).  So the fold sorts the absolute values of each side in
-    descending order and, for even l, keeps the orbit's sign parity on the
-    last e-entry unless some e-entry is 0 (Stembridge, MSJ Memoirs 11,
-    2001).  det(u) is the parity of the sort's inversions, times the parity
-    of the sign changes on C_n and B_m; a D_m element changes evenly many
-    signs.  A repeated absolute value on one side is fixed by the
-    reflection in d_i -/+ d_j (e_i -/+ e_j), and a 0 by the one in 2d_i
-    (e_i) on C_n and B_m, but not on D_m, which has no such reflection.
-    """
-    n = alg.n
+
+@lru_cache(maxsize=64)
+def _g0_factors(alg: Algebra):
+    """The factors of g0 = sp(2n) + so(l), whose Weyl group is W."""
+    return _factors(alg.rank, tuple(r.doubled for r in positive_roots(alg).even))
+
+
+def _chamber_fold(factors, doubled):
+    """(dominant, det): the dominant weight u(w) in the orbit of a doubled
+    weight w under the Weyl group of `factors` (`_factors`), and det(u), or
+    0 when a reflection fixes w.  On each factor the group permutes the
+    entries (A), and changes any signs (B, C) or evenly many (D).  So the
+    fold sorts each factor's entries, on B, C and D their absolute values,
+    in descending order, and on D keeps the orbit's sign parity on the last
+    entry unless an entry is 0 (Stembridge, MSJ Memoirs 11, 2001).  det(u)
+    is the parity of the sort's inversions, times that of the sign changes
+    on B and C.  A repeated (absolute) value is fixed by the reflection in
+    x_i - x_j (x_i + x_j), and a 0 on B and C by the one in x_i.
+
+    For the alternating sum A(w) = sum over the group of det(g) e^{g(w)},
+    A(w) = det(u) A(u(w)) for every u, and A(w) = 0 when a reflection fixes
+    w: so each numerator term of a Weyl character folds into the dominant
+    chamber with its sign, and the singular ones drop out."""
     det = 1
     out = []
-    for side, flips in ((doubled[:n], True), (doubled[n:], alg.odd)):
-        mags = list(map(abs, side))
+    for slots, _, _, flips in factors:
+        side = doubled[slots]
+        mags = list(side if flips is None else map(abs, side))
         if det:  # most weights the Laplacian blocks fold are singular: skip their parity
             if len(set(mags)) < len(mags) or flips and 0 in mags:
                 det = 0
             elif (sum(itertools.starmap(operator.lt, itertools.combinations(mags, 2)))
-                  + flips * sum(map((0).__gt__, side))) % 2:  # inversions, then sign changes
+                  + (flips is True and sum(map((0).__gt__, side)))) % 2:  # inversions, then sign changes
                 det = -det
         mags.sort(reverse=True)
-        if not flips and mags and mags[-1] and sum(map((0).__gt__, side)) % 2:
+        if flips is False and mags[-1] and sum(map((0).__gt__, side)) % 2:
             mags[-1] = -mags[-1]
         out += mags
     return tuple(out), det
-
-
-def signed_fold(alg: Algebra, doubled):
-    """(dominant, det) of `_chamber_fold`, or None for a weight that a
-    reflection fixes.
-
-    For the alternating sum A(w) = sum over W of det(g) e^{g(w)},
-    A(w) = det(u) A(u(w)) for every u in W, and A(w) = 0 when a reflection
-    fixes w: so each term of an alternating sum's numerator folds into the
-    dominant chamber with its sign, and the singular ones drop out.
-    """
-    dominant, det = _chamber_fold(alg, doubled)
-    return (dominant, det) if det else None
 
 
 def fold_to_dominant(alg: Algebra, doubled):
     """The g0-dominant weight in the W-orbit of a doubled weight (the weight
     of `_chamber_fold`).  A weight is g0-dominant iff it is its own fold,
     and two weights lie in one W-orbit iff their folds are equal."""
-    return _chamber_fold(alg, doubled)[0]
+    return _chamber_fold(_g0_factors(alg), doubled)[0]
 
 
 # -- Weyl characters ---------------------------------------------------------------
 
 
 def weyl_character(alg: Algebra, numerator, roots) -> LaurentPoly:
-    """sum over {nu: c} of c A(e^nu) / D, where each nu is a strictly
-    dominant doubled weight (a key of `signed_fold`), A(e^nu) = sum over W
-    of det(g) e^{g(nu)}, `roots` are the doubled positive roots of a root
-    system with Weyl group W, rho is half their sum and D = A(e^rho).  No
-    sum over W is taken: the result is `orthant_character` expanded to its
-    sign images (`_sign_images`).
+    """sum over {nu: c} of c A(e^nu) / D, where `roots` are the doubled
+    positive roots of a reductive root system with Weyl group W_R,
+    A(e^nu) = sum over W_R of det(g) e^{g(nu)}, rho is half their sum and
+    D = A(e^rho): for strictly dominant nu, the character of the simple
+    module of highest weight nu - rho.  No sum over W_R is taken: the result
+    is `orthant_character` expanded to its sign images (`_sign_images`).
+    Euler characters pass the roots of g0, Kac characters for odd l those of
+    so(2n+1) + so(l) (the same W), and even-Levi characters the Levi's."""
+    return _sign_images(orthant_character(alg, numerator, roots), _sign_free(_factors(alg.rank, roots)))
 
-    By the Weyl character formula A(e^nu) / D is the character of the simple
-    module of highest weight nu - rho.  Euler characters pass the even roots
-    of spo(2n|l), the roots of g0 = sp(2n) + so(l).  Kac characters for odd
-    l pass them with 2d_i replaced by d_i: the roots of so(2n+1) + so(l),
-    which has the same W.
-    """
-    return _sign_images(orthant_character(alg, numerator, roots), sign_free_slots(alg))
+
+def _sign_free(factors):
+    """The slots of the B and C factors, where W changes any single sign."""
+    return tuple(s for slots, _, _, flips in factors if flips for s in range(slots.start, slots.stop))
 
 
 def sign_free_slots(alg: Algebra):
-    """The slots where W changes any single sign: the d-slots (C_n), and the
-    e-slots too for odd l (B_m); the D_m side of even l changes signs in
-    pairs only."""
-    return range(alg.n + alg.m if alg.odd else alg.n)
+    """The slots where W changes any single sign: the d-slots (C_n), and for
+    odd l the e-slots (B_m); D_m, for even l, changes signs in pairs."""
+    return _sign_free(_g0_factors(alg))
 
 
 def orthant_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     """The terms of `weyl_character(alg, numerator, roots)` whose exponents
-    on `sign_free_slots(alg)` are all >= 0: the character is invariant
-    under each sign change there, so these terms determine it.
+    on its B and C factors are all >= 0: the character is invariant under
+    each sign change there, so these terms determine it.
 
-    The roots, W and dominance split into the d-slots (C_n or B_n) and the
-    e-slots (B_m for odd l, D_m for even l), so the module is the product of
-    one module per side, each given by its multiplicities on dominant
-    weights (`_dominant_character`).  The coefficients are added up on
-    dominant weights; each dominant weight with a nonzero sum becomes, on a
-    sign-free side, the distinct permutations of its entries (all >= 0),
-    and on the D_m side its orbit (`_side_orbit`).  The side tables are
-    memoised within the call.
-
-    A nu with nu - rho off the integral lattice raises ArithmeticError: its
-    quotient is not a Laurent polynomial or has half-integral exponents.
-    """
-    r0 = [sum(r[i] for r in roots) // 2 for i in range(alg.rank)]
-    sides = []  # (slots, positive roots, rho, flips, {highest weight: table})
-    for slots, flips in ((slice(0, alg.n), True), (slice(alg.n, None), alg.odd)):
-        sides.append((slots, tuple(r[slots] for r in roots if any(r[slots])), tuple(r0[slots]), flips, {}))
-    dominant = {}
+    The numerator is folded into the dominant chamber (`_chamber_fold`).
+    The roots, W and dominance split into the factors of `_factors`, so a
+    folded term's module is the product of one module per factor, given by
+    its multiplicities on dominant weights (`_dominant_character`, memoised
+    within the call); they are added up on dominant weights, and each with
+    a nonzero sum is listed on the orthant (`_orthant_orbit`)."""
+    factors = _factors(alg.rank, roots)
+    r0 = sum((rho for _, _, rho, _ in factors), ())
+    memos = [{} for _ in factors]
+    folded = {}
     for nu, c in numerator.items():
-        lam = tuple(map(operator.sub, nu, r0))
-        if any(x % 2 for x in lam):
-            raise ArithmeticError(f"{format_exponent(lam, alg.n)} is not an integral highest weight")
-        tables = []
-        for slots, side_roots, rho_side, flips, memo in sides:
-            top = lam[slots]
-            if top not in memo:
-                memo[top] = _dominant_character(top, side_roots, rho_side, flips)
-            tables.append(memo[top])
-        for mu_d, a in tables[0].items():
-            for mu_e, b in tables[1].items():
-                key = mu_d, mu_e
-                dominant[key] = dominant.get(key, 0) + c * a * b
-    live = {key: c for key, c in dominant.items() if c}
-    (_, roots_d, *_), (_, roots_e, *_) = sides
-    orbits_d = {mu_d: _permutations(mu_d) for mu_d in {mu_d for mu_d, _ in live}}
-    orbits_e = {mu_e: _permutations(mu_e) if alg.odd else _side_orbit(mu_e, roots_e, False)
-                for mu_e in {mu_e for _, mu_e in live}}
+        nu, det = _chamber_fold(factors, nu)
+        if det:
+            folded[nu] = folded.get(nu, 0) + det * c
+    *head, (_, froots, _, flips) = factors  # the last factor's weights are keyed on its own slots
+    dominant = {}  # (weight on the head factors, on the last factor) -> coefficient
+    for nu, c in folded.items():
+        if c:
+            lam = tuple(map(operator.sub, nu, r0))
+            *tables, mults = [memo[lam[s]] if lam[s] in memo else memo.setdefault(lam[s], _dominant_character(lam[s], *f))
+                              for (s, *f), memo in zip(factors, memos)]
+            heads = {(): c}
+            for table in tables:
+                heads = {key + mu: a * b for key, a in heads.items() for mu, b in table.items()}
+            for key, a in heads.items():
+                for mu, b in mults.items():
+                    pair = key, mu
+                    dominant[pair] = dominant.get(pair, 0) + a * b
+    live = {pair: c for pair, c in dominant.items() if c}
+    xs = {key: _orthant_orbit(key, head) for key in {key for key, _ in live}}
+    ys = {mu: _orthant_orbit(mu, [(slice(None), froots, None, flips)]) for mu in {mu for _, mu in live}}
     out = {}
-    for (mu_d, mu_e), c in live.items():
-        for x in orbits_d[mu_d]:
-            for y in orbits_e[mu_e]:
+    for (key, mu), c in live.items():
+        for x in xs[key]:
+            for y in ys[mu]:
                 out[x + y] = c
     return LaurentPoly._wrap(alg.n, alg.m, out)
+
+
+def _orthant_orbit(mu, factors):
+    """The orbit of a dominant weight mu on `factors` with its entries on B
+    and C >= 0: the distinct permutations per factor, the orbit on D."""
+    images = [()]
+    for slots, roots, _, flips in factors:
+        orbit = _side_orbit(mu[slots], roots, False) if flips is False else _permutations(mu[slots])
+        images = [x + y for x in images for y in orbit]
+    return images
 
 
 def _sign_images(p: LaurentPoly, slots) -> LaurentPoly:
     """The polynomial of which p holds the terms with every exponent on
     `slots` >= 0: every term of p with each nonzero exponent on `slots`
     taken with either sign, at the term's coefficient.  Weyl characters
-    pass `sign_free_slots(alg)`, Jacobi-Trudi characters every slot."""
+    pass the slots of their B and C factors, Jacobi-Trudi characters every
+    slot."""
     out = {}
     for e, c in p.terms.items():
         out.update(dict.fromkeys(itertools.product(*[(x, -x) if x and s in slots else (x,) for s, x in enumerate(e)]), c))
@@ -440,15 +462,17 @@ def _sign_images(p: LaurentPoly, slots) -> LaurentPoly:
 
 def _dominant_character(lam, roots, rho_side, flips):
     """{mu: multiplicity} over the dominant weights mu of the simple module
-    of dominant highest weight lam, for one side of g0: doubled weights,
-    `roots` its doubled positive roots, `rho_side` its doubled rho, `flips`
-    False for D_m (dominance x_1 >= ... >= x_{m-1} >= |x_m|).
+    of dominant highest weight lam, for one factor of `_factors`: doubled
+    weights, `roots` its doubled positive roots, `rho_side` its doubled rho,
+    `flips` False for D (dominance x_1 >= ... >= x_{k-1} >= |x_k|), None
+    for A (no test on x_k).  A lam that is not an integral weight of the
+    roots raises ArithmeticError: its quotient is not a Laurent polynomial.
 
-    A side without roots (l = 1, or so(2)) is abelian: {lam: 1}.  Rank 1 is
-    one root string, in closed form.  Otherwise Freudenthal's formula
-    (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    22.3), in exact ints with the Euclidean form, which is W-invariant and
-    so a multiple of the Killing form on each simple factor:
+    A factor without roots is abelian: {lam: 1}.  Rank 1 is one root
+    string, in closed form.  Otherwise Freudenthal's formula (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 22.3), in exact
+    ints with the Euclidean form, which is W-invariant and so a multiple of
+    the Killing form on each simple factor:
 
         ((lam+rho, lam+rho) - (mu+rho, mu+rho)) m(mu)
             = 2 sum over alpha > 0, j >= 1 of m(mu + j alpha) (mu + j alpha, alpha).
@@ -460,19 +484,24 @@ def _dominant_character(lam, roots, rho_side, flips):
     string ends at the first fold that is not a weight.  A division with a
     remainder raises ArithmeticError.
     """
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    # 2 (lam, a) / (a, a) is an integer for an integral lam: the roots are x_i -+ x_j, x_i, 2x_i
+    if any(x % 2 for x in lam) and any(2 * dot(lam, a) % dot(a, a) for a in roots):
+        raise ArithmeticError(f"{lam} is not an integral highest weight of the roots {roots}")
     if not roots:
         return {lam: 1}
     if len(lam) == 1:
         return {(x,): 1 for x in range(lam[0], -1, -roots[0][0])}
-
-    def dot(u, v):
-        return sum(map(operator.mul, u, v))
 
     def shifted_norm(mu):
         shifted = tuple(map(operator.add, mu, rho_side))
         return dot(shifted, shifted)
 
     def fold(w):
+        if flips is None:
+            return tuple(sorted(w, reverse=True))
         mags = sorted(map(abs, w), reverse=True)
         if not flips and mags[-1] and sum(map((0).__gt__, w)) % 2:
             mags[-1] = -mags[-1]
@@ -484,7 +513,7 @@ def _dominant_character(lam, roots, rho_side, flips):
         for a in roots:
             nu = tuple(map(operator.sub, mu, a))
             if (nu not in seen and all(map(operator.ge, nu, nu[1:]))
-                    and (nu[-1] >= 0 if flips else nu[-2] >= -nu[-1])):
+                    and (flips is None or (nu[-1] >= 0 if flips else nu[-2] >= -nu[-1]))):
                 seen.add(nu)
                 weights.append(nu)
     weights.sort(key=lambda mu: dot(mu, rho_side), reverse=True)
@@ -646,9 +675,8 @@ def weyl_group(alg: Algebra):
     the d-slots (type C_n), and of the e-slots with any signs (B_m, odd l)
     or evenly many sign changes (D_m, even l).  det is the determinant on
     the weight space, the inversion parity of perm times the product of the
-    signs.  This is the one form of W: `weyl_act` applies a row,
-    `antisymmetrize` sums over it, and the Weyl group of a Levi is a filter
-    of it.
+    signs.  Only the independent oracles of `acceptance` enumerate W:
+    `weyl_act` applies a row and `antisymmetrize` sums over it.
 
     Rows run lexicographically over (d-permutation, d-signs, e-permutation,
     e-signs), signs (+1, -1) per slot, so every W-sum adds its terms in one
@@ -680,8 +708,8 @@ def weyl_act(g, doubled):
 
 
 def alternating_terms(group, doubled):
-    """{e: c} of the alternating sum over rows of `weyl_group` (or a filter
-    of it) of det(g) e^{g(w)}, for a doubled weight w."""
+    """{e: c} of the alternating sum over rows of `weyl_group` (or any rows
+    of that form) of det(g) e^{g(w)}, for a doubled weight w."""
     out = {}
     for g in group:
         k = weyl_act(g, doubled)

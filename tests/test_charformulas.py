@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import operator
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -13,7 +14,6 @@ from spochar.charformulas import (
     LeviMismatch,
     Parabolic,
     SingularVirtualDimension,
-    _levi_weyl_group,
     borel,
     denominators,
     euler_character,
@@ -38,20 +38,22 @@ from spochar.laurent.core import _unpack
 from spochar.rootdata import (
     Algebra,
     Weight,
+    _chamber_fold,
     _dominant_character,
+    _g0_factors,
     _side_orbit,
+    alternating_terms,
     antisymmetrize,
     is_dominant,
     positive_roots,
     rho,
     partitions_up_to,
     rho0,
-    signed_fold,
     weyl_act,
     weyl_character,
     weyl_group,
 )
-from test_weyl_quotient import times_binomials
+from test_weyl_quotient import _levi_weyl_group, times_binomials
 
 SPO23 = Algebra.parse("2|3")
 SPO24 = Algebra.parse("2|4")
@@ -568,9 +570,9 @@ def _euler_unfolded(p, module):
 def _fold_terms(alg, terms):
     out = {}
     for e, c in terms.items():
-        hit = signed_fold(alg, e)
-        if hit:
-            out[hit[0]] = out.get(hit[0], 0) + hit[1] * c
+        dominant, det = _chamber_fold(_g0_factors(alg), e)
+        if det:
+            out[dominant] = out.get(dominant, 0) + det * c
     return {e: c for e, c in out.items() if c}
 
 
@@ -730,8 +732,8 @@ def _kac_binomial_path(alg, lam):
     """The Kac character as the parent path computed it: the frozen
     `weyl_character` on the roots of so(2n+1) + so(l) (l odd) or g0 (l even),
     times every isotropic binomial with the frozen `times_binomials`."""
-    hit = signed_fold(alg, (lam + rho(alg)).doubled)
-    if hit is None:
+    hit = _chamber_fold(_g0_factors(alg), (lam + rho(alg)).doubled)
+    if not hit[1]:
         return LaurentPoly.zero(alg.n, alg.m)
     pos = positive_roots(alg)
     short = {a.doubled for a in pos.odd if a not in pos.isotropic}
@@ -787,18 +789,21 @@ def test_spo85_frontier_kac_character():
 
 def test_euler_character_runs_no_weyl_sum(monkeypatch):
     # references first: the frozen W-sum on spo(4|2) and the recorded table
-    # on spo(2|2), both l = 2 (a D_1 side without roots), and the frozen
-    # Kac W-sum on dominant weights of three algebras, l odd and even
+    # on spo(2|2), both l = 2 (a D_1 side without roots), the frozen Kac
+    # W-sum on dominant weights of three algebras, l odd and even, and the
+    # frozen Levi W-sum on the even Levis of spo(2|4) and spo(4|3); then
+    # every W-sum of rootdata refuses, where the character formulas find it
     cases = [(p, module, _euler_unfolded(p, module)) for _, _, _, p, module in _euler_grid(["4|2"])]
     recorded = [row for row in EULER_RECORDED if row[0] == "2|2"]
     kac_cases = [(alg, lam, _kac_frozen(alg, lam))
                  for alg in map(Algebra.parse, ["4|3", "2|5", "4|2"]) for lam in _dominant_weights(alg)]
+    levi_cases = [(p, lam, _even_levi_frozen(p, lam)) for p, lam in _even_levi_grid(["2|4", "4|3"], range(0, 2))]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a character formula enumerated W")
 
-    for module in (charformulas, rootdata):
-        monkeypatch.setattr(module, "weyl_group", refuse)
+    for name in ("weyl_group", "alternating_terms"):
+        monkeypatch.setattr(rootdata, name, refuse)
     alg = Algebra.parse("6|3")
     p = _delta_chain_parabolic(alg)
     for lam in [(1,), (2, 1), (3, 2)]:
@@ -811,6 +816,7 @@ def test_euler_character_runs_no_weyl_sum(monkeypatch):
         got.append((text, mask, tag, len(ch), ch.evaluate_at_one(), _digest(ch)))
     assert got == recorded
     assert all(kac_character(alg, lam) == want for alg, lam, want in kac_cases) and len(kac_cases) == 34
+    assert all(levi_simple_even_character(p, lam) == want for p, lam, want in levi_cases) and len(levi_cases) == 64
 
 
 def test_euler_character_refuses_a_module_of_another_lattice():
@@ -861,9 +867,9 @@ def test_folding_keeps_the_alternating_sum(algtxt):
             e = tuple(rng.choice((0, 1, -1, 2, -2, 3, -4)) for _ in range(alg.rank))
             terms[e] = rng.randint(-5, 5) or 1
         folded = _fold_terms(alg, terms)
-        hits = [signed_fold(alg, e) for e in terms]
-        singular += hits.count(None)
-        regular += len(hits) - hits.count(None)
+        dets = [_chamber_fold(_g0_factors(alg), e)[1] for e in terms]
+        singular += dets.count(0)
+        regular += len(dets) - dets.count(0)
         assert _weyl_quotient(alg.n, alg.m, folded, group) == _weyl_quotient(alg.n, alg.m, terms, group)
     assert singular and regular
 
@@ -881,7 +887,7 @@ def _determinant(perm, signs):
 
 def test_even_levi_matches_long_division():
     count = 0
-    for text in ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1", "6|1"]:
+    for text in ["2|2", "2|3", "4|3", "2|4", "2|5", "4|1", "6|1", "2|6"]:
         alg = Algebra.parse(text)
         for removed in itertools.product((False, True), repeat=alg.rank):
             p = Parabolic(alg, frozenset(i for i, r in enumerate(removed) if r))
@@ -906,7 +912,75 @@ def test_even_levi_matches_long_division():
                 ref = exact_div(antisym((lam + Weight(alg, half)).doubled), antisym(half))
                 assert levi_simple_even_character(p, lam) == ref, (p.describe(), lam.format())
                 count += 1
-    assert count == 1104
+    assert count == 1104 + 2048  # spo(2|6): the one 3-slot chain e1 - e2, e2 + e3 not of differences
+
+
+def _even_levi_frozen(p, lam):
+    """Frozen copy of `levi_simple_even_character` before it moved to
+    `weyl_character`: the alternating sum over the Levi's Weyl group (the
+    frozen `_levi_weyl_group`, a filter of W) divided by the binomials of
+    the Levi's even positive roots, one `exact_div` at a time.  The
+    reference of the tests here; do not replace the W-sum."""
+    even, odd = p.levi_positive()
+    if odd:
+        raise LeviMismatch("Levi has odd roots; use the gl-type constructors")
+    alg = p.alg
+    half = Weight(alg, [sum(r.doubled[i] for r in even) // 2 for i in range(alg.rank)])
+    out = LaurentPoly(alg.n, alg.m, alternating_terms(_levi_weyl_group(p), (lam + half).doubled))
+    for r in even:
+        h = _half(r.doubled)
+        out = exact_div(out, LaurentPoly(alg.n, alg.m, {h: 1, tuple(-x for x in h): -1}))
+    return out
+
+
+def _even_levi_grid(texts, coefficients):
+    """(parabolic, weight) over the parabolics of the algebras whose Levi has
+    no odd root, and the weights with every coefficient in `coefficients`."""
+    for text in texts:
+        alg = Algebra.parse(text)
+        for removed in itertools.product((False, True), repeat=alg.rank):
+            p = Parabolic(alg, frozenset(i for i, r in enumerate(removed) if r))
+            if not p.levi_positive()[1]:
+                for c in itertools.product(coefficients, repeat=alg.rank):
+                    yield p, Weight.from_coeffs(alg, c[:alg.n], c[alg.n:])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
+def test_even_levi_matches_the_frozen_w_sum_on_half_integral_weights():
+    # weights with half-integral coefficients: spin weights of the B and D
+    # tails and A-chains shifted by half give characters with half-integral
+    # exponents, the others ArithmeticError from both paths
+    halves = (Fraction(-1, 2), Fraction(1, 2), 0, 1)
+    outcomes = {}
+    for p, lam in _even_levi_grid(["2|2", "2|3", "4|3", "2|4", "2|5", "4|1", "6|1", "4|4", "2|6"], halves):
+        if lam.is_integral():
+            continue
+        want = _outcome(_even_levi_frozen, p, lam)
+        assert _outcome(levi_simple_even_character, p, lam) == want, (p.describe(), lam.format())
+        kind = "error" if want == "ArithmeticError" else "zero" if want.is_zero() else "character"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes == {"character": 1791, "error": 2304, "zero": 701}
+
+
+@pytest.mark.parametrize("algtxt, removed, weights", [
+    ("8|7", "d4-e1", ["3d1+2d2+1d3+2e1+1e2", "1d1-1d4+1e1+1e2+1e3", "2d1+2d2-1d3-1d4+3e1"]),
+    ("10|5", "d5-e1", ["3d1+2d2+1d3+2e1+1e2"]),
+    ("6|8", "d3-e1,e3-e4", ["2d1+1d2+2e1+1e2-1e3+2e4", "1e1+1e2+1e3+1e4"]),
+])
+def test_even_levi_matches_the_frozen_w_sum_on_large_levis(algtxt, removed, weights):
+    # gl(n) + so(l): a B_3 and B_2 tail beside an A_3 and A_4 chain, and on
+    # spo(6|8) a twisted chain e1 - e2, e2 - e3, e3 + e4 beside gl(3)
+    alg = Algebra.parse(algtxt)
+    p = parabolic_removing(alg, removed)
+    for text in weights:
+        lam = W(alg, text)
+        assert levi_simple_even_character(p, lam) == _even_levi_frozen(p, lam), text
 
 
 # -- the Levi's Weyl group against the reflection closure it replaced ----------------

@@ -538,3 +538,37 @@ def test_cli_session_lines_print_the_recorded_bytes(capsys):
         assert cli.main(line.split() + ["--no-cache"]) == code, line
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest, line
+
+
+# exit code and sha256 prefix of stdout of `euler --levi-module evensimple:` in each
+# format, recorded while even-Levi characters were the W-sum over the Levi's Weyl group:
+# gl(1) + so(3), the chains e1 + e2 and e1 - e2, e2 + e3 not of differences, a B_2 and a
+# D_3 tail beside gl(2), and gl(4) + so(3)
+EVENSIMPLE_DIGESTS = {
+    "euler --algebra 2|3 --parabolic remove=d1-e1 --levi-module evensimple:2d1+1e1 --format text": (0, "1002d3a27bcb8278e7fe884a7ba42958"),
+    "euler --algebra 2|3 --parabolic remove=d1-e1 --levi-module evensimple:2d1+1e1 --format json": (0, "828e039d49561634d92d11a4a6c8366e"),
+    "euler --algebra 2|3 --parabolic remove=d1-e1 --levi-module evensimple:2d1+1e1 --format latex": (0, "dbd2bd108d4b0ebc3ccea2de68957bdb"),
+    "euler --algebra 2|4 --parabolic remove=d1-e1,e1-e2 --levi-module evensimple:2d1+2e1+1e2 --format text": (0, "ae26ab84824d84425d5a3baeae4e3e19"),
+    "euler --algebra 2|4 --parabolic remove=d1-e1,e1-e2 --levi-module evensimple:2d1+2e1+1e2 --format json": (0, "4e1e3ec6c5869fd30c9c7a16481aa280"),
+    "euler --algebra 2|4 --parabolic remove=d1-e1,e1-e2 --levi-module evensimple:2d1+2e1+1e2 --format latex": (0, "2f6d7e95fbb3107b2cd039f3b2063d85"),
+    "euler --algebra 2|6 --parabolic remove=d1-e1,e2-e3 --levi-module evensimple:1d1+2e1+1e2-1e3 --format text": (0, "493428edcdc73141452c7f24c792b089"),
+    "euler --algebra 2|6 --parabolic remove=d1-e1,e2-e3 --levi-module evensimple:1d1+2e1+1e2-1e3 --format json": (0, "fdd4e324741b9b8a08b85fa987197fb6"),
+    "euler --algebra 2|6 --parabolic remove=d1-e1,e2-e3 --levi-module evensimple:1d1+2e1+1e2-1e3 --format latex": (0, "5e218210e2db545f03b3a1033e30313d"),
+    "euler --algebra 4|5 --parabolic remove=d2-e1 --levi-module evensimple:2d1+1d2+2e1+1e2 --format text": (0, "acfbe424293dbd8a96ed760971cdc408"),
+    "euler --algebra 4|5 --parabolic remove=d2-e1 --levi-module evensimple:2d1+1d2+2e1+1e2 --format json": (0, "fd849712f599e47681a77a5fc3519c63"),
+    "euler --algebra 4|5 --parabolic remove=d2-e1 --levi-module evensimple:2d1+1d2+2e1+1e2 --format latex": (0, "bbbc94fb60079676c06b1d7175183a6e"),
+    "euler --algebra 4|6 --parabolic remove=d2-e1 --levi-module evensimple:3d1+1d2+2e1+1e2-1e3 --format text": (0, "bf149e9179f562866a1b653f4e12b586"),
+    "euler --algebra 4|6 --parabolic remove=d2-e1 --levi-module evensimple:3d1+1d2+2e1+1e2-1e3 --format json": (0, "7e1429f3ecc912bc7b113b4fb2616824"),
+    "euler --algebra 4|6 --parabolic remove=d2-e1 --levi-module evensimple:3d1+1d2+2e1+1e2-1e3 --format latex": (0, "29e25fef7fbbe15ce33f2be90c4a670f"),
+    "euler --algebra 8|3 --parabolic remove=d4-e1 --levi-module evensimple:3d1+2d2+1d3+1e1 --format text": (0, "2acc8100a88b31379a11225c88a54dd7"),
+    "euler --algebra 8|3 --parabolic remove=d4-e1 --levi-module evensimple:3d1+2d2+1d3+1e1 --format json": (0, "46c20047a9a50a404ea1d9528b365fd0"),
+    "euler --algebra 8|3 --parabolic remove=d4-e1 --levi-module evensimple:3d1+2d2+1d3+1e1 --format latex": (0, "7d62ddce4dec5a790665cbbc29850e37"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(EVENSIMPLE_DIGESTS))
+def test_evensimple_euler_prints_the_recorded_bytes(capsys, line):
+    code, digest = EVENSIMPLE_DIGESTS[line]
+    assert cli.main(line.split() + ["--no-cache"]) == code, line
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest, line

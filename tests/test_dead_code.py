@@ -47,3 +47,20 @@ def test_every_top_level_definition_is_referenced():
     # equality, not inclusion: an allowlisted name that gains a caller or is
     # deleted must leave the list too
     assert {entry.split(":")[1] for entry in _unreferenced()} == set(ALLOWED)
+
+
+# The enumerations of W, kept for the independent oracles of acceptance.py.
+W_SUMS = ("weyl_group", "weyl_act", "alternating_terms", "antisymmetrize")
+
+
+def test_w_is_enumerated_only_by_the_oracles():
+    # no character formula sums over W: outside rootdata.py, which defines
+    # them, only acceptance.py's oracles may reference the W-sums
+    readers = {}
+    for path in sorted(SRC.rglob("*.py")):
+        names = _referenced(ast.parse(path.read_text(), filename=str(path)))
+        for name in W_SUMS:
+            if name in names:
+                readers.setdefault(name, set()).add(str(path.relative_to(SRC)))
+    assert set(readers) == set(W_SUMS)
+    assert set().union(*readers.values()) <= {"rootdata.py", "acceptance.py"}, readers

@@ -3,12 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spochar.charformulas import parabolic_removing
 from spochar.rootdata import (
     WEYL_ORDER_LIMIT,
     Algebra,
     DimensionGuard,
     NonIntegralWeight,
     Weight,
+    _chamber_fold,
+    _factors,
+    _g0_factors,
     antisymmetrize,
     conjugate_partition,
     fits_hook,
@@ -19,7 +23,7 @@ from spochar.rootdata import (
     rho,
     rho0,
     sharp,
-    signed_fold,
+    sign_free_slots,
     simple_roots,
     validate_partition,
     weight_to_partition,
@@ -281,12 +285,18 @@ def test_fold_to_dominant_keeps_the_D_m_sign_parity(case):
 @example((SPO23, (4, 0)))  # B1: a zero is fixed by the reflection in e1
 @example((SPO43, (0, 2, 1)))  # C2: a zero is fixed by the reflection in 2d1
 def test_signed_fold_is_the_signed_orbit_fold(case):
+    # the fold with its sign on the factors of g0, None for det 0:
     # fold(g w) = (fold(w), det(g) det(w)) for every g in W; None exactly when
     # a non-identity element fixes w; the weight is fold_to_dominant's
     alg, w = case
     group = weyl_group(alg)
     identity = (tuple(range(alg.rank)), (1,) * alg.rank)
     fixed = any(weyl_act(g, w) == w for g in group if g[:2] != identity)
+
+    def signed_fold(alg, w):
+        dominant, det = _chamber_fold(_g0_factors(alg), w)
+        return (dominant, det) if det else None
+
     fold = signed_fold(alg, w)
     assert (fold is None) == fixed
     if fold is not None:
@@ -349,3 +359,36 @@ def test_simple_roots_are_a_base_of_the_positive_roots(algtxt):
     for j in range(len(roots)):
         coords = [mat[i][alg.rank + j] for i in range(alg.rank)]
         assert all(c.denominator == 1 and c >= 0 for c in coords), roots[j].format()
+
+
+def _kinds(rank, roots):
+    return [(slots.start, slots.stop, flips) for slots, _, _, flips in _factors(rank, tuple(roots))]
+
+
+@pytest.mark.parametrize("algtxt, kinds", [
+    ("4|5", [(0, 2, True), (2, 4, True)]),  # C_2 x B_2
+    ("4|4", [(0, 2, True), (2, 4, False)]),  # C_2 x D_2
+    ("6|6", [(0, 3, True), (3, 6, False)]),  # C_3 x D_3
+    ("2|2", [(0, 1, True), (1, 2, None)]),  # C_1 and an e-slot without a root
+    ("2|3", [(0, 1, True), (1, 2, True)]),  # C_1 x B_1
+    ("4|1", [(0, 2, True)]),  # m = 0
+])
+def test_factors_of_g0_and_its_sign_free_slots(algtxt, kinds):
+    alg = Algebra.parse(algtxt)
+    assert _kinds(alg.rank, [r.doubled for r in positive_roots(alg).even]) == kinds
+    assert set(sign_free_slots(alg)) == set(range(alg.n + alg.m if alg.odd else alg.n))
+
+
+def test_factors_of_even_levis():
+    def levi(algtxt, removed):
+        alg = Algebra.parse(algtxt)
+        return alg.rank, [r.doubled for r in parabolic_removing(alg, removed).levi_positive()[0]]
+
+    assert _kinds(*levi("8|7", "d4-e1")) == [(0, 4, None), (4, 7, True)]  # gl(4) + so(7)
+    assert _kinds(*levi("6|4", "d1-d2,d3-e1")) == [(0, 1, None), (1, 3, None), (3, 5, False)]
+    assert _kinds(*levi("6|0", "d1-d2")) == [(0, 1, None), (1, 3, True)]  # gl(1) + sp(4)
+    assert _kinds(*levi("2|5", "d1-e1,e1-e2")) == [(0, 1, None), (1, 2, None), (2, 3, True)]
+    # e1 - e2, e2 + e3 (and e1 + e3) span slots 1-3 and read as D until e3 is negated: then A_2
+    rank, roots = levi("2|6", "d1-e1,e2-e3")
+    assert _kinds(rank, roots) == [(0, 1, None), (1, 4, False)]
+    assert _kinds(rank, [r[:-1] + (-r[-1],) for r in roots]) == [(0, 1, None), (1, 4, None)]

@@ -3,14 +3,16 @@ characters, alternating sums and binomial products.
 
 Frozen copies of the tuple-keyed alternating Weyl sum, binomial-string
 division and binomial multiplication that the packed kernels replaced serve
-as the references here, and so does a frozen copy of the packed binomial
-product `times_binomials` that `times_isotropic` replaced; do not
-"optimise" them.
+as the references here, and so do a frozen copy of the packed binomial
+product `times_binomials` that `times_isotropic` replaced and of the Levi
+Weyl group `_levi_weyl_group` that the even-Levi characters summed over
+before they moved to `weyl_character`; do not "optimise" them.
 """
 
 import itertools
 import operator
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -18,11 +20,11 @@ from spochar.charformulas import (
     LeviCharacter,
     LeviMismatch,
     Parabolic,
-    _levi_weyl_group,
     euler_character,
     kac_character,
     levi_character,
     levi_simple_even_character,
+    root_support,
 )
 from spochar.laurent import LaurentPoly, NotDivisible, exact_div, times_isotropic
 from spochar.laurent.core import _pack, _unpack
@@ -43,6 +45,28 @@ from spochar.rootdata import (
 )
 
 # -- the frozen references ------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _levi_weyl_group(p: Parabolic):
+    """The Weyl group of the Levi of p, as the rows of `weyl_group` that fix
+    the orthogonal complement of the Levi's span pointwise.
+
+    By Steinberg's theorem (Humphreys, Reflection Groups and Coxeter Groups,
+    Thm 1.12) those rows form the group generated by the reflections in the
+    Levi's even roots.  As g is orthogonal, it fixes that complement iff
+    g(u) - u lies in the Levi's span, i.e. is supported on the retained
+    simple roots, for every unit vector u.  A row sends u_i to
+    signs[i] u_{perm[i]}, so the test runs once per (i, perm[i], signs[i]).
+    """
+    alg, k = p.alg, p.alg.rank
+    inside = {
+        (i, j, s): root_support(alg, Weight(alg, [2 * (s * (t == j) - (t == i)) for t in range(k)])) <= p.retained
+        for i in range(k)
+        for j in range(k)
+        for s in (1, -1)
+    }
+    return tuple(g for g in weyl_group(alg) if all(inside[move] for move in zip(range(k), g[0], g[1])))
 
 
 def _alternate_reference(alg, terms):
