@@ -11,9 +11,11 @@ makes u mu dominant, or is dropped when a reflection fixes it.  By Weyl's
 character formula a folded term c e^nu gives c times the character of the
 simple module of highest weight nu - rho, added up on dominant weights per
 simple factor of the roots, with multiplicities from Freudenthal's formula
-(Humphreys, Introduction to Lie Algebras and Representation Theory, 22.3);
-each orbit is listed on the sign-free orthant (`orthant_character`) and
-expanded to its sign images once (`_sign_images`):
+(Humphreys, Introduction to Lie Algebras and Representation Theory, 22.3),
+computed once per (factor, highest weight) in a process and read from the
+tables of `rootdata`, which characters of every algebra share; each orbit
+is listed on the sign-free orthant (`orthant_character`) and expanded to
+its sign images once (`_sign_images`):
 
 * Kac: (D1 / D0) A(e^{lam+rho}) is one numerator term.  For odd l the factor
   e^{d_i} - e^{-d_i} of D0 and e^{d_i/2} + e^{-d_i/2} of D1 cancel to

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spochar.charformulas import parabolic_removing
+from spochar.charformulas import euler_character, kac_character, levi_character, parabolic_removing
 from spochar.rootdata import (
     WEYL_ORDER_LIMIT,
     Algebra,
@@ -11,8 +11,11 @@ from spochar.rootdata import (
     NonIntegralWeight,
     Weight,
     _chamber_fold,
+    _dominant_character,
     _factors,
     _g0_factors,
+    _permutations,
+    _side_orbit,
     antisymmetrize,
     conjugate_partition,
     fits_hook,
@@ -392,3 +395,59 @@ def test_factors_of_even_levis():
     rank, roots = levi("2|6", "d1-e1,e2-e3")
     assert _kinds(rank, roots) == [(0, 1, None), (1, 4, False)]
     assert _kinds(rank, [r[:-1] + (-r[-1],) for r in roots]) == [(0, 1, None), (1, 4, None)]
+
+
+# -- the process-wide tables of simple-factor modules and orbits -------------------
+
+FACTOR_TABLES = (_dominant_character, _permutations, _side_orbit)
+
+
+def test_factor_tables_hand_out_read_only_values():
+    # every caller reads the same value: none can change it for the others
+    (_, c_roots, c_rho, c_flips), (_, d_roots, _, _) = _g0_factors(Algebra.parse("4|4"))
+    mults = _dominant_character((4, 2), c_roots, c_rho, c_flips)
+    with pytest.raises(TypeError):
+        mults[4, 2] = 2
+    with pytest.raises(TypeError):
+        del mults[4, 2]
+    for orbit in (_permutations((4, 2)), _side_orbit((4, -2), d_roots, False), _side_orbit((4, 2), c_roots, True)):
+        with pytest.raises(TypeError):
+            orbit[0] = (0, 0)
+    assert _dominant_character((4, 2), c_roots, c_rho, c_flips) == {(4, 2): 1, (2, 0): 2}  # sp(4), 2d1 + d2: dim 16
+    assert sorted(_side_orbit((4, -2), d_roots, False)) == [(-4, 2), (-2, 4), (2, -4), (4, -2)]
+
+
+def test_a_non_integral_highest_weight_raises_on_every_call():
+    # 3/2 d1 + 1/2 d2 on C_2: the error is raised again, not served from the table
+    (_, roots, rho_side, flips), _ = _g0_factors(SPO43)
+    for _ in range(2):
+        misses = _dominant_character.cache_info().misses
+        with pytest.raises(ArithmeticError, match="not an integral highest weight"):
+            _dominant_character((3, 1), roots, rho_side, flips)
+        assert _dominant_character.cache_info().misses == misses + 1
+
+
+def test_characters_are_unchanged_by_clearing_the_factor_tables():
+    # spo(4|4): C_2 x D_2, so every table is read
+    alg = Algebra.parse("4|4")
+    p = parabolic_removing(alg, "d1-d2")
+    module = levi_character(p, "one_dimensional", W(alg, "2d1+1d2"))
+    lam = W(alg, "2d1+1d2+1e1")
+    first = kac_character(alg, lam), euler_character(p, module)
+    for table in FACTOR_TABLES:
+        table.cache_clear()
+        assert table.cache_info().currsize == 0
+    assert (kac_character(alg, lam), euler_character(p, module)) == first
+    assert all(table.cache_info().currsize for table in FACTOR_TABLES)
+
+
+def test_algebras_with_a_factor_in_common_share_its_entries():
+    # the Kac roots of spo(4|3) and spo(6|3) have the same B1 e-side: the
+    # second character computes only its B3 d-side module
+    for table in FACTOR_TABLES:
+        table.cache_clear()
+    kac_character(SPO43, W(SPO43, "2d1+1d2+1e1"))
+    misses = _dominant_character.cache_info().misses
+    spo63 = Algebra.parse("6|3")
+    kac_character(spo63, W(spo63, "2d1+1d2+1d3+1e1"))
+    assert _dominant_character.cache_info().misses == misses + 1
