@@ -8,6 +8,15 @@ consistency violations).  `batch` writes each line's code beside that
 line's output and exits with the largest; a line's --help or --version
 text goes in its own slot.  One argument parser serves every call and
 every batch line of a process.
+
+A call or batch line whose first word names a command is parsed by that
+command's subparser alone (`_parse_args`), with the Namespace, the exit
+codes and the messages that the top-level parser gives; anything else
+(-h, --version, no command or an unknown one) goes through the top-level
+parser.  A character's --format json document (kac, euler, jt, irr) is
+what json.dumps(indent=2, sort_keys=True) writes, but only the small
+fields go through json; the terms are written from one sorted pass, one
+%-template per term (`_char_json`).
 """
 
 from __future__ import annotations
@@ -110,12 +119,29 @@ def _char_text(ch: LaurentPoly, limit=30):
     return "\n".join(lines)
 
 
-def _char_payload(alg, kind, ch: LaurentPoly, **extra):
-    payload = {"algebra": f"{2 * alg.n}|{alg.ell}", "kind": kind}
-    payload.update(extra)
-    payload["character"] = ch.to_json_dict()
-    payload["vdim"] = ch.evaluate_at_one()
-    return payload
+def _char_json(alg, kind, ch: LaurentPoly, **extra):
+    """The JSON document of a character, byte for byte what
+    json.dumps(indent=2, sort_keys=True) writes for it: everything but the
+    terms is dumped with an empty terms list, and the terms, written from
+    one sorted pass with one %-template per term (`_term_template`), are
+    spliced in there.  Only "algebra" sorts before "character", so the
+    first empty terms list is the character's."""
+    payload = {"algebra": f"{2 * alg.n}|{alg.ell}", "kind": kind, **extra,
+               "character": {"n": ch.n, "m": ch.m, "terms": []}, "vdim": ch.evaluate_at_one()}
+    out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if ch.is_zero():
+        return out
+    template = _term_template(ch.n + ch.m)
+    terms = ",\n".join([template % (c, *e) for e, c in ch.sorted_terms()])
+    return out.replace('"terms": []', f'"terms": [\n{terms}\n    ]', 1)
+
+
+@lru_cache(maxsize=16)
+def _term_template(rank):
+    """One term of a character's "terms" list as json.dumps(indent=2) writes
+    it at its depth, with %d for the coefficient and each exponent."""
+    exps = ",\n".join(["          %d"] * rank)
+    return f'      {{\n        "coef": "%d",\n        "exp": [\n{exps}\n        ]\n      }}'
 
 
 def _char_latex(alg, ch: LaurentPoly, limit=40):
@@ -162,9 +188,10 @@ def _emit(args, payload, text, latex=None):
 
 def _emit_character(args, alg, ch: LaurentPoly, head, kind, **extra):
     """`_emit` for a character command, which builds only the format asked
-    for: the JSON payload, the text and the LaTeX each sort the terms."""
+    for: the JSON document (`_char_json`), the text and the LaTeX each sort
+    the terms."""
     if args.format == "json":
-        return _emit(args, _char_payload(alg, kind, ch, **extra), None)
+        return _char_json(alg, kind, ch, **extra)
     if args.format == "latex":
         return _emit(args, None, None, _char_latex(alg, ch))
     return _emit(args, None, f"{head}: {_char_text(ch)}")
@@ -399,7 +426,7 @@ def _batch_line(line):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _build_parser().parse_args(shlex.split(line))
+            args = _parse_args(shlex.split(line))
     except SystemExit as exc:
         if exc.code == 0:
             return 0, out.getvalue()
@@ -485,6 +512,7 @@ def _add_common(sp, algebra=True):
 # Built on first use, once per process; cmd_* look up kac_character etc. at call time, so patches still apply.
 @lru_cache(maxsize=1)
 def _build_parser():
+    """(the top-level parser, {command name: its subparser})."""
     ap = argparse.ArgumentParser(prog="spochar", description=__doc__)
     ap.add_argument("--version", action="version", version=f"spochar {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -571,7 +599,25 @@ def _build_parser():
     sp.add_argument("--file", required=True)
     sp.set_defaults(fn=cmd_batch, format="text")
 
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv):
+    """The Namespace that the top-level parser's parse_args(argv) returns,
+    argv=None reading sys.argv.  A line whose first word names a command is
+    parsed by that command's subparser alone, into a Namespace already
+    holding the command, and its leftover arguments are refused by the
+    top-level parser, as argparse does after the subparser has run.  -h,
+    --version, no command or an unknown command go through the top-level
+    parser."""
+    top, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return top.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _outcome(run):
@@ -586,7 +632,7 @@ def _outcome(run):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)  # exits 2 on parse errors
+    args = _parse_args(argv)  # exits 2 on parse errors
     if args.command == "batch":
         code, out, err = _outcome(lambda: cmd_batch(args))
     else:

@@ -327,7 +327,13 @@ class LaurentPoly:
         return sum(self.terms.values())
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
+        """[(exponents, coefficient)] in ascending graded-lex order: the
+        exponents of each total degree sorted as plain tuples, with no key
+        function called per term."""
+        by_degree = {}
+        for e in self.terms:
+            by_degree.setdefault(sum(e), []).append(e)
+        return [(e, self.terms[e]) for d in sorted(by_degree) for e in sorted(by_degree[d])]
 
     def __repr__(self):
         if not self.terms:

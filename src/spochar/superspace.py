@@ -58,8 +58,8 @@ from .rootdata import (
     fold_to_dominant,
     is_dominant,
     partitions_up_to,
-    positive_roots,
     simple_roots,
+    _g0_factors,
     _side_orbit,
 )
 
@@ -644,11 +644,15 @@ def _dominant_weights(alg, k):
 
 def _degree_weights(alg, k):
     """The doubled weights of degree k: the W-orbits of its dominant weights,
-    built per side of g0 (`_side_orbit`)."""
-    n, even = alg.n, [r.doubled for r in positive_roots(alg).even]
-    d, e = (tuple(r[side] for r in even if any(r[side])) for side in (slice(n), slice(n, None)))
-    return [x + y for mu in _dominant_weights(alg, k)
-            for x in _side_orbit(mu[:n], d, True) for y in _side_orbit(mu[n:], e, alg.odd)]
+    the products of their orbits on the factors of g0 (`_side_orbit`)."""
+    factors = _g0_factors(alg)
+    out = []
+    for mu in _dominant_weights(alg, k):
+        images = [()]
+        for slots, roots, _, flips in factors:
+            images = [x + y for x in images for y in _side_orbit(mu[slots], roots, flips)]
+        out += images
+    return out
 
 
 def _weight_monomials(alg, k, doubled):
@@ -781,12 +785,22 @@ def _singular_pass(alg, k, bound, images, ups):
     return kdim, out, orbit_size, blocks
 
 
-def _check_surjective(alg, k, bound, kdim):
-    """kdim must be max(0, dim(k) - dim(k-2)), counted in closed form under
-    bound.  For l > 0 the Laplacian maps degree k onto k-2 (and x1^2 or x0^2
-    embeds k-2 in k); for l = 0 it lowers an sl2 action on the Grassmann
-    algebra: onto up to the middle degree, with kernel 0 above it."""
-    if kdim != max(0, _bounded_dim(alg, k, bound) - _bounded_dim(alg, k - 2, bound)):
+def _bounded_kernel_dims(alg, k, bound):
+    """Refuse degree k, then degree k-2, when its dimension exceeds bound,
+    with DimensionGuard: the kernel dimension is checked against both
+    (`_check_surjective`), and above the middle degree of l = 0, dim(k-2)
+    exceeds dim(k)."""
+    _bounded_dim(alg, k, bound)
+    _bounded_dim(alg, k - 2, bound)
+
+
+def _check_surjective(alg, k, kdim):
+    """kdim must be max(0, dim(k) - dim(k-2)), counted in closed form; every
+    caller has refused both degrees above its bound (`_bounded_kernel_dims`)
+    before solving.  For l > 0 the Laplacian maps degree k onto k-2 (and
+    x1^2 or x0^2 embeds k-2 in k); for l = 0 it lowers an sl2 action on the
+    Grassmann algebra: onto up to the middle degree, with kernel 0 above it."""
+    if kdim != max(0, degree_dim(alg, k) - degree_dim(alg, k - 2)):
         raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {kdim}")
 
 
@@ -797,7 +811,7 @@ def kernel_basis(alg: Algebra, k: int, bound: int = 20000):
     `_check_surjective`: each integer block vector (`_block_kernel`) divided
     by its entry at its free (largest) monomial, as Fractions.  A degree
     past bound is refused first."""
-    _bounded_dim(alg, k, bound)
+    _bounded_kernel_dims(alg, k, bound)
     images = MonomialImages()
     lap = doubled_laplacian(alg)
     found = []
@@ -805,7 +819,7 @@ def kernel_basis(alg: Algebra, k: int, bound: int = 20000):
         for v in _block_kernel(images, lap, _weight_monomials(alg, k, wt)):
             free = max(v)
             found.append((free, SuperElement(alg, {t: Fraction(v[t], v[free]) for t in sorted(v)})))
-    _check_surjective(alg, k, bound, len(found))
+    _check_surjective(alg, k, len(found))
     found.sort(key=lambda pair: pair[0])
     return [el for _, el in found]
 
@@ -823,8 +837,9 @@ def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     from one pass over the weight blocks, with kernel_basis's check of the
     kernel dimension."""
     ups, _ = simple_root_operators(alg)
+    _bounded_kernel_dims(alg, k, bound)
     kdim, svs, _, _ = _singular_pass(alg, k, bound, MonomialImages(), ups)
-    _check_surjective(alg, k, bound, kdim)
+    _check_surjective(alg, k, kdim)
     return kdim, svs
 
 
@@ -1053,8 +1068,9 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     walks its span."""
     images = MonomialImages()
     ups, downs = simple_root_operators(alg)
+    _bounded_kernel_dims(alg, k, bound)
     kdim, svs, orbit_size, blocks = _singular_pass(alg, k, bound, images, ups)
-    _check_surjective(alg, k, bound, kdim)
+    _check_surjective(alg, k, kdim)
     if kdim == 0:
         return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
     weights = [(w, len(vs)) for w, vs in svs.items()]

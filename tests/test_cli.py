@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
+import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +16,11 @@ import pytest
 
 import spochar.charformulas as charformulas
 import spochar.cli as cli
+from spochar.blocksdecomp import irr_char
+from spochar.charformulas import euler_character, kac_character, levi_character, parabolic_removing
+from spochar.jacobitrudi import jt_character
 from spochar.laurent import LaurentPoly, NotDivisible
+from spochar.rootdata import Algebra, Weight
 
 
 def run(capsys, *argv, cache=None, expect=0):
@@ -572,3 +580,161 @@ def test_evensimple_euler_prints_the_recorded_bytes(capsys, line):
     assert cli.main(line.split() + ["--no-cache"]) == code, line
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest, line
+
+
+# -- parsing a line through its command's subparser --------------------------------
+
+PARSE_CASES = [
+    [],
+    ["bogus", "--algebra", "2|3"],
+    ["--version"],
+    ["--version", "kac"],
+    ["-h"],
+    ["kac", "--algebra", "2|3"],
+    ["kac", "--algebra", "2|3", "--weight", "1d1", "--bogus"],
+    ["kac", "--algebra", "2|3", "--weight", "1d1", "extra"],
+    ["kac", "--algebra", "2|3", "--weight", "1d1", "--version"],
+    ["kac", "--alg", "2|3", "--weight", "1d1"],
+    ["kac", "--algebra", "2|3", "--weight", "-1d1"],
+    ["kac", "--algebra", "2|3", "--weight=1d1"],
+    ["kac", "--", "--algebra"],
+    ["dim", "--algebra", "2|3", "--c", "x"],
+    ["dim", "--algebra", "2|3", "--kac", "1d1", "--closed-form", "--vdim-denominator", "paper"],
+    ["laplacian", "--algebra", "2|3", "--degree", "two"],
+    ["batch", "--file", "cmds.txt"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """(vars of the Namespace or None, exit code or None, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return None, exc.code, out.getvalue(), err.getvalue()
+    return vars(args), None, out.getvalue(), err.getvalue()
+
+
+def _parse_argvs():
+    _, commands = cli._build_parser()
+    argvs = [line.split() + ["--format", fmt] for line in sorted(_cli_session_lines())
+             for fmt in ("text", "json", "latex")]
+    return argvs + [[name, "-h"] for name in commands] + PARSE_CASES
+
+
+def test_one_pass_parse_matches_the_top_level_parser(monkeypatch):
+    top, _ = cli._build_parser()
+    for argv in _parse_argvs():
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(top.parse_args, list(argv)), argv
+    monkeypatch.setattr(sys, "argv", ["spochar", "kac", "--algebra", "2|3", "--weight", "1d1"])
+    assert _parse_outcome(cli._parse_args, None) == _parse_outcome(top.parse_args, None)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["spochar", "dim", "--algebra", "2|3", "--irr", "1d1", "--no-cache"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "dim L(1d1) = 5\n"
+    monkeypatch.setattr(sys, "argv", ["spochar", "kac", "--algebra", "2|3", "--weight", "1d1", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("\nspochar: error: unrecognized arguments: --bogus\n")
+
+
+def test_batch_slots_match_the_top_level_parser(capsys, tmp_path, monkeypatch):
+    script = tmp_path / "cmds.txt"
+    script.write_text("".join(shlex.join(argv) + "\n" for argv in _parse_argvs() if argv))
+    monkeypatch.setenv("SPOCHAR_CACHE_DIR", str(tmp_path / "one-pass"))
+    code = cli.main(["batch", "--file", str(script)])
+    one_pass = capsys.readouterr()
+    top, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_parse_args", top.parse_args)
+    monkeypatch.setenv("SPOCHAR_CACHE_DIR", str(tmp_path / "top-level"))
+    assert cli.main(["batch", "--file", str(script)]) == code == 2
+    assert capsys.readouterr() == one_pass
+    assert len(_slot_codes(one_pass.out)) == len(_parse_argvs()) - 1
+
+
+# -- character JSON written in one pass --------------------------------------------
+
+
+def _char_payload(alg, kind, ch, **extra):
+    """Frozen: the payload that json.dumps(indent=2, sort_keys=True) wrote for
+    a character command before its terms were written in one pass."""
+    payload = {"algebra": f"{2 * alg.n}|{alg.ell}", "kind": kind}
+    payload.update(extra)
+    payload["character"] = ch.to_json_dict()
+    payload["vdim"] = ch.evaluate_at_one()
+    return payload
+
+
+def _reference_json(alg, kind, ch, **extra):
+    return json.dumps(_char_payload(alg, kind, ch, **extra), indent=2, sort_keys=True) + "\n"
+
+
+# one algebra of each rank 1-6
+RANK_ALGEBRAS = ["2|1", "2|2", "4|2", "4|4", "6|4", "6|6"]
+
+
+def _random_character(alg, rng, size):
+    terms = {tuple(rng.randint(-7, 7) for _ in range(alg.rank)): rng.choice([-1, 1]) * rng.randint(1, 2**80)
+             for _ in range(size)}
+    return LaurentPoly(alg.n, alg.m, terms)
+
+
+def test_char_json_matches_json_dumps_on_hand_made_characters():
+    alg = Algebra.parse("2|3")
+    extras = [{"weight": "1d1"}, {"partition": []}, {"partition": [3, 2, 1]},
+              {"parabolic": "remove d1-e1", "levi_module": "hook:2,1"}, {}]
+    hand = [LaurentPoly.zero(1, 1), LaurentPoly(1, 1, {(2, 0): 1}), LaurentPoly(1, 1, {(0, 0): -1}),
+            LaurentPoly(1, 1, {(1, -3): -5, (0, 0): 2**70, (-1, 1): -(2**65), (3, 1): 2**64 + 1})]
+    for ch in hand:
+        for extra in extras:
+            assert cli._char_json(alg, "kac", ch, **extra) == _reference_json(alg, "kac", ch, **extra)
+    rng = random.Random(25)
+    for text in RANK_ALGEBRAS:
+        alg = Algebra.parse(text)
+        for size in (1, 2, 7, 300):
+            ch = _random_character(alg, rng, size)
+            assert cli._char_json(alg, "irreducible", ch, weight="0") == \
+                _reference_json(alg, "irreducible", ch, weight="0"), (text, size)
+
+
+# each character command with its extras, among them a zero character and
+# characters of 251-513 terms
+CHARACTER_LINES = [
+    ("kac --algebra 2|3 --weight 1d1", "kac", lambda alg: kac_character(alg, Weight.parse(alg, "1d1"))),
+    ("kac --algebra 4|3 --weight 4d1+2d2+1e1", "kac",
+     lambda alg: kac_character(alg, Weight.parse(alg, "4d1+2d2+1e1"))),
+    ("kac --algebra 4|4 --weight 2d1+2d2+1e1-1e2", "kac",
+     lambda alg: kac_character(alg, Weight.parse(alg, "2d1+2d2+1e1-1e2"))),
+    ("kac --algebra 4|4 --weight 1d1", "kac", lambda alg: kac_character(alg, Weight.parse(alg, "1d1"))),
+    ("jt --algebra 4|3 --partition 3,2,1", "jacobi_trudi", lambda alg: jt_character((3, 2, 1), alg)),
+    ("jt --algebra 4|4 --partition 4,2", "jacobi_trudi", lambda alg: jt_character((4, 2), alg)),
+    ("jt --algebra 2|3 --partition 0", "jacobi_trudi", lambda alg: jt_character((), alg)),
+    ("irr --algebra 4|3 --weight 3d1+1d2+2e1", "irreducible",
+     lambda alg: irr_char(alg, Weight.parse(alg, "3d1+1d2+2e1"))),
+    ("euler --algebra 2|3 --parabolic remove=e1 --levi-module natural", "euler",
+     lambda alg: euler_character(parabolic_removing(alg, "e1"),
+                                 levi_character(parabolic_removing(alg, "e1"), "natural"))),
+    ("euler --algebra 4|3 --parabolic remove=d1-d2 --levi-module onedim:3d1", "euler",
+     lambda alg: euler_character(parabolic_removing(alg, "d1-d2"),
+                                 levi_character(parabolic_removing(alg, "d1-d2"), "one_dimensional",
+                                                Weight.parse(alg, "3d1")))),
+]
+EXTRA_KEYS = {"kac": {"weight"}, "irreducible": {"weight"}, "jacobi_trudi": {"partition"},
+              "euler": {"parabolic", "levi_module"}}
+
+
+@pytest.mark.parametrize("line,kind,character", CHARACTER_LINES, ids=[c[0] for c in CHARACTER_LINES])
+def test_character_commands_print_the_json_dumps_bytes(capsys, line, kind, character):
+    assert cli.main(line.split() + ["--format", "json", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    extra = {key: payload[key] for key in EXTRA_KEYS[kind]}
+    assert set(payload) == {"algebra", "kind", "character", "vdim", *extra}
+    if kind == "jacobi_trudi":
+        assert extra["partition"] == [int(x) for x in line.split()[-1].split(",") if x != "0"]
+    alg = Algebra.parse(line.split()[2])
+    assert out == _reference_json(alg, kind, character(alg), **extra)

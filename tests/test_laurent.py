@@ -16,6 +16,7 @@ from spochar.laurent import (
     Packing,
     exact_div,
     format_exponent,
+    grlex_key,
     times_isotropic,
 )
 from spochar.laurent import core
@@ -168,6 +169,12 @@ def test_json_round_trip_and_sorting():
     assert [t["exp"] for t in d["terms"]] == [[-2, 2], [0, 0], [2, 0]]
     assert all(isinstance(t["coef"], str) for t in d["terms"])
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+@given(st.dictionaries(exponents, st.integers(-2**70, 2**70), max_size=40))
+def test_sorted_terms_is_the_grlex_key_sort(terms):
+    p = P(2, 1, terms)
+    assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
 
 
 # -- the packed kernel against the tuple kernel it replaced ----------------------------

@@ -589,7 +589,7 @@ def _enumerating_kernel_basis(alg, k, bound=20000):
         for v in _solve_block([images.image(lap, t) for t in dom]):
             free = max(i for i, c in enumerate(v) if c)
             found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
-    superspace._check_surjective(alg, k, bound, len(found))
+    superspace._check_surjective(alg, k, len(found))
     found.sort(key=lambda pair: pair[0])
     return [el for _, el in found]
 
@@ -811,10 +811,14 @@ def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp
         assert kernel_basis(SPO44, -1, bound) == []
         assert natural_tensor_singular_counts(SPO44, -1, bound) == {}
     # the kernel check reads degree k - 2 under the bound too, as it did when
-    # it counted both bases: on spo(4|0), dim(2) = 6 > dim(4) = 1
-    for call in (irreducibility_report, kernel_basis):
-        with pytest.raises(DimensionGuard, match="^dim = 6 exceeds bound 3$"):
-            call(Algebra.parse("4|0"), 4, bound=3)
+    # it counted both bases: on spo(4|0), dim(2) = 6 > dim(4) = 1; each caller
+    # of the check refuses it before any block is built
+    with monkeypatch.context() as blocks:
+        blocks.setattr(superspace, "_dominant_weights", refuse)
+        blocks.setattr(superspace, "_degree_weights", refuse)
+        for call in (irreducibility_report, kernel_dim_and_singular_vectors, kernel_basis):
+            with pytest.raises(DimensionGuard, match="^dim = 6 exceeds bound 3$"):
+                call(Algebra.parse("4|0"), 4, bound=3)
 
 
 # -- differential test: the orbit-weighted cyclic span against the whole module --------
@@ -1177,6 +1181,35 @@ def test_no_deficit_off_the_dominant_weights():
         assert all(wt in dominant for wt, d in deficits.items() if d), (alg, k)
         rep = irreducibility_report(alg, k)
         assert (sum(deficits.values()) == 1) == (rep.top_cyclic_dim == rep.kernel_dim > 0), (alg, k)
+
+
+def _split_degree_weights(alg, k):
+    """Frozen: the weights of a degree, with g0 split into its d- and e-sides
+    by hand, as before `_degree_weights` read `rootdata._g0_factors`."""
+    from spochar.rootdata import _side_orbit
+
+    n, even = alg.n, [r.doubled for r in positive_roots(alg).even]
+    d, e = (tuple(r[side] for r in even if any(r[side])) for side in (slice(n), slice(n, None)))
+    return [x + y for mu in superspace._dominant_weights(alg, k)
+            for x in _side_orbit(mu[:n], d, True) for y in _side_orbit(mu[n:], e, alg.odd)]
+
+
+def test_degree_weights_are_the_orbits_on_the_g0_factors():
+    from spochar import rootdata
+
+    for text in ("2|0", "2|1", "2|2", "2|3", "4|0", "4|2", "4|4", "4|5", "6|3", "2|8", "6|6"):
+        alg = Algebra.parse(text)
+        for k in range(6):
+            assert superspace._degree_weights(alg, k) == _split_degree_weights(alg, k), (text, k)
+    # the D_2 side's orbits are the entries that the Weyl characters of g0 list
+    rootdata._side_orbit.cache_clear()
+    superspace._degree_weights(SPO44, 3)
+    misses = rootdata._side_orbit.cache_info().misses
+    _, (_, e_roots, _, flips) = rootdata._g0_factors(SPO44)
+    assert flips is False
+    for mu in superspace._dominant_weights(SPO44, 3):
+        rootdata._orthant_orbit((mu[2:],), [(e_roots, flips)])
+    assert rootdata._side_orbit.cache_info().misses == misses
 
 
 def test_spo88_degree7_report_at_the_frontier():
