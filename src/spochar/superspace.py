@@ -6,13 +6,14 @@ wt(xib_j) = -d_j, wt(x_i) = e_i, wt(xb_i) = -e_i, wt(x0) = 0.
 Monomials are flat exponent tuples in the fixed generator order
 x < xb < x0 < xi < xib; Grassmann slots hold bits.  Coefficients are exact
 rationals.  Odd operators act from the left with Koszul signs counted in the
-REALIZED parity (Grassmann bits only); the one global sign convention is
-pinned by the Laplacian-kernel calibration test, not by decree.  An operator
-is applied as a sum of its images of basis monomials (`MonomialImages`),
-each computed once per computation, with int coefficients for derivations
-and for the Laplacian scaled by 2 (which clears the 1/2 of the x0 term and
-keeps the kernel).  The Laplacian writes each image in closed form, one
-monomial per part (`Laplacian`).
+REALIZED parity (Grassmann bits only).  A root operator moves each generator
+along its root and is skew for the invariant form B of the natural module:
+its signs follow from that one rule, not from one branch per root type
+(`root_operator`).  An operator is applied as a sum of its images of basis
+monomials (`MonomialImages`), each computed once per computation, with int
+coefficients for derivations and for the Laplacian scaled by 2 (which
+clears the 1/2 of the x0 term and keeps the kernel).  The Laplacian writes
+each image in closed form, one monomial per part (`Laplacian`).
 
 All linear algebra is exact and split into one block per weight: the
 Laplacian preserves weight and root operators shift it, so kernels, singular
@@ -58,6 +59,7 @@ from .rootdata import (
     fold_to_dominant,
     is_dominant,
     partitions_up_to,
+    positive_roots,
     simple_roots,
     _g0_factors,
     _side_orbit,
@@ -77,36 +79,29 @@ def gen_count(alg: Algebra) -> int:
     return _layout(alg)[2]
 
 
+@lru_cache(maxsize=64)
+def _generators(alg: Algebra):
+    """(name, doubled weight) of each slot, in slot order: x_i (e_i), xb_i
+    (-e_i), x0 (0, odd l only), xi_j (d_j), xib_j (-d_j)."""
+    n, m = alg.n, alg.m
+
+    def unit(i, c):
+        return tuple(c if p == i else 0 for p in range(alg.rank))
+
+    return tuple([(f"x{i + 1}", unit(n + i, 2)) for i in range(m)]
+                 + [(f"xb{i + 1}", unit(n + i, -2)) for i in range(m)]
+                 + [("x0", (0,) * alg.rank)] * alg.odd
+                 + [(f"xi{j + 1}", unit(j, 2)) for j in range(n)]
+                 + [(f"xib{j + 1}", unit(j, -2)) for j in range(n)])
+
+
 def gen_name(alg: Algebra, slot: int) -> str:
-    m = alg.m
-    if slot < m:
-        return f"x{slot + 1}"
-    if slot < 2 * m:
-        return f"xb{slot - m + 1}"
-    nc = _layout(alg)[0]
-    if alg.odd and slot == 2 * m:
-        return "x0"
-    j = slot - nc
-    return f"xi{j + 1}" if j < alg.n else f"xib{j - alg.n + 1}"
+    return _generators(alg)[slot][0]
 
 
 def gen_weight_doubled(alg: Algebra, slot: int):
     """Doubled weight of one generator, in the d/e coordinate order."""
-    v = [0] * alg.rank
-    m, nc = alg.m, _layout(alg)[0]
-    if slot < m:
-        v[alg.n + slot] = 2
-    elif slot < 2 * m:
-        v[alg.n + slot - m] = -2
-    elif alg.odd and slot == 2 * m:
-        pass
-    else:
-        j = slot - nc
-        if j < alg.n:
-            v[j] = 2
-        else:
-            v[j - alg.n] = -2
-    return tuple(v)
+    return _generators(alg)[slot][1]
 
 
 def monomial_weight_doubled(alg: Algebra, mono):
@@ -417,107 +412,40 @@ def laplacian(alg: Algebra) -> Laplacian:
 
 
 # -- the g-action on generators ------------------------------------------------------
-
-
-def _slot_x(alg, i):
-    return i
-
-
-def _slot_xb(alg, i):
-    return alg.m + i
-
-
-def _slot_x0(alg):
-    return 2 * alg.m
-
-
-def _slot_xi(alg, j):
-    return _layout(alg)[0] + j
-
-
-def _slot_xib(alg, j):
-    return _layout(alg)[0] + alg.n + j
+#
+# The invariant form B of the natural module pairs each generator s with its
+# dual s*, the generator of weight -wt(s): B(x_i, xb_i) = B(xb_i, x_i) =
+# B(x0, x0) = 1 on the commuting slots and B(xi_j, xib_j) = 1 = -B(xib_j, xi_j)
+# on the Grassmann ones.  A root vector X of parity |X| is skew for B:
+# B(Xu, v) + (-1)^(|X| |u|) B(u, Xv) = 0, with |u| the Grassmann parity.
 
 
 def root_operator(alg: Algebra, root: Weight) -> Derivation:
-    """First-order superderivation realizing the root vector on the natural
-    module, signs matched to the standard matrix realization (odd operators
-    carry the parity-shift sign on realized-odd sources)."""
-    n = alg.n
-    a = [x // 2 for x in root.doubled[:n]]
-    b = [x // 2 for x in root.doubled[n:]]
-    G = lambda slot: SuperElement.generator(alg, slot)
-
-    def drv(parity, *imgs):
-        label = root.format()
-        return Derivation(alg, parity, tuple(imgs), f"E[{label}]")
-
-    nz_a = [(i, c) for i, c in enumerate(a) if c]
-    nz_b = [(i, c) for i, c in enumerate(b) if c]
-
-    if not nz_b and len(nz_a) == 1 and abs(nz_a[0][1]) == 2:  # +/- 2d_i
-        i = nz_a[0][0]
-        if nz_a[0][1] > 0:
-            return drv(0, (_slot_xib(alg, i), G(_slot_xi(alg, i))))
-        return drv(0, (_slot_xi(alg, i), G(_slot_xib(alg, i))))
-    if not nz_b and len(nz_a) == 2:  # d_i +/- d_j
-        (i, ci), (j, cj) = nz_a
-        if ci == 1 and cj == -1:
-            return drv(0, (_slot_xi(alg, j), G(_slot_xi(alg, i))),
-                       (_slot_xib(alg, i), -1 * G(_slot_xib(alg, j))))
-        if ci == -1 and cj == 1:
-            return drv(0, (_slot_xi(alg, i), G(_slot_xi(alg, j))),
-                       (_slot_xib(alg, j), -1 * G(_slot_xib(alg, i))))
-        if ci == 1 and cj == 1:
-            return drv(0, (_slot_xib(alg, j), G(_slot_xi(alg, i))),
-                       (_slot_xib(alg, i), G(_slot_xi(alg, j))))
-        if ci == -1 and cj == -1:
-            return drv(0, (_slot_xi(alg, j), G(_slot_xib(alg, i))),
-                       (_slot_xi(alg, i), G(_slot_xib(alg, j))))
-    if not nz_a and len(nz_b) == 2:  # e_i +/- e_j
-        (i, ci), (j, cj) = nz_b
-        if ci == 1 and cj == -1:
-            return drv(0, (_slot_x(alg, j), G(_slot_x(alg, i))),
-                       (_slot_xb(alg, i), -1 * G(_slot_xb(alg, j))))
-        if ci == -1 and cj == 1:
-            return drv(0, (_slot_x(alg, i), G(_slot_x(alg, j))),
-                       (_slot_xb(alg, j), -1 * G(_slot_xb(alg, i))))
-        if ci == 1 and cj == 1:
-            return drv(0, (_slot_xb(alg, j), G(_slot_x(alg, i))),
-                       (_slot_xb(alg, i), -1 * G(_slot_x(alg, j))))
-        if ci == -1 and cj == -1:
-            return drv(0, (_slot_x(alg, j), G(_slot_xb(alg, i))),
-                       (_slot_x(alg, i), -1 * G(_slot_xb(alg, j))))
-    if not nz_a and len(nz_b) == 1 and abs(nz_b[0][1]) == 1 and alg.odd:  # +/- e_i
-        i = nz_b[0][0]
-        if nz_b[0][1] > 0:
-            return drv(0, (_slot_x0(alg), G(_slot_x(alg, i))),
-                       (_slot_xb(alg, i), -1 * G(_slot_x0(alg))))
-        return drv(0, (_slot_x(alg, i), G(_slot_x0(alg))),
-                   (_slot_x0(alg), -1 * G(_slot_xb(alg, i))))
-    if len(nz_a) == 1 and len(nz_b) == 1:  # odd roots +/- d_j +/- e_i
-        j, cj = nz_a[0]
-        i, ci = nz_b[0]
-        if cj == 1 and ci == -1:  # d_j - e_i
-            return drv(1, (_slot_x(alg, i), G(_slot_xi(alg, j))),
-                       (_slot_xib(alg, j), -1 * G(_slot_xb(alg, i))))
-        if cj == -1 and ci == 1:  # e_i - d_j
-            return drv(1, (_slot_xi(alg, j), G(_slot_x(alg, i))),
-                       (_slot_xb(alg, i), G(_slot_xib(alg, j))))
-        if cj == 1 and ci == 1:  # d_j + e_i
-            return drv(1, (_slot_xb(alg, i), G(_slot_xi(alg, j))),
-                       (_slot_xib(alg, j), -1 * G(_slot_x(alg, i))))
-        if cj == -1 and ci == -1:  # -d_j - e_i
-            return drv(1, (_slot_xi(alg, j), -1 * G(_slot_xb(alg, i))),
-                       (_slot_x(alg, i), -1 * G(_slot_xib(alg, j))))
-    if len(nz_a) == 1 and not nz_b and abs(nz_a[0][1]) == 1 and alg.odd:  # +/- d_j
-        j = nz_a[0][0]
-        if nz_a[0][1] > 0:
-            return drv(1, (_slot_x0(alg), G(_slot_xi(alg, j))),
-                       (_slot_xib(alg, j), -1 * G(_slot_x0(alg))))
-        return drv(1, (_slot_xi(alg, j), -1 * G(_slot_x0(alg))),
-                   (_slot_x0(alg), -1 * G(_slot_xib(alg, j))))
-    raise ValueError(f"{root.format()} is not a root of {alg}")
+    """First-order superderivation realizing a root vector X of weight root
+    on the natural module, derived from the generator weights and the form
+    B.  X sends a generator s to the generator t of weight wt(s) + root:
+    for +/-2d_j that is one move, for every other root two, s -> t and
+    t* -> s*.  The move with the smaller source slot has coefficient 1, which
+    fixes the scale of X, and skewness on (s, t*) fixes the other:
+    c = -B(t, t*) B(s, s*) (-1)^(|X| |s|).  The sign factor is always 1: the
+    sources s and t* of an odd X differ in Grassmann parity, and the
+    commuting slots come first, so s is commuting.  A weight that is not
+    +/- a positive root is refused with ValueError."""
+    pos = positive_roots(alg)
+    if root not in {r for p in pos.even + pos.odd for r in (p, -p)}:
+        raise ValueError(f"{root.format()} is not a root of {alg}")
+    gens, gs = _generators(alg), _layout(alg)[1]
+    slot_of = {w: slot for slot, (_, w) in enumerate(gens)}
+    dual = [slot_of[tuple(-x for x in w)] for _, w in gens]
+    form = [-1 if u >= gs and dual[u] < u else 1 for u in range(len(gens))]  # B(u, u*)
+    targets = [slot_of.get(tuple(a + b for a, b in zip(w, root.doubled))) for _, w in gens]
+    s = next(s for s, t in enumerate(targets) if t is not None)
+    t = targets[s]
+    parity = int((s >= gs) != (t >= gs))
+    images = [(s, SuperElement.generator(alg, t))]
+    if dual[t] != s:
+        images.append((dual[t], SuperElement.generator(alg, dual[s]).scale(-form[t] * form[s])))
+    return Derivation(alg, parity, tuple(images), f"E[{root.format()}]")
 
 
 @lru_cache(maxsize=64)
