@@ -15,7 +15,8 @@ simple factor of the roots, with multiplicities from Freudenthal's formula
 computed once per (factor, highest weight) in a process and read from the
 tables of `rootdata`, which characters of every algebra share; each orbit
 is listed on the sign-free orthant (`orthant_character`) and expanded to
-its sign images once (`_sign_images`):
+its sign images once, in one pass over the orthant's columns
+(`laurent.sign_images`):
 
 * Kac: (D1 / D0) A(e^{lam+rho}) is one numerator term.  For odd l the factor
   e^{d_i} - e^{-d_i} of D0 and e^{d_i/2} + e^{-d_i/2} of D1 cancel to
@@ -26,8 +27,8 @@ its sign images once (`_sign_images`):
   d_i - e_j and d_i + e_j multiply to e^{d_i} + e^{-d_i} + e^{e_j} +
   e^{-e_j}, which, like the Weyl character, is invariant under every
   single sign change on the sign-free slots (`rootdata.sign_free_slots`).
-  So the product is taken on the orthant terms (`laurent.times_isotropic`)
-  between the two steps of `weyl_character`, and expanded once.
+  So the product is taken on the orthant terms (`laurent.times_isotropic`),
+  which expands the packed product to its sign images once.
 * Euler: D1 is W-invariant, so the Euler character of a parabolic with Levi
   module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a}) over
   the odd positive roots a outside the Levi, divided by D0.  Its folded
@@ -54,7 +55,6 @@ from .rootdata import (
     Algebra,
     DimensionGuard,
     Weight,
-    _sign_images,
     check_weyl_order,
     fits_hook,
     is_dominant,
@@ -345,8 +345,8 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     The quotient by D0 after the odd-l cancellation is the Weyl character
     of e^{lam+rho} on the roots of `_kac_roots`, 0 when a reflection fixes
     lam + rho.  It is multiplied by the binomials of the isotropic roots on
-    its sign-free orthant (`rootdata.orthant_character`,
-    `laurent.times_isotropic`) and then expanded to the sign images (see
+    its sign-free orthant (`rootdata.orthant_character`), and
+    `laurent.times_isotropic` expands the product to its sign images (see
     the module docstring).  Raises DimensionGuard for a Weyl group above
     WEYL_ORDER_LIMIT, and ArithmeticError when the character has a
     half-integral exponent.
@@ -357,8 +357,7 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     orthant = orthant_character(alg, {(lam + rho(alg)).doubled: 1}, _kac_roots(alg))
     if orthant and not lam.is_integral():  # its every exponent is half-integral
         raise ArithmeticError(f"the Kac character of {lam.format()} has half-integral exponents")
-    free = sign_free_slots(alg)
-    return _sign_images(times_isotropic(orthant, free), free)
+    return times_isotropic(orthant, sign_free_slots(alg))
 
 
 # The numerator of an Euler character is refused, factor by factor, past

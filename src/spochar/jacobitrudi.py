@@ -19,8 +19,9 @@ weight giving 1/(1 - z).  Each factor is a three-term recurrence.  The
 Jacobi-Trudi determinants run on these entries, and `from_u_basis` expands
 each result once: per slot u^k = sum over j <= k/2 of C(k, j) O_{k-2j}, with
 O_a = t^a + t^-a for a > 0 and O_0 = 1, so the central term keeps C(k, k/2);
-the terms with every exponent >= 0 come first and their sign images follow
-(`rootdata._sign_images` on every slot).
+the terms with every exponent >= 0 come first and their sign images follow,
+expanded on every slot in one pass over the columns of the packed result
+(`laurent.sign_images`).
 
 Packed tables.  `PowerTable` keeps the u-basis p_r and e_r only as packed
 term dicts {int: coefficient} (`laurent.Packing`), one fixed unsigned layout
@@ -28,13 +29,14 @@ per field width: u-degrees are >= 0, so slot s is a plain bit field and
 multiplying monomials is adding ints.  A determinant builds its entries as
 sums of packed dicts, `linalg.det_bareiss_laurent` eliminates on them in
 that layout, and `from_u_basis` runs its binomial step on the int keys and
-unpacks once.  The width is proven, not guessed: let B be the sum over the
-rows of the row's largest u-degree, sum_i max(lambda*_i + k - 1, 0) for
-the p-form (the conjugate partition's for the e-form), as p_r and e_r have
-u-degree at most r in each slot.  Every minor then has u-degree at most B
-in each slot, so a product of two minors before Bareiss divides it reaches
-at most 2B, and so does the O-exponent 2k of `from_u_basis`.  Each field
-holds 0..2B, rounded up to whole bytes (`_width`).
+reads the result's columns once.  The width is proven, not guessed: let B
+be the sum over the rows of the row's largest u-degree, sum_i
+max(lambda*_i + k - 1, 0) for the p-form (the conjugate partition's for the
+e-form), as p_r and e_r have u-degree at most r in each slot.  Every minor
+then has u-degree at most B in each slot, so a product of two minors before
+Bareiss divides it reaches at most 2B, and so does the O-exponent 2k of
+`from_u_basis`.  Each field holds 0..2B, rounded up to whole bytes
+(`_width`).
 """
 
 from __future__ import annotations
@@ -42,13 +44,12 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .laurent import LaurentPoly, Packing
+from .laurent import LaurentPoly, Packing, sign_images
 from .linalg import det_bareiss_laurent
 from .rootdata import (
     Algebra,
     DimensionGuard,
     HookConditionError,
-    _sign_images,
     conjugate_partition,
     fits_hook,
     validate_partition,
@@ -82,7 +83,8 @@ def from_u_basis(p, packing) -> LaurentPoly:
     unsigned `packing` (see the module docstring): the binomial step runs
     slot by slot on the int keys, u^k = sum over j <= k/2 of C(k, j)
     O_{k-2j} with O_a read as t^a, which moves the field of slot s by k - 4j.
-    Then the terms are unpacked once and every sign image is added."""
+    Then the result is read as one column per slot and expanded to its
+    sign images on every slot (`laurent.sign_images`)."""
     width, rank = packing.width, packing.n + packing.m
     mask = (1 << width) - 1
     terms = p
@@ -99,7 +101,7 @@ def from_u_basis(p, packing) -> LaurentPoly:
                 t = key + offset
                 out[t] = get(t, 0) + b * c
         terms = {t: c for t, c in out.items() if c} if 0 in out.values() else out
-    return _sign_images(packing.unpack(terms), range(rank))
+    return sign_images(packing.n, packing.m, packing.columns(terms), terms.values(), range(rank))
 
 
 def _width(bound):

@@ -7,6 +7,7 @@ from .core import (
     exact_div,
     format_exponent,
     grlex_key,
+    sign_images,
     times_isotropic,
 )
 
@@ -19,5 +20,6 @@ __all__ = [
     "exact_div",
     "format_exponent",
     "grlex_key",
+    "sign_images",
     "times_isotropic",
 ]

@@ -14,7 +14,10 @@ each simple factor on its dominant weights (Freudenthal's formula,
 (`_permutations`, `_side_orbit`) from bounded process-wide tables, keyed on
 the factor's own roots, rho and sign rule and the weight: each (factor,
 highest weight) is computed once per process, for every algebra with that
-factor.  The values are tuples and read-only mappings.
+factor.  The values are tuples and read-only mappings.  The orthant terms
+of a Weyl character, those with every exponent on its B and C factors
+>= 0, are expanded to their sign images once, in one pass over their
+columns (`laurent.sign_images`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, format_exponent
+from .laurent import LaurentPoly, format_exponent, sign_images
 
 
 class NonIntegralWeight(ValueError):
@@ -394,10 +397,12 @@ def weyl_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     A(e^nu) = sum over W_R of det(g) e^{g(nu)}, rho is half their sum and
     D = A(e^rho): for strictly dominant nu, the character of the simple
     module of highest weight nu - rho.  No sum over W_R is taken: the result
-    is `orthant_character` expanded to its sign images (`_sign_images`).
-    Euler characters pass the roots of g0, Kac characters for odd l those of
+    is `orthant_character` expanded to its sign images on the slots of the
+    B and C factors, from its columns (`laurent.sign_images`).  Euler
+    characters pass the roots of g0, Kac characters for odd l those of
     so(2n+1) + so(l) (the same W), and even-Levi characters the Levi's."""
-    return _sign_images(orthant_character(alg, numerator, roots), _sign_free(_factors(alg.rank, roots)))
+    orthant = orthant_character(alg, numerator, roots)
+    return sign_images(alg.n, alg.m, zip(*orthant.terms), orthant.terms.values(), _sign_free(_factors(alg.rank, roots)))
 
 
 def _sign_free(factors):
@@ -465,18 +470,6 @@ def _orthant_orbit(parts, groups):
         orbit = _side_orbit(mu, roots, False) if flips is False else _permutations(mu)
         images = [x + y for x in images for y in orbit]
     return images
-
-
-def _sign_images(p: LaurentPoly, slots) -> LaurentPoly:
-    """The polynomial of which p holds the terms with every exponent on
-    `slots` >= 0: every term of p with each nonzero exponent on `slots`
-    taken with either sign, at the term's coefficient.  Weyl characters
-    pass the slots of their B and C factors, Jacobi-Trudi characters every
-    slot."""
-    out = {}
-    for e, c in p.terms.items():
-        out.update(dict.fromkeys(itertools.product(*[(x, -x) if x and s in slots else (x,) for s, x in enumerate(e)]), c))
-    return LaurentPoly._wrap(p.n, p.m, out)
 
 
 @lru_cache(maxsize=FACTOR_TABLE_SIZE)

@@ -4,7 +4,9 @@
 LaurentPoly Bareiss elimination and of the tuple u-basis expansion as
 jacobitrudi and linalg ran them before the determinants moved onto packed
 term dicts; `_jt_tuple` and `_jt_e_tuple` build the determinant entries as
-they were, from `PowerTable.u`.  Every comparison is term for term.
+they were, from `PowerTable.u`.  `_from_u_basis_tuple` adds the sign
+images with `frozen_sign_images`, the frozen per-term expansion of
+test_sign_images.  Every comparison is term for term.
 """
 
 from math import comb
@@ -26,13 +28,13 @@ from spochar.laurent import LaurentPoly, exact_div
 from spochar.linalg import det_bareiss_laurent
 from spochar.rootdata import (
     Algebra,
-    _sign_images,
     conjugate_partition,
     fits_hook,
     partitions_up_to,
     validate_partition,
 )
 from test_jacobitrudi import _euler_jt_grid
+from test_sign_images import frozen_sign_images
 
 
 def _det_bareiss_tuple(matrix):
@@ -91,7 +93,7 @@ def _from_u_basis_tuple(p: LaurentPoly) -> LaurentPoly:
                 key = head + (2 * (k - 2 * j),) + tail
                 out[key] = get(key, 0) + comb(k, j) * c
         terms = {e: c for e, c in out.items() if c}
-    return _sign_images(LaurentPoly._wrap(p.n, p.m, terms), range(p.rank))
+    return frozen_sign_images(LaurentPoly._wrap(p.n, p.m, terms), range(p.rank))
 
 
 def _u(alg, which, r):

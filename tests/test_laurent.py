@@ -1,4 +1,5 @@
 import heapq
+import operator
 import random
 import re
 from pathlib import Path
@@ -135,6 +136,21 @@ def test_dimension_mismatch():
         LaurentPoly.one(1, 1) + LaurentPoly.one(2, 1)
     with pytest.raises(LatticeMismatch):
         LaurentPoly.one(1, 1) * LaurentPoly.one(1, 2)
+
+
+def test_the_same_rank_split_another_way_is_another_lattice():
+    # (1|1) and (2|0) both have rank 2: e^{d1} on one is e^{d1} on the
+    # other in the same slot, but the two lattices differ
+    a, b = LaurentPoly(1, 1, {(2, 0): 1}), LaurentPoly(2, 0, {(2, 0): 1})
+    assert a != b and b != a
+    assert a == LaurentPoly(1, 1, {(2, 0): 1}) and hash(a) == hash(LaurentPoly(1, 1, {(2, 0): 1}))
+    assert hash(a) != hash(b)
+    assert len({a, b}) == 2 and len({a, LaurentPoly(1, 1, {(2, 0): 1})}) == 1
+    for op in (operator.add, operator.sub, operator.mul, exact_div):
+        with pytest.raises(LatticeMismatch, match=r"\(1\|1\) lattice vs the \(2\|0\) lattice"):
+            op(a, b)
+    with pytest.raises(LatticeMismatch):
+        exact_div(a * a, b)
 
 
 @pytest.mark.parametrize("exps, n, style, want", [

@@ -31,7 +31,6 @@ from spochar.laurent.core import _pack, _unpack
 from spochar.rootdata import (
     Algebra,
     Weight,
-    _sign_images,
     alternating_terms,
     antisymmetrize,
     is_dominant,
@@ -43,6 +42,7 @@ from spochar.rootdata import (
     weyl_group,
     weyl_order,
 )
+from test_sign_images import frozen_sign_images
 
 # -- the frozen references ------------------------------------------------------------
 
@@ -445,10 +445,10 @@ def _orbit_sums(alg, rng):
 
 @pytest.mark.parametrize("algtxt", ISOTROPIC_GRID)
 def test_times_isotropic_matches_the_frozen_binomial_product(algtxt):
-    # the sign images of the orthant product are the frozen full product of
-    # the isotropic binomials, term for term, and the orthant product is the
-    # orthant part of it; the sign-free slots are those of the single sign
-    # changes in W
+    # the product of the orthant terms is the frozen full product of the
+    # isotropic binomials, term for term, and that is the sign images of its
+    # orthant part; the sign-free slots are those of the single sign changes
+    # in W
     alg = Algebra.parse(algtxt)
     identity = tuple(range(alg.rank))
     flips = {signs.index(-1) for perm, signs, _ in weyl_group(alg) if perm == identity and signs.count(-1) == 1}
@@ -463,28 +463,35 @@ def test_times_isotropic_matches_the_frozen_binomial_product(algtxt):
         walls.update(e[s] for e in orthant for s in free)
         want = times_binomials(LaurentPoly(alg.n, alg.m, full), halves)
         got = times_isotropic(LaurentPoly(alg.n, alg.m, orthant), free)
-        assert got.terms == {e: c for e, c in want.terms.items() if all(e[s] >= 0 for s in free)}
-        assert _sign_images(got, free).terms == want.terms
-        assert _sign_images(LaurentPoly(alg.n, alg.m, orthant), free).terms == full
+        assert got.terms == want.terms
+        want_orthant = {e: c for e, c in want.terms.items() if all(e[s] >= 0 for s in free)}
+        assert frozen_sign_images(LaurentPoly(alg.n, alg.m, want_orthant), free).terms == want.terms
+        assert frozen_sign_images(LaurentPoly(alg.n, alg.m, orthant), free).terms == full
     assert {0, 2, 4} <= walls
 
 
 def test_times_isotropic_refuses_odd_or_negative_sign_free_exponents_and_keeps_degenerate_inputs():
-    # D_1 (l = 2) is not sign-free: any exponent is admissible there
+    # D_1 (l = 2) is not sign-free: any exponent is admissible there; the
+    # product is the sign images of its hand-checked orthant terms
     p = LaurentPoly(1, 1, {(2, -3): 1, (0, 1): -2})
-    assert times_isotropic(p, [0]).terms == {(4, -3): 1, (2, -1): 1, (2, -5): 1, (0, -3): 2, (2, 1): -2,
-                                             (0, 3): -2, (0, -1): -2}
+    orthant = {(4, -3): 1, (2, -1): 1, (2, -5): 1, (0, -3): 2, (2, 1): -2, (0, 3): -2, (0, -1): -2}
+    assert times_isotropic(p, [0]).terms == frozen_sign_images(LaurentPoly(1, 1, orthant), [0]).terms
     with pytest.raises(ValueError, match="not even and >= 0"):
         times_isotropic(LaurentPoly(1, 1, {(2, 0): 1, (3, 0): 1}), [0])
     with pytest.raises(ValueError, match="not even and >= 0"):
         times_isotropic(LaurentPoly(1, 1, {(-2, 0): 1}), [0, 1])
     with pytest.raises(ValueError, match="not even and >= 0"):
         times_isotropic(LaurentPoly(1, 1, {(0, 1): 1}), [0, 1])
-    # no isotropic roots (m = 0), or p = 0: p itself
+    # no isotropic roots (m = 0): the sign images of p, so 1 is 1 again;
+    # p = 0: p itself
     one = LaurentPoly.one(2, 0)
-    assert times_isotropic(one, [0, 1]) is one
+    assert times_isotropic(one, [0, 1]) == one
+    p = LaurentPoly(2, 0, {(4, 0): 3, (2, 2): -1})
+    assert times_isotropic(p, [0, 1]).terms == frozen_sign_images(p, [0, 1]).terms
+    assert times_isotropic(p, [0]).terms == {(4, 0): 3, (-4, 0): 3, (2, 2): -1, (-2, 2): -1}
     zero = LaurentPoly.zero(1, 1)
     assert times_isotropic(zero, [0, 1]) is zero
     # a cancellation leaves no zero coefficient
     q = LaurentPoly(1, 1, {(2, 0): 1, (0, 2): -1})
-    assert times_isotropic(q, [0, 1]).terms == {(4, 0): 1, (0, 4): -1}
+    want = frozen_sign_images(LaurentPoly(1, 1, {(4, 0): 1, (0, 4): -1}), [0, 1]).terms
+    assert times_isotropic(q, [0, 1]).terms == want
