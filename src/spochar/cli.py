@@ -17,6 +17,11 @@ parser.  A character's --format json document (kac, euler, jt, irr) is
 what json.dumps(indent=2, sort_keys=True) writes, but only the small
 fields go through json; the terms are written from one sorted pass, one
 %-template per term (`_char_json`).
+
+Import rule: only what `kac` and `euler` run (charformulas, laurent,
+rootdata) is imported at module level.  Every other command imports the
+modules it runs when it runs (jacobitrudi, blocksdecomp, superspace,
+acceptance), so a one-shot call compiles and loads only its own path.
 """
 
 from __future__ import annotations
@@ -34,15 +39,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .blocksdecomp import (
-    BlockQuery,
-    conjecture_check,
-    decompose,
-    irr_char,
-    same_central_character,
-    tensor_table,
-    tensor_with_natural,
-)
 from .charformulas import (
     LeviCharacter,
     Parabolic,
@@ -53,10 +49,8 @@ from .charformulas import (
     parabolic_removing,
     vdim_formula,
 )
-from .jacobitrudi import identity_suite, jt_character, sym_power_char
-from .laurent import LATEX_SYMBOLS, LaurentPoly, NotDivisible, format_exponent
+from .laurent import LATEX_SYMBOLS, LaurentPoly, format_exponent
 from .rootdata import Algebra, DimensionGuard, Weight, validate_partition
-from .superspace import format_monomial, irreducibility_report, kernel_dim_and_singular_vectors
 
 
 class MathFailure(Exception):
@@ -217,6 +211,8 @@ def cmd_euler(args):
 
 
 def cmd_jt(args):
+    from .jacobitrudi import jt_character
+
     alg = _algebra(args)
     lam = _partition(args.partition)
     ch = jt_character(lam, alg)
@@ -224,6 +220,8 @@ def cmd_jt(args):
 
 
 def cmd_irr(args):
+    from .blocksdecomp import irr_char
+
     alg = _algebra(args)
     w = Weight.parse(alg, args.weight)
     ch = irr_char(alg, w)
@@ -236,6 +234,8 @@ def cmd_dim(args):
     if len(sources) != 1:
         raise ValueError("give exactly one of --irr / --kac / --jt")
     if args.irr is not None:
+        from .blocksdecomp import irr_char
+
         value = irr_char(alg, Weight.parse(alg, args.irr)).evaluate_at_one()
         what = f"dim L({args.irr})"
     elif args.kac is not None:
@@ -248,6 +248,8 @@ def cmd_dim(args):
             value = kac_character(alg, w).evaluate_at_one()
         what = f"vdim K({args.kac})"
     else:
+        from .jacobitrudi import jt_character
+
         value = jt_character(_partition(args.jt), alg).evaluate_at_one()
         what = f"vdim D({args.jt})"
     payload = {"algebra": args.algebra, "what": what, "value": str(value)}
@@ -255,6 +257,9 @@ def cmd_dim(args):
 
 
 def cmd_decompose(args):
+    from .blocksdecomp import decompose, irr_char
+    from .jacobitrudi import jt_character, sym_power_char
+
     alg = _algebra(args)
     sources = [s for s in (args.kac, args.jt, args.tensor) if s is not None]
     if len(sources) != 1:
@@ -275,6 +280,8 @@ def cmd_decompose(args):
 
 
 def cmd_tensor_table(args):
+    from .blocksdecomp import tensor_table, tensor_with_natural
+
     alg = _algebra(args)
     if str(alg) != "spo(2|3)":
         raise ValueError("tensor tables are implemented for spo(2|3)")
@@ -296,6 +303,8 @@ def cmd_tensor_table(args):
 
 
 def cmd_block(args):
+    from .blocksdecomp import BlockQuery, same_central_character
+
     alg = _algebra(args)
     lam = Weight.parse(alg, args.weight)
     mu = Weight.parse(alg, args.other)
@@ -314,6 +323,8 @@ def cmd_block(args):
 
 
 def cmd_laplacian(args):
+    from .superspace import format_monomial, irreducibility_report, kernel_dim_and_singular_vectors
+
     alg = _algebra(args)
     k = args.degree
     if args.report:
@@ -353,6 +364,8 @@ def cmd_laplacian(args):
 
 
 def cmd_identities(args):
+    from .jacobitrudi import identity_suite
+
     rep = identity_suite(args.n, args.truncation)
     payload = {"kind": "identities", "n": args.n, "truncation": args.truncation, "results": rep}
     text = "\n".join(f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in rep.items())
@@ -362,6 +375,8 @@ def cmd_identities(args):
 
 
 def cmd_conjecture(args):
+    from .blocksdecomp import conjecture_check
+
     alg = _algebra(args)
     rep = conjecture_check(alg, bound=args.bound, pattern_min_ell=args.min_ell)
     payload = {
@@ -509,7 +524,10 @@ def _add_common(sp, algebra=True):
     sp.add_argument("--no-cache", action="store_true")
 
 
-# Built on first use, once per process; cmd_* look up kac_character etc. at call time, so patches still apply.
+# Built on first use, once per process.  cmd_* look up the module-level names
+# (kac_character, euler_character, ...) at call time, so patches of cli still
+# apply; names from jacobitrudi, blocksdecomp and superspace are imported by
+# each command that runs them.
 @lru_cache(maxsize=1)
 def _build_parser():
     """(the top-level parser, {command name: its subparser})."""
@@ -625,7 +643,7 @@ def _outcome(run):
     output); an exception becomes its documented exit code."""
     try:
         return (*run(), "")
-    except (NotDivisible, ArithmeticError, MathFailure) as exc:
+    except (ArithmeticError, MathFailure) as exc:
         return 3, "", f"mathematical assertion failed: {exc}"
     except (ValueError, KeyError, OSError, DimensionGuard) as exc:
         return 2, "", f"error: {exc}"

@@ -217,8 +217,10 @@ class Packing:
 class LaurentPoly:
     """Immutable-by-convention sparse Laurent polynomial.
 
-    `terms` maps doubled-exponent tuples of length n+m to nonzero ints.
-    Never mutate `terms` after construction; all operations return new
+    `terms` maps doubled-exponent tuples of length n+m to nonzero ints;
+    the constructor refuses an exponent of any other length with
+    `LatticeMismatch` (`_wrap`, the kernels' path, does not look).  Never
+    mutate `terms` after construction; all operations return new
     objects, so values are safe to share across threads.
     """
 
@@ -228,6 +230,9 @@ class LaurentPoly:
         self.n = n
         self.m = m
         self.terms = {e: c for e, c in terms.items() if c}
+        bad = set(map(len, terms)) - {n + m}
+        if bad:
+            raise LatticeMismatch(f"exponent length {min(bad)} != {n + m}")
 
     @classmethod
     def _wrap(cls, n, m, terms):
@@ -249,10 +254,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, n, m, exps, coef=1):
-        exps = tuple(exps)
-        if len(exps) != n + m:
-            raise LatticeMismatch(f"exponent length {len(exps)} != {n + m}")
-        return cls(n, m, {exps: coef} if coef else {})
+        return cls(n, m, {tuple(exps): coef})
 
     # -- basics ------------------------------------------------------------
 

@@ -447,13 +447,81 @@ def test_jt_zero_empty_and_trailing_zero_partitions(capsys):
         run(capsys, "jt", "--algebra", "2|3", "--partition", "3,1", "--no-cache")
 
 
+def _fresh_python(code, *argv):
+    """stdout of `python -c code argv...` in a fresh interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return res.stdout
+
+
+# the modules that cli imports only inside the commands that run them
+LAZY = {"spochar.superspace", "spochar.jacobitrudi", "spochar.blocksdecomp", "spochar.acceptance"}
+
+
 def test_import_builds_no_parser_and_loads_no_dataclasses():
     # dataclasses pulls in inspect, ast and dis: about 0.9 MB in every process
-    code = ("import sys, spochar.cli as c, spochar.acceptance; "
-            "print(c._build_parser.cache_info().currsize, 'dataclasses' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout == "0 False\n"
+    code = ("import sys, spochar.cli as c; lazy = sorted(%r & set(sys.modules)); import spochar.acceptance; "
+            "print(c._build_parser.cache_info().currsize, 'dataclasses' in sys.modules, lazy)" % (LAZY,))
+    assert _fresh_python(code) == "0 False []\n"
+
+
+# One line per command (and per dim/decompose source), with the lazily
+# imported modules it must not load.  blocksdecomp imports jacobitrudi, and
+# a Laplacian report may run jacobitrudi.
+NO_JT = LAZY - {"spochar.jacobitrudi"}
+NO_BLOCKS = NO_JT - {"spochar.blocksdecomp"}
+NO_SUPERSPACE = LAZY - {"spochar.superspace"}
+COLD_LINES = [
+    ("kac --algebra 2|3 --weight 1d1+1e1", LAZY),
+    ("euler --algebra 2|3 --parabolic remove=e1 --levi-module natural", LAZY),
+    ("dim --algebra 2|3 --kac 2d1+1e1", LAZY),
+    ("dim --algebra 2|3 --kac 1d1 --closed-form", LAZY),
+    ("jt --algebra 2|3 --partition 2,1", NO_JT),
+    ("dim --algebra 2|3 --jt 3,1", NO_JT),
+    ("identities --n 2 --truncation 4", NO_JT),
+    ("laplacian --algebra 2|2 --degree 2", NO_SUPERSPACE),
+    ("laplacian --algebra 2|2 --degree 2 --report", NO_SUPERSPACE - {"spochar.jacobitrudi"}),
+    ("irr --algebra 2|3 --weight 2d1+1e1", NO_BLOCKS),
+    ("dim --algebra 2|3 --irr 2d1+1e1", NO_BLOCKS),
+    ("decompose --algebra 2|3 --kac 2d1+1e1", NO_BLOCKS),
+    ("decompose --algebra 2|3 --jt 3,1", NO_BLOCKS),
+    ("decompose --algebra 2|3 --tensor 1d1", NO_BLOCKS),
+    ("tensor-table --algebra 2|3 --amax 1 --bmax 1", NO_BLOCKS),
+    ("block --algebra 2|3 --weight 2d1+1e1 --other 1d1", NO_BLOCKS),
+    ("conjecture-check --algebra 2|3 --bound 3", NO_BLOCKS),
+    ("reproduce-paper --criteria 1", set()),
+]
+
+_COLD_MAIN = """\
+import contextlib, io, json, sys
+import spochar.cli as cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), sorted(m for m in sys.modules if m.startswith("spochar."))]))
+"""
+
+
+def test_cold_lines_cover_every_command():
+    _, commands = cli._build_parser()
+    assert {line.split()[0] for line, _ in COLD_LINES} | {"batch"} == set(commands)
+
+
+@pytest.mark.parametrize("line, unloaded", COLD_LINES, ids=[line for line, _ in COLD_LINES])
+def test_a_cold_command_loads_only_the_modules_it_runs(capsys, line, unloaded):
+    code, out, loaded = json.loads(_fresh_python(_COLD_MAIN, *line.split(), "--no-cache"))
+    assert code == 0
+    assert not unloaded & set(loaded), sorted(unloaded & set(loaded))
+    assert out == run(capsys, *line.split(), "--no-cache")
+
+
+def test_a_cold_batch_of_kac_lines_loads_no_lazy_module(capsys, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text("kac --algebra 2|3 --weight 1d1 --no-cache\neuler --algebra 2|3 --parabolic remove=e1 --no-cache\n")
+    code, out, loaded = json.loads(_fresh_python(_COLD_MAIN, "batch", "--file", str(script)))
+    assert code == 0
+    assert not LAZY & set(loaded)
+    assert out == run(capsys, "batch", "--file", str(script))
 
 
 def test_one_parser_serves_every_call_and_batch_line(capsys, tmp_path):

@@ -138,6 +138,23 @@ def test_dimension_mismatch():
         LaurentPoly.one(1, 1) * LaurentPoly.one(1, 2)
 
 
+def test_an_exponent_of_another_length_is_refused():
+    # a (2, 0, 0) key on the rank-2 lattice used to be kept: added to a
+    # right-length term it made a polynomial of mixed key lengths, whose
+    # product raised IndexError
+    with pytest.raises(LatticeMismatch, match=r"exponent length 3 != 2"):
+        LaurentPoly(1, 1, {(2, 0, 0): 1})
+    with pytest.raises(LatticeMismatch, match=r"exponent length 1 != 2"):
+        LaurentPoly(1, 1, {(2, 0): 1, (2,): 1})
+    with pytest.raises(LatticeMismatch, match=r"exponent length 3 != 2"):
+        LaurentPoly.monomial(1, 1, (2, 0, 0), 0)
+    doc = {"n": 1, "m": 1, "terms": [{"coef": "1", "exp": [2, 0]}, {"coef": "-1", "exp": [0, 2, 0]}]}
+    with pytest.raises(LatticeMismatch, match=r"exponent length 3 != 2"):
+        LaurentPoly.from_json_dict(doc)
+    doc["terms"].pop()
+    assert LaurentPoly.from_json_dict(doc) == LaurentPoly(1, 1, {(2, 0): 1})
+
+
 def test_the_same_rank_split_another_way_is_another_lattice():
     # (1|1) and (2|0) both have rank 2: e^{d1} on one is e^{d1} on the
     # other in the same slot, but the two lattices differ
