@@ -277,31 +277,28 @@ class ConjectureReport(NamedTuple):
         return all(e["pattern_match"] for e in self.entries if e["pattern_checked"])
 
 
-def conjecture_check(alg: Algebra, partition=None, bound: int = 5, pattern_min_ell: int = 2) -> ConjectureReport:
+def conjecture_check(alg: Algebra, bound: int = 5, pattern_min_ell: int = 2) -> ConjectureReport:
     """Desk check of the Euler-character basis conjecture for spo(2|3).
 
-    For every hook partition of size <= bound (or just the one given), the
-    Euler character of its covariant Levi module is decomposed in the
-    irreducible basis.  Pattern check per weight: typical weights must give
-    the single factor [L(lam)]; atypical weights (l+1|l) with l >=
-    pattern_min_ell must give the two-factor pattern
-    [L(l+1|l)] + [L(l|l-1)] at consecutive atypical weights (the Kac-module
-    factor pattern of gl(1|1)).  Weights closer to zero are reported but not
-    required to match.  Linear independence is certified by the rank of the
-    matrix of irreducible-basis coordinates, which is basis independent.
+    For every hook partition of size <= bound, the Euler character of its
+    covariant Levi module is decomposed in the irreducible basis.  Pattern
+    check per weight: typical weights must give the single factor [L(lam)];
+    atypical weights (l+1|l) with l >= pattern_min_ell must give the
+    two-factor pattern [L(l+1|l)] + [L(l|l-1)] at consecutive atypical
+    weights (the Kac-module factor pattern of gl(1|1)).  Weights closer to
+    zero are reported but not required to match.  Linear independence is
+    certified by the rank of the matrix of irreducible-basis coordinates,
+    which is basis independent.
     Raises ValueError for a negative bound and DimensionGuard for a bound
     above CONJECTURE_BOUND_LIMIT.
     """
     if alg != SPO23:
         raise ValueError("the desk-scale conjecture check is implemented for spo(2|3)")
-    if partition is not None:
-        partitions = [validate_partition(partition)]
-    else:
-        if bound < 0:
-            raise ValueError(f"conjecture check bound must be >= 0, got {bound}")
-        if bound > CONJECTURE_BOUND_LIMIT:
-            raise DimensionGuard(f"conjecture check to bound {bound} exceeds the limit {CONJECTURE_BOUND_LIMIT}")
-        partitions = [lam for lam in partitions_up_to(bound) if fits_hook(lam, alg.n, alg.m)]
+    if bound < 0:
+        raise ValueError(f"conjecture check bound must be >= 0, got {bound}")
+    if bound > CONJECTURE_BOUND_LIMIT:
+        raise DimensionGuard(f"conjecture check to bound {bound} exceeds the limit {CONJECTURE_BOUND_LIMIT}")
+    partitions = [lam for lam in partitions_up_to(bound) if fits_hook(lam, alg.n, alg.m)]
     entries = []
     coord_rows = []
     coord_index = {}

@@ -15,19 +15,21 @@ are built in Z[u_1, ..., u_{n+m}], a `LaurentPoly` whose slot s holds the
 plain u_s-degree: by the generating functions, p-series multiply by
 1/(1 - u z + z^2) per d-slot, by (1 + v z + z^2) per e-slot and by (1 + z)
 for the zero weight; e-series exchange the two factor types, the zero
-weight giving 1/(1 - z).  Each factor is a three-term recurrence.  The
-Jacobi-Trudi determinants run on these entries, and `from_u_basis` expands
-each result once: per slot u^k = sum over j <= k/2 of C(k, j) O_{k-2j}, with
+weight giving 1/(1 - z).  Each factor is one call of the series
+recurrence, `series.divided` or `series.times`.  The Jacobi-Trudi
+determinants run on these entries, and `from_u_basis` expands each result
+once: per slot u^k = sum over j <= k/2 of C(k, j) O_{k-2j}, with
 O_a = t^a + t^-a for a > 0 and O_0 = 1, so the central term keeps C(k, k/2);
 the terms with every exponent >= 0 come first and their sign images follow,
 expanded on every slot in one pass over the columns of the packed result
 (`laurent.sign_images`).
 
 Packed tables.  `PowerTable` keeps the u-basis p_r and e_r only as packed
-term dicts {int: coefficient} (`laurent.Packing`), one fixed unsigned layout
-per field width: u-degrees are >= 0, so slot s is a plain bit field and
-multiplying monomials is adding ints.  A determinant builds its entries as
-sums of packed dicts, `linalg.det_bareiss_laurent` eliminates on them in
+term dicts {int: coefficient} (`laurent.Packing`), in one unsigned layout,
+widened and repacked when a determinant needs wider fields: u-degrees are
+>= 0, so slot s is a plain bit field and multiplying monomials is adding
+ints.  A determinant builds its entries as sums of packed dicts
+(`laurent.add_terms`), `linalg.det_bareiss_laurent` eliminates on them in
 that layout, and `from_u_basis` runs its binomial step on the int keys and
 reads the result's columns once.  The width is proven, not guessed: let B
 be the sum over the rows of the row's largest u-degree, sum_i
@@ -41,10 +43,11 @@ Bareiss divides it reaches at most 2B, and so does the O-exponent 2k of
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .laurent import LaurentPoly, Packing, sign_images
+from .laurent.core import add_terms
 from .linalg import det_bareiss_laurent
 from .rootdata import (
     Algebra,
@@ -54,27 +57,18 @@ from .rootdata import (
     fits_hook,
     validate_partition,
 )
-from .series import series_one, times_geometric, times_linear
-
-
-def _times_factor(series, unit, geometric):
-    """series times 1/(1 - x z + z^2) if geometric, else times
-    (1 + x z + z^2), in place, where x is the monomial u^unit: a three-term
-    recurrence, upward for the quotient, downward for the product."""
-    for k in range(1, len(series)) if geometric else range(len(series) - 1, 0, -1):
-        step = series[k] + series[k - 1].shifted(unit)
-        if k >= 2:
-            step = step - series[k - 2] if geometric else step + series[k - 2]
-        series[k] = step
+from .series import divided, series_one, times
 
 
 def _u_series(alg: Algebra, order, exterior):
     """[p_0, ..., p_order] (or the e_r when exterior) in the u-basis."""
-    series = series_one(alg.n, alg.m, order)
-    for s in range(alg.rank):
-        _times_factor(series, tuple(int(t == s) for t in range(alg.rank)), (s < alg.n) != exterior)
+    n, m, rank = alg.n, alg.m, alg.rank
+    series = series_one(n, m, order)
+    for s in range(rank):
+        u = LaurentPoly.monomial(n, m, tuple(int(t == s) for t in range(rank)))
+        series = divided(series, [-u, 1]) if (s < n) != exterior else times(series, [u, 1])
     if alg.odd:  # the zero weight: 1/(1 - z) for the e_r, 1 + z for the p_r
-        series = (times_geometric if exterior else times_linear)(series, (0,) * alg.rank, alg.n, alg.m)
+        series = divided(series, [-1]) if exterior else times(series, [1])
     return series
 
 
@@ -116,39 +110,36 @@ def _width(bound):
 
 class PowerTable:
     """p_r (symmetric powers) and e_r (exterior powers) of the natural
-    module in the u-basis, kept only as packed term dicts, one list per
-    field width in use; each r is expanded at most once.  A series is built
-    to max(r, 2 len, 8) when r passes its length len, so that it is built a
-    logarithmic number of times, and every list of it is packed again."""
+    module in the u-basis, kept only as packed term dicts in one layout, one
+    list per form; each r is expanded at most once.  A series is built to
+    max(r, 2 len, 8) when r passes its length len, so that it is built a
+    logarithmic number of times; widening the layout repacks both lists."""
 
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self._len = {"p": 0, "e": 0}  # length of each series
-        self._packings = {}  # width -> Packing
-        self._packed = {}  # (which, width) -> [packed p_r or e_r]
+        self._packing = Packing(alg.n, alg.m, _width(0))
+        self._packed = {"p": [], "e": []}
         self._full = {"p": {}, "e": {}}
 
     def packing(self, bound) -> Packing:
-        """The unsigned layout of the tables for the u-degree bound B (`_width`)."""
+        """The layout of the tables, first widened to `_width(bound)` if
+        it is narrower."""
         width = _width(bound)
-        if width not in self._packings:
-            self._packings[width] = Packing(self.alg.n, self.alg.m, width)
-        return self._packings[width]
+        if width > self._packing.width:
+            old, self._packing = self._packing, Packing(self.alg.n, self.alg.m, width)
+            for which, rows in self._packed.items():
+                self._packed[which] = [self._packing.pack(old.terms(x)) for x in rows]
+        return self._packing
 
-    def packed(self, which, r: int, packing: Packing) -> dict:
+    def packed(self, which, r: int) -> dict:
         """p_r (which "p") or e_r (which "e") in the u-basis, as a packed
-        term dict in packing, one of `self.packing`."""
+        term dict in the current layout (`packing`)."""
         if r < 0:
             return {}
-        rows = self._packed.get((which, packing.width), ())
+        rows = self._packed[which]
         if len(rows) <= r:
-            if self._len[which] <= r:
-                self._len[which] = max(r, 2 * self._len[which], 8) + 1
-            series = _u_series(self.alg, self._len[which] - 1, which == "e")
-            for width, other in self._packings.items():
-                if width == packing.width or (which, width) in self._packed:
-                    self._packed[which, width] = [other.pack(x.terms) for x in series]
-            rows = self._packed[which, packing.width]
+            series = _u_series(self.alg, max(r, 2 * len(rows), 8), which == "e")
+            rows = self._packed[which] = [self._packing.pack(x.terms) for x in series]
         return rows[r]
 
     def _expanded(self, which, r):
@@ -157,7 +148,7 @@ class PowerTable:
         full = self._full[which]
         if r not in full:
             packing = self.packing(r)
-            full[r] = from_u_basis(self.packed(which, r, packing), packing)
+            full[r] = from_u_basis(self.packed(which, r), packing)
         return full[r]
 
     def p(self, r: int) -> LaurentPoly:
@@ -187,20 +178,6 @@ def _check_hook(lam, alg):
         raise HookConditionError(f"{lam} does not fit the ({alg.n}|{alg.m}) hook")
 
 
-def _plus(a, b, sign):
-    """a + sign * b for packed term dicts; a itself when b is zero."""
-    if not b:
-        return a
-    out = dict(a)
-    for t, c in b.items():
-        v = out.get(t, 0) + sign * c
-        if v:
-            out[t] = v
-        else:
-            del out[t]
-    return out
-
-
 def _jt_determinant(alg, which, star, entry) -> LaurentPoly:
     """The expanded determinant of the k x k matrix of entry(power, star[i],
     j), where power(r) is the packed u-basis p_r or e_r (which): the largest
@@ -208,10 +185,7 @@ def _jt_determinant(alg, which, star, entry) -> LaurentPoly:
     k = len(star)
     tab = power_table(alg)
     packing = tab.packing(sum(max(s + k - 1, 0) for s in star))
-
-    def power(r):
-        return tab.packed(which, r, packing)
-
+    power = partial(tab.packed, which)
     matrix = [[entry(power, star[i], j) for j in range(k)] for i in range(k)]
     return from_u_basis(det_bareiss_laurent(matrix, packing), packing)
 
@@ -226,7 +200,7 @@ def jt_character(partition, alg: Algebra) -> LaurentPoly:
         return LaurentPoly.one(alg.n, alg.m)
 
     def entry(power, s, j):
-        return power(s) if j == 0 else _plus(power(s + j), power(s - j), 1)
+        return power(s) if j == 0 else add_terms(power(s + j), power(s - j))
 
     return _jt_determinant(alg, "p", [lam[i] - i for i in range(len(lam))], entry)
 
@@ -242,7 +216,7 @@ def jt_character_e(partition, alg: Algebra) -> LaurentPoly:
     mu = conjugate_partition(lam)
 
     def entry(power, s, j):
-        return _plus(power(s + j), power(s - j - 2), -1)
+        return add_terms(power(s + j), power(s - j - 2), -1)
 
     return _jt_determinant(alg, "e", [mu[i] - i for i in range(len(mu))], entry)
 
@@ -368,9 +342,8 @@ def _half_power_geometric_series(order):
         return LaurentPoly.monomial(n_, m_, (doubled_power,))
 
     # z * RHS = (1+z)(u^{1/2}-u^{-1/2}) * sum_k h_k(u,u^{-1}) z^k
-    series = series_one(n_, m_, order)
-    series = times_geometric(series, (2,), n_, m_)
-    series = times_geometric(series, (-2,), n_, m_)
+    series = divided(series_one(n_, m_, order), [-umono(2)])
+    series = divided(series, [-umono(-2)])
     prefactor = umono(1) - umono(-1)
     for l in range(order + 1):
         rhs_l = prefactor * (series[l] + (series[l - 1] if l >= 1 else LaurentPoly.zero(n_, m_)))

@@ -10,15 +10,15 @@ Coefficients are arbitrary-precision integers.  Monomials are ordered by
 graded lex (total doubled degree first, then lex), which is total and
 multiplicative, so leading-term queries and exact division are reproducible.
 
-The term-level loops (`add_terms`, `mul_terms`, `scale_shift_terms`, the
-division inside `exact_div` and the isotropic product of `times_isotropic`)
-are one pure-Python kernel.  The hot ones work on packed exponents: each
-exponent tuple becomes one int holding a bit field per slot, so multiplying
-monomials is adding ints (Monagan & Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  These
-size a layout per call; `Packing` is one fixed layout for term dicts kept
-packed across many products (the Jacobi-Trudi power tables and the Bareiss
-elimination of `linalg.det_bareiss_laurent`).
+The term loops are one pure-Python kernel that every module calls:
+`add_terms`, the one sum a + sign * b, on exponent tuples and packed ints
+alike; `scale_shift_terms`, the one product by a monomial; and
+`add_products`, the one product loop, on exponents packed into one int
+with a bit field per slot, so that multiplying monomials is adding ints
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  `Packing` is such a layout, kept
+across many products by the Jacobi-Trudi power tables and the Bareiss
+elimination of `linalg.det_bareiss_laurent`, and made per call by `mul_terms`.
 
 Weyl-type quotients are not evaluated here: Kac, Euler and even-Levi
 characters are Weyl characters on dominant weights (`rootdata.weyl_character`).
@@ -90,18 +90,25 @@ def format_exponent(exps, n, symbols=TEXT_SYMBOLS, units=True):
 
 # -- term kernel ------------------------------------------------------------------
 #
-# Terms are dicts mapping exponent tuples to nonzero ints; every function
-# returns a new dict without zero coefficients.
+# Terms are dicts mapping exponents to nonzero ints, the exponents either
+# tuples or ints packed in one layout; no function returns zero coefficients.
 
 
-def add_terms(a, b):
-    """Coefficient-wise sum of two term dicts."""
+def add_terms(a, b, sign=1):
+    """a + sign * b for two term dicts keyed alike, exponent tuples or packed
+    ints; a itself when b is empty.  Any other sign than 1 scales b once, so
+    that the loop is the same plain sum for both."""
+    if not b:
+        return a
+    if sign != 1:
+        b = {e: sign * c for e, c in b.items()}
     out = dict(a)
+    get = out.get
     for e, c in b.items():
-        v = out.get(e, 0) + c
+        v = get(e, 0) + c
         if v:
             out[e] = v
-        elif e in out:
+        else:
             del out[e]
     return out
 
@@ -114,39 +121,37 @@ def scale_shift_terms(coef, shift, b):
     return out
 
 
-def mul_terms(a, b):
-    """Convolution product of two term dicts, on packed exponents.
+def add_products(out, a, b):
+    """Add a * b into the term dict out, in place, for a and b packed in one
+    layout, and drop the zeros; returns out."""
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    if 0 in out.values():
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
+    return out
 
-    Slot i of an exponent becomes a bit field wide enough for the sum of the
-    two operands' ranges in that slot, each operand offset by its minimum
-    there; the packed sum of two monomials is then the packed product, with
-    no carry from one field into the next, and the product loop adds ints.
-    """
+
+def mul_terms(a, b):
+    """Product of two term dicts keyed by exponent tuples.  A one-term
+    operand is one `scale_shift_terms`; any other pair goes through
+    `add_products` in one signed `Packing`, whose fields of B.bit_length() + 1
+    bits hold the product's exponents -B..B, for B the largest over the
+    slots of the operands' largest |exponent| there, added."""
     if len(a) > len(b):
         a, b = b, a
     if not a:
         return {}
-    weights, fields = [], []
-    lo_a, lo_b = [], []
-    shift = 0
-    for i in range(len(next(iter(a)))):
-        la, lb = min(map(itemgetter(i), a)), min(map(itemgetter(i), b))
-        width = (max(map(itemgetter(i), a)) - la + max(map(itemgetter(i), b)) - lb).bit_length()
-        weights.append(1 << shift)
-        fields.append((shift, (1 << width) - 1, la + lb))
-        lo_a.append(la)
-        lo_b.append(lb)
-        shift += width
-    packed_b = _pack(b, weights, lo_b)
-    out = {}
-    get = out.get
-    for ka, ca in zip(_pack(a, weights, lo_a), a.values()):
-        for kb, cb in zip(packed_b, b.values()):
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    for k in [k for k, c in out.items() if not c]:
-        del out[k]
-    return dict(zip(_unpack(out, fields), out.values()))
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return scale_shift_terms(c, e, b)
+    reach_a, reach_b = ([max(max(col), -min(col)) for col in zip(*t)] for t in (a, b))
+    bound = max(map(operator.add, reach_a, reach_b))
+    packing = Packing(len(reach_a), 0, bound.bit_length() + 1, signed=True)
+    return packing.terms(add_products({}, packing.pack(a), packing.pack(b)))
 
 
 def _pack(terms, weights, lows):
@@ -185,7 +190,7 @@ class Packing:
     in that range: the caller sizes the width for every exponent it forms.
     """
 
-    __slots__ = ("n", "m", "width", "_weights", "_lows", "_bias", "_fields")
+    __slots__ = ("n", "m", "width", "_weights", "_bias", "_fields")
 
     ONE = {0: 1}  # the polynomial 1 in every layout; never mutated
 
@@ -193,17 +198,20 @@ class Packing:
         half = 1 << (width - 1) if signed else 0
         self.n, self.m, self.width = n, m, width
         self._weights = [1 << (width * s) for s in range(n + m)]
-        self._lows = [0] * (n + m)
         self._bias = half * sum(self._weights)
         self._fields = [(width * s, (1 << width) - 1, -half) for s in range(n + m)]
 
     def pack(self, terms):
         """The packed term dict of a term dict keyed by exponent tuples."""
-        return dict(zip(_pack(terms, self._weights, self._lows), terms.values()))
+        return dict(zip(_pack(terms, self._weights, ()), terms.values()))
+
+    def terms(self, packed):
+        """The term dict keyed by exponent tuples of the packed term dict packed."""
+        return dict(zip(_unpack(self._keys(packed), self._fields), packed.values()))
 
     def unpack(self, packed) -> LaurentPoly:
         """The polynomial whose packed term dict is packed."""
-        return LaurentPoly._wrap(self.n, self.m, dict(zip(_unpack(self._keys(packed), self._fields), packed.values())))
+        return LaurentPoly._wrap(self.n, self.m, self.terms(packed))
 
     def columns(self, packed):
         """The exponents of the packed term dict packed as one list per
@@ -220,8 +228,9 @@ class LaurentPoly:
     `terms` maps doubled-exponent tuples of length n+m to nonzero ints;
     the constructor refuses an exponent of any other length with
     `LatticeMismatch` (`_wrap`, the kernels' path, does not look).  Never
-    mutate `terms` after construction; all operations return new
-    objects, so values are safe to share across threads.
+    mutate `terms` after construction: results may share them (p * 1 is p
+    itself, and p + 0 wraps p's terms).  Values are safe to share across
+    threads.
     """
 
     __slots__ = ("n", "m", "terms")
@@ -290,13 +299,16 @@ class LaurentPoly:
         return LaurentPoly._wrap(self.n, self.m, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return LaurentPoly._wrap(self.n, self.m, add_terms(self.terms, other.terms, -1))
 
     def __neg__(self):
         return LaurentPoly._wrap(self.n, self.m, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if other == 1:
+                return self
             if other == 0:
                 return LaurentPoly.zero(self.n, self.m)
             return LaurentPoly._wrap(self.n, self.m, {e: other * c for e, c in self.terms.items()})

@@ -15,6 +15,7 @@ from math import gcd
 from operator import itemgetter
 
 from .laurent import LaurentPoly, Packing, exact_div
+from .laurent.core import add_products
 
 
 class _SparseSpan:
@@ -117,13 +118,12 @@ def det_bareiss_laurent(matrix, packing=None):
     order) and swaps its row and its column into place, one sign flip per
     swap; Sylvester's identity, which makes every division exact, holds for
     any order of rows and columns.  Each entry of the block is then
-    piv a_ij - a_ir a_rj, formed in one pass over the packed terms, divided
-    by the previous pivot with `exact_div` in the packed layout.
-    Jacobi-Trudi matrices are full of p_0 = e_0 = 1, so most pivots and
-    most divisors are 1: a unit pivot skips its product, and `exact_div`
-    returns a dividend over 1 as it is; any other divisor costs one unpack
-    and one repack.  An all-zero remaining block means the determinant is
-    zero.
+    piv a_ij - a_ir a_rj (`_fused`), divided by the previous pivot, 1
+    included, with `exact_div` in the packed layout.  Jacobi-Trudi matrices
+    are full of p_0 = e_0 = 1, so most pivots and most divisors are 1: a
+    unit pivot skips its product, and `exact_div` returns a dividend over 1
+    as it is; any other divisor costs one unpack and one repack.  An
+    all-zero remaining block means the determinant is zero.
     """
     k = len(matrix)
     if k == 0:
@@ -160,26 +160,15 @@ def det_bareiss_laurent(matrix, packing=None):
 
 
 def _fused(piv, a_ij, a_ir, a_rj):
-    """piv a_ij - a_ir a_rj for packed term dicts, in one pass that adds
-    both products into one dict; a_ij itself when piv is 1 and a_ir a_rj
-    is 0."""
-    if piv != Packing.ONE:
-        out = {}
-        get = out.get
-        for kp, cp in piv.items():
-            for ka, ca in a_ij.items():
-                t = kp + ka
-                out[t] = get(t, 0) + cp * ca
-    elif a_ir and a_rj:
-        out = dict(a_ij)
-    else:
-        return a_ij
-    get = out.get
-    for ka, ca in a_ir.items():
-        for kb, cb in a_rj.items():
-            t = ka + kb
-            out[t] = get(t, 0) - ca * cb
-    return {t: c for t, c in out.items() if c} if 0 in out.values() else out
+    """piv a_ij - a_ir a_rj for packed term dicts: both products added into
+    one dict by `laurent.add_products`, the shorter of a_ir and a_rj negated
+    once; a_ij itself when piv is 1 and a_ir a_rj is 0."""
+    if not (a_ir and a_rj):
+        return a_ij if piv == Packing.ONE else add_products({}, piv, a_ij)
+    if len(a_ir) > len(a_rj):
+        a_ir, a_rj = a_rj, a_ir
+    out = dict(a_ij) if piv == Packing.ONE else add_products({}, piv, a_ij)
+    return add_products(out, {t: -c for t, c in a_ir.items()}, a_rj)
 
 
 def _signed_packing(matrix):

@@ -51,6 +51,7 @@ from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, grlex_key
+from .laurent.core import add_terms
 from .linalg import _SparseSpan, nullspace
 from .rootdata import (
     Algebra,
@@ -161,20 +162,10 @@ class SuperElement:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            v = out.get(t, 0) + c
-            if v:
-                out[t] = v
-            elif t in out:
-                del out[t]
-        return SuperElement(self.alg, out)
+        return SuperElement(self.alg, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SuperElement(self.alg, {t: -c for t, c in self.terms.items()})
+        return SuperElement(self.alg, add_terms(self.terms, other.terms, -1))
 
     def scale(self, r):
         r = Fraction(r)
@@ -918,10 +909,10 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     return counts
 
 
-def kernel_tensor_natural_report(alg: Algebra, k: int, natural_multiplicity: int = 2) -> dict:
+def kernel_tensor_natural_report(alg: Algebra, k: int) -> dict:
     """Character-level analysis of (ker Laplacian in degree k) (x) V with a
-    claimed composition multiset {top product weight: 1, natural weight:
-    natural_multiplicity, top weight of the next kernel: 1}.
+    claimed composition multiset {top product weight: 1, natural weight: 2,
+    top weight of the next kernel: 1}.
 
     The constituent characters e_1 and e_{k+1} - e_{k-1} are grounded by the
     irreducibility certificates of the degree 1, k and k+1 kernels.  A weight
@@ -944,10 +935,10 @@ def kernel_tensor_natural_report(alg: Algebra, k: int, natural_multiplicity: int
     counts = natural_tensor_singular_counts(alg, k)
     natural_weight = Weight.from_coeffs(alg, [1] + [0] * (alg.n - 1), [0] * alg.m)
 
-    residual = chi - natural_multiplicity * e(1) - (e(k + 1) - e(k - 1))
+    residual = chi - 2 * e(1) - (e(k + 1) - e(k - 1))
     lead_exp, lead_coef = residual.leading_term()
     top_product = Weight(alg, lead_exp)
-    factor_multiset = {top_product: 1, natural_weight: natural_multiplicity, nxt_top: 1}
+    factor_multiset = {top_product: 1, natural_weight: 2, nxt_top: 1}
     deficits = {
         w.format(): factor_multiset[w] - counts.get(w, 0)
         for w in factor_multiset

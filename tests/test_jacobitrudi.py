@@ -24,7 +24,12 @@ from spochar.rootdata import (
     weyl_act,
     weyl_group,
 )
-from spochar.series import series_one, super_homogeneous_series, times_geometric, times_linear
+from test_term_kernel import (
+    frozen_series_one,
+    frozen_super_homogeneous_series,
+    frozen_times_geometric,
+    frozen_times_linear,
+)
 
 SPO23 = Algebra.parse("2|3")
 SPO25 = Algebra.parse("2|5")
@@ -163,11 +168,11 @@ def _frozen_natural_weights(alg):
 
 def _frozen_super_elementary_series(even_weights, odd_weights, n, m, order):
     """Super exterior powers: roles of the two factor types exchanged."""
-    s = series_one(n, m, order)
+    s = frozen_series_one(n, m, order)
     for w in even_weights:
-        s = times_linear(s, w, n, m)
+        s = frozen_times_linear(s, w, n, m)
     for w in odd_weights:
-        s = times_geometric(s, w, n, m)
+        s = frozen_times_geometric(s, w, n, m)
     return s
 
 
@@ -180,7 +185,7 @@ def _frozen_table(alg, which, order=8):
     if key not in _FROZEN_TABLES:
         even, odd = _frozen_natural_weights(alg)
         if which == "p":
-            _FROZEN_TABLES[key] = super_homogeneous_series(even, odd, alg.n, alg.m, order)
+            _FROZEN_TABLES[key] = frozen_super_homogeneous_series(even, odd, alg.n, alg.m, order)
         else:
             _FROZEN_TABLES[key] = _frozen_super_elementary_series(even, odd, alg.n, alg.m, order)
     return _FROZEN_TABLES[key]

@@ -103,7 +103,7 @@ def _u(alg, which, r):
         return LaurentPoly.zero(alg.n, alg.m)
     tab = power_table(alg)
     packing = tab.packing(r)
-    return packing.unpack(tab.packed(which, r, packing))
+    return packing.unpack(tab.packed(which, r))
 
 
 def _jt_tuple(partition, alg):
@@ -231,20 +231,21 @@ def test_signed_layout_matches_the_tuple_elimination(monkeypatch):
 
 def test_power_table_grows_geometrically(monkeypatch):
     # r = 0..40 builds each series 4 times, to 8, 18, 38 and 78, not once
-    # per r past 8; a width new to the table builds it once more
+    # per r past 8; a wider layout repacks the tables without a new build
     alg = Algebra.parse("4|3")
     builds = []
     series = jacobitrudi._u_series
     monkeypatch.setattr(jacobitrudi, "_u_series", lambda *args: builds.append(args) or series(*args))
     table = PowerTable(alg)
-    narrow, wide = table.packing(0), table.packing(200)
-    assert (narrow.width, wide.width) == (8, 16)
-    got = {}
-    for packing in (narrow, wide):
-        for which in "pe":
-            got[which, packing.width] = [table.packed(which, r, packing) for r in range(41)]
+    narrow = table.packing(0)
+    assert narrow.width == 8
+    got = {(which, 8): [table.packed(which, r) for r in range(41)] for which in "pe"}
+    wide = table.packing(200)
+    assert wide.width == 16 and table.packing(0) is wide
+    for which in "pe":
+        got[which, 16] = [table.packed(which, r) for r in range(41)]
     for exterior in (False, True):
-        assert [order for _, order, ext in builds if ext == exterior] == [8, 18, 38, 78, 78]
+        assert [order for _, order, ext in builds if ext == exterior] == [8, 18, 38, 78]
     for which in "pe":
         whole = series(alg, 40, which == "e")
         for packing in (narrow, wide):
