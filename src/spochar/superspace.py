@@ -15,6 +15,23 @@ coefficients for derivations and for the Laplacian scaled by 2 (which
 clears the 1/2 of the x0 term and keeps the kernel).  The Laplacian writes
 each image in closed form, one monomial per part (`Laplacian`).
 
+Inside a computation every monomial is one int (`monomials.MonomialLayout`,
+fixed per algebra and width w): the 2n Grassmann slots take one bit each, the last
+slot bit 0, and each commuting slot a field of w bits above them, slot 0 in
+the top field.  Int order is then tuple order: two monomials first differ at
+some slot, every slot after it lies in lower bits, and all those bits
+together weigh less than one unit of that slot's field, so every `max`,
+`sorted` and pivot choice is the tuple one.  The width is the bit length of
+the computation's degree k, and no field overflows: a degree-k monomial has
+every exponent at most k < 2^w; a move subtracts the unit of a nonzero
+field (no borrow) and adds one unit, keeping the degree, to a commuting
+field, which stays at most k, or to a Grassmann bit that is refused first
+when it is set; the Laplacian only subtracts from nonzero fields.  A move
+is then one subtraction and one addition, and its Koszul signs the parity
+of the set bits under one precomputed mask (`Derivation.packed`).  Tuples
+remain at the boundary: `SuperElement` terms, `degree_basis`, and every
+public return; a computation packs its inputs and unpacks its results once.
+
 All linear algebra is exact and split into one block per weight: the
 Laplacian preserves weight and root operators shift it, so kernels, singular
 vectors and the tensor counts are solved block by block, each block by
@@ -53,6 +70,7 @@ from typing import NamedTuple
 from .laurent import LaurentPoly, grlex_key
 from .laurent.core import add_terms
 from .linalg import _SparseSpan, nullspace
+from .monomials import MonomialImages, MonomialLayout, _layout, monomial_layout
 from .rootdata import (
     Algebra,
     DimensionGuard,
@@ -68,12 +86,6 @@ from .rootdata import (
 
 
 # -- generator bookkeeping ---------------------------------------------------------
-
-
-def _layout(alg: Algebra):
-    """(num_commuting, grassmann_start, total_slots)."""
-    nc = 2 * alg.m + (1 if alg.odd else 0)
-    return nc, nc, nc + 2 * alg.n
 
 
 def gen_count(alg: Algebra) -> int:
@@ -249,40 +261,20 @@ def _exact(c):
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
-class MonomialImages:
-    """Images of basis monomials under operators, each computed once and kept
-    for the life of this object, which is one computation (not a global
-    cache).  An image is a dict monomial -> coefficient; derivations and
-    `doubled_laplacian` give int coefficients."""
-
-    def __init__(self):
-        self._tables = {}  # id(op) -> (op, {monomial: image}); op is kept so its id stays unique
-
-    def image(self, op, mono):
-        entry = self._tables.get(id(op))
-        if entry is None:
-            entry = self._tables[id(op)] = (op, {})
-        table = entry[1]
-        img = table.get(mono)
-        if img is None:
-            img = table[mono] = op.monomial_image(mono, self)
-        return img
-
-    def apply(self, op, terms):
-        """op applied to a dict monomial -> coefficient, as such a dict."""
-        out = {}
-        for mono, c in terms.items():
-            for t, ic in self.image(op, mono).items():
-                _bump(out, t, c * ic)
-        return out
-
-
 class LinearOperator:
-    def monomial_image(self, mono, images: MonomialImages) -> dict:
+    def packed(self, layout: MonomialLayout):
+        """What `monomial_image` reads of this operator in layout."""
+        raise NotImplementedError
+
+    def monomial_image(self, key: int, packed) -> dict:
+        """The image of one packed monomial, a dict packed monomial ->
+        coefficient, read from `packed(layout)` of its layout."""
         raise NotImplementedError
 
     def apply(self, el: SuperElement) -> SuperElement:
-        return SuperElement(el.alg, MonomialImages().apply(self, el.terms))
+        layout = monomial_layout(el.alg, max(map(sum, el.terms), default=0))
+        terms = MonomialImages(layout).apply(self, layout.pack_terms(el.terms))
+        return SuperElement(el.alg, layout.unpack_terms(terms))
 
     def __call__(self, el):
         return self.apply(el)
@@ -298,7 +290,9 @@ class Derivation(LinearOperator):
     multiplies by its exponent; a parity 1 operator with a Grassmann source
     multiplies by -1 per Grassmann bit before the source; a Grassmann target
     is 0 when its bit is already set, else multiplies by -1 per Grassmann bit
-    strictly between source and target."""
+    strictly between source and target.  Packed, a move is one subtraction
+    and one addition, and its two signs are one: the parity of the set bits
+    under one mask (`packed`)."""
 
     def __init__(self, alg: Algebra, parity: int, images: tuple, name: str = ""):
         moves = []
@@ -312,28 +306,36 @@ class Derivation(LinearOperator):
         self.name = name
         self.moves = tuple(moves)
 
-    def monomial_image(self, mono, images):
-        gs = _layout(self.alg)[1]
-        out = {}
+    def packed(self, layout):
+        """One (source shift, source field, source unit, target unit, target
+        bit to refuse when set, sign mask, coefficient) per move; the target
+        unit and bit are 0 for a target 1, the bit also for a commuting
+        target."""
+        gs, units = layout.gs, layout.units
+        out = []
         for src, tgt, c in self.moves:
-            e = mono[src]
+            signs = layout.between(gs - 1, src) if self.parity and src >= gs else 0
+            target = refuse = 0
+            if tgt is not None:
+                target = units[tgt]
+                if tgt >= gs:
+                    refuse = target
+                    signs ^= layout.between(min(src, tgt), max(src, tgt))
+            out.append((layout.shifts[src], layout.fields[src], units[src], target, refuse, signs, c))
+        return tuple(out)
+
+    def monomial_image(self, key, moves):
+        out = {}
+        for shift, field, unit, target, refuse, signs, c in moves:
+            e = key >> shift & field
             if not e:
                 continue
-            if src < gs:
-                c *= e
-            elif self.parity and sum(mono[gs:src]) % 2:
-                c = -c
-            new = list(mono)
-            new[src] = e - 1
-            if tgt is not None:
-                if tgt >= gs:
-                    if new[tgt]:
-                        continue
-                    lo, hi = (src, tgt) if src < tgt else (tgt, src)
-                    if sum(mono[max(lo + 1, gs):hi]) % 2:
-                        c = -c
-                new[tgt] += 1
-            _bump(out, tuple(new), c)
+            new = key - unit
+            if new & refuse:
+                continue
+            if (key & signs).bit_count() & 1:
+                e = -e
+            _bump(out, new + target, c * e)
         return out
 
     def weight_shift(self):
@@ -362,27 +364,33 @@ class Laplacian(LinearOperator):
         self.alg = alg
         self.coefficients = coefficients
 
-    def monomial_image(self, mono, images):
+    def packed(self, layout):
+        """(per j: the bits of xi_j and xib_j and the mask between them; per
+        i: the shifts of x_i and xb_i and their units' sum; the shift of x0
+        and twice its unit, or None; the field of a commuting slot)."""
         alg = self.alg
-        n, m, gs = alg.n, alg.m, _layout(alg)[1]
+        n, m, gs = alg.n, alg.m, layout.gs
+        shifts, units = layout.shifts, layout.units
+        bits = tuple((units[j] | units[j + n], layout.between(j, j + n)) for j in range(gs, gs + n))
+        pairs = tuple((shifts[i], shifts[m + i], units[i] + units[m + i]) for i in range(m))
+        x0 = (shifts[2 * m], 2 * units[2 * m]) if alg.odd else None
+        return bits, pairs, x0, layout.field
+
+    def monomial_image(self, key, packed):
+        bits, pairs, x0, field = packed
         c_xi, c_x, c_x0 = self.coefficients
         out = {}
-        for j in range(gs, gs + n):
-            if mono[j] and mono[j + n]:
-                new = list(mono)
-                new[j] = new[j + n] = 0
-                out[tuple(new)] = c_xi if sum(mono[j + 1:j + n]) % 2 else -c_xi
-        for i in range(m):
-            a, b = mono[i], mono[m + i]
+        for both, between in bits:
+            if key & both == both:
+                out[key - both] = c_xi if (key & between).bit_count() & 1 else -c_xi
+        for sa, sb, units in pairs:
+            a, b = key >> sa & field, key >> sb & field
             if a and b:
-                new = list(mono)
-                new[i], new[m + i] = a - 1, b - 1
-                out[tuple(new)] = c_x * a * b
-        c = mono[2 * m] if alg.odd else 0
-        if c > 1:
-            new = list(mono)
-            new[2 * m] = c - 2
-            out[tuple(new)] = c_x0 * c * (c - 1)
+                out[key - units] = c_x * a * b
+        if x0:
+            c = key >> x0[0] & field
+            if c > 1:
+                out[key - x0[1]] = c_x0 * c * (c - 1)
         return out
 
     def __repr__(self):
@@ -574,31 +582,42 @@ def _degree_weights(alg, k):
     return out
 
 
-def _weight_monomials(alg, k, doubled):
-    """The degree-k monomials of one doubled weight, in tuple order."""
-    n, m = alg.n, alg.m
+def _weight_monomials(layout, k, doubled):
+    """The degree-k monomials of one doubled weight, packed in layout, in
+    increasing order (which is tuple order)."""
+    alg = layout.alg
+    n, m, gs = alg.n, alg.m, layout.gs
+    units = layout.units
     a = [x // 2 for x in doubled[:n]]
     b = [x // 2 for x in doubled[n:]]
-    x = [max(c, 0) for c in b]
-    xb = [max(-c, 0) for c in b]
     slack = k - sum(map(abs, a)) - sum(map(abs, b))
-    zeros = [j for j, c in enumerate(a) if not c]
+    base = sum(c * units[i] if c > 0 else -c * units[m + i] for i, c in enumerate(b))
+    base += sum(units[gs + j] if c > 0 else units[gs + n + j] for j, c in enumerate(a) if c)
+    zeros = [units[gs + j] | units[gs + n + j] for j, c in enumerate(a) if not c]
+    pairs = [units[i] + units[m + i] for i in range(m)]
+    by_count = {}
+
+    def pair_sums(t):
+        """The sums of t pairs x_i xb_i."""
+        if t not in by_count:
+            by_count[t] = [sum(ts) for ts in itertools.combinations_with_replacement(pairs, t)]
+        return by_count[t]
+
     out = []
     for both in range(min(len(zeros), slack // 2) + 1):
         rest = slack - 2 * both
-        # (pairs x_i xb_i, [exponent of x0]): x0 takes any rest for odd l
+        # (t pairs x_i xb_i, x0 to the rest): x0 takes any rest for odd l
         if alg.odd:
-            splits = [(t, [rest - 2 * t]) for t in range(rest // 2 + 1)]
+            splits = [(pair_sums(t), (rest - 2 * t) * units[2 * m]) for t in range(rest // 2 + 1)]
         else:
-            splits = [(rest // 2, [])] if rest % 2 == 0 else []
-        for pair in itertools.combinations(zeros, both):
-            xi = [int(c > 0 or j in pair) for j, c in enumerate(a)]
-            xib = [int(c < 0 or j in pair) for j, c in enumerate(a)]
-            for t, x0 in splits:
-                for ts in _compositions(t, m):
-                    out.append(tuple([u + v for u, v in zip(x, ts)] + [u + v for u, v in zip(xb, ts)]
-                                     + x0 + xi + xib))
-    return sorted(out)
+            splits = [(pair_sums(rest // 2), 0)] if rest % 2 == 0 else []
+        for chosen in itertools.combinations(zeros, both):
+            head = base + sum(chosen)
+            for sums, x0 in splits:
+                start = head + x0
+                out += [start + p for p in sums]
+    out.sort()
+    return out
 
 
 def _orbit_size(alg, doubled):
@@ -639,10 +658,10 @@ def _weyl_invariant(alg, poly):
 
 
 def _block_kernel(images, lap, dom):
-    """Integer basis of ker(Laplacian) on one weight block, whose monomials
-    dom are sorted: one int dict monomial -> coefficient per free monomial,
-    in order, primitive and positive at that monomial, its largest.  Divided
-    by that entry, each is the block's RREF null vector."""
+    """Integer basis of ker(Laplacian) on one weight block, whose packed
+    monomials dom are sorted: one int dict key -> coefficient per free
+    monomial, in order, primitive and positive at that monomial, its
+    largest.  Divided by that entry, each is the block's RREF null vector."""
     return [{dom[c]: x for c, x in v.items()} for v in nullspace([images.image(lap, t) for t in dom])]
 
 
@@ -653,19 +672,20 @@ def _integer_multiple(terms):
 
 
 def _block_singular(images, ups, kern):
-    """The vectors of span(kern) killed by every op in ups, as term dicts of
-    Fractions, sorted, each 1 at its largest monomial.  kern is the block's
-    integer kernel basis, kern_j = s_j r_j for the RREF basis r_j and ints
+    """The vectors of span(kern) killed by every op in ups, as packed term
+    dicts of Fractions, sorted, each 1 at its largest monomial.  kern is the
+    block's integer kernel basis, kern_j = s_j r_j for the RREF basis r_j and ints
     s_j > 0, so v = sum a_j kern_j has v = s a on the free columns of r, and
     the null basis in the a-coordinates gives, up to scale, the RREF null
     basis of the stacked block [Laplacian; ups]; the division by its entry
-    at its free (largest) monomial fixes the scale."""
+    at its free (largest) monomial fixes the scale.  The ops in ups shift
+    weight by distinct roots, so their images of one block have no monomial
+    in common, and each column is their union."""
     columns = []
     for terms in kern:
         col = {}
-        for op_i, op in enumerate(ups):
-            for t, c in images.apply(op, terms).items():
-                col[(op_i, t)] = c
+        for op in ups:
+            col.update(images.apply(op, terms))
         columns.append(col)
     out = []
     for a in nullspace(columns):
@@ -686,21 +706,23 @@ def _singular_pass(alg, k, bound, images, ups):
     the size of its W-orbit, whose weights all lie in the degree, since the
     weights of a degree are W-stable.  The nullity of a dominant block counts
     once for every weight of its W-orbit.  blocks maps each dominant weight
-    to its integer kernel basis (`_block_kernel`).  A degree whose dimension
+    to its integer kernel basis (`_block_kernel`), packed in the layout of
+    images; the singular vectors are unpacked.  A degree whose dimension
     exceeds bound is refused first, as degree_basis would."""
     _bounded_dim(alg, k, bound)
     lap = doubled_laplacian(alg)
+    layout = images.layout
     kdim = 0
     out = {}
     orbit_size = {}
     blocks = {}
     for wt in _dominant_weights(alg, k):
         orbit_size[wt] = _orbit_size(alg, wt)
-        kern = blocks[wt] = _block_kernel(images, lap, _weight_monomials(alg, k, wt))
+        kern = blocks[wt] = _block_kernel(images, lap, _weight_monomials(layout, k, wt))
         kdim += orbit_size[wt] * len(kern)
         vecs = _block_singular(images, ups, kern)
         if vecs:
-            out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
+            out[Weight(alg, wt)] = [SuperElement(alg, layout.unpack_terms(v)) for v in vecs]
     return kdim, out, orbit_size, blocks
 
 
@@ -731,13 +753,15 @@ def kernel_basis(alg: Algebra, k: int, bound: int = 20000):
     by its entry at its free (largest) monomial, as Fractions.  A degree
     past bound is refused first."""
     _bounded_kernel_dims(alg, k, bound)
-    images = MonomialImages()
+    layout = monomial_layout(alg, k)
+    images = MonomialImages(layout)
     lap = doubled_laplacian(alg)
     found = []
     for wt in _degree_weights(alg, k):
-        for v in _block_kernel(images, lap, _weight_monomials(alg, k, wt)):
+        for v in _block_kernel(images, lap, _weight_monomials(layout, k, wt)):
             free = max(v)
-            found.append((free, SuperElement(alg, {t: Fraction(v[t], v[free]) for t in sorted(v)})))
+            terms = {layout.unpack(t): Fraction(v[t], v[free]) for t in sorted(v)}
+            found.append((free, SuperElement(alg, terms)))
     _check_surjective(alg, k, len(found))
     found.sort(key=lambda pair: pair[0])
     return [el for _, el in found]
@@ -748,7 +772,7 @@ def singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     root operator, grouped by weight.  Returns {Weight: [SuperElement, ...]},
     graded-lex descending by weight."""
     ups, _ = simple_root_operators(alg)
-    return _singular_pass(alg, k, bound, MonomialImages(), ups)[1]
+    return _singular_pass(alg, k, bound, MonomialImages(monomial_layout(alg, k)), ups)[1]
 
 
 def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
@@ -757,7 +781,7 @@ def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     kernel dimension."""
     ups, _ = simple_root_operators(alg)
     _bounded_kernel_dims(alg, k, bound)
-    kdim, svs, _, _ = _singular_pass(alg, k, bound, MonomialImages(), ups)
+    kdim, svs, _, _ = _singular_pass(alg, k, bound, MonomialImages(monomial_layout(alg, k)), ups)
     _check_surjective(alg, k, kdim)
     return kdim, svs
 
@@ -768,8 +792,9 @@ def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
 def _deficits(alg, k, blocks, images, downs):
     """(mu, nullity(mu) - rank sum_i f_i K_{mu + alpha_i}) for each weight mu
     of blocks with nonzero nullity, where blocks maps weights of degree k to
-    integer kernel bases (`_block_kernel`), K_nu is the Laplacian kernel
-    block at nu and the f_i (downs) are the simple lowering operators.  For
+    integer kernel bases (`_block_kernel`, packed in the layout of images),
+    K_nu is the Laplacian kernel block at nu and the f_i (downs) are the
+    simple lowering operators.  For
     the kernel M, n-M is the sum of the f_i M, so the deficits are the
     weight multiplicities of M/n-M.  The kernels in blocks are ranked first;
     a block outside them is solved once, when a weight needs it.  A weight
@@ -780,7 +805,7 @@ def _deficits(alg, k, blocks, images, downs):
 
     def kernel_at(nu):
         if nu not in vectors:
-            dom = _weight_monomials(alg, k, nu) if _is_degree_weight(alg, k, nu) else []
+            dom = _weight_monomials(images.layout, k, nu) if _is_degree_weight(alg, k, nu) else []
             vectors[nu] = _block_kernel(images, lap, dom)
         return vectors[nu]
 
@@ -825,11 +850,13 @@ def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops, orbit_size) -> int:
     of `_upward_closure`, so the walk drops every vector at another weight
     before it reaches the span.  Exact: the module is finite dimensional, v
     is scaled to ints once, and int derivations keep its images int."""
-    walk = _upward_closure(alg, sum(next(iter(vector.terms))), orbit_size)
+    k = sum(next(iter(vector.terms)))
+    walk = _upward_closure(alg, k, orbit_size)
     shifts = [op.weight_shift() for op in ops]
-    images = MonomialImages()
+    layout = monomial_layout(alg, k)
+    images = MonomialImages(layout)
     span = _SparseSpan()
-    start = _integer_multiple(vector.terms)
+    start = _integer_multiple(layout.pack_terms(vector.terms))
     span.add(start)
     top = vector.weight()
     dims = Counter([top])
@@ -851,19 +878,19 @@ def cyclic_span_dim(alg: Algebra, vector: SuperElement, ops, orbit_size) -> int:
 
 # -- tensoring a degree component with the natural module -------------------------------
 #
-# Elements of (degree-k component) (x) V are dicts (monomial, generator slot)
-# -> Fraction.  A derivation D acts by the coproduct rule
+# Elements of (degree-k component) (x) V are dicts (packed monomial, generator
+# slot) -> Fraction.  A derivation D acts by the coproduct rule
 # D(u (x) v) = D(u) (x) v + (-1)^{parity(D) * parity(u)} u (x) D(v).
 
 
-def _tensor_coproduct_image(alg, images, op: Derivation, mono, slot):
-    """op on the basis element mono (x) (generator at slot), by the coproduct rule."""
-    gs = _layout(alg)[1]
-    out = {(t, slot): c for t, c in images.image(op, mono).items()}
-    sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
+def _tensor_coproduct_image(images, op: Derivation, key, slot):
+    """op on the basis element key (x) (generator at slot), by the coproduct
+    rule, key packed in the layout of images."""
+    out = {(t, slot): c for t, c in images.image(op, key).items()}
+    sign = -1 if op.parity and (key & images.layout.grassmann).bit_count() & 1 else 1
     for src, tgt, c in op.moves:
         if src == slot:
-            _bump(out, (mono, tgt), sign * c)
+            _bump(out, (key, tgt), sign * c)
     return out
 
 
@@ -882,7 +909,8 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     shifts = [gen_weight_doubled(alg, s) for s in range(gen_count(alg))]
     dominant = {fold_to_dominant(alg, tuple(a + b for a, b in zip(mu, shift)))
                 for mu in _dominant_weights(alg, k) for shift in shifts}
-    images = MonomialImages()
+    layout = monomial_layout(alg, k)
+    images = MonomialImages(layout)
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
     kernels = {}
@@ -894,13 +922,13 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
             if not _is_degree_weight(alg, k, low):
                 continue
             if low not in kernels:
-                kernels[low] = _block_kernel(images, lap, _weight_monomials(alg, k, low))
+                kernels[low] = _block_kernel(images, lap, _weight_monomials(layout, k, low))
             for terms in kernels[low]:
                 col = {}
                 for op_i, op in enumerate(ups):
-                    for mono, c in terms.items():
-                        for key, v in _tensor_coproduct_image(alg, images, op, mono, s).items():
-                            _bump(col, (op_i, key), c * v)
+                    for key, c in terms.items():
+                        for pair, v in _tensor_coproduct_image(images, op, key, s).items():
+                            _bump(col, (op_i, pair), c * v)
                 columns.append(col)
         span = _SparseSpan()
         dim = sum(not span.add(col) for col in columns)
@@ -985,7 +1013,8 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     kernel M iff the deficits of M/n-M (`_deficits`) sum to 1, and then
     top_cyclic_dim is the kernel dimension; otherwise `cyclic_span_dim`
     walks its span."""
-    images = MonomialImages()
+    layout = monomial_layout(alg, k)
+    images = MonomialImages(layout)
     ups, downs = simple_root_operators(alg)
     _bounded_kernel_dims(alg, k, bound)
     kdim, svs, orbit_size, blocks = _singular_pass(alg, k, bound, images, ups)
@@ -996,7 +1025,7 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     total_sing = sum(c for _, c in weights)
 
     has_trivial = any(
-        not any(images.apply(op, v.terms) for op in ups + downs)
+        not any(images.apply(op, layout.pack_terms(v.terms)) for op in ups + downs)
         for w, vs in svs.items() if w.is_zero() for v in vs
     )
     top_weight = max(svs, key=lambda w: grlex_key(w.doubled))

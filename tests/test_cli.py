@@ -455,7 +455,8 @@ def _fresh_python(code, *argv):
 
 
 # the modules that cli imports only inside the commands that run them
-LAZY = {"spochar.superspace", "spochar.jacobitrudi", "spochar.blocksdecomp", "spochar.acceptance"}
+LAZY = {"spochar.superspace", "spochar.monomials", "spochar.jacobitrudi", "spochar.blocksdecomp",
+        "spochar.acceptance"}
 
 
 def test_import_builds_no_parser_and_loads_no_dataclasses():
@@ -470,7 +471,7 @@ def test_import_builds_no_parser_and_loads_no_dataclasses():
 # a Laplacian report may run jacobitrudi.
 NO_JT = LAZY - {"spochar.jacobitrudi"}
 NO_BLOCKS = NO_JT - {"spochar.blocksdecomp"}
-NO_SUPERSPACE = LAZY - {"spochar.superspace"}
+NO_SUPERSPACE = LAZY - {"spochar.superspace", "spochar.monomials"}
 COLD_LINES = [
     ("kac --algebra 2|3 --weight 1d1+1e1", LAZY),
     ("euler --algebra 2|3 --parabolic remove=e1 --levi-module natural", LAZY),

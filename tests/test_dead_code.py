@@ -64,3 +64,43 @@ def test_w_is_enumerated_only_by_the_oracles():
                 readers.setdefault(name, set()).add(str(path.relative_to(SRC)))
     assert set(readers) == set(W_SUMS)
     assert set().union(*readers.values()) <= {"rootdata.py", "acceptance.py"}, readers
+
+
+def _monomial_image_callers(node, scope=""):
+    """The qualified name of the function or class around each call of
+    .monomial_image under node ("" at module level)."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += _monomial_image_callers(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "monomial_image"):
+            out.append(scope)
+        out += _monomial_image_callers(child, scope)
+    return out
+
+
+def test_each_operator_images_monomials_one_way():
+    # every LinearOperator subclass defines one monomial_image, and only
+    # MonomialImages.image calls it: every image goes through the one packed
+    # path, and no second image path can stay beside it
+    classes, callers = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        classes.update((node.name, node) for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
+        callers += [f"{path.relative_to(SRC)}:{name}" for name in _monomial_image_callers(tree)]
+    subclasses = {"LinearOperator"}
+    while True:
+        more = {name for name, node in classes.items()
+                if any(isinstance(b, ast.Name) and b.id in subclasses for b in node.bases)} - subclasses
+        if not more:
+            break
+        subclasses |= more
+    subclasses.discard("LinearOperator")
+    assert subclasses >= {"Derivation", "Laplacian"}
+    for name in subclasses:
+        images = [stmt for stmt in classes[name].body
+                  if isinstance(stmt, ast.FunctionDef) and stmt.name == "monomial_image"]
+        assert len(images) == 1, name
+    assert callers == ["monomials.py:MonomialImages.image"]

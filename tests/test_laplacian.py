@@ -1,8 +1,9 @@
 """The closed-form Laplacian of `superspace` against a frozen copy of the
 operator chain it replaced.
 
-`OperatorSum`, `_apply_terms` and `_bump` below are verbatim copies of the
-generic sum of operator compositions that the Laplacian was built on,
+`OperatorSum`, `_apply_terms` and `_bump` below are copies of the generic
+sum of operator compositions that the Laplacian was built on (`OperatorSum`
+reads packed monomials, like every operator),
 `partial` of the partial derivatives it composed, and
 `_chain_doubled_laplacian` and `_chain_laplacian` are the bodies of
 `doubled_laplacian` and `laplacian` that built it from them.
@@ -57,14 +58,17 @@ class OperatorSum(LinearOperator):
         self.parts = parts  # tuple of (coefficient, tuple-of-operators)
         self.name = name
 
-    def monomial_image(self, mono, images):
+    def packed(self, layout):
+        return tuple((coef, tuple((op, op.packed(layout)) for op in chain)) for coef, chain in self.parts)
+
+    def monomial_image(self, mono, packed):
         # The inner images are not memoised: within one computation a chain
         # meets each intermediate monomial once (m - x determines m).
         out = {}
-        for coef, chain in self.parts:
+        for coef, chain in packed:
             cur = {mono: 1}
-            for op in reversed(chain):
-                cur = _apply_terms(lambda t: op.monomial_image(t, images), cur)
+            for op, op_packed in reversed(chain):
+                cur = _apply_terms(lambda t: op.monomial_image(t, op_packed), cur)
             for t, c in cur.items():
                 _bump(out, t, coef * c)
         return out
@@ -111,17 +115,19 @@ def test_closed_form_laplacian_matches_the_operator_chain(text):
     # every monomial of degrees 0-7 whose degree has dimension <= 3000
     alg = Algebra.parse(text)
     ops = [(doubled_laplacian(alg), _chain_doubled_laplacian(alg)), (laplacian(alg), _chain_laplacian(alg))]
-    images, chain_images = MonomialImages(), MonomialImages()
+    layout = superspace.monomial_layout(alg, 7)
+    images, chain_images = MonomialImages(layout), MonomialImages(layout)
     lowered = 0
     for k in range(8):
         if superspace.degree_dim(alg, k) > 3000:
             continue
         for mono in degree_basis(alg, k, 3000):
+            key = layout.pack(mono)
             for op, chain in ops:
-                got = images.image(op, mono)
-                assert _typed(got) == _typed(chain_images.image(chain, mono)), (k, mono)
-            assert all(type(c) is int for c in images.image(ops[0][0], mono).values())
-            lowered += bool(images.image(ops[0][0], mono))
+                got = layout.unpack_terms(images.image(op, key))
+                assert _typed(got) == _typed(layout.unpack_terms(chain_images.image(chain, key))), (k, mono)
+            assert all(type(c) is int for c in images.image(ops[0][0], key).values())
+            lowered += bool(images.image(ops[0][0], key))
     assert lowered
 
 

@@ -567,26 +567,30 @@ def _weight_blocks(alg, k, bound=20000):
 def _checked_block_kernel(images, lap, dom):
     """`_block_kernel` on one block, checked against the frozen dense RREF
     null basis: each vector, divided by its entry at its largest monomial,
-    is the dense one, in order and with Fraction values."""
+    is the dense one, in order and with Fraction values.  dom holds monomial
+    tuples; the kernel is packed in the layout of images."""
     from spochar.superspace import _block_kernel
     from test_linalg import _solve_block
 
-    kern = _block_kernel(images, lap, dom)
-    dense = _solve_block([images.image(lap, t) for t in dom])
-    assert [[(t, Fraction(c, v[max(v)])) for t, c in sorted(v.items())] for v in kern] == [
+    layout = images.layout
+    keys = [layout.pack(t) for t in dom]
+    kern = _block_kernel(images, lap, keys)
+    dense = _solve_block([images.image(lap, t) for t in keys])
+    assert [[(layout.unpack(t), Fraction(c, v[max(v)])) for t, c in sorted(v.items())] for v in kern] == [
         [(dom[i], c) for i, c in enumerate(v) if c] for v in dense]
     return kern
 
 
 def _enumerating_kernel_basis(alg, k, bound=20000):
-    from spochar.superspace import MonomialImages, doubled_laplacian
+    from spochar.superspace import MonomialImages, doubled_laplacian, monomial_layout
     from test_linalg import _solve_block
 
-    images = MonomialImages()
+    layout = monomial_layout(alg, k)
+    images = MonomialImages(layout)
     lap = doubled_laplacian(alg)
     found = []
     for _, dom in _weight_blocks(alg, k, bound):
-        for v in _solve_block([images.image(lap, t) for t in dom]):
+        for v in _solve_block([images.image(lap, layout.pack(t)) for t in dom]):
             free = max(i for i, c in enumerate(v) if c)
             found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
     superspace._check_surjective(alg, k, len(found))
@@ -597,7 +601,8 @@ def _enumerating_kernel_basis(alg, k, bound=20000):
 def _enumerating_tensor_counts(alg, k, bound=20000):
     from spochar.laurent import grlex_key
     from spochar.rootdata import fold_to_dominant
-    from spochar.superspace import MonomialImages, _tensor_coproduct_image, doubled_laplacian, gen_weight_doubled
+    from spochar.superspace import (MonomialImages, _tensor_coproduct_image, doubled_laplacian, gen_weight_doubled,
+                                    monomial_layout)
     from test_linalg import _solve_block
 
     groups = {}
@@ -606,7 +611,8 @@ def _enumerating_tensor_counts(alg, k, bound=20000):
         for s in range(gen_count(alg)):
             w = tuple(a + b for a, b in zip(wt, gen_weight_doubled(alg, s)))
             groups.setdefault(w, []).append((t, s))
-    images = MonomialImages()
+    layout = monomial_layout(alg, k)
+    images = MonomialImages(layout)
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
     counts = {}
@@ -614,9 +620,10 @@ def _enumerating_tensor_counts(alg, k, bound=20000):
     for wt in sorted(dominant, key=grlex_key, reverse=True):
         columns = []
         for mono, slot in sorted(groups[wt]):
-            col = {(0, (t, slot)): c for t, c in images.image(lap, mono).items()}
+            packed = layout.pack(mono)
+            col = {(0, (t, slot)): c for t, c in images.image(lap, packed).items()}
             for op_i, op in enumerate(ups, 1):
-                for key, c in _tensor_coproduct_image(alg, images, op, mono, slot).items():
+                for key, c in _tensor_coproduct_image(images, op, packed, slot).items():
                     col[(op_i, key)] = c
             columns.append(col)
         dim = len(_solve_block(columns))
@@ -673,9 +680,9 @@ def test_l0_kernel_is_zero_above_the_middle_degree():
 
 
 def _all_blocks_singular_pass(alg, k):
-    from spochar.superspace import MonomialImages, _block_singular, doubled_laplacian
+    from spochar.superspace import MonomialImages, _block_singular, doubled_laplacian, monomial_layout
 
-    images = MonomialImages()
+    images = MonomialImages(monomial_layout(alg, k))
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
     kdim, out = 0, {}
@@ -684,7 +691,7 @@ def _all_blocks_singular_pass(alg, k):
         kdim += len(kern)
         vecs = _block_singular(images, ups, kern)
         if vecs:
-            out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
+            out[Weight(alg, wt)] = [SuperElement(alg, images.layout.unpack_terms(v)) for v in vecs]
     return kdim, out
 
 
@@ -709,18 +716,20 @@ def test_singular_solve_restores_fractional_kernel_vectors():
     # an x0^2 term have fractional RREF kernel vectors (the frozen dense
     # solve), which the integer kernel basis scales to ints and the solve
     # must give back exactly, as Fractions.
-    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, doubled_laplacian
+    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, doubled_laplacian, monomial_layout
     from test_linalg import _solve_block
 
-    images = MonomialImages()
+    layout = monomial_layout(SPO25, 4)
+    images = MonomialImages(layout)
     lap = doubled_laplacian(SPO25)
     fractional = 0
     for _, dom in _weight_blocks(SPO25, 4, 20000):
-        kern = _block_kernel(images, lap, dom)
-        dense = _solve_block([images.image(lap, t) for t in dom])
+        keys = [layout.pack(t) for t in dom]
+        kern = _block_kernel(images, lap, keys)
+        dense = _solve_block([images.image(lap, t) for t in keys])
         expected = [{dom[i]: c for i, c in enumerate(v) if c} for v in dense]
         fractional += sum(any(c.denominator > 1 for c in v.values()) for v in expected)
-        got = _block_singular(images, [], kern)
+        got = [layout.unpack_terms(v) for v in _block_singular(images, [], kern)]
         assert [[(t, type(c), c) for t, c in v.items()] for v in got] == [
             [(t, type(c), c) for t, c in v.items()] for v in expected]
     assert fractional
@@ -827,16 +836,17 @@ def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp
 # counted every pivot, before the walk kept only the weights above a dominant
 # one and weighted each dominant weight's span by its W-orbit.
 
-from spochar.superspace import MonomialImages, cyclic_span_dim
+from spochar.superspace import MonomialImages, cyclic_span_dim, monomial_layout
 
 
 def _whole_module_span_dim(vector, ops):
     from spochar.linalg import _SparseSpan
     from spochar.superspace import _integer_multiple
 
-    images = MonomialImages()
+    layout = monomial_layout(vector.alg, sum(next(iter(vector.terms))))
+    images = MonomialImages(layout)
     span = _SparseSpan()
-    start = _integer_multiple(vector.terms)
+    start = _integer_multiple(layout.pack_terms(vector.terms))
     span.add(start)
     frontier = [start]
     while frontier:
@@ -866,7 +876,7 @@ SPAN_CASES = DIFFERENTIAL_CASES + [(SPO44, 6), (Algebra.parse("6|6"), 6)] + [
 @pytest.mark.parametrize("alg,k", SPAN_CASES, ids=lambda x: str(x))
 def test_orbit_weighted_span_matches_whole_module_walk(alg, k):
     ups, downs = simple_root_operators(alg)
-    _, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(), ups)
+    _, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(monomial_layout(alg, k)), ups)
     for vs in svs.values():
         for v in vs:
             assert cyclic_span_dim(alg, v, downs, orbit_size) == _whole_module_span_dim(v, downs)
@@ -890,7 +900,7 @@ def _whole_degree_singular_pass(alg, k):
     from spochar.rootdata import fold_to_dominant
     from spochar.superspace import _block_singular, doubled_laplacian
 
-    images = MonomialImages()
+    images = MonomialImages(monomial_layout(alg, k))
     ups, _ = simple_root_operators(alg)
     lap = doubled_laplacian(alg)
     blocks = _weight_blocks(alg, k, 20000)
@@ -903,7 +913,7 @@ def _whole_degree_singular_pass(alg, k):
         kdim += orbit_size[wt] * len(kern)
         vecs = _block_singular(images, ups, kern)
         if vecs:
-            out[Weight(alg, wt)] = [SuperElement(alg, v) for v in vecs]
+            out[Weight(alg, wt)] = [SuperElement(alg, images.layout.unpack_terms(v)) for v in vecs]
     return kdim, out, orbit_size
 
 
@@ -932,7 +942,8 @@ SINGULAR_PASS_CASES = SPAN_CASES + L1_CASES + [
 @pytest.mark.parametrize("alg,k", SINGULAR_PASS_CASES, ids=lambda x: str(x))
 def test_dominant_blocks_from_slot_pairs_match_the_whole_degree_pass(alg, k):
     ref_kdim, ref_svs, ref_orbits = _whole_degree_singular_pass(alg, k)
-    kdim, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(), simple_root_operators(alg)[0])
+    kdim, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(monomial_layout(alg, k)),
+                                                         simple_root_operators(alg)[0])
     assert kdim == ref_kdim
     assert list(svs) == list(ref_svs)
     for w in svs:
@@ -961,13 +972,14 @@ def test_closed_forms_match_the_enumerated_degree():
 
     assert len(CLOSED_FORM_GRID) > 120
     for alg, k in CLOSED_FORM_GRID:
+        layout = monomial_layout(alg, k)
         basis = degree_basis(alg, k)
         assert superspace.degree_dim(alg, k) == len(basis)
         by_weight = {}
         for t in basis:
             by_weight.setdefault(monomial_weight_doubled(alg, t), []).append(t)
         for wt, monos in by_weight.items():
-            assert superspace._weight_monomials(alg, k, wt) == monos
+            assert [layout.unpack(t) for t in superspace._weight_monomials(layout, k, wt)] == monos
         folds = Counter(fold_to_dominant(alg, wt) for wt in by_weight)
         dominant = superspace._dominant_weights(alg, k)
         assert dominant == sorted(folds, key=lambda w: (sum(w), w), reverse=True)
@@ -1069,10 +1081,12 @@ def test_moves_match_merged_images(algtxt):
     ops = [root_operator(alg, root) for r in pos.even + pos.odd for root in (r, -r)]
     ops += [partial(alg, slot) for slot in range(gen_count(alg))]
     monos = [t for k in range(5) for t in degree_basis(alg, k)]
+    layout = monomial_layout(alg, 4)
+    images = MonomialImages(layout)
     odd_signs = powers = 0
     for op in ops:
         for mono in monos:
-            got = op.monomial_image(mono, None)
+            got = layout.unpack_terms(images.image(op, layout.pack(mono)))
             assert got == _merged_monomial_image(op, mono)
             assert all(type(c) is int for c in got.values())
             for src, _, _ in op.moves:
@@ -1104,14 +1118,15 @@ def _walk_report(alg, k):
     from spochar.rootdata import is_dominant
     from spochar.superspace import IrreducibilityReport
 
-    images = MonomialImages()
+    layout = monomial_layout(alg, k)
+    images = MonomialImages(layout)
     ups, downs = simple_root_operators(alg)
     kdim, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, images, ups)
     if kdim == 0:
         return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
     weights = [(w, len(vs)) for w, vs in svs.items()]
     total_sing = sum(c for _, c in weights)
-    has_trivial = any(not any(images.apply(op, v.terms) for op in ups + downs)
+    has_trivial = any(not any(images.apply(op, layout.pack_terms(v.terms)) for op in ups + downs)
                       for w, vs in svs.items() if w.is_zero() for v in vs)
     top_weight = max(svs, key=lambda w: grlex_key(w.doubled))
     top_dim = cyclic_span_dim(alg, svs[top_weight][0], downs, orbit_size) if len(svs[top_weight]) == 1 else 0
@@ -1171,11 +1186,13 @@ def test_no_deficit_off_the_dominant_weights():
     cases = [(alg, k) for alg, k in NAKAYAMA_GRID if superspace.degree_dim(alg, k) <= 1500]
     assert len(cases) > 80
     for alg, k in cases:
-        images = MonomialImages()
+        layout = monomial_layout(alg, k)
+        images = MonomialImages(layout)
         lap = doubled_laplacian(alg)
         blocks = {}
         for wt in _degree_weights(alg, k):
-            blocks[wt] = _checked_block_kernel(images, lap, _weight_monomials(alg, k, wt))
+            dom = [layout.unpack(t) for t in _weight_monomials(layout, k, wt)]
+            blocks[wt] = _checked_block_kernel(images, lap, dom)
         deficits = dict(superspace._deficits(alg, k, blocks, images, simple_root_operators(alg)[1]))
         dominant = set(superspace._dominant_weights(alg, k))
         assert all(wt in dominant for wt, d in deficits.items() if d), (alg, k)
