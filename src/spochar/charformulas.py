@@ -14,9 +14,9 @@ simple factor of the roots, with multiplicities from Freudenthal's formula
 (Humphreys, Introduction to Lie Algebras and Representation Theory, 22.3),
 computed once per (factor, highest weight) in a process and read from the
 tables of `rootdata`, which characters of every algebra share; each orbit
-is listed on the sign-free orthant (`orthant_character`) and expanded to
-its sign images once, in one pass over the orthant's columns
-(`laurent.sign_images`):
+is listed on the sign-free orthant (`orthant_character`), which the
+character holds, expanding it to its sign images once, in one pass over the
+orthant's columns, when its terms are first read (`laurent.sign_images`):
 
 * Kac: (D1 / D0) A(e^{lam+rho}) is one numerator term.  For odd l the factor
   e^{d_i} - e^{-d_i} of D0 and e^{d_i/2} + e^{-d_i/2} of D1 cancel to
@@ -28,7 +28,7 @@ its sign images once, in one pass over the orthant's columns
   e^{-e_j}, which, like the Weyl character, is invariant under every
   single sign change on the sign-free slots (`rootdata.sign_free_slots`).
   So the product is taken on the orthant terms (`laurent.times_isotropic`),
-  which expands the packed product to its sign images once.
+  and the character holds the packed product's orthant terms.
 * Euler: D1 is W-invariant, so the Euler character of a parabolic with Levi
   module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a}) over
   the odd positive roots a outside the Levi, divided by D0.  Its folded
@@ -345,9 +345,12 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
     The quotient by D0 after the odd-l cancellation is the Weyl character
     of e^{lam+rho} on the roots of `_kac_roots`, 0 when a reflection fixes
     lam + rho.  It is multiplied by the binomials of the isotropic roots on
-    its sign-free orthant (`rootdata.orthant_character`), and
-    `laurent.times_isotropic` expands the product to its sign images (see
-    the module docstring).  Raises DimensionGuard for a Weyl group above
+    its sign-free orthant (`rootdata.orthant_character`) by
+    `laurent.times_isotropic`, and the character holds the product's
+    orthant terms (see the module docstring): its term count, vdim, leading
+    term and integrality come from them, so `dim --kac` and text output
+    above 30 terms never build the sign images, which the first read of
+    its terms does.  Raises DimensionGuard for a Weyl group above
     WEYL_ORDER_LIMIT, and ArithmeticError when the character has a
     half-integral exponent.
     """
@@ -376,8 +379,10 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
     folded term by term into the dominant chamber with its sign, its
     singular terms dropped, each folded term c e^nu contributes
     c ch L0(nu - rho0), a g0-character computed on dominant weights by
-    Freudenthal's formula and expanded to W-orbits once.  Raises
-    ArithmeticError when the character has a half-integral exponent,
+    Freudenthal's formula and listed on the sign-free orthant, which the
+    character holds: its term count, vdim and integrality come from the
+    orthant, and its terms are expanded to their sign images on first read.
+    Raises ArithmeticError when the character has a half-integral exponent,
     LatticeMismatch for a module character of another spo(2n|l) lattice,
     and DimensionGuard for a Weyl group above WEYL_ORDER_LIMIT, before the
     numerator is expanded, and once the expansion passes

@@ -19,10 +19,11 @@ weight giving 1/(1 - z).  Each factor is one call of the series
 recurrence, `series.divided` or `series.times`.  The Jacobi-Trudi
 determinants run on these entries, and `from_u_basis` expands each result
 once: per slot u^k = sum over j <= k/2 of C(k, j) O_{k-2j}, with
-O_a = t^a + t^-a for a > 0 and O_0 = 1, so the central term keeps C(k, k/2);
-the terms with every exponent >= 0 come first and their sign images follow,
-expanded on every slot in one pass over the columns of the packed result
-(`laurent.sign_images`).
+O_a = t^a + t^-a for a > 0 and O_0 = 1, so the central term keeps C(k, k/2).
+The character holds the terms with every exponent >= 0, the columns of the
+packed result, and expands them to their sign images on every slot only
+when its terms are first read (`laurent.sign_images`); its term count and
+vdim come from them.
 
 Packed tables.  `PowerTable` keeps the u-basis p_r and e_r only as packed
 term dicts {int: coefficient} (`laurent.Packing`), in one unsigned layout,
@@ -77,8 +78,11 @@ def from_u_basis(p, packing) -> LaurentPoly:
     unsigned `packing` (see the module docstring): the binomial step runs
     slot by slot on the int keys, u^k = sum over j <= k/2 of C(k, j)
     O_{k-2j} with O_a read as t^a, which moves the field of slot s by k - 4j.
-    Then the result is read as one column per slot and expanded to its
-    sign images on every slot (`laurent.sign_images`)."""
+    Then the result is read as one column per slot, the orthant terms of a
+    character invariant under the sign change of every slot, which it holds
+    (`laurent.sign_images`): `dim --jt`, and text output above 30 terms,
+    read only its term count and vdim from them, and its sign images are
+    built when its terms are first read."""
     width, rank = packing.width, packing.n + packing.m
     mask = (1 << width) - 1
     terms = p

@@ -24,11 +24,13 @@ Weyl-type quotients are not evaluated here: Kac, Euler and even-Levi
 characters are Weyl characters on dominant weights (`rootdata.weyl_character`).
 Kac characters are multiplied by the binomials of their isotropic roots
 with `times_isotropic`, on the terms of one sign orbit each
-(`rootdata.orthant_character`).  `sign_images` is the one expansion of
-such orthant terms to every sign image, for Weyl, Kac and Jacobi-Trudi
-characters: it takes the orthant as one column of exponents per slot,
-which the packed kernels read straight from their int keys, and builds the
-whole term dict in one C-level pass, with no Python step per term.
+(`rootdata.orthant_character`).  `sign_images` makes the polynomial of
+such orthant terms, for Weyl, Kac and Jacobi-Trudi characters: it takes
+the orthant as one column of exponents per slot, which the packed kernels
+read straight from their int keys, and holds it.  The first read of the
+polynomial's `terms` expands it to every sign image in one C-level pass,
+with no Python step per term; its term count, vdim, leading term and
+integrality are read from the orthant without expanding (`LaurentPoly`).
 
 `format_exponent` is the one way to write an exponent vector as a weight:
 plain text for `Weight.format`, the CLI and `repr`, compact root labels,
@@ -229,16 +231,39 @@ class LaurentPoly:
     the constructor refuses an exponent of any other length with
     `LatticeMismatch` (`_wrap`, the kernels' path, does not look).  Never
     mutate `terms` after construction: results may share them (p * 1 is p
-    itself, and p + 0 wraps p's terms).  Values are safe to share across
-    threads.
+    itself, and p + 0 wraps p's terms).
+
+    A value that `sign_images` made holds its orthant instead: the terms
+    of a polynomial invariant under the sign change of each slot of a set,
+    the sign-free slots, that have every exponent there >= 0, as one column
+    of exponents per slot, their coefficients and the frozenset of the
+    slots.  Kac, Euler and Jacobi-Trudi characters are such values.  The
+    first read of `terms` expands the orthant to its sign images, the dict
+    `sign_images` would have built at once, and drops it.  These answer
+    from the orthant without expanding, since each orthant term with k
+    nonzero exponents on the sign-free slots stands for 2^k terms of its
+    coefficient: `len` (the sum of the 2^k), `evaluate_at_one` (the same
+    sum weighted by the coefficients), `bool` and `is_zero`, `is_integral`
+    (a sign change keeps parity), `leading_term` (the graded-lex maximum of
+    a sign orbit is its orthant member, the one of largest degree) and `==`
+    between two orthant-held values of one lattice and one set of sign-free
+    slots (the orthant terms determine the polynomial).  Every other reader
+    expands once.
+
+    Values are safe to share across threads, with no lock: the orthant is
+    never mutated, the expansion writes the term dict before it drops the
+    orthant, and a reader that finds the orthant already gone reads the
+    term dict again.  Two threads that read `terms` at once may each expand
+    it; they get equal dicts, in one order.
     """
 
-    __slots__ = ("n", "m", "terms")
+    __slots__ = ("n", "m", "_terms", "_orthant")
 
     def __init__(self, n, m, terms):
         self.n = n
         self.m = m
-        self.terms = {e: c for e, c in terms.items() if c}
+        self._terms = {e: c for e, c in terms.items() if c}
+        self._orthant = None
         bad = set(map(len, terms)) - {n + m}
         if bad:
             raise LatticeMismatch(f"exponent length {min(bad)} != {n + m}")
@@ -248,8 +273,20 @@ class LaurentPoly:
         """The polynomial on a term dict the kernel made free of zeros: no
         copy, no filter.  The dict must not be shared or mutated later."""
         p = object.__new__(cls)
-        p.n, p.m, p.terms = n, m, terms
+        p.n, p.m, p._terms, p._orthant = n, m, terms, None
         return p
+
+    @property
+    def terms(self):
+        """The term dict, expanded from the orthant on first read."""
+        terms = self._terms
+        if terms is None:
+            orthant = self._orthant
+            if orthant is None:  # another thread expanded it meanwhile
+                return self._terms
+            terms = self._terms = _expand_sign_images(*orthant)
+            self._orthant = None
+        return terms
 
     # -- constructors ------------------------------------------------------
 
@@ -272,18 +309,25 @@ class LaurentPoly:
         return self.n + self.m
 
     def is_zero(self):
-        return not self.terms
+        return not self
 
     def __bool__(self):
-        return bool(self.terms)
+        orthant = self._orthant
+        return bool(self.terms) if orthant is None else bool(orthant[1])
 
     def __len__(self):
-        return len(self.terms)
+        orthant = self._orthant
+        return len(self.terms) if orthant is None else sum(_image_counts(orthant))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.n == other.n and self.m == other.m and self.terms == other.terms
+        if self.n != other.n or self.m != other.m:
+            return False
+        a, b = self._orthant, other._orthant
+        if a is not None and b is not None and a[2] == b[2]:
+            return len(a[1]) == len(b[1]) and _orthant_terms(a) == _orthant_terms(b)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, self.m, frozenset(self.terms.items())))
@@ -335,10 +379,12 @@ class LaurentPoly:
 
     def leading_term(self):
         """(exponents, coefficient) maximal in graded-lex order."""
-        if not self.terms:
+        if not self:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        orthant = self._orthant
+        terms = self.terms if orthant is None else _orthant_terms(orthant)
+        e = max(terms, key=grlex_key)
+        return e, terms[e]
 
     def map_exponents(self, fn):
         """Apply an exponent-tuple map (e.g. a Weyl group element)."""
@@ -350,13 +396,19 @@ class LaurentPoly:
 
     def is_integral(self):
         """True if every exponent is a genuine (non-half) lattice point."""
-        return all(x % 2 == 0 for e in self.terms for x in e)
+        orthant = self._orthant
+        if orthant is None:
+            return all(x % 2 == 0 for e in self.terms for x in e)
+        return all(x % 2 == 0 for col in orthant[0] for x in set(col))
 
     # -- queries -------------------------------------------------------------
 
     def evaluate_at_one(self):
         """Sum of coefficients: the (virtual) dimension of a character."""
-        return sum(self.terms.values())
+        orthant = self._orthant
+        if orthant is None:
+            return sum(self.terms.values())
+        return sum(map(operator.mul, _image_counts(orthant), orthant[1]))
 
     def sorted_terms(self):
         """[(exponents, coefficient)] in ascending graded-lex order: the
@@ -560,18 +612,38 @@ def sign_images(n, m, columns, coefs, slots) -> LaurentPoly:
     characters every slot.
 
     The orthant terms come as their columns, one sequence of exponents per
-    slot in slot order (none when there are no terms), and their
-    coefficients, in one term order.  Each column is mapped through a table
-    of its distinct values, x to (x, -x) for a nonzero x on `slots` and to
-    (x,) otherwise; the images of a term are the product of its slots'
-    alternatives, 2^k of them for k nonzero exponents on `slots`.  The term
-    dict is built in one pass of C-level iterators over these lists, with no
-    Python step per term: `dict.fromkeys` gives a term's images its
-    coefficient and `update` merges them with the hashes already taken,
-    which on 2.3 million images is faster than one `dict(zip(...))`.  An
-    image met twice keeps its first place and its last coefficient.
+    slot in slot order (none when there are no terms), and their nonzero
+    coefficients, in one term order, with no term twice.  The result holds
+    them (see `LaurentPoly`) and expands them to their sign images only
+    when its `terms` are first read (`_expand_sign_images`), so a caller
+    that reads only the term count, the vdim or the leading term never
+    builds the images.  Those readers count on the terms being an orthant,
+    as every caller in the package builds them; they are not checked here,
+    since the check (a minimum per sign-free column) costs about 0.5 ms of
+    a 33 ms kac_sweep pass that reads every term, more than such a reader
+    can spare to stay as fast as the eager expansion was.
     """
-    free = frozenset(slots)
+    columns, coefs, free = list(columns), list(coefs), frozenset(slots)
+    if not coefs:
+        return LaurentPoly._wrap(n, m, {})
+    p = object.__new__(LaurentPoly)
+    p.n, p.m, p._terms, p._orthant = n, m, None, (columns, coefs, free)
+    return p
+
+
+def _expand_sign_images(columns, coefs, free):
+    """The term dict of the sign images of orthant terms (`sign_images`).
+
+    Each column is mapped through a table of its distinct values, x to
+    (x, -x) for a nonzero x on the slots `free` and to (x,) otherwise; the
+    images of a term are the product of its slots' alternatives, 2^k of
+    them for k nonzero exponents on `free`.  The term dict is built in one
+    pass of C-level iterators over these lists, with no Python step per
+    term: `dict.fromkeys` gives a term's images its coefficient and
+    `update` merges them with the hashes already taken, which on 2.3
+    million images is faster than one `dict(zip(...))`.  An image met twice
+    keeps its first place and its last coefficient.
+    """
     alts = []
     for s, col in enumerate(columns):
         signed = s in free
@@ -579,7 +651,23 @@ def sign_images(n, m, columns, coefs, slots) -> LaurentPoly:
         alts.append(list(map(table.__getitem__, col)))
     out = {}
     deque(map(out.update, map(dict.fromkeys, starmap(product, zip(*alts)), coefs)), maxlen=0)
-    return LaurentPoly._wrap(n, m, out)
+    return out
+
+
+def _image_counts(orthant):
+    """Per orthant term, in order, its number of sign images: 1 << k for
+    its k nonzero exponents on the sign-free slots, one shift per slot."""
+    columns, coefs, free = orthant
+    counts = [1] * len(coefs)
+    for s in free:
+        counts = map(operator.lshift, counts, map(operator.truth, columns[s]))
+    return counts
+
+
+def _orthant_terms(orthant):
+    """The orthant terms as a term dict."""
+    columns, coefs, _ = orthant
+    return dict(zip(zip(*columns), coefs))
 
 
 # -- isotropic products -------------------------------------------------------------
@@ -589,16 +677,17 @@ def times_isotropic(p: LaurentPoly, sign_free) -> LaurentPoly:
     """p * prod over i < n, j < m of (x_i^2 + x_i^-2 + x_{n+j}^2 + x_{n+j}^-2),
     for p given by its orthant terms: the terms with every exponent on the
     slots `sign_free` >= 0, of a p invariant under the sign change of each
-    of them.  p itself when p is 0; the sign images of p (`sign_images`)
-    when m = 0.
+    of them.  p itself when p is 0; the polynomial of the orthant terms of
+    p (`sign_images`) when m = 0.
 
     Each factor is the product of the binomials of the isotropic roots
     d_i -/+ e_j, (e^{(d_i-e_j)/2} + e^{-(d_i-e_j)/2})(e^{(d_i+e_j)/2} +
     e^{-(d_i+e_j)/2}) = e^{d_i} + e^{-d_i} + e^{e_j} + e^{-e_j}, also
     invariant under those sign changes, so the product is taken on the
-    orthant terms and expanded to its sign images once, from the packed
-    result's columns.  A sign-free exponent that is negative or odd raises
-    ValueError.
+    orthant terms.  The result holds the packed product's orthant terms,
+    read as columns (`sign_images`): its term count and vdim come from them,
+    and its sign images are built only when its `terms` are first read.  A
+    sign-free exponent that is negative or odd raises ValueError.
 
     Exponents are packed once, one pass per factor.  A +2 shift stays in
     the orthant.  A -2 shift of a slot whose field reads v reflects at the

@@ -14,10 +14,10 @@ each simple factor on its dominant weights (Freudenthal's formula,
 (`_permutations`, `_side_orbit`) from bounded process-wide tables, keyed on
 the factor's own roots, rho and sign rule and the weight: each (factor,
 highest weight) is computed once per process, for every algebra with that
-factor.  The values are tuples and read-only mappings.  The orthant terms
-of a Weyl character, those with every exponent on its B and C factors
->= 0, are expanded to their sign images once, in one pass over their
-columns (`laurent.sign_images`).
+factor.  The values are tuples and read-only mappings.  A Weyl character
+holds its orthant terms, those with every exponent on its B and C factors
+>= 0 (`laurent.sign_images`), and expands them to their sign images once,
+in one pass over their columns, when its terms are first read.
 """
 
 from __future__ import annotations
@@ -397,10 +397,12 @@ def weyl_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     A(e^nu) = sum over W_R of det(g) e^{g(nu)}, rho is half their sum and
     D = A(e^rho): for strictly dominant nu, the character of the simple
     module of highest weight nu - rho.  No sum over W_R is taken: the result
-    is `orthant_character` expanded to its sign images on the slots of the
-    B and C factors, from its columns (`laurent.sign_images`).  Euler
-    characters pass the roots of g0, Kac characters for odd l those of
-    so(2n+1) + so(l) (the same W), and even-Levi characters the Levi's."""
+    holds `orthant_character` as its orthant, with the slots of the B and C
+    factors sign-free, and expands it to its sign images only when its
+    terms are first read (`laurent.sign_images`), so its term count, vdim,
+    leading term and integrality cost no expansion.  Euler characters pass
+    the roots of g0, Kac characters for odd l those of so(2n+1) + so(l)
+    (the same W), and even-Levi characters the Levi's."""
     orthant = orthant_character(alg, numerator, roots)
     return sign_images(alg.n, alg.m, zip(*orthant.terms), orthant.terms.values(), _sign_free(_factors(alg.rank, roots)))
 

@@ -64,7 +64,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, grlex_key
@@ -624,15 +624,24 @@ def _orbit_size(alg, doubled):
     """|W mu| for a doubled weight mu, from its stabilizer: on C_n (d-slots)
     and B_m (e-slots, odd l), r!/prod c! * 2^(nonzero entries) for r slots
     whose absolute values occur c times each; D_m (even l) changes signs in
-    pairs only, so it has 2^(m-1) for 2^m when no entry is 0."""
+    pairs only, so it has 2^(m-1) for 2^m when no entry is 0.  prod c! is
+    taken along the runs of the sorted absolute values, the i-th entry of a
+    run multiplying it by i."""
     n = alg.n
     size = 1
     for side, flips in ((doubled[:n], True), (doubled[n:], alg.odd)):
-        mags = Counter(map(abs, side))
-        signs = len(side) - mags[0]
-        if not flips and side and not mags[0]:
-            signs -= 1
-        size *= factorial(len(side)) // prod(map(factorial, mags.values())) * 2**signs
+        mags = sorted(map(abs, side))
+        stab = run = 1
+        prev = None
+        for x in mags:
+            if x == prev:
+                run += 1
+                stab *= run
+            else:
+                prev, run = x, 1
+        zeros = mags.count(0)
+        signs = len(mags) - zeros - (not flips and bool(mags) and not zeros)
+        size *= factorial(len(mags)) // stab << signs
     return size
 
 

@@ -991,6 +991,48 @@ def test_closed_forms_match_the_enumerated_degree():
             assert superspace._is_degree_weight(alg, k, wt) == (wt in by_weight), (alg, k, wt)
 
 
+def _frozen_orbit_size(alg, doubled):
+    """`superspace._orbit_size` as it was with a Counter per side; do not
+    "optimise" it."""
+    from collections import Counter
+    from math import factorial, prod
+
+    n = alg.n
+    size = 1
+    for side, flips in ((doubled[:n], True), (doubled[n:], alg.odd)):
+        mags = Counter(map(abs, side))
+        signs = len(side) - mags[0]
+        if not flips and side and not mags[0]:
+            signs -= 1
+        size *= factorial(len(side)) // prod(map(factorial, mags.values())) * 2**signs
+    return size
+
+
+# The (algebra, degree) pairs of the laplacian_reports benchmark pools.
+REPORT_DEGREES = (
+    ("2|4", 1), ("4|3", 1), ("4|4", 1), ("6|4", 1), ("4|6", 1), ("6|6", 1), ("2|4", 2), ("4|3", 2), ("4|4", 2),
+    ("6|4", 2), ("2|4", 3), ("4|6", 2), ("4|3", 3), ("6|6", 2), ("4|4", 3), ("2|4", 4), ("6|4", 3), ("4|3", 4),
+    ("4|6", 3), ("2|4", 5), ("6|6", 3), ("4|4", 4), ("4|3", 5), ("2|4", 6), ("6|4", 4), ("4|4", 5),
+)
+
+
+def test_orbit_size_matches_the_frozen_counter_version():
+    """On every dominant weight of the reports' degrees, the runs of the
+    sorted magnitudes give the Counter version's |W mu|; repeated, zero and
+    all-zero entries, on both the B and the D e-sides, come up among them."""
+    seen = 0
+    for text, k in REPORT_DEGREES:
+        alg = Algebra.parse(text)
+        for mu in superspace._dominant_weights(alg, k):
+            assert superspace._orbit_size(alg, mu) == _frozen_orbit_size(alg, mu), (text, k, mu)
+            seen += 1
+    assert seen > 200
+    for text, mu in (("6|4", (4, 4, 4, 2, 2)), ("6|4", (0, 0, 0, 0, 0)), ("4|6", (2, 2, 0, 0, 0)),
+                     ("2|0", (6,)), ("2|4", (2, 2, 2)), ("2|4", (0, 2, 0)), ("6|7", (4, 4, 0, 2, 2, 2))):
+        alg = Algebra.parse(text)
+        assert superspace._orbit_size(alg, mu) == _frozen_orbit_size(alg, mu), (text, mu)
+
+
 # -- the Weyl-invariance check -------------------------------------------------------------
 
 
