@@ -26,10 +26,14 @@ when its terms are first read (`laurent.sign_images`); its term count and
 vdim come from them.
 
 Packed tables.  `PowerTable` keeps the u-basis p_r and e_r only as packed
-term dicts {int: coefficient} (`laurent.Packing`), in one unsigned layout,
-widened and repacked when a determinant needs wider fields: u-degrees are
->= 0, so slot s is a plain bit field and multiplying monomials is adding
-ints.  A determinant builds its entries as sums of packed dicts
+term dicts {int: coefficient} (`laurent.Packing`), in one unsigned layout:
+u-degrees are >= 0, so slot s is a plain bit field and multiplying
+monomials is adding ints.  `PowerTable.rows` hands out the layout and the
+rows as one pair.  A determinant asks once for the largest power it reads,
+max(lambda*) + k - 1, and a series that stops short of it is built once, to
+exactly that order; a determinant that needs wider fields replaces the
+layout, and both forms' rows are built again in the new one when next
+asked for.  A determinant builds its entries as sums of packed dicts
 (`laurent.add_terms`), `linalg.det_bareiss_laurent` eliminates on them in
 that layout, and `from_u_basis` runs its binomial step on the int keys and
 reads the result's columns once.  The width is proven, not guessed: let B
@@ -44,7 +48,7 @@ Bareiss divides it reaches at most 2B, and so does the O-exponent 2k of
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 from .laurent import LaurentPoly, Packing, sign_images
@@ -53,10 +57,8 @@ from .linalg import det_bareiss_laurent
 from .rootdata import (
     Algebra,
     DimensionGuard,
-    HookConditionError,
     conjugate_partition,
-    fits_hook,
-    validate_partition,
+    hook_partition,
 )
 from .series import divided, series_one, times
 
@@ -115,44 +117,38 @@ def _width(bound):
 class PowerTable:
     """p_r (symmetric powers) and e_r (exterior powers) of the natural
     module in the u-basis, kept only as packed term dicts in one layout, one
-    list per form; each r is expanded at most once.  A series is built to
-    max(r, 2 len, 8) when r passes its length len, so that it is built a
-    logarithmic number of times; widening the layout repacks both lists."""
+    list per form; each r is expanded at most once.  The layout and both
+    lists are one tuple, replaced whole and never mutated, so a caller's
+    (packing, rows) always belong together."""
 
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self._packing = Packing(alg.n, alg.m, _width(0))
-        self._packed = {"p": [], "e": []}
+        self._tables = (Packing(alg.n, alg.m, _width(0)), {"p": [], "e": []})
         self._full = {"p": {}, "e": {}}
 
-    def packing(self, bound) -> Packing:
-        """The layout of the tables, first widened to `_width(bound)` if
-        it is narrower."""
+    def rows(self, which, top, bound):
+        """(packing, rows): rows[r] is p_r (which "p") or e_r (which "e")
+        in the u-basis, packed in `packing`, for r = 0..top (top >= 0) at
+        least.  A layout narrower than `_width(bound)` is replaced, and both
+        forms' rows with it; rows that stop short of top are built once, to
+        exactly top."""
+        packing, tables = self._tables
         width = _width(bound)
-        if width > self._packing.width:
-            old, self._packing = self._packing, Packing(self.alg.n, self.alg.m, width)
-            for which, rows in self._packed.items():
-                self._packed[which] = [self._packing.pack(old.terms(x)) for x in rows]
-        return self._packing
-
-    def packed(self, which, r: int) -> dict:
-        """p_r (which "p") or e_r (which "e") in the u-basis, as a packed
-        term dict in the current layout (`packing`)."""
-        if r < 0:
-            return {}
-        rows = self._packed[which]
-        if len(rows) <= r:
-            series = _u_series(self.alg, max(r, 2 * len(rows), 8), which == "e")
-            rows = self._packed[which] = [self._packing.pack(x.terms) for x in series]
-        return rows[r]
+        if width > packing.width:  # the empty rows below are then built
+            packing, tables = Packing(self.alg.n, self.alg.m, width), {"p": [], "e": []}
+        rows = tables[which]
+        if len(rows) <= top:
+            rows = [packing.pack(x.terms) for x in _u_series(self.alg, top, which == "e")]
+            self._tables = (packing, {**tables, which: rows})
+        return packing, rows
 
     def _expanded(self, which, r):
         if r < 0:
             return LaurentPoly.zero(self.alg.n, self.alg.m)
         full = self._full[which]
         if r not in full:
-            packing = self.packing(r)
-            full[r] = from_u_basis(self.packed(which, r), packing)
+            packing, rows = self.rows(which, r, r)
+            full[r] = from_u_basis(rows[r], packing)
         return full[r]
 
     def p(self, r: int) -> LaurentPoly:
@@ -177,19 +173,16 @@ def ext_power_char(alg: Algebra, r: int) -> LaurentPoly:
     return power_table(alg).e(r)
 
 
-def _check_hook(lam, alg):
-    if not fits_hook(lam, alg.n, alg.m):
-        raise HookConditionError(f"{lam} does not fit the ({alg.n}|{alg.m}) hook")
-
-
 def _jt_determinant(alg, which, star, entry) -> LaurentPoly:
     """The expanded determinant of the k x k matrix of entry(power, star[i],
     j), where power(r) is the packed u-basis p_r or e_r (which): the largest
     power in row i is star[i] + k - 1, whose u-degree bounds the row's."""
     k = len(star)
-    tab = power_table(alg)
-    packing = tab.packing(sum(max(s + k - 1, 0) for s in star))
-    power = partial(tab.packed, which)
+    packing, rows = power_table(alg).rows(which, max(star) + k - 1, sum(max(s + k - 1, 0) for s in star))
+
+    def power(r):
+        return rows[r] if r >= 0 else {}
+
     matrix = [[entry(power, star[i], j) for j in range(k)] for i in range(k)]
     return from_u_basis(det_bareiss_laurent(matrix, packing), packing)
 
@@ -198,8 +191,7 @@ def jt_character(partition, alg: Algebra) -> LaurentPoly:
     """Jacobi-Trudi determinant in symmetric-power characters: column 0 is
     p_{lambda*}, column j is p_{lambda*+j} + p_{lambda*-j}.  The determinant
     is taken in the u-basis and expanded once."""
-    lam = validate_partition(partition)
-    _check_hook(lam, alg)
+    lam = hook_partition(partition, alg)
     if not lam:
         return LaurentPoly.one(alg.n, alg.m)
 
@@ -213,8 +205,7 @@ def jt_character_e(partition, alg: Algebra) -> LaurentPoly:
     """The equal exterior-power determinant form: with mu the conjugate
     partition, column j is e_{mu*+j} - e_{mu*-j-2}.  The determinant is
     taken in the u-basis and expanded once."""
-    lam = validate_partition(partition)
-    _check_hook(lam, alg)
+    lam = hook_partition(partition, alg)
     if not lam:
         return LaurentPoly.one(alg.n, alg.m)
     mu = conjugate_partition(lam)

@@ -239,10 +239,10 @@ class LaurentPoly:
     of exponents per slot, their coefficients and the frozenset of the
     slots.  Kac, Euler and Jacobi-Trudi characters are such values.  The
     first read of `terms` expands the orthant to its sign images, the dict
-    `sign_images` would have built at once, and drops it.  These answer
-    from the orthant without expanding, since each orthant term with k
-    nonzero exponents on the sign-free slots stands for 2^k terms of its
-    coefficient: `len` (the sum of the 2^k), `evaluate_at_one` (the same
+    `sign_images` would have built at once, and keeps both.  These answer
+    from the orthant, before the expansion and after it, since each orthant
+    term with k nonzero exponents on the sign-free slots stands for 2^k
+    terms of its coefficient: `len` (the sum of the 2^k), `evaluate_at_one` (the same
     sum weighted by the coefficients), `bool` and `is_zero`, `is_integral`
     (a sign change keeps parity), `leading_term` (the graded-lex maximum of
     a sign orbit is its orthant member, the one of largest degree) and `==`
@@ -251,10 +251,9 @@ class LaurentPoly:
     expands once.
 
     Values are safe to share across threads, with no lock: the orthant is
-    never mutated, the expansion writes the term dict before it drops the
-    orthant, and a reader that finds the orthant already gone reads the
-    term dict again.  Two threads that read `terms` at once may each expand
-    it; they get equal dicts, in one order.
+    never mutated nor dropped, and the expansion only sets the term dict.
+    Two threads that read `terms` at once may each expand it; they get
+    equal dicts, in one order.
     """
 
     __slots__ = ("n", "m", "_terms", "_orthant")
@@ -281,11 +280,7 @@ class LaurentPoly:
         """The term dict, expanded from the orthant on first read."""
         terms = self._terms
         if terms is None:
-            orthant = self._orthant
-            if orthant is None:  # another thread expanded it meanwhile
-                return self._terms
-            terms = self._terms = _expand_sign_images(*orthant)
-            self._orthant = None
+            terms = self._terms = _expand_sign_images(*self._orthant)
         return terms
 
     # -- constructors ------------------------------------------------------

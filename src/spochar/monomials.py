@@ -72,24 +72,22 @@ class MonomialImages:
 
     def __init__(self, layout: MonomialLayout):
         self.layout = layout
-        # id(op) -> (op, op packed in layout, {key: image}); op is kept so its
-        # id stays unique
-        self._tables = {}
+        self._tables = {}  # op -> (op packed in layout, {key: image})
 
     def image(self, op, key):
-        entry = self._tables.get(id(op))
+        entry = self._tables.get(op)
         if entry is None:
-            entry = self._tables[id(op)] = (op, op.packed(self.layout), {})
-        table = entry[2]
+            entry = self._tables[op] = (op.packed(self.layout), {})
+        packed, table = entry
         img = table.get(key)
         if img is None:
-            img = table[key] = op.monomial_image(key, entry[1])
+            img = table[key] = op.monomial_image(key, packed)
         return img
 
     def apply(self, op, terms):
         """op applied to a dict packed monomial -> coefficient, as such a dict."""
-        entry = self._tables.get(id(op))
-        table = entry[2] if entry else {}  # before op's first image, every key goes to `image`
+        entry = self._tables.get(op)
+        table = entry[1] if entry else {}  # before op's first image, every key goes to `image`
         out = {}
         for key, c in terms.items():
             img = table.get(key)

@@ -606,6 +606,15 @@ def fits_hook(lam, n, m):
     return len(lam) <= n or lam[n] <= m
 
 
+def hook_partition(partition, alg: Algebra):
+    """The validated partition; HookConditionError if it does not fit the
+    (n|m)-hook of alg."""
+    lam = validate_partition(partition)
+    if not fits_hook(lam, alg.n, alg.m):
+        raise HookConditionError(f"{lam} does not fit the ({alg.n}|{alg.m}) hook")
+    return lam
+
+
 def partitions_up_to(total, max_parts=None):
     """Every partition of size at most total, with at most max_parts parts
     when given, ordered by size and then lexicographically."""
@@ -625,9 +634,7 @@ def partitions_up_to(total, max_parts=None):
 def sharp(partition, alg: Algebra) -> Weight:
     """Dominant weight of the partition: first n parts on the d side, then
     the clipped conjugate columns <lambda'_j - n> on the e side."""
-    lam = validate_partition(partition)
-    if not fits_hook(lam, alg.n, alg.m):
-        raise HookConditionError(f"{lam} does not fit the ({alg.n}|{alg.m}) hook")
+    lam = hook_partition(partition, alg)
     conj = conjugate_partition(lam)
     a = [lam[i] if i < len(lam) else 0 for i in range(alg.n)]
     b = [max((conj[j] if j < len(conj) else 0) - alg.n, 0) for j in range(alg.m)]

@@ -16,7 +16,6 @@ import pytest
 from spochar import charformulas, jacobitrudi, linalg
 from spochar.blocksdecomp import gl_parabolic
 from spochar.jacobitrudi import (
-    PowerTable,
     ext_power_char,
     identity_suite,
     jt_character,
@@ -101,9 +100,8 @@ def _u(alg, which, r):
     power table."""
     if r < 0:
         return LaurentPoly.zero(alg.n, alg.m)
-    tab = power_table(alg)
-    packing = tab.packing(r)
-    return packing.unpack(tab.packed(which, r))
+    packing, rows = power_table(alg).rows(which, r, r)
+    return packing.unpack(rows[r])
 
 
 def _jt_tuple(partition, alg):
@@ -228,25 +226,3 @@ def test_signed_layout_matches_the_tuple_elimination(monkeypatch):
         assert det_bareiss_laurent(mat).terms == _det_bareiss_tuple(mat).terms
     assert any(len(q) > 1 for q in divisors)  # some divide by a pivot other than 1
 
-
-def test_power_table_grows_geometrically(monkeypatch):
-    # r = 0..40 builds each series 4 times, to 8, 18, 38 and 78, not once
-    # per r past 8; a wider layout repacks the tables without a new build
-    alg = Algebra.parse("4|3")
-    builds = []
-    series = jacobitrudi._u_series
-    monkeypatch.setattr(jacobitrudi, "_u_series", lambda *args: builds.append(args) or series(*args))
-    table = PowerTable(alg)
-    narrow = table.packing(0)
-    assert narrow.width == 8
-    got = {(which, 8): [table.packed(which, r) for r in range(41)] for which in "pe"}
-    wide = table.packing(200)
-    assert wide.width == 16 and table.packing(0) is wide
-    for which in "pe":
-        got[which, 16] = [table.packed(which, r) for r in range(41)]
-    for exterior in (False, True):
-        assert [order for _, order, ext in builds if ext == exterior] == [8, 18, 38, 78]
-    for which in "pe":
-        whole = series(alg, 40, which == "e")
-        for packing in (narrow, wide):
-            assert got[which, packing.width] == [packing.pack(x.terms) for x in whole]

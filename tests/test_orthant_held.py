@@ -2,12 +2,12 @@
 
 Kac, Euler and Jacobi-Trudi characters come back holding only their orthant
 terms (`laurent.sign_images`); `terms` expands them on first read, and some
-readers answer from the orthant without expanding.  Every public
-`LaurentPoly` method must give on an orthant-held value what it gives on the
-expansion, which here is `frozen_sign_images` of the orthant, the per-term
-expansion of tests/test_sign_images.py, not the code under test.  Each
-reader runs on a fresh copy of the held value, so that no earlier read has
-expanded it.
+readers answer from the orthant, which the value keeps, without expanding.
+Every public `LaurentPoly` method must give on an orthant-held value what it
+gives on the expansion, which here is `frozen_sign_images` of the orthant,
+the per-term expansion of tests/test_sign_images.py, not the code under
+test.  Each reader runs on a fresh copy of the held value, so that no
+earlier read has expanded it.
 """
 
 import sys
@@ -106,7 +106,10 @@ def test_readers_that_answer_from_the_orthant(characters, reader):
     for name, (held, want) in characters.items():
         fresh = _copy(held)
         assert fn(fresh) == fn(want), name
-        assert fresh._orthant is held._orthant, f"{name}: {reader} expanded the orthant"
+        if held._orthant is not None:
+            assert fresh._terms is None, f"{name}: {reader} expanded the orthant"
+        fresh.terms  # expanded, the value keeps its orthant and its answers
+        assert fresh._orthant is held._orthant and fn(fresh) == fn(want), name
 
 
 def test_leading_term_from_the_orthant(characters):
@@ -117,12 +120,13 @@ def test_leading_term_from_the_orthant(characters):
                 fresh.leading_term()
             continue
         assert fresh.leading_term() == want.leading_term(), name
-        assert fresh._orthant is held._orthant, name
+        assert fresh._terms is None, name
 
 
 def test_half_integral_orthants_are_not_integral():
     held = sign_images(1, 1, [[2, 0], [1, 3]], [1, -2], (0, 1))
-    assert not _copy(held).is_integral() and held._orthant is not None
+    fresh = _copy(held)
+    assert not fresh.is_integral() and fresh._terms is None
     assert not LaurentPoly(1, 1, dict(held.terms)).is_integral()
 
 
@@ -139,7 +143,7 @@ def test_equality_between_held_values(characters):
     for held, _ in values:
         if held._orthant is not None:
             a, b = _copy(held), _copy(held)
-            assert a == b and a._orthant is not None and b._orthant is not None
+            assert a == b and a._terms is None and b._terms is None
 
 
 def test_equal_orthants_on_other_slots_are_other_polynomials():
@@ -188,7 +192,9 @@ def test_readers_that_expand(characters, reader):
 def test_times_one_is_the_held_value_itself(characters):
     for held, _ in characters.values():
         fresh = _copy(held)
-        assert fresh * 1 is fresh and fresh._orthant is held._orthant
+        assert fresh * 1 is fresh
+        if held._orthant is not None:
+            assert fresh._terms is None
 
 
 def test_arithmetic_between_held_values(characters):
@@ -208,10 +214,9 @@ def test_arithmetic_between_held_values(characters):
 
 def test_four_threads_reading_terms_at_once_see_one_expansion():
     """The first read of `terms` takes no lock: each thread either expands
-    the orthant itself or, finding it gone, reads the dict that another
-    thread wrote before dropping it.  Four threads, more than the cores of
-    a small host, with a shortened switch interval so that they interleave
-    inside the read."""
+    the orthant itself or reads the dict that another thread wrote, and the
+    orthant stays.  Four threads, more than the cores of a small host, with
+    a shortened switch interval so that they interleave inside the read."""
     held = _kac("4|3", "3d1+2d2+1e1")
     want = _reference(held).terms
     switch = sys.getswitchinterval()
@@ -234,7 +239,8 @@ def test_four_threads_reading_terms_at_once_see_one_expansion():
                 assert not t.is_alive()
             for got in seen:
                 assert got == want and list(got) == list(want)
-            assert fresh._orthant is None and fresh.terms == want
+            assert fresh._terms is not None and fresh.terms == want
+            assert fresh._orthant is held._orthant
     finally:
         sys.setswitchinterval(switch)
 
@@ -255,7 +261,7 @@ def test_large_kac_character_counts_from_the_orthant():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ch._orthant is not None
+    assert ch._terms is None
     assert peak < 60 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
