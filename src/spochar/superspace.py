@@ -36,7 +36,10 @@ All linear algebra is exact and split into one block per weight: the
 Laplacian preserves weight and root operators shift it, so kernels, singular
 vectors and the tensor counts are solved block by block, each block by
 one sparse fraction-free elimination of its int columns (`linalg`), and the
-irreducibility verdicts below are certificates, not numerics.  A block's
+irreducibility verdicts below are certificates, not numerics.  One solver
+serves every computation (`_Blocks`): it refuses the degree past its bound,
+builds the layout, the image table and the Laplacian once, and solves each
+weight block at most once; no other degree is bounded.  A block's
 kernel basis stays in ints, each vector the RREF one times a positive int;
 Fractions appear only where `kernel_basis` and the singular solve scale a
 vector to 1 at its largest monomial.
@@ -584,13 +587,18 @@ def _degree_weights(alg, k):
 
 def _weight_monomials(layout, k, doubled):
     """The degree-k monomials of one doubled weight, packed in layout, in
-    increasing order (which is tuple order)."""
+    increasing order (which is tuple order); [] when doubled is not a weight
+    of the degree (`_is_degree_weight`).  A negative slack, an odd one for
+    even l, and a d-entry other than -2, 0 or 2 are refused first; for l = 0
+    a slack beyond the zero d-slots finds no pair x_i xb_i to take it."""
     alg = layout.alg
     n, m, gs = alg.n, alg.m, layout.gs
+    slack = k - sum(map(abs, doubled)) // 2
+    if slack < 0 or slack % 2 and not alg.odd or not {-2, 0, 2}.issuperset(doubled[:n]):
+        return []
     units = layout.units
     a = [x // 2 for x in doubled[:n]]
     b = [x // 2 for x in doubled[n:]]
-    slack = k - sum(map(abs, a)) - sum(map(abs, b))
     base = sum(c * units[i] if c > 0 else -c * units[m + i] for i, c in enumerate(b))
     base += sum(units[gs + j] if c > 0 else units[gs + n + j] for j, c in enumerate(a) if c)
     zeros = [units[gs + j] | units[gs + n + j] for j, c in enumerate(a) if not c]
@@ -610,7 +618,7 @@ def _weight_monomials(layout, k, doubled):
         if alg.odd:
             splits = [(pair_sums(t), (rest - 2 * t) * units[2 * m]) for t in range(rest // 2 + 1)]
         else:
-            splits = [(pair_sums(rest // 2), 0)] if rest % 2 == 0 else []
+            splits = [(pair_sums(rest // 2), 0)]
         for chosen in itertools.combinations(zeros, both):
             head = base + sum(chosen)
             for sums, x0 in splits:
@@ -659,19 +667,54 @@ def _weyl_invariant(alg, poly):
 #
 # The Laplacian preserves weight and a root operator shifts it by its root, so
 # each linear system below splits into one small block per weight.  Every
-# block is solved by `nullspace` on the int dict columns it builds, the
-# images of its monomials; a null vector over the monomials of its block is,
-# up to a positive int, the vector the whole-degree matrix would give,
-# because a column is a pivot of the block-diagonal RREF exactly when it is
-# one in its block.
+# Laplacian block is solved in `_Blocks.solve`, the one solver, by
+# `nullspace` on the int dict columns it builds, the images of its monomials;
+# a null vector over the monomials of its block is, up to a positive int, the
+# vector the whole-degree matrix would give, because a column is a pivot of
+# the block-diagonal RREF exactly when it is one in its block.  A caller that
+# reads a block more than once reads the kept copy (`_Blocks.kernel`).
 
 
-def _block_kernel(images, lap, dom):
-    """Integer basis of ker(Laplacian) on one weight block, whose packed
-    monomials dom are sorted: one int dict key -> coefficient per free
-    monomial, in order, primitive and positive at that monomial, its
-    largest.  Divided by that entry, each is the block's RREF null vector."""
-    return [{dom[c]: x for c, x in v.items()} for v in nullspace([images.image(lap, t) for t in dom])]
+class _Blocks:
+    """The Laplacian kernel of degree k of alg, one weight block at a time,
+    for one computation: the degree is refused first when its dimension
+    exceeds bound, as degree_basis would, and then one layout, one image table
+    (`images`) and the doubled Laplacian serve every block."""
+
+    def __init__(self, alg: Algebra, k: int, bound: int):
+        _bounded_dim(alg, k, bound)
+        self.alg, self.k = alg, k
+        self.layout = monomial_layout(alg, k)
+        self.images = MonomialImages(self.layout)
+        self._lap = doubled_laplacian(alg)
+        self._kernels = {}
+
+    def kernel(self, nu):
+        """`solve(nu)`, solved once and kept for the life of this object."""
+        kern = self._kernels.get(nu)
+        if kern is None:
+            kern = self._kernels[nu] = self.solve(nu)
+        return kern
+
+    def solve(self, nu):
+        """Integer basis of ker(Laplacian) on the block at doubled weight nu,
+        not kept; [] when nu is not a weight of the degree.  One int dict
+        packed monomial -> coefficient per free monomial, in order, primitive
+        and positive at that monomial, its largest.  Divided by that entry,
+        each is the block's RREF null vector."""
+        dom = _weight_monomials(self.layout, self.k, nu)
+        image, lap = self.images.image, self._lap
+        return [{dom[c]: x for c, x in v.items()} for v in nullspace([image(lap, t) for t in dom])]
+
+    def check_kernel_dim(self, kdim):
+        """kdim must be max(0, dim(k) - dim(k-2)), both counted in closed
+        form.  For l > 0 the Laplacian maps degree k onto k-2 (and x1^2 or
+        x0^2 embeds k-2 in k); for l = 0 it lowers an sl2 action on the
+        Grassmann algebra: onto up to the middle degree, with kernel 0 above
+        it."""
+        alg, k = self.alg, self.k
+        if kdim != max(0, degree_dim(alg, k) - degree_dim(alg, k - 2)):
+            raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {kdim}")
 
 
 def _integer_multiple(terms):
@@ -707,71 +750,46 @@ def _block_singular(images, ups, kern):
     return out
 
 
-def _singular_pass(alg, k, bound, images, ups):
-    """(dim ker Laplacian, singular vectors by weight, orbit_size, blocks) in
-    degree k, from one pass over the g0-dominant weight blocks, each built
-    from its slot pairs (`_weight_monomials`); no other block and no whole
-    degree is built.  orbit_size maps each dominant weight of the degree to
-    the size of its W-orbit, whose weights all lie in the degree, since the
-    weights of a degree are W-stable.  The nullity of a dominant block counts
-    once for every weight of its W-orbit.  blocks maps each dominant weight
-    to its integer kernel basis (`_block_kernel`), packed in the layout of
-    images; the singular vectors are unpacked.  A degree whose dimension
-    exceeds bound is refused first, as degree_basis would."""
-    _bounded_dim(alg, k, bound)
-    lap = doubled_laplacian(alg)
-    layout = images.layout
+def _singular_pass(blocks, ups):
+    """(dim ker Laplacian, singular vectors by weight, orbit_size) in the
+    degree of blocks, from one pass over its g0-dominant weight blocks, each
+    built from its slot pairs (`_weight_monomials`); no other block and no
+    whole degree is built.  orbit_size maps each dominant weight of the degree
+    to the size of its W-orbit, whose weights all lie in the degree, since
+    the weights of a degree are W-stable.  The nullity of a dominant block
+    counts once for every weight of its W-orbit, and the sum is checked
+    (`_Blocks.check_kernel_dim`).  The singular vectors are unpacked."""
+    alg, layout = blocks.alg, blocks.layout
     kdim = 0
     out = {}
     orbit_size = {}
-    blocks = {}
-    for wt in _dominant_weights(alg, k):
+    for wt in _dominant_weights(alg, blocks.k):
         orbit_size[wt] = _orbit_size(alg, wt)
-        kern = blocks[wt] = _block_kernel(images, lap, _weight_monomials(layout, k, wt))
+        kern = blocks.kernel(wt)
         kdim += orbit_size[wt] * len(kern)
-        vecs = _block_singular(images, ups, kern)
+        vecs = _block_singular(blocks.images, ups, kern)
         if vecs:
             out[Weight(alg, wt)] = [SuperElement(alg, layout.unpack_terms(v)) for v in vecs]
-    return kdim, out, orbit_size, blocks
-
-
-def _bounded_kernel_dims(alg, k, bound):
-    """Refuse degree k, then degree k-2, when its dimension exceeds bound,
-    with DimensionGuard: the kernel dimension is checked against both
-    (`_check_surjective`), and above the middle degree of l = 0, dim(k-2)
-    exceeds dim(k)."""
-    _bounded_dim(alg, k, bound)
-    _bounded_dim(alg, k - 2, bound)
-
-
-def _check_surjective(alg, k, kdim):
-    """kdim must be max(0, dim(k) - dim(k-2)), counted in closed form; every
-    caller has refused both degrees above its bound (`_bounded_kernel_dims`)
-    before solving.  For l > 0 the Laplacian maps degree k onto k-2 (and
-    x1^2 or x0^2 embeds k-2 in k); for l = 0 it lowers an sl2 action on the
-    Grassmann algebra: onto up to the middle degree, with kernel 0 above it."""
-    if kdim != max(0, degree_dim(alg, k) - degree_dim(alg, k - 2)):
-        raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {kdim}")
+    blocks.check_kernel_dim(kdim)
+    return kdim, out, orbit_size
 
 
 def kernel_basis(alg: Algebra, k: int, bound: int = 20000):
     """Exact basis of ker(Laplacian) on the degree-k component, the RREF null
     basis of the whole degree in the order of its free monomials, solved per
     weight of the degree (`_degree_weights`) and checked by
-    `_check_surjective`: each integer block vector (`_block_kernel`) divided
-    by its entry at its free (largest) monomial, as Fractions.  A degree
-    past bound is refused first."""
-    _bounded_kernel_dims(alg, k, bound)
-    layout = monomial_layout(alg, k)
-    images = MonomialImages(layout)
-    lap = doubled_laplacian(alg)
+    `_Blocks.check_kernel_dim`: each integer block vector (`_Blocks.solve`,
+    which keeps no block: each weight is read once) divided by its entry at
+    its free (largest) monomial, as Fractions.  A degree past bound is
+    refused first."""
+    blocks = _Blocks(alg, k, bound)
     found = []
     for wt in _degree_weights(alg, k):
-        for v in _block_kernel(images, lap, _weight_monomials(layout, k, wt)):
+        for v in blocks.solve(wt):
             free = max(v)
-            terms = {layout.unpack(t): Fraction(v[t], v[free]) for t in sorted(v)}
+            terms = {blocks.layout.unpack(t): Fraction(v[t], v[free]) for t in sorted(v)}
             found.append((free, SuperElement(alg, terms)))
-    _check_surjective(alg, k, len(found))
+    blocks.check_kernel_dim(len(found))
     found.sort(key=lambda pair: pair[0])
     return [el for _, el in found]
 
@@ -780,51 +798,37 @@ def singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     """Vectors of ker(Laplacian) in degree k annihilated by every positive
     root operator, grouped by weight.  Returns {Weight: [SuperElement, ...]},
     graded-lex descending by weight."""
-    ups, _ = simple_root_operators(alg)
-    return _singular_pass(alg, k, bound, MonomialImages(monomial_layout(alg, k)), ups)[1]
+    return kernel_dim_and_singular_vectors(alg, k, bound)[1]
 
 
 def kernel_dim_and_singular_vectors(alg: Algebra, k: int, bound: int = 20000):
     """(len(kernel_basis(alg, k, bound)), singular_vectors(alg, k, bound))
     from one pass over the weight blocks, with kernel_basis's check of the
     kernel dimension."""
-    ups, _ = simple_root_operators(alg)
-    _bounded_kernel_dims(alg, k, bound)
-    kdim, svs, _, _ = _singular_pass(alg, k, bound, MonomialImages(monomial_layout(alg, k)), ups)
-    _check_surjective(alg, k, kdim)
-    return kdim, svs
+    return _singular_pass(_Blocks(alg, k, bound), simple_root_operators(alg)[0])[:2]
 
 
 # -- cyclic spans and irreducibility ----------------------------------------------------
 
 
-def _deficits(alg, k, blocks, images, downs):
+def _deficits(blocks, dominant, downs):
     """(mu, nullity(mu) - rank sum_i f_i K_{mu + alpha_i}) for each weight mu
-    of blocks with nonzero nullity, where blocks maps weights of degree k to
-    integer kernel bases (`_block_kernel`, packed in the layout of images),
-    K_nu is the Laplacian kernel block at nu and the f_i (downs) are the
-    simple lowering operators.  For
-    the kernel M, n-M is the sum of the f_i M, so the deficits are the
-    weight multiplicities of M/n-M.  The kernels in blocks are ranked first;
-    a block outside them is solved once, when a weight needs it.  A weight
-    stops as soon as its rank reaches its nullity."""
-    simples = [a.doubled for a in simple_roots(alg)]
-    lap = doubled_laplacian(alg)
-    vectors = dict(blocks)
-
-    def kernel_at(nu):
-        if nu not in vectors:
-            dom = _weight_monomials(images.layout, k, nu) if _is_degree_weight(alg, k, nu) else []
-            vectors[nu] = _block_kernel(images, lap, dom)
-        return vectors[nu]
-
-    for mu, kern in blocks.items():
+    of dominant with nonzero nullity, where K_nu is the Laplacian kernel
+    block at nu (`_Blocks.kernel`) and the f_i (downs) are the simple
+    lowering operators.  For the kernel M, n-M is the sum of the f_i M, so
+    the deficits are the weight multiplicities of M/n-M.  The kernels at
+    weights of dominant, which the caller has solved, are ranked first.  A
+    weight stops as soon as its rank reaches its nullity."""
+    simples = [a.doubled for a in simple_roots(blocks.alg)]
+    images, kernel = blocks.images, blocks.kernel
+    for mu in dominant:
+        kern = kernel(mu)
         if not kern:
             continue
         above = sorted(((op, tuple(x + y for x, y in zip(mu, a))) for op, a in zip(downs, simples)),
-                       key=lambda pair: pair[1] not in blocks)
+                       key=lambda pair: pair[1] not in dominant)
         span = _SparseSpan()
-        for w in (images.apply(op, v) for op, nu in above for v in kernel_at(nu)):
+        for w in (images.apply(op, v) for op, nu in above for v in kernel(nu)):
             if span.add(w) and span.dim == len(kern):
                 break
         yield mu, len(kern) - span.dim
@@ -907,32 +911,24 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     """Singular vectors of (ker Laplacian in degree k) (x) V, counted by
     weight.  Exact: the Laplacian acts on the left factor, so the kernel of
     the weight-nu block is the sum over generators s of (the Laplacian kernel
-    block at nu - wt(s)) (x) s, each solved once (`_block_kernel`); the count
+    block at nu - wt(s)) (x) s, each solved once (`_Blocks.kernel`); the count
     is the nullity of every simple raising operator, acting by the coproduct
     rule, on that kernel: the number of kernel vectors whose images do not
     enlarge the span of those before them (`_SparseSpan`).  Only the g0-dominant blocks are solved; no other
     weight carries a singular vector.  Their weights are the folds of
     mu + wt(s), mu dominant of degree k.  A degree past bound is refused
     first."""
-    _bounded_dim(alg, k, bound)
+    blocks = _Blocks(alg, k, bound)
     shifts = [gen_weight_doubled(alg, s) for s in range(gen_count(alg))]
     dominant = {fold_to_dominant(alg, tuple(a + b for a, b in zip(mu, shift)))
                 for mu in _dominant_weights(alg, k) for shift in shifts}
-    layout = monomial_layout(alg, k)
-    images = MonomialImages(layout)
+    images = blocks.images
     ups, _ = simple_root_operators(alg)
-    lap = doubled_laplacian(alg)
-    kernels = {}
     counts = {}
     for wt in sorted(dominant, key=grlex_key, reverse=True):
         columns = []
         for s, shift in enumerate(shifts):
-            low = tuple(a - b for a, b in zip(wt, shift))
-            if not _is_degree_weight(alg, k, low):
-                continue
-            if low not in kernels:
-                kernels[low] = _block_kernel(images, lap, _weight_monomials(layout, k, low))
-            for terms in kernels[low]:
+            for terms in blocks.kernel(tuple(a - b for a, b in zip(wt, shift))):
                 col = {}
                 for op_i, op in enumerate(ups):
                     for key, c in terms.items():
@@ -1022,19 +1018,16 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     kernel M iff the deficits of M/n-M (`_deficits`) sum to 1, and then
     top_cyclic_dim is the kernel dimension; otherwise `cyclic_span_dim`
     walks its span."""
-    layout = monomial_layout(alg, k)
-    images = MonomialImages(layout)
+    blocks = _Blocks(alg, k, bound)
     ups, downs = simple_root_operators(alg)
-    _bounded_kernel_dims(alg, k, bound)
-    kdim, svs, orbit_size, blocks = _singular_pass(alg, k, bound, images, ups)
-    _check_surjective(alg, k, kdim)
+    kdim, svs, orbit_size = _singular_pass(blocks, ups)
     if kdim == 0:
         return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
     weights = [(w, len(vs)) for w, vs in svs.items()]
     total_sing = sum(c for _, c in weights)
 
     has_trivial = any(
-        not any(images.apply(op, layout.pack_terms(v.terms)) for op in ups + downs)
+        not any(blocks.images.apply(op, blocks.layout.pack_terms(v.terms)) for op in ups + downs)
         for w, vs in svs.items() if w.is_zero() for v in vs
     )
     top_weight = max(svs, key=lambda w: grlex_key(w.doubled))
@@ -1042,8 +1035,8 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     # the top weight's deficit is its nullity, >= 1: the total is 1 iff no
     # running total passes 1
     generates = one_top and all(total <= 1 for total in itertools.accumulate(
-        d for _, d in _deficits(alg, k, blocks, images, downs)))
-    del images, blocks  # cyclic_span_dim memoises its own images; do not hold both at once
+        d for _, d in _deficits(blocks, orbit_size, downs)))
+    del blocks  # cyclic_span_dim memoises its own images; do not hold both at once
 
     top_dim = 0
     if generates:

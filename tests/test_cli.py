@@ -236,6 +236,21 @@ def test_l0_laplacian_above_the_middle_degree_exits_0(capsys, tmp_path, algebra,
     assert json.loads(out)["kernel_dim"] == 0
 
 
+# --bound refuses degree k alone: on spo(8|0), degree 6 has dimension 28 and
+# a zero kernel, and the kernel check counts dim(4) = 70 in closed form
+@pytest.mark.parametrize("flags,tail", [
+    ((), ""),
+    (("--report",), "singular vectors: \nclassification: zero\nnote: kernel is zero in this degree\n"),
+])
+def test_laplacian_bound_refuses_the_degree_alone(capsys, tmp_path, flags, tail):
+    argv = ["laplacian", "--algebra", "8|0", "--degree", "6", *flags]
+    out = run(capsys, *argv, "--bound", "40", cache=tmp_path)
+    assert out == "ker(Delta) on degree 6 of spo(8|0): dim 0\n" + tail
+    code = cli.main([*argv, "--bound", "27", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: dim = 28 exceeds bound 27\n")
+
+
 def test_batch_gives_an_l0_zero_kernel_line_code_0_in_its_slot(capsys, tmp_path):
     script = tmp_path / "cmds.txt"
     script.write_text(

@@ -4,10 +4,11 @@
 (`MonomialLayout`).  The functions below, down to `_frozen_report`, are
 frozen copies of the tuple code before that change: the images of
 `Derivation` and `Laplacian`, the memo table that applied them
-(`_TupleImages`), `_weight_monomials` with its recursive compositions, and
-the block path `_block_kernel`, `_block_singular`, `_singular_pass` and
-`_deficits` with the public functions built on it.  They are the references
-of this file, so they are never imported from src.
+(`_TupleImages`), `_weight_monomials` with its recursive compositions, the
+degree guards and the kernel check (`_bounded_dim`, `_bounded_kernel_dims`,
+`_check_surjective`), and the block path `_block_kernel`, `_block_singular`,
+`_singular_pass` and `_deficits` with the public functions built on it.
+They are the references of this file, so they are never imported from src.
 """
 
 import functools
@@ -23,14 +24,19 @@ from hypothesis import given, settings, strategies as st
 from spochar import superspace
 from spochar.laurent import grlex_key
 from spochar.linalg import _SparseSpan, nullspace
-from spochar.rootdata import Algebra, Weight, fold_to_dominant, is_dominant, positive_roots, simple_roots
+from spochar.rootdata import (
+    Algebra,
+    DimensionGuard,
+    Weight,
+    fold_to_dominant,
+    is_dominant,
+    positive_roots,
+    simple_roots,
+)
 from spochar.superspace import (
     IrreducibilityReport,
     Laplacian,
     MonomialImages,
-    _bounded_dim,
-    _bounded_kernel_dims,
-    _check_surjective,
     _degree_weights,
     _dominant_weights,
     _integer_multiple,
@@ -171,6 +177,25 @@ def _weight_monomials(alg, k, doubled):
                     out.append(tuple([u + v for u, v in zip(x, ts)] + [u + v for u, v in zip(xb, ts)]
                                      + x0 + xi + xib))
     return sorted(out)
+
+
+def _bounded_dim(alg, k, bound):
+    if k < 0:
+        return 0
+    dim = degree_dim(alg, k)
+    if dim > bound:
+        raise DimensionGuard(f"dim = {dim} exceeds bound {bound}")
+    return dim
+
+
+def _bounded_kernel_dims(alg, k, bound):
+    _bounded_dim(alg, k, bound)
+    _bounded_dim(alg, k - 2, bound)
+
+
+def _check_surjective(alg, k, kdim):
+    if kdim != max(0, degree_dim(alg, k) - degree_dim(alg, k - 2)):
+        raise ArithmeticError(f"Laplacian not surjective in degree {k}: kernel dim {kdim}")
 
 
 def _block_kernel(images, lap, dom):

@@ -267,13 +267,46 @@ def test_kernel_tensor_natural_report_solves_each_degree_once(monkeypatch, k):
     solved = []
     singular_pass = superspace._singular_pass
 
-    def counting(alg, k, *args):
-        solved.append(k)
-        return singular_pass(alg, k, *args)
+    def counting(blocks, *args):
+        solved.append(blocks.k)
+        return singular_pass(blocks, *args)
 
     monkeypatch.setattr(superspace, "_singular_pass", counting)
     kernel_tensor_natural_report(Algebra.parse("4|5"), k)
     assert sorted(solved) == sorted({1, k, k + 1})
+
+
+def test_each_weight_block_is_solved_once(monkeypatch):
+    # one computation lists the monomials of a (degree, weight) block, and so
+    # solves it, at most once: the spo(4|2) degree-2 report ranks
+    # non-dominant blocks after the dominant ones its singular pass solved,
+    # and the tensor counts read one block for several generators
+    listed = []
+    weight_monomials = superspace._weight_monomials
+
+    def listing(layout, k, doubled):
+        listed.append((k, doubled))
+        return weight_monomials(layout, k, doubled)
+
+    monkeypatch.setattr(superspace, "_weight_monomials", listing)
+    spo42 = Algebra.parse("4|2")
+    for call, alg in [(irreducibility_report, spo42), (kernel_basis, spo42),
+                      (natural_tensor_singular_counts, Algebra.parse("4|5"))]:
+        del listed[:]
+        call(alg, 2)
+        assert listed and len(set(listed)) == len(listed), call.__name__
+        if call is irreducibility_report:
+            dominant = set(superspace._dominant_weights(alg, 2))
+            assert any(wt not in dominant for _, wt in listed)
+
+
+def test_singular_vectors_checks_the_kernel_dim(monkeypatch):
+    # singular_vectors runs the kernel check of its siblings: a degree count
+    # off by one at the solved degree fails it
+    degree_dim = superspace.degree_dim
+    monkeypatch.setattr(superspace, "degree_dim", lambda alg, k: degree_dim(alg, k) + (k == 3))
+    with pytest.raises(ArithmeticError, match="^Laplacian not surjective in degree 3: kernel dim 80$"):
+        singular_vectors(SPO44, 3)
 
 
 def test_degree_guard():
@@ -564,18 +597,17 @@ def _weight_blocks(alg, k, bound=20000):
     return [(w, groups[w]) for w in sorted(groups, key=grlex_key, reverse=True)]
 
 
-def _checked_block_kernel(images, lap, dom):
-    """`_block_kernel` on one block, checked against the frozen dense RREF
-    null basis: each vector, divided by its entry at its largest monomial,
-    is the dense one, in order and with Fraction values.  dom holds monomial
-    tuples; the kernel is packed in the layout of images."""
-    from spochar.superspace import _block_kernel
+def _checked_block_kernel(blocks, wt, dom):
+    """`_Blocks.kernel` on the block at doubled weight wt, checked against the
+    frozen dense RREF null basis of the monomial tuples dom: each vector,
+    divided by its entry at its largest monomial, is the dense one, in order
+    and with Fraction values.  The kernel is packed in the layout of blocks."""
+    from spochar.superspace import doubled_laplacian
     from test_linalg import _solve_block
 
-    layout = images.layout
-    keys = [layout.pack(t) for t in dom]
-    kern = _block_kernel(images, lap, keys)
-    dense = _solve_block([images.image(lap, t) for t in keys])
+    layout, lap = blocks.layout, doubled_laplacian(blocks.alg)
+    kern = blocks.kernel(wt)
+    dense = _solve_block([blocks.images.image(lap, layout.pack(t)) for t in dom])
     assert [[(layout.unpack(t), Fraction(c, v[max(v)])) for t, c in sorted(v.items())] for v in kern] == [
         [(dom[i], c) for i, c in enumerate(v) if c] for v in dense]
     return kern
@@ -593,7 +625,7 @@ def _enumerating_kernel_basis(alg, k, bound=20000):
         for v in _solve_block([images.image(lap, layout.pack(t)) for t in dom]):
             free = max(i for i, c in enumerate(v) if c)
             found.append((dom[free], SuperElement(alg, {dom[i]: c for i, c in enumerate(v) if c})))
-    superspace._check_surjective(alg, k, len(found))
+    superspace._Blocks(alg, k, bound).check_kernel_dim(len(found))
     found.sort(key=lambda pair: pair[0])
     return [el for _, el in found]
 
@@ -680,18 +712,17 @@ def test_l0_kernel_is_zero_above_the_middle_degree():
 
 
 def _all_blocks_singular_pass(alg, k):
-    from spochar.superspace import MonomialImages, _block_singular, doubled_laplacian, monomial_layout
+    from spochar.superspace import _Blocks, _block_singular
 
-    images = MonomialImages(monomial_layout(alg, k))
+    blocks = _Blocks(alg, k, 20000)
     ups, _ = simple_root_operators(alg)
-    lap = doubled_laplacian(alg)
     kdim, out = 0, {}
     for wt, dom in _weight_blocks(alg, k, 20000):
-        kern = _checked_block_kernel(images, lap, dom)
+        kern = _checked_block_kernel(blocks, wt, dom)
         kdim += len(kern)
-        vecs = _block_singular(images, ups, kern)
+        vecs = _block_singular(blocks.images, ups, kern)
         if vecs:
-            out[Weight(alg, wt)] = [SuperElement(alg, images.layout.unpack_terms(v)) for v in vecs]
+            out[Weight(alg, wt)] = [SuperElement(alg, blocks.layout.unpack_terms(v)) for v in vecs]
     return kdim, out
 
 
@@ -716,17 +747,16 @@ def test_singular_solve_restores_fractional_kernel_vectors():
     # an x0^2 term have fractional RREF kernel vectors (the frozen dense
     # solve), which the integer kernel basis scales to ints and the solve
     # must give back exactly, as Fractions.
-    from spochar.superspace import MonomialImages, _block_kernel, _block_singular, doubled_laplacian, monomial_layout
+    from spochar.superspace import _Blocks, _block_singular, doubled_laplacian
     from test_linalg import _solve_block
 
-    layout = monomial_layout(SPO25, 4)
-    images = MonomialImages(layout)
+    blocks = _Blocks(SPO25, 4, 20000)
+    layout, images = blocks.layout, blocks.images
     lap = doubled_laplacian(SPO25)
     fractional = 0
-    for _, dom in _weight_blocks(SPO25, 4, 20000):
-        keys = [layout.pack(t) for t in dom]
-        kern = _block_kernel(images, lap, keys)
-        dense = _solve_block([images.image(lap, t) for t in keys])
+    for wt, dom in _weight_blocks(SPO25, 4, 20000):
+        kern = blocks.kernel(wt)
+        dense = _solve_block([images.image(lap, layout.pack(t)) for t in dom])
         expected = [{dom[i]: c for i, c in enumerate(v) if c} for v in dense]
         fractional += sum(any(c.denominator > 1 for c in v.values()) for v in expected)
         got = [layout.unpack_terms(v) for v in _block_singular(images, [], kern)]
@@ -819,15 +849,17 @@ def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp
         assert kernel_dim_and_singular_vectors(SPO44, -1, bound) == (0, {})
         assert kernel_basis(SPO44, -1, bound) == []
         assert natural_tensor_singular_counts(SPO44, -1, bound) == {}
-    # the kernel check reads degree k - 2 under the bound too, as it did when
-    # it counted both bases: on spo(4|0), dim(2) = 6 > dim(4) = 1; each caller
-    # of the check refuses it before any block is built
-    with monkeypatch.context() as blocks:
-        blocks.setattr(superspace, "_dominant_weights", refuse)
-        blocks.setattr(superspace, "_degree_weights", refuse)
-        for call in (irreducibility_report, kernel_dim_and_singular_vectors, kernel_basis):
-            with pytest.raises(DimensionGuard, match="^dim = 6 exceeds bound 3$"):
-                call(Algebra.parse("4|0"), 4, bound=3)
+    # the bound refuses degree k alone: the kernel check counts degree k - 2
+    # in closed form, so on spo(4|0), where dim(2) = 6 > 3 >= dim(4) = 1,
+    # degree 4 is solved, and its kernel is 0, as above every middle degree
+    # of l = 0
+    spo40 = Algebra.parse("4|0")
+    rep = irreducibility_report(spo40, 4, bound=3)
+    assert (rep.kernel_dim, rep.singular_weights, rep.classification) == (0, [], "zero")
+    assert kernel_dim_and_singular_vectors(spo40, 4, 3) == (0, {})
+    assert singular_vectors(spo40, 4, 3) == {}
+    assert kernel_basis(spo40, 4, 3) == []
+    assert natural_tensor_singular_counts(spo40, 4, 3) == {}
 
 
 # -- differential test: the orbit-weighted cyclic span against the whole module --------
@@ -876,7 +908,7 @@ SPAN_CASES = DIFFERENTIAL_CASES + [(SPO44, 6), (Algebra.parse("6|6"), 6)] + [
 @pytest.mark.parametrize("alg,k", SPAN_CASES, ids=lambda x: str(x))
 def test_orbit_weighted_span_matches_whole_module_walk(alg, k):
     ups, downs = simple_root_operators(alg)
-    _, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(monomial_layout(alg, k)), ups)
+    _, svs, orbit_size = superspace._singular_pass(superspace._Blocks(alg, k, 20000), ups)
     for vs in svs.values():
         for v in vs:
             assert cyclic_span_dim(alg, v, downs, orbit_size) == _whole_module_span_dim(v, downs)
@@ -898,22 +930,21 @@ def _whole_degree_singular_pass(alg, k):
     from collections import Counter
 
     from spochar.rootdata import fold_to_dominant
-    from spochar.superspace import _block_singular, doubled_laplacian
+    from spochar.superspace import _Blocks, _block_singular
 
-    images = MonomialImages(monomial_layout(alg, k))
+    kernels = _Blocks(alg, k, 20000)
     ups, _ = simple_root_operators(alg)
-    lap = doubled_laplacian(alg)
     blocks = _weight_blocks(alg, k, 20000)
     orbit_size = Counter(fold_to_dominant(alg, wt) for wt, _ in blocks)
     kdim, out = 0, {}
     for wt, dom in blocks:
         if wt not in orbit_size:
             continue
-        kern = _checked_block_kernel(images, lap, dom)
+        kern = _checked_block_kernel(kernels, wt, dom)
         kdim += orbit_size[wt] * len(kern)
-        vecs = _block_singular(images, ups, kern)
+        vecs = _block_singular(kernels.images, ups, kern)
         if vecs:
-            out[Weight(alg, wt)] = [SuperElement(alg, images.layout.unpack_terms(v)) for v in vecs]
+            out[Weight(alg, wt)] = [SuperElement(alg, kernels.layout.unpack_terms(v)) for v in vecs]
     return kdim, out, orbit_size
 
 
@@ -942,8 +973,8 @@ SINGULAR_PASS_CASES = SPAN_CASES + L1_CASES + [
 @pytest.mark.parametrize("alg,k", SINGULAR_PASS_CASES, ids=lambda x: str(x))
 def test_dominant_blocks_from_slot_pairs_match_the_whole_degree_pass(alg, k):
     ref_kdim, ref_svs, ref_orbits = _whole_degree_singular_pass(alg, k)
-    kdim, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, MonomialImages(monomial_layout(alg, k)),
-                                                         simple_root_operators(alg)[0])
+    ups = simple_root_operators(alg)[0]
+    kdim, svs, orbit_size = superspace._singular_pass(superspace._Blocks(alg, k, 20000), ups)
     assert kdim == ref_kdim
     assert list(svs) == list(ref_svs)
     for w in svs:
@@ -989,6 +1020,8 @@ def test_closed_forms_match_the_enumerated_degree():
         near |= {(2,) * alg.rank, (0,) * alg.rank}
         for wt in near:
             assert superspace._is_degree_weight(alg, k, wt) == (wt in by_weight), (alg, k, wt)
+            if wt not in by_weight:
+                assert superspace._weight_monomials(layout, k, wt) == [], (alg, k, wt)
 
 
 def _frozen_orbit_size(alg, doubled):
@@ -1160,10 +1193,10 @@ def _walk_report(alg, k):
     from spochar.rootdata import is_dominant
     from spochar.superspace import IrreducibilityReport
 
-    layout = monomial_layout(alg, k)
-    images = MonomialImages(layout)
+    blocks = superspace._Blocks(alg, k, 20000)
+    layout, images = blocks.layout, blocks.images
     ups, downs = simple_root_operators(alg)
-    kdim, svs, orbit_size, _ = superspace._singular_pass(alg, k, 20000, images, ups)
+    kdim, svs, orbit_size = superspace._singular_pass(blocks, ups)
     if kdim == 0:
         return IrreducibilityReport(alg, k, 0, [], False, 0, "zero", ["kernel is zero in this degree"])
     weights = [(w, len(vs)) for w, vs in svs.items()]
@@ -1223,19 +1256,17 @@ def test_nakayama_cyclicity_matches_the_walk(monkeypatch):
 def test_no_deficit_off_the_dominant_weights():
     # the premise of the report's sum: a nonzero (M/n-M)_mu gives a functional
     # of weight -mu that n- kills, a g0-lowest weight of M*, so mu is dominant
-    from spochar.superspace import _degree_weights, _weight_monomials, doubled_laplacian
+    from spochar.superspace import _Blocks, _degree_weights, _weight_monomials
 
     cases = [(alg, k) for alg, k in NAKAYAMA_GRID if superspace.degree_dim(alg, k) <= 1500]
     assert len(cases) > 80
     for alg, k in cases:
-        layout = monomial_layout(alg, k)
-        images = MonomialImages(layout)
-        lap = doubled_laplacian(alg)
-        blocks = {}
-        for wt in _degree_weights(alg, k):
-            dom = [layout.unpack(t) for t in _weight_monomials(layout, k, wt)]
-            blocks[wt] = _checked_block_kernel(images, lap, dom)
-        deficits = dict(superspace._deficits(alg, k, blocks, images, simple_root_operators(alg)[1]))
+        blocks = _Blocks(alg, k, 20000)
+        weights = _degree_weights(alg, k)
+        for wt in weights:
+            dom = [blocks.layout.unpack(t) for t in _weight_monomials(blocks.layout, k, wt)]
+            _checked_block_kernel(blocks, wt, dom)
+        deficits = dict(superspace._deficits(blocks, dict.fromkeys(weights), simple_root_operators(alg)[1]))
         dominant = set(superspace._dominant_weights(alg, k))
         assert all(wt in dominant for wt, d in deficits.items() if d), (alg, k)
         rep = irreducibility_report(alg, k)
