@@ -7,7 +7,9 @@ size bound, 3 mathematical assertion failure (exact-division or
 consistency violations).  `batch` writes each line's code beside that
 line's output and exits with the largest; a line's --help or --version
 text goes in its own slot.  One argument parser serves every call and
-every batch line of a process.
+every batch line of a process, and each distinct line is parsed and keyed
+once per process (`_line`): a repeated line costs one table lookup and one
+read of its cache entry.
 
 A call or batch line whose first word names a command is parsed by that
 command's subparser alone (`_parse_args`), with the Namespace, the exit
@@ -434,14 +436,19 @@ def cmd_reproduce(args):
 
 
 def _batch_line(line):
-    """(0, output) of one batch line, run as a single command would run.
-    argparse's own exit is the line's: with code 0 (--help, --version) its
-    printed text is the output, any other code becomes a ValueError, i.e.
-    exit code 2 for that line."""
+    """(0, output) of one batch line, run as a single command would run, or
+    (0, None) for a line with no words (blank, or a comment alone).  The line
+    is split as a shell splits it, a `#` word starting a comment.  argparse's
+    own exit is the line's: with code 0 (--help, --version) its printed text
+    is the output, any other code becomes a ValueError, i.e. exit code 2 for
+    that line."""
+    argv = shlex.split(line, comments=True)
+    if not argv:
+        return 0, None
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _parse_args(shlex.split(line))
+            args, key = _parsed(argv)
     except SystemExit as exc:
         if exc.code == 0:
             return 0, out.getvalue()
@@ -449,7 +456,7 @@ def _batch_line(line):
         raise ValueError(lines[-1] if lines else "invalid arguments") from None
     if args.command == "batch":
         raise ValueError("a batch line cannot run batch")
-    return 0, _cached_run(args)
+    return 0, _cached_run(args, key)
 
 
 def cmd_batch(args):
@@ -457,12 +464,14 @@ def cmd_batch(args):
     same cache).  A failing line gets its error and exit code in its own slot
     and the batch carries on; the batch exits with the largest line code."""
     with open(args.file) as fh:
-        commands = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+        lines = [line.strip() for line in fh]
     worst, slots = 0, []
-    for cmd in commands:
-        code, out, err = _outcome(lambda: _batch_line(cmd))
+    for line in lines:
+        code, out, err = _outcome(lambda: _batch_line(line))
+        if out is None:
+            continue
         worst = max(worst, code)
-        slots.append(f"$ {cmd}\n{out}" + (f"[exit {code}] {err}\n" if code else ""))
+        slots.append(f"$ {line}\n{out}" + (f"[exit {code}] {err}\n" if code else ""))
     return worst, "".join(slots)
 
 
@@ -495,15 +504,19 @@ def _cache_key(args):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _cached_run(args):
-    if getattr(args, "no_cache", False):
+def _cached_run(args, key):
+    """The output of args, read from the cache entry `key` or computed and
+    stored there; computed alone when key is None (--no-cache).  A missing
+    entry is a miss: the entry is opened once, with no existence check."""
+    if key is None:
         return args.fn(args)
     cdir = _cache_dir(args)
-    key = _cache_key(args)
     path = os.path.join(cdir, key + ".out")
-    if os.path.exists(path):
+    try:
         with open(path, "rb") as fh:
             return fh.read().decode()
+    except FileNotFoundError:
+        pass
     out = args.fn(args)
     os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir)
@@ -638,6 +651,28 @@ def _parse_args(argv):
     return args
 
 
+@lru_cache(maxsize=256)
+def _line(argv, digest):
+    """(the parsed arguments of the argument tuple argv as a plain dict, the
+    cache key of the line or None for --no-cache and batch), for the source
+    digest `digest`.  The line table: each distinct line is parsed and keyed
+    once per process.  Parse errors, -h and --version raise, and are not
+    kept.  `_parse_args` and `_cache_key` are looked up when a line is
+    first seen; the digest in the key keeps an entry from outliving the
+    `_source_digest` it was keyed under."""
+    args = _parse_args(argv)
+    if args.command == "batch" or args.no_cache:
+        return vars(args), None
+    return vars(args), _cache_key(args)
+
+
+def _parsed(argv):
+    """(a fresh Namespace, the cache key) of the argument list argv, through
+    the line table (`_line`), so a caller may change its Namespace freely."""
+    params, key = _line(tuple(argv), _source_digest())
+    return argparse.Namespace(**params), key
+
+
 def _outcome(run):
     """(exit code, output, error message) of run(), which returns (exit code,
     output); an exception becomes its documented exit code."""
@@ -650,11 +685,11 @@ def _outcome(run):
 
 
 def main(argv=None):
-    args = _parse_args(argv)  # exits 2 on parse errors
+    args, key = _parsed(sys.argv[1:] if argv is None else argv)  # exits 2 on parse errors
     if args.command == "batch":
         code, out, err = _outcome(lambda: cmd_batch(args))
     else:
-        code, out, err = _outcome(lambda: (0, _cached_run(args)))
+        code, out, err = _outcome(lambda: (0, _cached_run(args, key)))
     sys.stdout.write(out)
     if err:
         print(err, file=sys.stderr)

@@ -247,8 +247,11 @@ class LaurentPoly:
     (a sign change keeps parity), `leading_term` (the graded-lex maximum of
     a sign orbit is its orthant member, the one of largest degree) and `==`
     between two orthant-held values of one lattice and one set of sign-free
-    slots (the orthant terms determine the polynomial).  Every other reader
-    expands once.
+    slots (the orthant terms determine the polynomial).  Arithmetic stays on
+    the orthant where the result is such a value too: `+` and `-` between
+    two orthant-held values with one set of sign-free slots add their
+    orthant terms, and `-p` and an int multiple scale the coefficients, each
+    into a new held value.  Every other reader expands once.
 
     Values are safe to share across threads, with no lock: the orthant is
     never mutated nor dropped, and the expansion only sets the term dict.
@@ -334,15 +337,24 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        return LaurentPoly._wrap(self.n, self.m, add_terms(self.terms, other.terms))
+        return self._sum(other, 1)
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign * other; on the orthants when both are held with one
+        set of sign-free slots (the orthant terms of a sum are the sums of
+        the orthant terms)."""
         self._check(other)
-        return LaurentPoly._wrap(self.n, self.m, add_terms(self.terms, other.terms, -1))
+        a, b = self._orthant, other._orthant
+        if a is not None and b is not None and a[2] == b[2]:
+            terms = add_terms(_orthant_terms(a), _orthant_terms(b), sign)
+            return sign_images(self.n, self.m, zip(*terms), terms.values(), a[2])
+        return LaurentPoly._wrap(self.n, self.m, add_terms(self.terms, other.terms, sign))
 
     def __neg__(self):
-        return LaurentPoly._wrap(self.n, self.m, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -350,6 +362,10 @@ class LaurentPoly:
                 return self
             if other == 0:
                 return LaurentPoly.zero(self.n, self.m)
+            orthant = self._orthant
+            if orthant is not None:
+                columns, coefs, free = orthant
+                return sign_images(self.n, self.m, columns, [other * c for c in coefs], free)
             return LaurentPoly._wrap(self.n, self.m, {e: other * c for e, c in self.terms.items()})
         self._check(other)
         return LaurentPoly._wrap(self.n, self.m, mul_terms(self.terms, other.terms))

@@ -383,9 +383,16 @@ def test_reordered_flags_hit_the_same_cache_entry(capsys, tmp_path):
 def test_changed_source_digest_misses_the_cache(capsys, tmp_path, monkeypatch):
     first = run(capsys, "dim", "--algebra", "2|3", "--irr", "1d1", cache=tmp_path)
     assert len(_cache_files(tmp_path)) == 1
-    monkeypatch.setattr(cli, "_source_digest", lambda: "a different program")
+    calls = []
+
+    def digest():
+        calls.append(1)
+        return "a different program"
+
+    monkeypatch.setattr(cli, "_source_digest", digest)
     assert run(capsys, "dim", "--algebra", "2|3", "--irr", "1d1", cache=tmp_path) == first
     assert len(_cache_files(tmp_path)) == 2
+    assert calls  # the line table keys on the digest, so the swapped one is read
 
 
 @pytest.mark.parametrize("argv", [
@@ -733,11 +740,19 @@ def test_batch_slots_match_the_top_level_parser(capsys, tmp_path, monkeypatch):
     code = cli.main(["batch", "--file", str(script)])
     one_pass = capsys.readouterr()
     top, _ = cli._build_parser()
-    monkeypatch.setattr(cli, "_parse_args", top.parse_args)
+    calls = []
+
+    def top_level(argv):
+        calls.append(argv)
+        return top.parse_args(argv)
+
+    monkeypatch.setattr(cli, "_parse_args", top_level)
+    cli._line.cache_clear()  # the line table would answer the lines it holds without parsing them
     monkeypatch.setenv("SPOCHAR_CACHE_DIR", str(tmp_path / "top-level"))
     assert cli.main(["batch", "--file", str(script)]) == code == 2
     assert capsys.readouterr() == one_pass
     assert len(_slot_codes(one_pass.out)) == len(_parse_argvs()) - 1
+    assert {tuple(argv) for argv in calls[1:]} == {tuple(argv) for argv in _parse_argvs() if argv}
 
 
 # -- character JSON written in one pass --------------------------------------------
@@ -822,3 +837,117 @@ def test_character_commands_print_the_json_dumps_bytes(capsys, line, kind, chara
         assert extra["partition"] == [int(x) for x in line.split()[-1].split(",") if x != "0"]
     alg = Algebra.parse(line.split()[2])
     assert out == _reference_json(alg, kind, character(alg), **extra)
+
+
+# -- the line table: each distinct line parsed and keyed once per process ----------
+
+
+def _counting_parse_args(monkeypatch):
+    """Wrap cli._parse_args; returns the list of argument tuples it saw."""
+    seen, parse = [], cli._parse_args
+
+    def counted(argv):
+        seen.append(tuple(argv))
+        return parse(argv)
+
+    monkeypatch.setattr(cli, "_parse_args", counted)
+    return seen
+
+
+def test_a_repeated_batch_line_is_parsed_once(capsys, tmp_path, monkeypatch):
+    line = f"kac --algebra 2|3 --weight 2d1+1e1 --cache-dir {tmp_path / 'cache'}"
+    script = tmp_path / "cmds.txt"
+    script.write_text(f"{line}\n{line}\n{line}\n")
+    seen = _counting_parse_args(monkeypatch)
+    out = run(capsys, "batch", "--file", str(script))
+    assert seen.count(tuple(shlex.split(line))) == 1
+    assert len(seen) == 2  # the batch call and its one distinct line
+    slots = out.split("$ ")[1:]
+    assert len(slots) == 3 and slots[0] == slots[1] == slots[2]
+    assert len(_cache_files(tmp_path / "cache")) == 1
+
+
+def test_a_repeated_call_is_parsed_once_and_reads_its_entry(capsys, tmp_path, monkeypatch):
+    argv = ["dim", "--algebra", "2|3", "--irr", "2d1+1e1", "--cache-dir", str(tmp_path)]
+    seen = _counting_parse_args(monkeypatch)
+    outs = [run(capsys, *argv) for _ in range(3)]
+    assert seen == [tuple(argv)]
+    assert outs == ["dim L(2d1+1e1) = 30\n"] * 3
+    (entry,) = _cache_files(tmp_path)
+    (tmp_path / entry).write_text("from the entry\n")  # a hit reads the entry, nothing else
+    assert run(capsys, *argv) == "from the entry\n"
+    assert seen == [tuple(argv)]
+
+
+def test_line_table_namespaces_are_fresh(tmp_path):
+    argv = ["kac", "--algebra", "2|3", "--weight", "1d1", "--cache-dir", str(tmp_path)]
+    first, key = cli._parsed(argv)
+    first.weight, first.format = "3d1", "json"
+    first.extra = True
+    again, key_again = cli._parsed(argv)
+    assert again is not first and key_again == key
+    assert vars(again) == vars(cli._parse_args(argv))
+    assert again.weight == "1d1" and again.format == "text" and not hasattr(again, "extra")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kac", "--algebra", "2|3", "--weight", "1d1", "--bogus"],
+    ["kac", "--algebra", "2|3"],
+    ["bogus", "--algebra", "2|3"],
+])
+def test_a_bad_line_exits_2_with_the_same_error_each_time(capsys, tmp_path, argv):
+    errors = []
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] and errors == [errors[0]] * 3
+    script = tmp_path / "cmds.txt"
+    script.write_text(shlex.join(argv) + "\n" + shlex.join(argv) + "\n")
+    slots = run(capsys, "batch", "--file", str(script), expect=2).split("$ ")[1:]
+    assert len(slots) == 2 and slots[0] == slots[1] and "[exit 2] " in slots[0]
+
+
+def test_help_and_version_print_each_time(capsys):
+    for argv, head in ((["kac", "-h"], "usage: spochar kac "), (["--version"], f"spochar {cli.__version__}")):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(head)
+
+
+def test_line_table_key_is_the_cache_key_of_a_fresh_parse(tmp_path):
+    argvs = [line.split() + ["--format", fmt] for line in sorted(_cli_session_lines()) for fmt in ("text", "json")]
+    argvs += [["kac", "--cache-dir", str(tmp_path), "--weight", "1d1", "--algebra", "2|3"]]
+    for argv in argvs:
+        args, key = cli._parsed(argv)
+        fresh = cli._parse_args(argv)
+        assert key == cli._cache_key(fresh), argv
+        assert vars(args) == vars(fresh), argv
+    assert cli._parsed(["kac", "--algebra", "2|3", "--weight", "1d1", "--no-cache"])[1] is None
+    assert cli._parsed(["batch", "--file", str(tmp_path / "cmds.txt")])[1] is None
+
+
+def test_batch_skips_indented_comments_and_drops_trailing_ones(capsys, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text(
+        "  # an indented note\n"
+        "dim --algebra 2|3 --irr 1d1 --no-cache  # a trailing note\n"
+        "\t#tabbed\n"
+        "   \n"
+        "dim --algebra 2|3 --irr 2d1+1e1 --no-cache #no space\n"
+    )
+    out = run(capsys, "batch", "--file", str(script))
+    assert out == ("$ dim --algebra 2|3 --irr 1d1 --no-cache  # a trailing note\ndim L(1d1) = 5\n"
+                   "$ dim --algebra 2|3 --irr 2d1+1e1 --no-cache #no space\ndim L(2d1+1e1) = 30\n")
+
+
+def test_batch_line_with_an_open_quote_exits_2_in_its_slot(capsys, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text("dim --algebra '2|3 --irr 1d1 --no-cache\ndim --algebra 2|3 --irr 1d1 --no-cache\n")
+    out = run(capsys, "batch", "--file", str(script), expect=2)
+    slots = out.split("$ ")[1:]
+    assert "[exit 2] error: No closing quotation" in slots[0]
+    assert slots[1].endswith("dim L(1d1) = 5\n")

@@ -10,6 +10,7 @@ test.  Each reader runs on a fresh copy of the held value, so that no
 earlier read has expanded it.
 """
 
+import operator
 import sys
 import threading
 import tracemalloc
@@ -160,6 +161,9 @@ def test_equal_orthants_on_other_slots_are_other_polynomials():
                                                               (0,)).terms)
 
 
+# -p, int multiples, p + p and p - p stay held
+# (test_held_arithmetic_matches_the_expanded_arithmetic); here they are
+# checked against the expansion like the readers that expand.
 EXPANDING_READERS = {
     "hash": hash,
     "sorted_terms": LaurentPoly.sorted_terms,
@@ -210,6 +214,71 @@ def test_arithmetic_between_held_values(characters):
                     assert got.terms == expected.terms and list(got.terms) == list(expected.terms)
                     got = op(_copy(held_a), want_b)
                     assert got.terms == expected.terms and list(got.terms) == list(expected.terms)
+
+
+HELD_ARITHMETIC = {
+    "neg": lambda a, b: -a,
+    "times 3": lambda a, b: a * 3,
+    "-2 times": lambda a, b: -2 * a,
+    "sum": lambda a, b: a + b,
+    "difference": lambda a, b: a - b,
+    "peel": lambda a, b: a - 3 * b,  # the step of blocksdecomp.decompose
+}
+UNARY = ("neg", "times 3", "-2 times")
+
+
+def _snapshot(p):
+    orthant = p._orthant
+    return None if orthant is None else ([list(col) for col in orthant[0]], list(orthant[1]), orthant[2])
+
+
+@pytest.mark.parametrize("op", sorted(HELD_ARITHMETIC))
+def test_held_arithmetic_matches_the_expanded_arithmetic(characters, op):
+    """Differential: -p and int multiples of a held value, and + and -
+    between held Kac, Euler and Jacobi-Trudi values on one lattice, against
+    the same arithmetic on their expansions, term for term and in order.
+    The result is held when the operands share their sign-free slots (always
+    for a unary op) and is not zero; neither operand is expanded or
+    changed."""
+    fn = HELD_ARITHMETIC[op]
+    pairs = [(a, b) for a in characters.values() for b in characters.values() if (a[0].n, a[0].m) == (b[0].n, b[0].m)]
+    held_results = 0
+    for (held_a, want_a), (held_b, want_b) in pairs:
+        a, b = _copy(held_a), _copy(held_b)
+        before = _snapshot(a), _snapshot(b)
+        got, expected = fn(a, b), fn(want_a, want_b)
+        assert got.terms == expected.terms and list(got.terms) == list(expected.terms)
+        unary = op in UNARY
+        same_slots = a._orthant is not None and (unary or (b._orthant is not None and a._orthant[2] == b._orthant[2]))
+        if same_slots and expected:
+            held_results += 1
+            assert got._orthant is not None and got._orthant[2] == a._orthant[2]
+            assert a._terms is None and (unary or b._terms is None)
+        if not expected:
+            assert got._orthant is None and got.is_zero()
+        assert (_snapshot(a), _snapshot(b)) == before
+    assert held_results > 10  # the gate sees held results
+
+
+def test_held_arithmetic_on_other_slot_sets_expands():
+    columns, coefs = [[2, 0, 4], [0, 2, 2]], [3, -1, 1]
+    one = sign_images(1, 1, columns, coefs, (0,))
+    both = sign_images(1, 1, columns, coefs, (0, 1))
+    for op in (operator.add, operator.sub):
+        got, want = op(_copy(one), _copy(both)), op(_reference(one), _reference(both))
+        assert got._orthant is None
+        assert got.terms == want.terms and list(got.terms) == list(want.terms)
+
+
+def test_held_results_read_from_their_orthant(characters):
+    """A held difference answers len, vdim and its leading term without
+    expanding, as the greedy peeling of blocksdecomp reads it."""
+    (held, want), (other, other_want) = characters["kac 4|3 2d1+1d2+1e1"], characters["jt 4|3 (3,2,1)"]
+    got = _copy(held) - 2 * _copy(other)
+    expected = want - 2 * other_want
+    assert len(got) == len(expected) and got.evaluate_at_one() == expected.evaluate_at_one()
+    assert got.leading_term() == expected.leading_term()
+    assert got._terms is None
 
 
 def test_four_threads_reading_terms_at_once_see_one_expansion():
@@ -270,3 +339,20 @@ def test_large_kac_character_text_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == f"K({LARGE[1]}): vdim = 4498391040   (2326097 monomials)\n"
+
+
+def test_large_kac_decomposes_into_itself_on_the_orthant():
+    """decompose peels `current - coef * bchar` on the orthants: the
+    spo(10|5) Kac character in the Kac basis is one step, with no sign
+    images built (expanding both took about 800 MiB)."""
+    from spochar.blocksdecomp import decompose
+
+    alg = Algebra.parse(LARGE[0])
+    tracemalloc.start()
+    try:
+        dec = decompose(alg, kac_character(alg, Weight.parse(alg, LARGE[1])), "kac")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.factors == {Weight.parse(alg, LARGE[1]): 1} and dec.is_clean()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
