@@ -180,9 +180,10 @@ def decompose(alg: Algebra, chi: LaurentPoly, basis: str = "irr") -> VirtualDeco
     """Greedy peeling by graded-lex leading terms.
 
     Each step takes the leading exponent; if its weight is dominant and the
-    basis character's own leading term sits at that weight with coefficient
-    one (true for every irreducible, and for Kac characters away from
-    atypical cancellation), the multiple is subtracted and recorded.
+    basis character is nonzero, with its own leading term at that weight
+    with coefficient one (true for every irreducible, and for Kac characters
+    away from atypical cancellation), the multiple is subtracted and
+    recorded.
     Otherwise peeling stops and the rest is returned as a remainder: the
     caller decides whether that is an error.
     """
@@ -196,6 +197,8 @@ def decompose(alg: Algebra, chi: LaurentPoly, basis: str = "irr") -> VirtualDeco
         if not is_dominant(w):
             break
         bchar = _basis_char(alg, basis, w)
+        if not bchar:
+            break  # the basis character vanishes (a Kac character at a singular lam + rho)
         bexps, bcoef = bchar.leading_term()
         if bexps != exps or bcoef != 1:
             break  # basis char's top is elsewhere (atypical Kac cancellation)
@@ -205,10 +208,15 @@ def decompose(alg: Algebra, chi: LaurentPoly, basis: str = "irr") -> VirtualDeco
 
 
 def reconstruct(alg: Algebra, dec: VirtualDecomposition) -> LaurentPoly:
-    total = dec.remainder if dec.remainder is not None else LaurentPoly.zero(alg.n, alg.m)
+    """The sum of mult * basis_char and the remainder.  A zero remainder is
+    left out, and the sum starts from its first part: a zero polynomial is
+    not held on an orthant, so adding a held basis character to it would
+    expand that character's sign images."""
+    total = None if dec.is_clean() else dec.remainder
     for w, c in dec.factors.items():
-        total = total + c * _basis_char(alg, dec.basis, w)
-    return total
+        part = c * _basis_char(alg, dec.basis, w)
+        total = part if total is None else total + part
+    return LaurentPoly.zero(alg.n, alg.m) if total is None else total
 
 
 # -- tensor products with the natural module ---------------------------------------------

@@ -43,7 +43,6 @@ Kernel results are free of zero coefficients and are wrapped without a copy
 from __future__ import annotations
 
 import heapq
-import json
 import operator
 from collections import deque
 from itertools import compress, product, repeat, starmap
@@ -446,17 +445,10 @@ class LaurentPoly:
             "terms": [{"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
     @classmethod
     def from_json_dict(cls, d):
         n, m = d["n"], d["m"]
         return cls(n, m, {tuple(t["exp"]): int(t["coef"]) for t in d["terms"]})
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 # -- exact division -----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Packed monomials of the super exterior algebra: each monomial of a
 computation is one int in a layout fixed per algebra and width
-(`MonomialLayout`; `superspace` proves its order and width), and each
-computation keeps one table of operator images on those ints
+(`MonomialLayout`; `superspace` proves its order and width), and operators
+image those ints one at a time, each operator packed once for the layout
 (`MonomialImages`)."""
 
 from __future__ import annotations
@@ -64,36 +64,26 @@ def monomial_layout(alg: Algebra, degree: int) -> MonomialLayout:
 
 
 class MonomialImages:
-    """Images of packed basis monomials under operators, in one layout, each
-    computed once and kept for the life of this object, which is one
-    computation (not a global cache).  An image is a dict packed monomial ->
-    coefficient; derivations and `doubled_laplacian` give int coefficients.
-    Each operator is packed for the layout once (`LinearOperator.packed`)."""
+    """Operators applied to packed monomials of one layout.  An image is a
+    dict packed monomial -> coefficient, computed when it is read and not
+    kept; derivations and `doubled_laplacian` give int coefficients.  Each
+    operator is packed for the layout once (`LinearOperator.packed`)."""
 
     def __init__(self, layout: MonomialLayout):
         self.layout = layout
-        self._tables = {}  # op -> (op packed in layout, {key: image})
+        self._packed = {}  # op -> op packed in layout
 
     def image(self, op, key):
-        entry = self._tables.get(op)
-        if entry is None:
-            entry = self._tables[op] = (op.packed(self.layout), {})
-        packed, table = entry
-        img = table.get(key)
-        if img is None:
-            img = table[key] = op.monomial_image(key, packed)
-        return img
+        packed = self._packed.get(op)
+        if packed is None:
+            packed = self._packed[op] = op.packed(self.layout)
+        return op.monomial_image(key, packed)
 
     def apply(self, op, terms):
         """op applied to a dict packed monomial -> coefficient, as such a dict."""
-        entry = self._tables.get(op)
-        table = entry[1] if entry else {}  # before op's first image, every key goes to `image`
         out = {}
         for key, c in terms.items():
-            img = table.get(key)
-            if img is None:
-                img = self.image(op, key)
-            for t, ic in img.items():
+            for t, ic in self.image(op, key).items():
                 v = out.get(t, 0) + c * ic
                 if v:
                     out[t] = v

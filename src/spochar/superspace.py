@@ -10,7 +10,7 @@ REALIZED parity (Grassmann bits only).  A root operator moves each generator
 along its root and is skew for the invariant form B of the natural module:
 its signs follow from that one rule, not from one branch per root type
 (`root_operator`).  An operator is applied as a sum of its images of basis
-monomials (`MonomialImages`), each computed once per computation, with int
+monomials (`MonomialImages`), each computed when it is read, with int
 coefficients for derivations and for the Laplacian scaled by 2 (which
 clears the 1/2 of the x0 term and keeps the kernel).  The Laplacian writes
 each image in closed form, one monomial per part (`Laplacian`).
@@ -38,8 +38,8 @@ vectors and the tensor counts are solved block by block, each block by
 one sparse fraction-free elimination of its int columns (`linalg`), and the
 irreducibility verdicts below are certificates, not numerics.  One solver
 serves every computation (`_Blocks`): it refuses the degree past its bound,
-builds the layout, the image table and the Laplacian once, and solves each
-weight block at most once; no other degree is bounded.  A block's
+builds the layout and packs the Laplacian once, and solves each weight
+block at most once; no other degree is bounded.  A block's
 kernel basis stays in ints, each vector the RREF one times a positive int;
 Fractions appear only where `kernel_basis` and the singular solve scale a
 vector to 1 at its largest monomial.
@@ -653,16 +653,6 @@ def _orbit_size(alg, doubled):
     return size
 
 
-def _weyl_invariant(alg, poly):
-    """Is a doubled-exponent LaurentPoly W-invariant?  It is iff, for every
-    dominant mu, its terms that fold to mu are all |W mu| weights of mu's
-    orbit with one coefficient; W itself is not enumerated."""
-    by_fold = {}
-    for e, c in poly.terms.items():
-        by_fold.setdefault(fold_to_dominant(alg, e), []).append(c)
-    return all(len(cs) == _orbit_size(alg, mu) and len(set(cs)) == 1 for mu, cs in by_fold.items())
-
-
 # -- per-weight blocks -------------------------------------------------------------------
 #
 # The Laplacian preserves weight and a root operator shifts it by its root, so
@@ -678,8 +668,9 @@ def _weyl_invariant(alg, poly):
 class _Blocks:
     """The Laplacian kernel of degree k of alg, one weight block at a time,
     for one computation: the degree is refused first when its dimension
-    exceeds bound, as degree_basis would, and then one layout, one image table
-    (`images`) and the doubled Laplacian serve every block."""
+    exceeds bound, as degree_basis would, and then one layout, with the
+    operators packed for it (`images`), and the doubled Laplacian serve
+    every block."""
 
     def __init__(self, alg: Algebra, k: int, bound: int):
         _bounded_dim(alg, k, bound)
@@ -942,63 +933,6 @@ def natural_tensor_singular_counts(alg: Algebra, k: int, bound: int = 20000):
     return counts
 
 
-def kernel_tensor_natural_report(alg: Algebra, k: int) -> dict:
-    """Character-level analysis of (ker Laplacian in degree k) (x) V with a
-    claimed composition multiset {top product weight: 1, natural weight: 2,
-    top weight of the next kernel: 1}.
-
-    The constituent characters e_1 and e_{k+1} - e_{k-1} are grounded by the
-    irreducibility certificates of the degree 1, k and k+1 kernels.  A weight
-    whose claimed multiplicity exceeds its singular-vector count sits inside
-    a non-split extension: character theory cannot exhibit the extension,
-    only the count deficit certifies it, and the report states so.
-    """
-    from .jacobitrudi import ext_power_char, sym_power_char
-
-    e = lambda r: ext_power_char(alg, r)
-    for deg in sorted({1, k, k + 1}):
-        rep = irreducibility_report(alg, deg)
-        if rep.classification != "irreducible":
-            raise ArithmeticError(f"degree-{deg} kernel is not certified irreducible")
-    # rep is the degree-(k+1) report: its singular weights are those of
-    # singular_vectors(alg, k + 1), so the degree is not solved twice
-    nxt_top = max((w for w, _ in rep.singular_weights), key=lambda w: grlex_key(w.doubled))
-
-    chi = (e(k) - e(k - 2)) * sym_power_char(alg, 1)
-    counts = natural_tensor_singular_counts(alg, k)
-    natural_weight = Weight.from_coeffs(alg, [1] + [0] * (alg.n - 1), [0] * alg.m)
-
-    residual = chi - 2 * e(1) - (e(k + 1) - e(k - 1))
-    lead_exp, lead_coef = residual.leading_term()
-    top_product = Weight(alg, lead_exp)
-    factor_multiset = {top_product: 1, natural_weight: 2, nxt_top: 1}
-    deficits = {
-        w.format(): factor_multiset[w] - counts.get(w, 0)
-        for w in factor_multiset
-        if factor_multiset[w] != counts.get(w, 0)
-    }
-    checks = {
-        "residual_nonnegative": all(c >= 0 for c in residual.terms.values()),
-        "residual_leading_multiplicity_one": lead_coef == 1,
-        "residual_weyl_invariant": _weyl_invariant(alg, residual),
-        "all_singular_weights_expected": set(counts) <= set(factor_multiset),
-    }
-    return {
-        "algebra": str(alg),
-        "degree": k,
-        "tensor_character_vdim": chi.evaluate_at_one(),
-        "factor_multiset": {w.format(): c for w, c in factor_multiset.items()},
-        "singular_counts": {w.format(): c for w, c in counts.items()},
-        "extension_deficits": deficits,
-        "checks": checks,
-        "note": (
-            "composition multiplicities are character-level bookkeeping; where the "
-            "singular-vector count falls short of the multiplicity the factors form a "
-            "non-split extension that character theory cannot see"
-        ),
-    }
-
-
 class IrreducibilityReport(NamedTuple):
     alg: Algebra
     degree: int
@@ -1036,7 +970,6 @@ def irreducibility_report(alg: Algebra, k: int, bound: int = 20000) -> Irreducib
     # running total passes 1
     generates = one_top and all(total <= 1 for total in itertools.accumulate(
         d for _, d in _deficits(blocks, orbit_size, downs)))
-    del blocks  # cyclic_span_dim memoises its own images; do not hold both at once
 
     top_dim = 0
     if generates:

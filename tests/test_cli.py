@@ -98,6 +98,18 @@ def test_tensor_table_single_weight(capsys, tmp_path):
     }
 
 
+def test_decompose_stops_at_a_vanishing_kac_character(capsys, tmp_path):
+    # the Kac character at the leading weight 2d1+1d2 of JT (2,1) on spo(4|4)
+    # is 0 (its lam + rho is singular): peeling stops and the whole
+    # character is the remainder, where reading that zero's leading term
+    # used to exit 2
+    out = run(capsys, "decompose", "--algebra", "4|4", "--jt", "2,1", "--basis", "kac", cache=tmp_path)
+    assert out == "D(2,1) = 0   + remainder (88 monomials)\n"
+    payload = json.loads(run(capsys, "decompose", "--algebra", "4|4", "--jt", "2,1", "--basis", "kac",
+                             "--format", "json", cache=tmp_path))
+    assert (payload["factors"], payload["remainder_zero"]) == ([], False)
+
+
 def test_latex_decomposition(capsys, tmp_path):
     out = run(capsys, "decompose", "--algebra", "2|3", "--kac", "1d1", "--format", "latex", cache=tmp_path)
     assert out.strip() == "[L(\\delta_{1})]-[L(0)]"

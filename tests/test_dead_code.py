@@ -10,10 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spochar"
 
 # Entry points of the library that no code in the package calls, each with
 # the reason it stays.
-ALLOWED = {
-    "kernel_tensor_natural_report": "library entry point: the character-level report on ker (x) V, "
-    "which no CLI command prints",
-}
+ALLOWED = {}
 
 
 def _referenced(node):

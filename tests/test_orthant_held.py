@@ -168,7 +168,6 @@ EXPANDING_READERS = {
     "hash": hash,
     "sorted_terms": LaurentPoly.sorted_terms,
     "to_json_dict": LaurentPoly.to_json_dict,
-    "to_json": LaurentPoly.to_json,
     "repr": repr,
     "neg": lambda p: -p,
     "times 3": lambda p: p * 3,
@@ -356,3 +355,50 @@ def test_large_kac_decomposes_into_itself_on_the_orthant():
         tracemalloc.stop()
     assert dec.factors == {Weight.parse(alg, LARGE[1]): 1} and dec.is_clean()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# Characters that decompose in the Kac basis: the first three with a zero
+# remainder, the last two with a held one.
+RECONSTRUCTED = {
+    "kac 4|3 2d1+1d2+1e1": ("4|3", lambda: _kac("4|3", "2d1+1d2+1e1")),
+    "jt 4|3 (3,2)": ("4|3", lambda: jt_character((3, 2), Algebra.parse("4|3"))),
+    "euler 4|3 d2-e1 4d1+2d2": ("4|3", lambda: _euler("4|3", ["d2-e1"], "one_dimensional", "4d1+2d2")),
+    "jt 4|3 (3,2,1)": ("4|3", lambda: jt_character((3, 2, 1), Algebra.parse("4|3"))),
+    "euler 4|3 d1-d2 2d1+1d2": ("4|3", lambda: _euler("4|3", ["d1-d2"], "one_dimensional", "2d1+1d2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCTED))
+def test_reconstruction_of_a_held_character_stays_held(name):
+    # a zero remainder is not held: a sum started from it would expand
+    from spochar.blocksdecomp import decompose, reconstruct
+
+    text, make = RECONSTRUCTED[name]
+    alg = Algebra.parse(text)
+    chi = make()
+    dec = decompose(alg, chi, "kac")
+    assert dec.factors
+    got = reconstruct(alg, dec)
+    assert got._orthant is not None and got._terms is None
+    assert got == chi
+    assert _reference(got) == _reference(chi)
+
+
+def test_held_reconstruction_builds_no_sign_images():
+    """The spo(8|3) Kac character below has 10995 terms on 824 orthant
+    terms.  Its reconstruction peaks near 0.13 MiB on the orthant; a sum
+    started from an unheld zero expanded it, at 2.3 MiB."""
+    from spochar.blocksdecomp import decompose, reconstruct
+
+    alg = Algebra.parse("8|3")
+    chi = _kac("8|3", "3d1+2d2+2d3+1d4+1e1")
+    dec = decompose(alg, chi, "kac")
+    assert dec.is_clean()
+    tracemalloc.start()
+    try:
+        got = reconstruct(alg, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == chi and got._terms is None and len(got) == 10995
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"

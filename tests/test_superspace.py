@@ -15,7 +15,6 @@ from spochar.superspace import (
     gen_name,
     irreducibility_report,
     kernel_basis,
-    kernel_tensor_natural_report,
     laplacian,
     monomial_weight_doubled,
     natural_tensor_singular_counts,
@@ -251,29 +250,6 @@ def test_natural_tensor_singular_counts_detect_nonsplit():
     counts = natural_tensor_singular_counts(SPO23, 2)
     as_pairs = {w.format(): c for w, c in counts.items()}
     assert as_pairs == {"2d1+1e1": 1, "1d1+2e1": 1, "1d1": 1}
-
-
-def test_kernel_tensor_natural_report_spo45():
-    rep = kernel_tensor_natural_report(Algebra.parse("4|5"), 2)
-    assert rep["factor_multiset"] == {"2d1+1d2": 1, "1d1": 2, "1d1+1d2+1e1": 1}
-    assert rep["singular_counts"]["1d1"] == 1
-    assert rep["extension_deficits"] == {"1d1": 1}
-    assert all(rep["checks"].values())
-    assert "non-split" in rep["note"]
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_kernel_tensor_natural_report_solves_each_degree_once(monkeypatch, k):
-    solved = []
-    singular_pass = superspace._singular_pass
-
-    def counting(blocks, *args):
-        solved.append(blocks.k)
-        return singular_pass(blocks, *args)
-
-    monkeypatch.setattr(superspace, "_singular_pass", counting)
-    kernel_tensor_natural_report(Algebra.parse("4|5"), k)
-    assert sorted(solved) == sorted({1, k, k + 1})
 
 
 def test_each_weight_block_is_solved_once(monkeypatch):
@@ -788,23 +764,6 @@ def test_no_float_coefficients():
     assert checked > 150
 
 
-# kernel_tensor_natural_report(spo(4|5), 2) as it was when the tensor counts
-# enumerated the degree
-SPO45_TENSOR_REPORT = {
-    "algebra": "spo(4|5)",
-    "degree": 2,
-    "tensor_character_vdim": 360,
-    "factor_multiset": {"2d1+1d2": 1, "1d1": 2, "1d1+1d2+1e1": 1},
-    "singular_counts": {"2d1+1d2": 1, "1d1+1d2+1e1": 1, "1d1": 1},
-    "extension_deficits": {"1d1": 1},
-    "checks": {"residual_nonnegative": True, "residual_leading_multiplicity_one": True,
-               "residual_weyl_invariant": True, "all_singular_weights_expected": True},
-    "note": "composition multiplicities are character-level bookkeeping; where the singular-vector count "
-            "falls short of the multiplicity the factors form a non-split extension that character theory "
-            "cannot see",
-}
-
-
 def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp_path):
     # the reports, kernel_basis and the tensor counts build their blocks from
     # closed forms and count the degree in closed form, so no degree is
@@ -826,7 +785,6 @@ def test_reports_enumerate_no_degree_and_keep_the_bound(monkeypatch, capsys, tmp
     assert kernel_dim_and_singular_vectors(SPO44, 3, 5000)[0] == 80
     assert [_exact_terms(v) for v in kernel_basis(SPO44, 3, 5000)] == ref_kernel
     assert _exact_counts(natural_tensor_singular_counts(spo45, 2)) == ref_counts
-    assert kernel_tensor_natural_report(spo45, 2) == SPO45_TENSOR_REPORT
     alg = Algebra.parse("8|8")
     rep = irreducibility_report(alg, 6, bound=30000)
     assert (rep.classification, rep.kernel_dim, rep.top_cyclic_dim) == ("irreducible", 24192, 24192)
@@ -1064,45 +1022,6 @@ def test_orbit_size_matches_the_frozen_counter_version():
                      ("2|0", (6,)), ("2|4", (2, 2, 2)), ("2|4", (0, 2, 0)), ("6|7", (4, 4, 0, 2, 2, 2))):
         alg = Algebra.parse(text)
         assert superspace._orbit_size(alg, mu) == _frozen_orbit_size(alg, mu), (text, mu)
-
-
-# -- the Weyl-invariance check -------------------------------------------------------------
-
-
-def _invariant_by_enumeration(alg, poly):
-    from spochar.rootdata import weyl_act, weyl_group
-
-    return all(poly.map_exponents(lambda e: weyl_act(g, e)) == poly for g in weyl_group(alg))
-
-
-def test_weyl_invariance_checks_all_of_w():
-    from spochar.laurent import LaurentPoly
-    from spochar.rootdata import weyl_act, weyl_group
-
-    rng = random.Random(17)
-    for text in ("4|5", "4|4", "2|2", "6|1", "4|0", "2|3"):
-        alg = Algebra.parse(text)
-        group = weyl_group(alg)
-        for _ in range(12):
-            seeds = [tuple(2 * rng.randint(-2, 2) for _ in range(alg.rank)) for _ in range(2)]
-            terms = {}
-            for seed, c in zip(seeds, (1, 2)):
-                for g in group:
-                    terms[weyl_act(g, seed)] = c
-            poly = LaurentPoly(alg.n, alg.m, terms)
-            assert superspace._weyl_invariant(alg, poly) == _invariant_by_enumeration(alg, poly)
-            broken = dict(terms)
-            broken[next(iter(broken))] += 1
-            broken = LaurentPoly(alg.n, alg.m, broken)
-            assert superspace._weyl_invariant(alg, broken) == _invariant_by_enumeration(alg, broken)
-
-    # invariant under the B_2 of the e-slots, not under the C_2 of the
-    # d-slots: the first 8 rows of W fix every d-slot, so they cannot see it
-    alg = Algebra.parse("4|5")
-    e_side = LaurentPoly(2, 2, {(2, 0, 2, 0): 1, (2, 0, -2, 0): 1, (2, 0, 0, 2): 1, (2, 0, 0, -2): 1})
-    assert all(e_side.map_exponents(lambda e: weyl_act(g, e)) == e_side for g in weyl_group(alg)[:8])
-    assert not superspace._weyl_invariant(alg, e_side)
-    assert not _invariant_by_enumeration(alg, e_side)
 
 
 def test_operators_are_built_once_per_algebra():
