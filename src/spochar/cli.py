@@ -66,11 +66,20 @@ def _algebra(args) -> Algebra:
     return Algebra.parse(args.algebra)
 
 
+def _int(text, what, whole):
+    """int(text); text that is not an integer is refused naming the whole
+    option value it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"cannot parse {what} {whole!r}") from None
+
+
 def _partition(text):
     text = (text or "").strip()
     if text in ("", "0", "-"):
         return ()
-    return validate_partition(int(x) for x in text.split(","))
+    return validate_partition(_int(x, "partition", text) for x in text.split(","))
 
 
 def _parabolic(alg, text) -> Parabolic:
@@ -92,9 +101,9 @@ def _levi_module(p, text) -> LeviCharacter:
         raise ValueError(f"cannot parse Levi module {text!r}")
     tag, arg = text.split(":", 1)
     if tag == "sym":
-        return levi_character(p, "sym_power", int(arg))
+        return levi_character(p, "sym_power", _int(arg, "Levi module", text))
     if tag == "ext":
-        return levi_character(p, "ext_power", int(arg))
+        return levi_character(p, "ext_power", _int(arg, "Levi module", text))
     if tag == "hook":
         return levi_character(p, "hook_schur", _partition(arg))
     if tag == "onedim":

@@ -20,6 +20,9 @@ recurrence, `series.divided` or `series.times`.  The Jacobi-Trudi
 determinants run on these entries, and `from_u_basis` expands each result
 once: per slot u^k = sum over j <= k/2 of C(k, j) O_{k-2j}, with
 O_a = t^a + t^-a for a > 0 and O_0 = 1, so the central term keeps C(k, k/2).
+Those steps are built once per process, per field shift and degree bound
+(`_binomial_steps`), up to the largest u-degree the caller can meet: B
+below for a determinant, r for p_r and e_r.
 The character holds the terms with every exponent >= 0, the columns of the
 packed result, and expands them to their sign images on every slot only
 when its terms are first read (`laurent.sign_images`); its term count and
@@ -35,7 +38,7 @@ exactly that order; a determinant that needs wider fields replaces the
 layout, and both forms' rows are built again in the new one when next
 asked for.  A determinant builds its entries as sums of packed dicts
 (`laurent.add_terms`), `linalg.det_bareiss_laurent` eliminates on them in
-that layout, and `from_u_basis` runs its binomial step on the int keys and
+that layout, and `from_u_basis` runs its binomial steps on the int keys and
 reads the result's columns once.  The width is proven, not guessed: let B
 be the sum over the rows of the row's largest u-degree, sum_i
 max(lambda*_i + k - 1, 0) for the p-form (the conjugate partition's for the
@@ -75,13 +78,27 @@ def _u_series(alg: Algebra, order, exterior):
     return series
 
 
-def from_u_basis(p, packing) -> LaurentPoly:
+@lru_cache(maxsize=256)
+def _binomial_steps(shift, bound):
+    """The binomial steps of `from_u_basis` on the field at bit `shift`,
+    listed by u-degree k = 0..bound: the (key offset, C(k, j)) of each
+    j <= k/2, the offset moving the field from k to the O-exponent
+    2(k - 2j).  A caller passes the largest u-degree it can meet as bound,
+    so the table holds only degrees that are read.  It keeps one entry per
+    bound met, so the steps share one int per offset and each degree's
+    steps are one tuple, to keep it small."""
+    offsets = [d << shift for d in range(-bound, bound + 1)]
+    return [tuple((offsets[bound + k - 4 * j], comb(k, j)) for j in range(k // 2 + 1)) for k in range(bound + 1)]
+
+
+def from_u_basis(p, packing, bound) -> LaurentPoly:
     """The character whose u-basis form is the packed term dict p, in the
-    unsigned `packing` (see the module docstring): the binomial step runs
-    slot by slot on the int keys, u^k = sum over j <= k/2 of C(k, j)
-    O_{k-2j} with O_a read as t^a, which moves the field of slot s by k - 4j.
-    Then the result is read as one column per slot, the orthant terms of a
-    character invariant under the sign change of every slot, which it holds
+    unsigned `packing`, with u-degree at most bound in each slot (see the
+    module docstring): the binomial step runs slot by slot on the int keys,
+    u^k = sum over j <= k/2 of C(k, j) O_{k-2j} with O_a read as t^a, which
+    moves the field of slot s by k - 4j (`_binomial_steps`).  Then the
+    result is read as one column per slot, the orthant terms of a character
+    invariant under the sign change of every slot, which it holds
     (`laurent.sign_images`): `dim --jt`, and text output above 30 terms,
     read only its term count and vdim from them, and its sign images are
     built when its terms are first read."""
@@ -90,14 +107,11 @@ def from_u_basis(p, packing) -> LaurentPoly:
     terms = p
     for s in range(rank):
         shift = width * s
-        steps = {}  # k -> [(key offset, C(k, j))]
+        steps = _binomial_steps(shift, bound)
         out = {}
         get = out.get
         for key, c in terms.items():
-            k = key >> shift & mask
-            if k not in steps:
-                steps[k] = [((k - 4 * j) << shift, comb(k, j)) for j in range(k // 2 + 1)]
-            for offset, b in steps[k]:
+            for offset, b in steps[key >> shift & mask]:
                 t = key + offset
                 out[t] = get(t, 0) + b * c
         terms = {t: c for t, c in out.items() if c} if 0 in out.values() else out
@@ -148,7 +162,7 @@ class PowerTable:
         full = self._full[which]
         if r not in full:
             packing, rows = self.rows(which, r, r)
-            full[r] = from_u_basis(rows[r], packing)
+            full[r] = from_u_basis(rows[r], packing, r)
         return full[r]
 
     def p(self, r: int) -> LaurentPoly:
@@ -178,13 +192,14 @@ def _jt_determinant(alg, which, star, entry) -> LaurentPoly:
     j), where power(r) is the packed u-basis p_r or e_r (which): the largest
     power in row i is star[i] + k - 1, whose u-degree bounds the row's."""
     k = len(star)
-    packing, rows = power_table(alg).rows(which, max(star) + k - 1, sum(max(s + k - 1, 0) for s in star))
+    bound = sum(max(s + k - 1, 0) for s in star)
+    packing, rows = power_table(alg).rows(which, max(star) + k - 1, bound)
 
     def power(r):
         return rows[r] if r >= 0 else {}
 
     matrix = [[entry(power, star[i], j) for j in range(k)] for i in range(k)]
-    return from_u_basis(det_bareiss_laurent(matrix, packing), packing)
+    return from_u_basis(det_bareiss_laurent(matrix, packing), packing, bound)
 
 
 def jt_character(partition, alg: Algebra) -> LaurentPoly:

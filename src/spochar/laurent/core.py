@@ -165,11 +165,13 @@ def _pack(terms, weights, lows):
 def _columns(packed, fields):
     """Per slot, the exponents of the packed ints in packed (a list or dict,
     read once per slot) as a lazy map: slot i is (k >> shift & mask) +
-    offset for the i-th (shift, mask, offset) of fields."""
-    return [
-        map(operator.add, map(operator.and_, map(operator.rshift, packed, repeat(s)), repeat(mask)), repeat(lo))
-        for s, mask, lo in fields
-    ]
+    offset for the i-th (shift, mask, offset) of fields, the offset added
+    only where it is not 0."""
+    cols = []
+    for s, mask, lo in fields:
+        col = map(operator.and_, map(operator.rshift, packed, repeat(s)), repeat(mask))
+        cols.append(map(operator.add, col, repeat(lo)) if lo else col)
+    return cols
 
 
 def _unpack(packed, fields):

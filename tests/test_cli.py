@@ -136,6 +136,24 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["jt", "--algebra", "2|3", "--partition", "3,,1"], "partition '3,,1'"),
+        (["jt", "--algebra", "2|3", "--partition", "a"], "partition 'a'"),
+        (["dim", "--algebra", "2|3", "--jt", "2.5"], "partition '2.5'"),
+        (["euler", "--algebra", "2|3", "--parabolic", "remove=e1", "--levi-module", "sym:x"], "Levi module 'sym:x'"),
+        (["euler", "--algebra", "2|3", "--parabolic", "remove=e1", "--levi-module", "ext:x"], "Levi module 'ext:x'"),
+        (["euler", "--algebra", "2|3", "--parabolic", "remove=e1", "--levi-module", "hook:2,,1"], "partition '2,,1'"),
+    ],
+)
+def test_integer_text_that_does_not_parse_exits_2_naming_it(capsys, argv, named):
+    assert cli.main(argv + ["--no-cache"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot parse {named}\n"
+
+
 def test_math_failure_exits_3(capsys, tmp_path, monkeypatch):
     def boom(alg, lam):
         raise NotDivisible("forced")

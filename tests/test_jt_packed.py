@@ -7,8 +7,15 @@ term dicts; `_jt_tuple` and `_jt_e_tuple` build the determinant entries as
 they were, from `PowerTable.u`.  `_from_u_basis_tuple` adds the sign
 images with `frozen_sign_images`, the frozen per-term expansion of
 test_sign_images.  Every comparison is term for term.
+
+`_from_u_basis_per_call` is a frozen copy of the packed `from_u_basis` as
+it ran before its binomial steps moved into the process table
+`_binomial_steps`: it builds the steps of each u-degree on every call and
+for every slot, and reads every column through an offset map.
 """
 
+import operator
+from itertools import repeat
 from math import comb
 
 import pytest
@@ -16,6 +23,8 @@ import pytest
 from spochar import charformulas, jacobitrudi, linalg
 from spochar.blocksdecomp import gl_parabolic
 from spochar.jacobitrudi import (
+    PowerTable,
+    _binomial_steps,
     ext_power_char,
     identity_suite,
     jt_character,
@@ -23,7 +32,7 @@ from spochar.jacobitrudi import (
     power_table,
     sym_power_char,
 )
-from spochar.laurent import LaurentPoly, exact_div
+from spochar.laurent import LaurentPoly, exact_div, sign_images
 from spochar.linalg import det_bareiss_laurent
 from spochar.rootdata import (
     Algebra,
@@ -226,3 +235,95 @@ def test_signed_layout_matches_the_tuple_elimination(monkeypatch):
         assert det_bareiss_laurent(mat).terms == _det_bareiss_tuple(mat).terms
     assert any(len(q) > 1 for q in divisors)  # some divide by a pivot other than 1
 
+
+
+# -- the binomial step table ------------------------------------------------------
+
+
+def _from_u_basis_per_call(p, packing):
+    """Frozen copy of the packed `from_u_basis` before the step table."""
+    width, rank = packing.width, packing.n + packing.m
+    mask = (1 << width) - 1
+    terms = p
+    for s in range(rank):
+        shift = width * s
+        steps = {}  # k -> [(key offset, C(k, j))]
+        out = {}
+        get = out.get
+        for key, c in terms.items():
+            k = key >> shift & mask
+            if k not in steps:
+                steps[k] = [((k - 4 * j) << shift, comb(k, j)) for j in range(k // 2 + 1)]
+            for offset, b in steps[k]:
+                t = key + offset
+                out[t] = get(t, 0) + b * c
+        terms = {t: c for t, c in out.items() if c} if 0 in out.values() else out
+    columns = [
+        list(map(operator.add, map(operator.and_, map(operator.rshift, terms, repeat(width * s)), repeat(mask)), repeat(0)))
+        for s in range(rank)
+    ]
+    return sign_images(packing.n, packing.m, columns, terms.values(), range(rank))
+
+
+@pytest.fixture
+def bounds(monkeypatch):
+    """Checks every `from_u_basis` call against the frozen per-call copy,
+    held orthant columns and coefficients in order, before any expansion;
+    returns the list of the bounds passed, in call order."""
+    live, seen = jacobitrudi.from_u_basis, []
+
+    def checked(p, packing, bound):
+        got, want = live(p, packing, bound), _from_u_basis_per_call(p, packing)
+        assert (got._orthant, got._terms) == (want._orthant, want._terms), bound
+        seen.append(bound)
+        return got
+
+    monkeypatch.setattr(jacobitrudi, "from_u_basis", checked)
+    return seen
+
+
+# the euler_jt_grid algebras, spo(4|4) (even l, m = 2) and spo(2|6) (m = 3)
+STEP_ALGEBRAS = ["2|3", "4|3", "6|3", "4|4", "2|6"]
+
+
+@pytest.mark.parametrize("algtxt", STEP_ALGEBRAS)
+def test_table_steps_match_the_per_call_steps_on_both_forms(bounds, algtxt):
+    alg = Algebra.parse(algtxt)
+    lams = [lam for lam in partitions_up_to(7) if fits_hook(lam, alg.n, alg.m)]
+    for lam in lams:
+        jt_character(lam, alg)
+        jt_character_e(lam, alg)
+    assert len(bounds) == 2 * len([lam for lam in lams if lam])
+
+
+@pytest.mark.parametrize("algtxt, top", [("2|3", 40), ("4|3", 40), ("4|4", 40), ("6|3", 24), ("2|6", 24)])
+def test_table_steps_match_the_per_call_steps_on_power_characters(bounds, algtxt, top):
+    table = PowerTable(Algebra.parse(algtxt))  # a fresh table expands every r
+    for r in range(top + 1):
+        table.p(r)
+        table.e(r)
+    assert bounds == [r for r in range(top + 1) for _ in "pe"]
+
+
+def test_table_grows_for_a_bound_above_every_earlier_one(bounds):
+    # B = 300: no other test of the suite reaches a bound above 129, so the
+    # steps of both slots are built here, to degree 300
+    alg = Algebra.parse("2|3")
+    misses = _binomial_steps.cache_info().misses
+    got = jt_character((300,), alg)
+    assert bounds == [300]
+    assert _binomial_steps.cache_info().misses == misses + alg.rank
+    assert got.terms == _jt_tuple((300,), alg).terms
+
+
+def test_a_repeated_call_reads_the_table_and_a_smaller_bound_after_a_larger_one_expands_right():
+    alg = Algebra.parse("4|3")
+    jt_character((4, 2, 1), alg)
+    before = _binomial_steps.cache_info()
+    again = jt_character((4, 2, 1), alg)
+    after = _binomial_steps.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + alg.rank
+    assert again.terms == _jt_tuple((4, 2, 1), alg).terms
+    for lam in ((9, 2), (2, 1), (3,)):  # B = 11, then 3 and 3
+        assert jt_character(lam, alg).terms == _jt_tuple(lam, alg).terms, lam
+        assert jt_character_e(lam, alg).terms == _jt_e_tuple(lam, alg).terms, lam
