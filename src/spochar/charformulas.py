@@ -31,9 +31,13 @@ orthant's columns, when its terms are first read (`laurent.sign_images`):
   and the character holds the packed product's orthant terms.
 * Euler: D1 is W-invariant, so the Euler character of a parabolic with Levi
   module M is the alternating sum of e^{rho0} ch M prod (1 + e^{-a}) over
-  the odd positive roots a outside the Levi, divided by D0.  Its folded
-  terms (spo(8|3), lambda = (3,2,1): 256 -> 35) give signed sums of
-  characters of simple modules of g0 = sp(2n) + so(l).
+  the odd positive roots a outside the Levi, divided by D0.  The numerator
+  grows on term dicts, times one 1 + e^{-a} at a time, and each of its
+  terms is folded one factor of g0 at a time (C_n on the d-slots, B_m or
+  D_m on the e-slots), each distinct part on a factor once
+  (`rootdata.orthant_character`).  Its folded terms (spo(8|3),
+  lambda = (3,2,1): 256 -> 35) give signed sums of characters of simple
+  modules of g0 = sp(2n) + so(l).
 * Even Levi: a Levi without odd roots has A-chains and at most one B, C or
   D tail, and its simple module of highest weight lam is the Weyl character
   of lam + rho_L on the Levi's even positive roots.
@@ -50,6 +54,7 @@ from typing import NamedTuple
 
 # exact_div is unused here but stays bound: the benchmark's tracing test reads charformulas.exact_div
 from .laurent import LatticeMismatch, LaurentPoly, exact_div, format_exponent, times_isotropic
+from .laurent.core import add_terms, scale_shift_terms
 from .linalg import det_bareiss_laurent, nullspace
 from .rootdata import (
     Algebra,
@@ -158,6 +163,14 @@ class Parabolic:
         even = tuple(r for r in pos.even if root_support(self.alg, r) <= keep)
         odd = tuple(r for r in pos.odd if root_support(self.alg, r) <= keep)
         return even, odd
+
+    @lru_cache(maxsize=256)
+    def outside_odd_shifts(self):
+        """The doubled -a over the odd positive roots a outside the Levi, in
+        the order of `positive_roots(alg).odd`: the Euler numerator's
+        factors 1 + e^{-a}."""
+        _, odd = self.levi_positive()
+        return tuple(tuple(-x for x in a.doubled) for a in positive_roots(self.alg).odd if a not in odd)
 
     def retained_simples(self):
         simples = simple_roots(self.alg)
@@ -365,8 +378,8 @@ def kac_character(alg: Algebra, lam: Weight) -> LaurentPoly:
 
 # The numerator of an Euler character is refused, factor by factor, past
 # this many terms: on Borel parabolics spo(6|7) reaches 70592 terms, spo(8|7)
-# 1155072 (with the trivial module 11.8 s and 426 MB max RSS in one process,
-# 6.7 s of it the expansion), and spo(8|8) more than 1.5 million.
+# 1155072 (with the trivial module 6.6-8.2 s and 431 MB max RSS in one
+# process on a shared 2-core host), and spo(8|8) more than 1.5 million.
 EULER_NUMERATOR_LIMIT = 1_500_000
 
 
@@ -374,10 +387,13 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
     """Alternating-sum virtual character attached to a parabolic and a Levi
     module (LeviCharacter or raw LaurentPoly).
 
-    The numerator e^{rho0} ch M prod (1 + e^{-a}) is the numerator of a
-    Weyl character on the even positive roots (`rootdata.weyl_character`):
-    folded term by term into the dominant chamber with its sign, its
-    singular terms dropped, each folded term c e^nu contributes
+    The numerator e^{rho0} ch M prod (1 + e^{-a}), over the odd positive
+    roots a outside the Levi (`Parabolic.outside_odd_shifts`), grows on
+    term dicts one factor at a time.  It is the numerator of a Weyl
+    character on the even positive roots (`rootdata.weyl_character`):
+    folded into the dominant chamber with its sign, one g0 factor at a time
+    and each distinct part on a factor once, its singular terms dropped,
+    each folded term c e^nu contributes
     c ch L0(nu - rho0), a g0-character computed on dominant weights by
     Freudenthal's formula and listed on the sign-free orthant, which the
     character holds: its term count, vdim and integrality come from the
@@ -386,25 +402,22 @@ def euler_character(p: Parabolic, module) -> LaurentPoly:
     LatticeMismatch for a module character of another spo(2n|l) lattice,
     and DimensionGuard for a Weyl group above WEYL_ORDER_LIMIT, before the
     numerator is expanded, and once the expansion passes
-    EULER_NUMERATOR_LIMIT terms.
+    EULER_NUMERATOR_LIMIT terms, checked after every factor.
     """
     alg = p.alg
     check_weyl_order(alg)
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     if (ch_m.n, ch_m.m) != (alg.n, alg.m):
         raise LatticeMismatch(f"a module character on the ({ch_m.n}|{ch_m.m}) lattice for {alg}")
-    _, levi_odd = p.levi_positive()
-    pos = positive_roots(alg)
-    f = ch_m.shifted(rho0(alg).doubled)
-    for a in pos.odd:
-        if a not in levi_odd:
-            f = f + f.shifted(tuple(-x for x in a.doubled))
-            if len(f) > EULER_NUMERATOR_LIMIT:
-                raise DimensionGuard(
-                    f"the Euler numerator of {p.describe()} has {len(f)} terms, "
-                    f"above the limit {EULER_NUMERATOR_LIMIT}"
-                )
-    ch = weyl_character(alg, f.terms, tuple(r.doubled for r in pos.even))
+    f = scale_shift_terms(1, rho0(alg).doubled, ch_m.terms)
+    for shift in p.outside_odd_shifts():
+        f = add_terms(f, scale_shift_terms(1, shift, f))
+        if len(f) > EULER_NUMERATOR_LIMIT:
+            raise DimensionGuard(
+                f"the Euler numerator of {p.describe()} has {len(f)} terms, "
+                f"above the limit {EULER_NUMERATOR_LIMIT}"
+            )
+    ch = weyl_character(alg, f, tuple(r.doubled for r in positive_roots(alg).even))
     if not ch_m.is_integral() and not ch.is_integral():
         raise ArithmeticError(f"the Euler character of {p.describe()} has a half-integral exponent")
     return ch

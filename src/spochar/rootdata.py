@@ -265,16 +265,18 @@ def all_isotropic_roots(alg: Algebra):
     return tuple(pos) + tuple(-r for r in pos)
 
 
+@lru_cache(maxsize=64)
 def simple_roots(alg: Algebra):
-    """Standard simple system: d-chain, d_n - e_1, e-chain, then the tail
-    (e_m for odd l, e_{m-1} + e_m for even l >= 4, d_n + e_1 for l = 2)."""
+    """Standard simple system, as a tuple: d-chain, d_n - e_1, e-chain, then
+    the tail (e_m for odd l, e_{m-1} + e_m for even l >= 4, d_n + e_1 for
+    l = 2)."""
     n, m = alg.n, alg.m
     d = [_unit(alg, i) for i in range(n)]
     e = [_unit(alg, n + j) for j in range(m)]
     out = [d[i] - d[i + 1] for i in range(n - 1)]
     if m == 0:
         out.append(d[n - 1] if alg.odd else d[n - 1] + d[n - 1])
-        return out
+        return tuple(out)
     out.append(d[n - 1] - e[0])
     out.extend(e[j] - e[j + 1] for j in range(m - 1))
     if alg.odd:
@@ -283,7 +285,7 @@ def simple_roots(alg: Algebra):
         out.append(e[m - 2] + e[m - 1])
     else:
         out.append(d[n - 1] + e[0])
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)
@@ -331,6 +333,19 @@ def _factors(rank, roots):
         flips = True if any(sum(map(bool, r)) == 1 for r in own) else False if any(map(sum, own)) else None
         out.append((slots, own, tuple(sum(col) // 2 for col in zip(*own)) or (0,) * (slots.stop - slots.start), flips))
     return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _fold_plan(rank, roots):
+    """(factors, rho, steps) for `orthant_character`: the factors of
+    `_factors(rank, roots)`, their doubled rho, and for each factor
+    (slots, one-factor tuple), the tuple holding the factor alone on the
+    slots of its own slice, so that `_chamber_fold` folds a weight's part on
+    that factor by itself.  Kept for the process, so that a one-term
+    numerator (Kac, even Levi) pays one table lookup for it."""
+    factors = _factors(rank, roots)
+    steps = tuple((slots, ((slice(None), own, rho, flips),)) for slots, own, rho, flips in factors)
+    return factors, sum((rho for _, _, rho, _ in factors), ()), steps
 
 
 @lru_cache(maxsize=64)
@@ -423,20 +438,36 @@ def orthant_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     on its B and C factors are all >= 0: the character is invariant under
     each sign change there, so these terms determine it.
 
-    The numerator is folded into the dominant chamber (`_chamber_fold`).
-    The roots, W and dominance split into the factors of `_factors`, so a
-    folded term's module is the product of one module per factor, given by
-    its multiplicities on dominant weights (`_dominant_character`, read
-    from a table kept for the process); they are added up on dominant
-    weights, and each with a nonzero sum is listed on the orthant
-    (`_orthant_orbit`)."""
-    factors = _factors(alg.rank, roots)
-    r0 = sum((rho for _, _, rho, _ in factors), ())
+    The roots, W and dominance split into the factors of `_factors`.  The
+    numerator is folded into the dominant chamber one factor at a time: a
+    term's part on a factor folds to a dominant part and a det
+    (`_chamber_fold` on that factor alone, `_fold_plan`), read from a dict
+    kept for the call and keyed by the part, since the parts of an Euler
+    numerator's terms repeat (the spo(8|5) hook numerator has 152134 terms
+    but 3645 + 80 distinct parts).  The term's fold is the concatenation
+    of its dominant parts with the product of their dets, and it is dropped
+    at its first singular part.  A folded term's module is the product of
+    one module per factor, given by its multiplicities on dominant weights
+    (`_dominant_character`, read from a table kept for the process); they
+    are added up on dominant weights, and each with a nonzero sum is listed
+    on the orthant (`_orthant_orbit`)."""
+    factors, r0, steps = _fold_plan(alg.rank, roots)
+    memos = [{} for _ in steps]  # per factor: part -> (dominant part, det)
     folded = {}
     for nu, c in numerator.items():
-        nu, det = _chamber_fold(factors, nu)
-        if det:
-            folded[nu] = folded.get(nu, 0) + det * c
+        key = ()
+        for (slots, one), memo in zip(steps, memos):
+            part = nu[slots]
+            hit = memo.get(part)
+            if hit is None:
+                hit = memo[part] = _chamber_fold(one, part)
+            mu, det = hit
+            if not det:
+                break
+            key += mu
+            c *= det
+        else:
+            folded[key] = folded.get(key, 0) + c
     dominant = {}  # (weights on the head factors, weight on the last factor) -> coefficient
     for nu, c in folded.items():
         if c:
