@@ -53,8 +53,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 # exact_div is unused here but stays bound: the benchmark's tracing test reads charformulas.exact_div
-from .laurent import LatticeMismatch, LaurentPoly, exact_div, format_exponent, times_isotropic
-from .laurent.core import add_terms, scale_shift_terms
+from .laurent import (LatticeMismatch, LaurentPoly, add_terms, exact_div, format_exponent, scale_shift_terms,
+                      times_isotropic)
 from .linalg import det_bareiss_laurent, nullspace
 from .rootdata import (
     Algebra,

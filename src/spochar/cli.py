@@ -22,8 +22,8 @@ fields go through json; the terms are written from one sorted pass, one
 
 Import rule: only what `kac` and `euler` run (charformulas, laurent,
 rootdata) is imported at module level.  Every other command imports the
-modules it runs when it runs (jacobitrudi, blocksdecomp, superspace with
-monomials, acceptance), so a one-shot call compiles and loads only its own path.
+modules it runs when it runs (jacobitrudi, blocksdecomp, superspace,
+acceptance), so a one-shot call compiles and loads only its own path.
 """
 
 from __future__ import annotations

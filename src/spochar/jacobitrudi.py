@@ -54,8 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .laurent import LaurentPoly, Packing, sign_images
-from .laurent.core import add_terms
+from .laurent import LaurentPoly, Packing, add_terms, sign_images
 from .linalg import det_bareiss_laurent
 from .rootdata import (
     Algebra,

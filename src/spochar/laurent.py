@@ -346,7 +346,10 @@ class LaurentPoly:
     def _sum(self, other, sign):
         """self + sign * other; on the orthants when both are held with one
         set of sign-free slots (the orthant terms of a sum are the sums of
-        the orthant terms)."""
+        the orthant terms).  NotImplemented for any other operand than a
+        LaurentPoly."""
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         a, b = self._orthant, other._orthant
         if a is not None and b is not None and a[2] == b[2]:
@@ -368,26 +371,12 @@ class LaurentPoly:
                 columns, coefs, free = orthant
                 return sign_images(self.n, self.m, columns, [other * c for c in coefs], free)
             return LaurentPoly._wrap(self.n, self.m, {e: other * c for e, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         return LaurentPoly._wrap(self.n, self.m, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = LaurentPoly.one(self.n, self.m)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def shifted(self, exps, sign=1):
-        """Multiply by the monomial sign * x^exps."""
-        return LaurentPoly._wrap(self.n, self.m, scale_shift_terms(sign, tuple(exps), self.terms))
 
     def leading_term(self):
         """(exponents, coefficient) maximal in graded-lex order."""
@@ -446,11 +435,6 @@ class LaurentPoly:
             "m": self.m,
             "terms": [{"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        n, m = d["n"], d["m"]
-        return cls(n, m, {tuple(t["exp"]): int(t["coef"]) for t in d["terms"]})
 
 
 # -- exact division -----------------------------------------------------------------

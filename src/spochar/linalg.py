@@ -14,8 +14,7 @@ from __future__ import annotations
 from math import gcd
 from operator import itemgetter
 
-from .laurent import LaurentPoly, Packing, exact_div
-from .laurent.core import add_products
+from .laurent import LaurentPoly, Packing, add_products, exact_div
 
 
 class _SparseSpan:

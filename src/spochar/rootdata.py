@@ -175,16 +175,6 @@ class Weight:
     def __neg__(self):
         return Weight(self.alg, tuple(-x for x in self.doubled))
 
-    def scale(self, r):
-        """Exact scalar multiple; r may be a Fraction (error if not exact)."""
-        out = []
-        for x in self.doubled:
-            v = Fraction(r) * x
-            if v.denominator != 1:
-                raise NonIntegralWeight(f"{r} * {self} leaves the half lattice")
-            out.append(int(v))
-        return Weight(self.alg, out)
-
     def pair(self, other):
         """Bilinear form: sum a_i a'_i - sum b_j b'_j, exact."""
         self._chk(other)

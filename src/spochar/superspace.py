@@ -15,8 +15,8 @@ coefficients for derivations and for the Laplacian scaled by 2 (which
 clears the 1/2 of the x0 term and keeps the kernel).  The Laplacian writes
 each image in closed form, one monomial per part (`Laplacian`).
 
-Inside a computation every monomial is one int (`monomials.MonomialLayout`,
-fixed per algebra and width w): the 2n Grassmann slots take one bit each, the last
+Inside a computation every monomial is one int (`MonomialLayout`, fixed
+per algebra and width w): the 2n Grassmann slots take one bit each, the last
 slot bit 0, and each commuting slot a field of w bits above them, slot 0 in
 the top field.  Int order is then tuple order: two monomials first differ at
 some slot, every slot after it lies in lower bits, and all those bits
@@ -28,9 +28,11 @@ field (no borrow) and adds one unit, keeping the degree, to a commuting
 field, which stays at most k, or to a Grassmann bit that is refused first
 when it is set; the Laplacian only subtracts from nonzero fields.  A move
 is then one subtraction and one addition, and its Koszul signs the parity
-of the set bits under one precomputed mask (`Derivation.packed`).  Tuples
-remain at the boundary: `SuperElement` terms, `degree_basis`, and every
-public return; a computation packs its inputs and unpacks its results once.
+of the set bits under one precomputed mask (`Derivation.packed`).  Each
+operator is packed once per layout and images one packed monomial at a time
+(`MonomialImages`).  Tuples remain at the boundary: `SuperElement` terms,
+`degree_basis`, and every public return; a computation packs its inputs and
+unpacks its results once.
 
 All linear algebra is exact and split into one block per weight: the
 Laplacian preserves weight and root operators shift it, so kernels, singular
@@ -70,10 +72,8 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, grlex_key
-from .laurent.core import add_terms
+from .laurent import LaurentPoly, add_terms, grlex_key
 from .linalg import _SparseSpan, nullspace
-from .monomials import MonomialImages, MonomialLayout, _layout, monomial_layout
 from .rootdata import (
     Algebra,
     DimensionGuard,
@@ -91,8 +91,15 @@ from .rootdata import (
 # -- generator bookkeeping ---------------------------------------------------------
 
 
+def _layout(alg: Algebra):
+    """(gs, total slots): the commuting slots are 0..gs-1, the Grassmann
+    ones gs..total-1."""
+    gs = 2 * alg.m + (1 if alg.odd else 0)
+    return gs, gs + 2 * alg.n
+
+
 def gen_count(alg: Algebra) -> int:
-    return _layout(alg)[2]
+    return _layout(alg)[1]
 
 
 @lru_cache(maxsize=64)
@@ -122,7 +129,7 @@ def gen_weight_doubled(alg: Algebra, slot: int):
 
 def monomial_weight_doubled(alg: Algebra, mono):
     """2(#xi_j - #xib_j) on d_j and 2(#x_i - #xb_i) on e_i; x0 has weight 0."""
-    n, m, gs = alg.n, alg.m, _layout(alg)[1]
+    n, m, gs = alg.n, alg.m, _layout(alg)[0]
     return tuple(2 * (mono[gs + j] - mono[gs + n + j]) for j in range(n)) + tuple(
         2 * (mono[i] - mono[m + i]) for i in range(m))
 
@@ -135,6 +142,84 @@ def format_monomial(alg: Algebra, mono) -> str:
         name = gen_name(alg, slot)
         bits.append(name if e == 1 else f"{name}^{e}")
     return "*".join(bits) if bits else "1"
+
+
+# -- packed monomials --------------------------------------------------------------
+
+
+class MonomialLayout:
+    """The packed layout of the module docstring for one algebra and width:
+    slot s in the field at shifts[s] under the mask fields[s], units[s] its
+    one, and grassmann every Grassmann bit."""
+
+    __slots__ = ("alg", "gs", "field", "shifts", "fields", "units", "grassmann")
+
+    def __init__(self, alg: Algebra, width: int):
+        gs, total = _layout(alg)
+        ngr = total - gs
+        self.alg, self.gs = alg, gs
+        self.field = 2**width - 1  # of a commuting slot
+        self.shifts = tuple([ngr + (gs - 1 - s) * width for s in range(gs)] + list(range(ngr - 1, -1, -1)))
+        self.fields = (self.field,) * gs + (1,) * ngr
+        self.units = tuple(1 << x for x in self.shifts)
+        self.grassmann = 2**ngr - 1
+
+    def pack(self, mono) -> int:
+        return sum(e << x for e, x in zip(mono, self.shifts))
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(key >> x & f for x, f in zip(self.shifts, self.fields))
+
+    def pack_terms(self, terms):
+        return {self.pack(t): c for t, c in terms.items()}
+
+    def unpack_terms(self, terms):
+        return {self.unpack(t): c for t, c in terms.items()}
+
+    def between(self, lo: int, hi: int) -> int:
+        """The bits of the Grassmann slots strictly between slots lo and hi."""
+        return sum(self.units[max(lo + 1, self.gs):hi])
+
+
+@lru_cache(maxsize=64)
+def _monomial_layout(alg, width):
+    return MonomialLayout(alg, width)
+
+
+def monomial_layout(alg: Algebra, degree: int) -> MonomialLayout:
+    """The layout of the monomials of one computation in degree at most
+    degree: width the bit length of degree, built once per algebra and
+    width."""
+    return _monomial_layout(alg, max(degree, 1).bit_length())
+
+
+class MonomialImages:
+    """Operators applied to packed monomials of one layout.  An image is a
+    dict packed monomial -> coefficient, computed when it is read and not
+    kept; derivations and `doubled_laplacian` give int coefficients.  Each
+    operator is packed for the layout once (`LinearOperator.packed`)."""
+
+    def __init__(self, layout: MonomialLayout):
+        self.layout = layout
+        self._packed = {}  # op -> op packed in layout
+
+    def image(self, op, key):
+        packed = self._packed.get(op)
+        if packed is None:
+            packed = self._packed[op] = op.packed(self.layout)
+        return op.monomial_image(key, packed)
+
+    def apply(self, op, terms):
+        """op applied to a dict packed monomial -> coefficient, as such a dict."""
+        out = {}
+        for key, c in terms.items():
+            for t, ic in self.image(op, key).items():
+                v = out.get(t, 0) + c * ic
+                if v:
+                    out[t] = v
+                else:
+                    out.pop(t, None)
+        return out
 
 
 # -- elements ---------------------------------------------------------------------
@@ -196,7 +281,7 @@ class SuperElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        gs = _layout(self.alg)[1]
+        gs = _layout(self.alg)[0]
         out = {}
         for ta, ca in self.terms.items():
             for tb, cb in other.terms.items():
@@ -436,7 +521,7 @@ def root_operator(alg: Algebra, root: Weight) -> Derivation:
     pos = positive_roots(alg)
     if root not in {r for p in pos.even + pos.odd for r in (p, -p)}:
         raise ValueError(f"{root.format()} is not a root of {alg}")
-    gens, gs = _generators(alg), _layout(alg)[1]
+    gens, gs = _generators(alg), _layout(alg)[0]
     slot_of = {w: slot for slot, (_, w) in enumerate(gens)}
     dual = [slot_of[tuple(-x for x in w)] for _, w in gens]
     form = [-1 if u >= gs and dual[u] < u else 1 for u in range(len(gens))]  # B(u, u*)
@@ -465,8 +550,8 @@ def simple_root_operators(alg: Algebra):
 def degree_dim(alg: Algebra, k: int) -> int:
     """Dimension of the degree-k component, by counting: sum over g of
     C(2n, g) * (number of degree-(k - g) monomials in the commuting slots)."""
-    nc, gs, total = _layout(alg)
-    ngr = total - gs
+    nc, total = _layout(alg)
+    ngr = total - nc
 
     def commuting(d):
         return comb(d + nc - 1, nc - 1) if nc else int(d == 0)
@@ -498,13 +583,13 @@ def _degree_basis(alg, k, bound):
     # bound is one cache entry however the caller spelled the call
     if not _bounded_dim(alg, k, bound):
         return ()
-    nc, gs, total = _layout(alg)
+    gs, total = _layout(alg)
     ngr = total - gs
     out = []
     for gbits in range(min(k, ngr), -1, -1):
         rem = k - gbits
         for positions in itertools.combinations(range(ngr), gbits):
-            for comp in _compositions(rem, nc):
+            for comp in _compositions(rem, gs):
                 mono = list(comp) + [0] * ngr
                 for p in positions:
                     mono[gs + p] = 1

@@ -30,11 +30,11 @@ from spochar.laurent import (
     LatticeMismatch,
     LaurentPoly,
     NotDivisible,
+    _unpack,
     exact_div,
     format_exponent,
     times_isotropic,
 )
-from spochar.laurent.core import _unpack
 from spochar.rootdata import (
     Algebra,
     Weight,
@@ -559,10 +559,10 @@ def _euler_unfolded(p, module):
     alg = p.alg
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
-    f = ch_m.shifted(rho0(alg).doubled)
+    f = ch_m * LaurentPoly.monomial(alg.n, alg.m, rho0(alg).doubled)
     for a in positive_roots(alg).odd:
         if a not in levi_odd:
-            f = f + f.shifted(tuple(-x for x in a.doubled))
+            f = f + f * LaurentPoly.monomial(alg.n, alg.m, tuple(-x for x in a.doubled))
     halves = [tuple(x // 2 for x in r.doubled) for r in reversed(positive_roots(alg).even)]
     return _weyl_quotient(alg.n, alg.m, f.terms, weyl_group(alg), halves, integral="Euler character")
 

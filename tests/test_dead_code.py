@@ -1,7 +1,7 @@
 """Every top-level def and class in src/spochar is referenced in src/ outside
-its own definition, so dead code and API that only the tests call do not
-come back.  Imports and __all__ entries are not references; a call, a read
-or an attribute access is."""
+its own definition, and every method is read outside its own body, so dead
+code and API that only the tests call do not come back.  Imports and __all__
+entries are not references; a call, a read or an attribute access is."""
 
 import ast
 from pathlib import Path
@@ -44,6 +44,40 @@ def test_every_top_level_definition_is_referenced():
     # equality, not inclusion: an allowlisted name that gains a caller or is
     # deleted must leave the list too
     assert {entry.split(":")[1] for entry in _unreferenced()} == set(ALLOWED)
+
+
+# Methods that no code in the package reads, each with the reason it stays.
+ALLOWED_METHODS = {}
+
+
+def _unread_methods():
+    """Class.method for every method defined in a class body in src whose
+    name is read as an attribute nowhere in src outside its own body.
+    Dunders are left out: the language calls them.
+
+    The match is by name, so methods of one name shield each other: a
+    method is not reported while another class's method of its name is
+    read.  So a Weight.scale with no caller hid behind the reads of
+    SuperElement.scale."""
+    methods, reads = [], []  # (class name, def); attribute nodes
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods += [(cls.name, stmt) for stmt in cls.body
+                            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+    out = set()
+    for cls_name, fn in methods:
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(node.attr == fn.name and id(node) not in own for node in reads):
+            out.add(f"{cls_name}.{fn.name}")
+    return out
+
+
+def test_every_method_is_read_outside_its_own_body():
+    assert _unread_methods() == set(ALLOWED_METHODS)
 
 
 # The enumerations of W, kept for the independent oracles of acceptance.py.
@@ -100,4 +134,4 @@ def test_each_operator_images_monomials_one_way():
         images = [stmt for stmt in classes[name].body
                   if isinstance(stmt, ast.FunctionDef) and stmt.name == "monomial_image"]
         assert len(images) == 1, name
-    assert callers == ["monomials.py:MonomialImages.image"]
+    assert callers == ["superspace.py:MonomialImages.image"]

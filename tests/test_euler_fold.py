@@ -20,6 +20,7 @@ from spochar.charformulas import (
     levi_simple_even_character,
     parabolic_removing,
 )
+from spochar.laurent import LaurentPoly
 from spochar.rootdata import (
     Algebra,
     DimensionGuard,
@@ -81,12 +82,12 @@ def _numerator_frozen(p, module, limit=charformulas.EULER_NUMERATOR_LIMIT, sizes
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
     pos = positive_roots(alg)
-    f = ch_m.shifted(rho0(alg).doubled)
+    f = ch_m * LaurentPoly.monomial(alg.n, alg.m, rho0(alg).doubled)
     if sizes is not None:
         sizes.append(len(f))
     for a in pos.odd:
         if a not in levi_odd:
-            f = f + f.shifted(tuple(-x for x in a.doubled))
+            f = f + f * LaurentPoly.monomial(alg.n, alg.m, tuple(-x for x in a.doubled))
             if sizes is not None:
                 sizes.append(len(f))
             if len(f) > limit:

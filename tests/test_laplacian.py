@@ -79,7 +79,7 @@ class OperatorSum(LinearOperator):
 
 def partial(alg: Algebra, slot: int) -> Derivation:
     """Left partial derivative with respect to one generator."""
-    gs = _layout(alg)[1]
+    gs = _layout(alg)[0]
     parity = 1 if slot >= gs else 0
     return Derivation(alg, parity, ((slot, SuperElement.one(alg)),), f"d/d{gen_name(alg, slot)}")
 

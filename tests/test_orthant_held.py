@@ -174,8 +174,6 @@ EXPANDING_READERS = {
     "3 times": lambda p: 3 * p,
     "times 0": lambda p: p * 0,
     "square": lambda p: p * p,
-    "pow 2": lambda p: p ** 2,
-    "shifted": lambda p: p.shifted(tuple(range(p.rank)), -1),
     "map_exponents": lambda p: p.map_exponents(lambda e: e[::-1]),
     "sum with itself": lambda p: p + p,
     "difference with itself": lambda p: p - p,

@@ -70,7 +70,7 @@ def _bump(out, key, val):
 
 
 def _derivation_image(op, mono):
-    gs = _layout(op.alg)[1]
+    gs = _layout(op.alg)[0]
     out = {}
     for src, tgt, c in op.moves:
         e = mono[src]
@@ -96,7 +96,7 @@ def _derivation_image(op, mono):
 
 def _laplacian_image(lap, mono):
     alg = lap.alg
-    n, m, gs = alg.n, alg.m, _layout(alg)[1]
+    n, m, gs = alg.n, alg.m, _layout(alg)[0]
     c_xi, c_x, c_x0 = lap.coefficients
     out = {}
     for j in range(gs, gs + n):
@@ -301,7 +301,7 @@ def _frozen_cyclic_span_dim(alg, vector, ops, orbit_size):
 
 
 def _tensor_coproduct_image(alg, images, op, mono, slot):
-    gs = _layout(alg)[1]
+    gs = _layout(alg)[0]
     out = {(t, slot): c for t, c in images.image(op, mono).items()}
     sign = -1 if (op.parity and sum(mono[gs:]) % 2) else 1
     for src, tgt, c in op.moves:

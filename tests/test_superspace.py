@@ -353,7 +353,7 @@ def _reference_apply(op, el):
                 cur = _reference_apply(inner, cur)
             total = total + cur.scale(coef)
         return total
-    gs = _layout(alg)[1]
+    gs = _layout(alg)[0]
     total = SuperElement.zero(alg)
     for mono, coef in el.terms.items():
         for slot, img in op.images:
@@ -439,7 +439,7 @@ def _reference_natural_tensor_counts(alg, k):
     from spochar.laurent import grlex_key
     from spochar.superspace import gen_weight_doubled
 
-    gs = _layout(alg)[1]
+    gs = _layout(alg)[0]
     lap = _reference_laplacian(alg)
     ups = simple_root_operators(alg)[0]
     groups = {}
@@ -1044,7 +1044,7 @@ def test_operators_are_built_once_per_algebra():
 def _merged_monomial_image(op, mono):
     from spochar.superspace import _merge_monomials
 
-    gs = _layout(op.alg)[1]
+    gs = _layout(op.alg)[0]
     out = {}
     for slot, img in op.images:
         e = mono[slot]
@@ -1070,7 +1070,7 @@ def _merged_monomial_image(op, mono):
 @pytest.mark.parametrize("algtxt", ["2|2", "2|3", "4|4", "6|3", "4|5"])
 def test_moves_match_merged_images(algtxt):
     alg = Algebra.parse(algtxt)
-    gs = _layout(alg)[1]
+    gs = _layout(alg)[0]
     pos = positive_roots(alg)
     ops = [root_operator(alg, root) for r in pos.even + pos.odd for root in (r, -r)]
     ops += [partial(alg, slot) for slot in range(gen_count(alg))]

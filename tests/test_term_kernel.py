@@ -22,8 +22,7 @@ from spochar import linalg
 from spochar.blocksdecomp import gl_parabolic
 from spochar.charformulas import _gl_chain_weights
 from spochar.jacobitrudi import _u_series
-from spochar.laurent import LaurentPoly, Packing
-from spochar.laurent.core import add_products, add_terms, mul_terms
+from spochar.laurent import LaurentPoly, Packing, add_products, add_terms, mul_terms
 from spochar.rootdata import Algebra
 from spochar.series import divided, series_one, super_homogeneous_series, times
 from test_weyl_quotient import SHAPES

@@ -26,8 +26,7 @@ from spochar.charformulas import (
     levi_simple_even_character,
     root_support,
 )
-from spochar.laurent import LaurentPoly, NotDivisible, exact_div, times_isotropic
-from spochar.laurent.core import _pack, _unpack
+from spochar.laurent import LaurentPoly, NotDivisible, _pack, _unpack, exact_div, times_isotropic
 from spochar.rootdata import (
     Algebra,
     Weight,
@@ -206,10 +205,10 @@ def _euler_reference(p, module):
     alg = p.alg
     ch_m = module.character if isinstance(module, LeviCharacter) else module
     _, levi_odd = p.levi_positive()
-    f = ch_m.shifted(rho0(alg).doubled)
+    f = ch_m * LaurentPoly.monomial(alg.n, alg.m, rho0(alg).doubled)
     for a in positive_roots(alg).odd:
         if a not in levi_odd:
-            f = f + f.shifted(tuple(-x for x in a.doubled))
+            f = f + f * LaurentPoly.monomial(alg.n, alg.m, tuple(-x for x in a.doubled))
     halves = [_half(r.doubled) for r in reversed(positive_roots(alg).even)]
     return _quotient_reference(_alternate_reference(alg, f.terms), halves)
 
