@@ -255,14 +255,6 @@ def _gl_chain_weights(p: Parabolic):
     return even, odd
 
 
-def levi_natural_character(p: Parabolic) -> LaurentPoly:
-    even, odd = _gl_chain_weights(p)
-    out = LaurentPoly.zero(p.alg.n, p.alg.m)
-    for e in even + odd:
-        out = out + LaurentPoly.monomial(p.alg.n, p.alg.m, e)
-    return out
-
-
 def levi_power_character(p: Parabolic, k: int, kind: str) -> LaurentPoly:
     even, odd = _gl_chain_weights(p)
     if k < 0:
@@ -334,7 +326,7 @@ def levi_character(p: Parabolic, tag, arg=None) -> LeviCharacter:
     if tag == "one_dimensional":
         return LeviCharacter(arg.exponent_monomial(), f"one_dimensional({arg.format()})")
     if tag == "natural":
-        return LeviCharacter(levi_natural_character(p), "natural")
+        return LeviCharacter(levi_power_character(p, 1, "sym"), "natural")
     if tag == "sym_power":
         return LeviCharacter(levi_power_character(p, int(arg), "sym"), f"sym_power({int(arg)})")
     if tag == "ext_power":

@@ -8,16 +8,22 @@ half-integral weights (rho for odd l, Weyl denominators) stay exact integers.
 The full theory needs l >= 3; degenerate cases (m = 0, or l = 2) are allowed
 so the pure sp(2n)/so(l) Weyl machinery can serve as an internal oracle.
 
+Only this module knows the Weyl groups, each a product over the simple
+factors of its roots (`_factors`): one fold rule (`_fold_part`) and one
+orbit lister (`_orbit`) per factor, one product of the listers
+(`_orbit_product`; `orbit` on g0), and one orbit-size formula on g0
+(`orbit_sizes`).
+
 Weyl characters (`weyl_character`, `orthant_character`) read the module of
 each simple factor on its dominant weights (Freudenthal's formula,
 `_dominant_character`) and the orbit listings of its dominant weights
-(`_permutations`, `_side_orbit`) from bounded process-wide tables, keyed on
-the factor's own roots, rho and sign rule and the weight: each (factor,
-highest weight) is computed once per process, for every algebra with that
-factor.  The values are tuples and read-only mappings.  A Weyl character
-holds its orthant terms, those with every exponent on its B and C factors
->= 0 (`laurent.sign_images`), and expands them to their sign images once,
-in one pass over their columns, when its terms are first read.
+(`_orbit`) from bounded process-wide tables, keyed on what they read of the
+factor (roots, rho, sign rule) and the weight: each (factor, highest weight) is
+computed once per process, for every algebra with that factor.  The values
+are tuples and read-only mappings.  A Weyl character holds its orthant
+terms, those with every exponent on its B and C factors >= 0
+(`laurent.sign_images`), and expands them to their sign images once, in one
+pass over their columns, when its terms are first read.
 """
 
 from __future__ import annotations
@@ -344,17 +350,31 @@ def _g0_factors(alg: Algebra):
     return _factors(alg.rank, tuple(r.doubled for r in positive_roots(alg).even))
 
 
+def _fold_part(part, flips, mags=None):
+    """The dominant member, as a list, of the orbit of a part of a doubled
+    weight on one factor of `_factors` (flips as there), whose group
+    permutes the entries (A), and changes any signs (B, C) or evenly many
+    (D).  It sorts mags, the part's entries on A and their absolute values
+    on B, C and D (when given, sorted in place), in descending order, and
+    on D keeps the orbit's sign parity on the last entry unless an entry is
+    0 (Stembridge, MSJ Memoirs 11, 2001).  A part is dominant iff it is its
+    own fold."""
+    if mags is None:
+        mags = list(part if flips is None else map(abs, part))
+    mags.sort(reverse=True)
+    if flips is False and mags[-1] and sum(map((0).__gt__, part)) % 2:
+        mags[-1] = -mags[-1]
+    return mags
+
+
 def _chamber_fold(factors, doubled):
     """(dominant, det): the dominant weight u(w) in the orbit of a doubled
-    weight w under the Weyl group of `factors` (`_factors`), and det(u), or
-    0 when a reflection fixes w.  On each factor the group permutes the
-    entries (A), and changes any signs (B, C) or evenly many (D).  So the
-    fold sorts each factor's entries, on B, C and D their absolute values,
-    in descending order, and on D keeps the orbit's sign parity on the last
-    entry unless an entry is 0 (Stembridge, MSJ Memoirs 11, 2001).  det(u)
-    is the parity of the sort's inversions, times that of the sign changes
-    on B and C.  A repeated (absolute) value is fixed by the reflection in
-    x_i - x_j (x_i + x_j), and a 0 on B and C by the one in x_i.
+    weight w under the Weyl group of `factors` (`_factors`), its part on
+    each factor that factor's fold (`_fold_part`), and det(u), or 0 when a
+    reflection fixes w.  det(u) is the parity of the sort's inversions,
+    times that of the sign changes on B and C.  A repeated (absolute) value
+    is fixed by the reflection in x_i - x_j (x_i + x_j), and a 0 on B and C
+    by the one in x_i.
 
     For the alternating sum A(w) = sum over the group of det(g) e^{g(w)},
     A(w) = det(u) A(u(w)) for every u, and A(w) = 0 when a reflection fixes
@@ -371,10 +391,7 @@ def _chamber_fold(factors, doubled):
             elif (sum(itertools.starmap(operator.lt, itertools.combinations(mags, 2)))
                   + (flips is True and sum(map((0).__gt__, side)))) % 2:  # inversions, then sign changes
                 det = -det
-        mags.sort(reverse=True)
-        if flips is False and mags[-1] and sum(map((0).__gt__, side)) % 2:
-            mags[-1] = -mags[-1]
-        out += mags
+        out += _fold_part(side, flips, mags)
     return tuple(out), det
 
 
@@ -385,14 +402,50 @@ def fold_to_dominant(alg: Algebra, doubled):
     return _chamber_fold(_g0_factors(alg), doubled)[0]
 
 
+def orbit(alg: Algebra, mu):
+    """The W-orbit of a g0-dominant doubled weight mu, as a list without
+    repeats: the product of its orbits on the factors of g0 (`_orbit`)."""
+    factors = _g0_factors(alg)
+    parts = [mu[slots] for slots, *_ in factors]
+    return _orbit_product(parts, [(flips, flips is not None) for *_, flips in factors])
+
+
+def orbit_sizes(alg: Algebra, weights):
+    """[|W mu| for mu in weights], doubled weights, from the stabilizers:
+    on a factor of g0 with r slots whose absolute values occur c times each,
+    r!/prod c! times 2^s, s the number of nonzero entries on B_m and C_n,
+    one fewer on D_m without a 0 entry (signs change in pairs), and 0 on
+    so(2).  prod c! is taken along the runs of the sorted absolute values,
+    the i-th entry of a run multiplying it by i."""
+    factors = [(slots, flips) for slots, _, _, flips in _g0_factors(alg)]
+    out = []
+    for mu in weights:
+        size = 1
+        for slots, flips in factors:
+            mags = sorted(map(abs, mu[slots]))
+            stab = run = 1
+            prev = None
+            for x in mags:
+                if x == prev:
+                    run += 1
+                    stab *= run
+                else:
+                    prev, run = x, 1
+            zeros = mags.count(0)
+            signs = 0 if flips is None else len(mags) - zeros - (flips is False and not zeros)
+            size *= math.factorial(len(mags)) // stab << signs
+        out.append(size)
+    return out
+
+
 # -- Weyl characters ---------------------------------------------------------------
 
 
 # Entries in each table of simple-factor modules and orbits (see the module
-# docstring).  A sweep over the spo(10|3) delta-chain Euler characters and
-# 450 Kac and Weyl characters of 18 algebras fills at most 210 entries of
-# one table, 446 in all, in 0.6 MiB; the spo(8|5) Euler character of the
-# hook module at (4,3,2,1) reads 96 factor modules.
+# docstring).  A sweep over the spo(10|3) delta-chain Euler characters with
+# |lambda| <= 6 and 348 Kac and g0 Weyl characters of 18 algebras fills 87
+# entries of the module table and 69 of the orbit table; the spo(8|5) Euler
+# character of the hook module at (4,3,2,1) reads 96 factor modules.
 FACTOR_TABLE_SIZE = 1024
 
 
@@ -440,7 +493,7 @@ def orthant_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     one module per factor, given by its multiplicities on dominant weights
     (`_dominant_character`, read from a table kept for the process); they
     are added up on dominant weights, and each with a nonzero sum is listed
-    on the orthant (`_orthant_orbit`)."""
+    on the orthant (`_orbit_product`, with sign changes only on D)."""
     factors, r0, steps = _fold_plan(alg.rank, roots)
     memos = [{} for _ in steps]  # per factor: part -> (dominant part, det)
     folded = {}
@@ -471,9 +524,9 @@ def orthant_character(alg: Algebra, numerator, roots) -> LaurentPoly:
                     pair = key, mu
                     dominant[pair] = dominant.get(pair, 0) + a * b
     live = {pair: c for pair, c in dominant.items() if c}
-    *head, last = [(froots, flips) for _, froots, _, flips in factors]
-    xs = {key: _orthant_orbit(key, head) for key in {key for key, _ in live}}
-    ys = {mu: _orthant_orbit((mu,), [last]) for mu in {mu for _, mu in live}}
+    *head, last = [(flips, flips is False) for *_, flips in factors]
+    xs = {key: _orbit_product(key, head) for key in {key for key, _ in live}}
+    ys = {mu: _orbit_product((mu,), [last]) for mu in {mu for _, mu in live}}
     out = {}
     for (key, mu), c in live.items():
         for x in xs[key]:
@@ -482,16 +535,13 @@ def orthant_character(alg: Algebra, numerator, roots) -> LaurentPoly:
     return LaurentPoly._wrap(alg.n, alg.m, out)
 
 
-def _orthant_orbit(parts, groups):
-    """The orbit of a dominant weight with its entries on B and C >= 0,
-    given by its `parts` on consecutive factors with their (roots, flips)
-    in `groups`: the product of the factors' orbits, the distinct
-    permutations on A, B and C (`_permutations`) and the orbit on D
-    (`_side_orbit`)."""
+def _orbit_product(parts, groups):
+    """The orbit of a dominant weight, given by its `parts` on consecutive
+    factors with their (flips, signed) in `groups`: the product, in slot
+    order, of the factors' orbit listings (`_orbit`)."""
     images = [()]
-    for mu, (roots, flips) in zip(parts, groups):
-        orbit = _side_orbit(mu, roots, False) if flips is False else _permutations(mu)
-        images = [x + y for x in images for y in orbit]
+    for mu, group in zip(parts, groups):
+        images = [x + y for x in images for y in _orbit(mu, *group)]
     return images
 
 
@@ -500,9 +550,9 @@ def _dominant_character(lam, roots, rho_side, flips):
     """A read-only {mu: multiplicity} over the dominant weights mu of the
     simple module of dominant highest weight lam, for one factor of
     `_factors`: doubled weights, `roots` its doubled positive roots,
-    `rho_side` its doubled rho, `flips` False for D (dominance x_1 >= ...
-    >= x_{k-1} >= |x_k|), None for A (no test on x_k).  A lam that is not an integral weight of the
-    roots raises ArithmeticError: its quotient is not a Laurent polynomial.
+    `rho_side` its doubled rho, `flips` its sign rule, read by the factor's
+    fold (`_fold_part`).  A lam that is not an integral weight of the roots
+    raises ArithmeticError: its quotient is not a Laurent polynomial.
 
     A factor without roots is abelian: {lam: 1}.  Rank 1 is one root
     string, in closed form.  Otherwise Freudenthal's formula (Humphreys,
@@ -514,11 +564,11 @@ def _dominant_character(lam, roots, rho_side, flips):
             = 2 sum over alpha > 0, j >= 1 of m(mu + j alpha) (mu + j alpha, alpha).
 
     The dominant weights are reached from lam by subtracting positive roots
-    and staying dominant (Stembridge, The partial order of dominant weights,
-    Adv. Math. 136, 1998), and taken in decreasing (mu, rho): each
-    mu + j alpha folds to a dominant weight above mu, already known, and its
-    string ends at the first fold that is not a weight.  A division with a
-    remainder raises ArithmeticError.
+    and staying dominant, that is, their own fold (Stembridge, The partial
+    order of dominant weights, Adv. Math. 136, 1998), and taken in
+    decreasing (mu, rho): each mu + j alpha folds to a dominant weight above
+    mu, already known, and its string ends at the first fold that is not a
+    weight.  A division with a remainder raises ArithmeticError.
 
     Results are kept in a process-wide table keyed on all four arguments
     (`FACTOR_TABLE_SIZE` entries, least recently used out first); an
@@ -539,21 +589,12 @@ def _dominant_character(lam, roots, rho_side, flips):
         shifted = tuple(map(operator.add, mu, rho_side))
         return dot(shifted, shifted)
 
-    def fold(w):
-        if flips is None:
-            return tuple(sorted(w, reverse=True))
-        mags = sorted(map(abs, w), reverse=True)
-        if not flips and mags[-1] and sum(map((0).__gt__, w)) % 2:
-            mags[-1] = -mags[-1]
-        return tuple(mags)
-
     weights = [lam]
     seen = {lam}
     for mu in weights:
         for a in roots:
             nu = tuple(map(operator.sub, mu, a))
-            if (nu not in seen and all(map(operator.ge, nu, nu[1:]))
-                    and (flips is None or (nu[-1] >= 0 if flips else nu[-2] >= -nu[-1]))):
+            if nu not in seen and tuple(_fold_part(nu, flips)) == nu:
                 seen.add(nu)
                 weights.append(nu)
     weights.sort(key=lambda mu: dot(mu, rho_side), reverse=True)
@@ -563,7 +604,7 @@ def _dominant_character(lam, roots, rho_side, flips):
         total = 0
         for a in roots:
             nu = tuple(map(operator.add, mu, a))
-            while c := mult.get(fold(nu)):
+            while c := mult.get(tuple(_fold_part(nu, flips))):
                 total += c * dot(nu, a)
                 nu = tuple(map(operator.add, nu, a))
         den = top - shifted_norm(mu)
@@ -575,29 +616,22 @@ def _dominant_character(lam, roots, rho_side, flips):
 
 
 @lru_cache(maxsize=FACTOR_TABLE_SIZE)
-def _permutations(mu):
-    """The distinct permutations of a tuple."""
-    images = {()}
-    for x in mu:  # insert each entry at every place
-        images = {w[:i] + (x,) + w[i:] for w in images for i in range(len(w) + 1)}
-    return tuple(images)
-
-
-@lru_cache(maxsize=FACTOR_TABLE_SIZE)
-def _side_orbit(mu, roots, flips):
-    """The distinct images of a dominant doubled weight of one side of g0
-    under that side's Weyl group: signed permutations of its entries, with
-    evenly many sign changes on D_m (flips False), so that a D_m orbit
+def _orbit(mu, flips, signed):
+    """The distinct images of a dominant part mu on one factor of `_factors`
+    (flips as there) under the factor's Weyl group, as a tuple.  Unsigned,
+    they are the distinct permutations of mu: its orbit on A, and on B and C
+    the members with every entry >= 0, which is all a Weyl character holds
+    there.  Signed, they are the signed permutations of its absolute values,
+    with evenly many sign changes on D (flips False), so that a D orbit
     without a 0 entry keeps the sign parity of mu, whose last entry may be
-    negative.  A side without roots has the trivial group."""
-    if not roots:
-        return (mu,)
-    if len(mu) == 1:
+    negative.  D is listed signed only."""
+    if signed and len(mu) == 1:
         return ((mu[0],), (-mu[0],)) if mu[0] else (mu,)
     images = {()}
-    for x in map(abs, mu):  # insert each entry, with either sign, at every place
-        images = {w[:i] + (y,) + w[i:] for w in images for i in range(len(w) + 1) for y in (x, -x)}
-    if flips or 0 in mu:
+    for x in map(abs, mu) if signed else mu:  # insert each entry, with each sign, at every place
+        ys = (x, -x) if signed else (x,)
+        images = {w[:i] + (y,) + w[i:] for w in images for i in range(len(w) + 1) for y in ys}
+    if flips is not False or 0 in mu:
         return tuple(images)
     parity = mu[-1] < 0
     return tuple(w for w in images if sum(map((0).__gt__, w)) % 2 == parity)

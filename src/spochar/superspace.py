@@ -49,18 +49,20 @@ vector to 1 at its largest monomial.
 Every block is built from closed forms, not from an enumerated degree: the
 dominant weights of a degree, the monomials of a weight, |Wμ| (from the
 stabilizer of μ) and dim(k) (`_dominant_weights`, `_weight_monomials`,
-`_orbit_size`, `degree_dim`).  `kernel_basis` solves every weight of the
-degree, the W-orbits of the dominant ones.  The singular-vector pass and the
-tensor counts solve only the g0-dominant blocks: the even raising operators
-kill a singular vector, so its weight is g0-dominant, and W permutes the
-Laplacian's weight blocks, so the kernel dimension is the sum over dominant
-μ of nullity(μ) times |Wμ|, checked against dim(k) - dim(k-2).  The top
-singular vector v generates the kernel M exactly when dim M/n⁻M = 1 (graded
-Nakayama: n⁻ acts nilpotently).  A nonzero (M/n⁻M)_μ gives a g0-lowest
-weight -μ of M*, so μ is dominant, and dim M/n⁻M is the sum over dominant μ,
-each once, of nullity(μ) - rank sum_i f_i K_{μ+α_i} (`_deficits`).  Only
-when that sum exceeds 1 does the cyclic span of v get walked, to give its
-exact dimension (`cyclic_span_dim`).
+`rootdata.orbit_sizes`, `degree_dim`); W is read only through `rootdata`'s
+public names.  `kernel_basis` solves every weight of the degree, the
+W-orbits of the dominant ones (`rootdata.orbit`).  The singular-vector pass
+and the tensor counts solve only the g0-dominant blocks: the even raising
+operators kill a singular vector, so its weight is g0-dominant, and W
+permutes the Laplacian's weight blocks, so the kernel dimension is the sum
+over dominant μ of nullity(μ) times |Wμ|, checked against dim(k) -
+dim(k-2).  The top singular vector v generates the kernel M exactly when
+dim M/n⁻M = 1 (graded Nakayama: n⁻ acts nilpotently).  A nonzero
+(M/n⁻M)_μ gives a g0-lowest weight -μ of M*, so μ is dominant, and
+dim M/n⁻M is the sum over dominant μ, each once, of nullity(μ) - rank
+sum_i f_i K_{μ+α_i} (`_deficits`).  Only when that sum exceeds 1 does the
+cyclic span of v get walked, to give its exact dimension
+(`cyclic_span_dim`).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, add_terms, grlex_key
@@ -80,11 +82,11 @@ from .rootdata import (
     Weight,
     fold_to_dominant,
     is_dominant,
+    orbit,
+    orbit_sizes,
     partitions_up_to,
     positive_roots,
     simple_roots,
-    _g0_factors,
-    _side_orbit,
 )
 
 
@@ -658,16 +660,9 @@ def _dominant_weights(alg, k):
 
 
 def _degree_weights(alg, k):
-    """The doubled weights of degree k: the W-orbits of its dominant weights,
-    the products of their orbits on the factors of g0 (`_side_orbit`)."""
-    factors = _g0_factors(alg)
-    out = []
-    for mu in _dominant_weights(alg, k):
-        images = [()]
-        for slots, roots, _, flips in factors:
-            images = [x + y for x in images for y in _side_orbit(mu[slots], roots, flips)]
-        out += images
-    return out
+    """The doubled weights of degree k: the W-orbits of its dominant weights
+    (`rootdata.orbit`)."""
+    return [wt for mu in _dominant_weights(alg, k) for wt in orbit(alg, mu)]
 
 
 def _weight_monomials(layout, k, doubled):
@@ -711,31 +706,6 @@ def _weight_monomials(layout, k, doubled):
                 out += [start + p for p in sums]
     out.sort()
     return out
-
-
-def _orbit_size(alg, doubled):
-    """|W mu| for a doubled weight mu, from its stabilizer: on C_n (d-slots)
-    and B_m (e-slots, odd l), r!/prod c! * 2^(nonzero entries) for r slots
-    whose absolute values occur c times each; D_m (even l) changes signs in
-    pairs only, so it has 2^(m-1) for 2^m when no entry is 0.  prod c! is
-    taken along the runs of the sorted absolute values, the i-th entry of a
-    run multiplying it by i."""
-    n = alg.n
-    size = 1
-    for side, flips in ((doubled[:n], True), (doubled[n:], alg.odd)):
-        mags = sorted(map(abs, side))
-        stab = run = 1
-        prev = None
-        for x in mags:
-            if x == prev:
-                run += 1
-                stab *= run
-            else:
-                prev, run = x, 1
-        zeros = mags.count(0)
-        signs = len(mags) - zeros - (not flips and bool(mags) and not zeros)
-        size *= factorial(len(mags)) // stab << signs
-    return size
 
 
 # -- per-weight blocks -------------------------------------------------------------------
@@ -838,9 +808,9 @@ def _singular_pass(blocks, ups):
     alg, layout = blocks.alg, blocks.layout
     kdim = 0
     out = {}
-    orbit_size = {}
-    for wt in _dominant_weights(alg, blocks.k):
-        orbit_size[wt] = _orbit_size(alg, wt)
+    dominant = _dominant_weights(alg, blocks.k)
+    orbit_size = dict(zip(dominant, orbit_sizes(alg, dominant)))
+    for wt in dominant:
         kern = blocks.kernel(wt)
         kdim += orbit_size[wt] * len(kern)
         vecs = _block_singular(blocks.images, ups, kern)

@@ -20,7 +20,6 @@ from spochar.charformulas import (
     hook_schur_character,
     kac_character,
     levi_character,
-    levi_natural_character,
     levi_simple_even_character,
     parabolic_removing,
     vdim_formula,
@@ -41,7 +40,6 @@ from spochar.rootdata import (
     _chamber_fold,
     _dominant_character,
     _g0_factors,
-    _side_orbit,
     alternating_terms,
     antisymmetrize,
     is_dominant,
@@ -142,7 +140,7 @@ def test_euler_natural_modules():
 
 def test_levi_natural_weights():
     p = parabolic_removing(SPO24, "e1+e2")
-    nat = levi_natural_character(p)
+    nat = levi_character(p, "natural").character
     assert nat.terms == {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
 
 
@@ -153,7 +151,7 @@ def test_levi_sym_power_dimension():
 
 def test_hook_schur_basics():
     q = parabolic_removing(SPO26, "e2+e3")
-    assert hook_schur_character(q, (1,)) == levi_natural_character(q)
+    assert hook_schur_character(q, (1,)) == levi_character(q, "natural").character
     assert hook_schur_character(q, ()) == LaurentPoly.one(1, 3)
     # gl(1|1) covariant characters are two-dimensional for nonempty hooks
     p = parabolic_removing(SPO23, "e1")
@@ -165,10 +163,10 @@ def test_hook_schur_basics():
 
 def test_gl_chain_detection_rejects_non_gl_levis():
     p = parabolic_removing(SPO23, "e1")  # retains only d1-e1: gl(1|1), fine
-    levi_natural_character(p)
+    levi_character(p, "natural").character
     p2 = parabolic_removing(SPO23, "d1-e1")  # retains e1: so(3), not gl type
     with pytest.raises(LeviMismatch):
-        levi_natural_character(p2)
+        levi_character(p2, "natural").character
 
 
 def test_even_simple_levi_character():
@@ -579,7 +577,7 @@ def _fold_terms(alg, terms):
 def _clear_factor_tables():
     """Empty the process-wide tables of rootdata's simple-factor modules and
     orbits."""
-    for table in (rootdata._dominant_character, rootdata._permutations, rootdata._side_orbit):
+    for table in (rootdata._dominant_character, rootdata._orbit):
         table.cache_clear()
 
 
@@ -703,12 +701,31 @@ def test_kac_matches_the_frozen_w_sum_off_the_dominant_chamber():
     assert outcomes == {"character": 364, "error": 2784, "zero": 3579}
 
 
+def _frozen_side_orbit(mu, roots, flips):
+    """Frozen copy of `rootdata._side_orbit`, the orbit lister of one side of
+    g0 before `rootdata._orbit` replaced it, without its table: the distinct
+    signed permutations of a dominant doubled weight, evenly many sign
+    changes on D_m (flips False), the trivial group without roots."""
+    if not roots:
+        return (mu,)
+    if len(mu) == 1:
+        return ((mu[0],), (-mu[0],)) if mu[0] else (mu,)
+    images = {()}
+    for x in map(abs, mu):  # insert each entry, with either sign, at every place
+        images = {w[:i] + (y,) + w[i:] for w in images for i in range(len(w) + 1) for y in (x, -x)}
+    if flips or 0 in mu:
+        return tuple(images)
+    parity = mu[-1] < 0
+    return tuple(w for w in images if sum(map((0).__gt__, w)) % 2 == parity)
+
+
 def _frozen_weyl_character(alg, numerator, roots):
     """The Weyl character as `rootdata.weyl_character` computed it before
     the orthant split: each dominant weight expanded to its whole W-orbit
     (frozen, body verbatim but for the calls into rootdata, which take the
-    functions behind its process-wide tables, so that the gate reads none
-    of the tables it checks)."""
+    function behind its table of factor modules and the frozen orbit lister
+    `_frozen_side_orbit`, so that the gate reads none of the tables it
+    checks)."""
     r0 = [sum(r[i] for r in roots) // 2 for i in range(alg.rank)]
     sides = []  # (slots, positive roots, rho, flips, {highest weight: table})
     for slots, flips in ((slice(0, alg.n), True), (slice(alg.n, None), alg.odd)):
@@ -730,8 +747,8 @@ def _frozen_weyl_character(alg, numerator, roots):
                 dominant[key] = dominant.get(key, 0) + c * a * b
     live = {key: c for key, c in dominant.items() if c}
     (_, roots_d, *_), (_, roots_e, *_) = sides
-    orbits_d = {mu_d: _side_orbit.__wrapped__(mu_d, roots_d, True) for mu_d in {mu_d for mu_d, _ in live}}
-    orbits_e = {mu_e: _side_orbit.__wrapped__(mu_e, roots_e, alg.odd) for mu_e in {mu_e for _, mu_e in live}}
+    orbits_d = {mu_d: _frozen_side_orbit(mu_d, roots_d, True) for mu_d in {mu_d for mu_d, _ in live}}
+    orbits_e = {mu_e: _frozen_side_orbit(mu_e, roots_e, alg.odd) for mu_e in {mu_e for _, mu_e in live}}
     out = {}
     for (mu_d, mu_e), c in live.items():
         for x in orbits_d[mu_d]:

@@ -28,7 +28,7 @@ from spochar.rootdata import (
     _chamber_fold,
     _dominant_character,
     _factors,
-    _orthant_orbit,
+    _orbit_product,
     orthant_character,
     partitions_up_to,
     positive_roots,
@@ -62,9 +62,9 @@ def _orthant_frozen(alg, numerator, roots):
                     pair = key, mu
                     dominant[pair] = dominant.get(pair, 0) + a * b
     live = {pair: c for pair, c in dominant.items() if c}
-    *head, last = [(froots, flips) for _, froots, _, flips in factors]
-    xs = {key: _orthant_orbit(key, head) for key in {key for key, _ in live}}
-    ys = {mu: _orthant_orbit((mu,), [last]) for mu in {mu for _, mu in live}}
+    *head, last = [(flips, flips is False) for *_, flips in factors]
+    xs = {key: _orbit_product(key, head) for key in {key for key, _ in live}}
+    ys = {mu: _orbit_product((mu,), [last]) for mu in {mu for _, mu in live}}
     out = {}
     for (key, mu), c in live.items():
         for x in xs[key]:

@@ -30,6 +30,7 @@ from spochar.rootdata import (
     Weight,
     fold_to_dominant,
     is_dominant,
+    orbit_sizes,
     positive_roots,
     simple_roots,
 )
@@ -42,7 +43,6 @@ from spochar.superspace import (
     _integer_multiple,
     _is_degree_weight,
     _layout,
-    _orbit_size,
     _upward_closure,
     degree_basis,
     degree_dim,
@@ -229,7 +229,7 @@ def _singular_pass(alg, k, bound, images, ups):
     orbit_size = {}
     blocks = {}
     for wt in _dominant_weights(alg, k):
-        orbit_size[wt] = _orbit_size(alg, wt)
+        orbit_size[wt] = orbit_sizes(alg, [wt])[0]
         kern = blocks[wt] = _block_kernel(images, lap, _weight_monomials(alg, k, wt))
         kdim += orbit_size[wt] * len(kern)
         vecs = _block_singular(images, ups, kern)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,15 @@ from spochar.rootdata import (
     _dominant_character,
     _factors,
     _g0_factors,
-    _permutations,
-    _side_orbit,
+    _orbit,
+    _orbit_product,
     antisymmetrize,
     conjugate_partition,
     fits_hook,
     fold_to_dominant,
     is_dominant,
+    orbit,
+    orbit_sizes,
     partitions_up_to,
     positive_roots,
     rho,
@@ -397,24 +400,64 @@ def test_factors_of_even_levis():
     assert _kinds(rank, [r[:-1] + (-r[-1],) for r in roots]) == [(0, 1, None), (1, 4, None)]
 
 
+# -- W-orbits of g0-dominant weights against the enumerated W ---------------------
+
+ORBIT_ALGEBRAS = ["2|0", "2|1", "2|2", "4|1", "4|2", "4|4", "6|4", "8|5"]
+
+
+def _random_dominant(alg, rng):
+    """A random g0-dominant doubled weight: each side non-increasing and
+    >= 0, with repeats and zeros; for even l its last entry negated half the
+    time (D_m, where the dominant member keeps the orbit's sign parity, or
+    so(2), which has no roots)."""
+    d = sorted((rng.choice((0, 0, 1, 2, 2, 4, 5)) for _ in range(alg.n)), reverse=True)
+    e = sorted((rng.choice((0, 0, 1, 2, 2, 4, 5)) for _ in range(alg.m)), reverse=True)
+    if not alg.odd and e and rng.random() < 0.5:
+        e[-1] = -e[-1]
+    return tuple(d + e)
+
+
+@pytest.mark.parametrize("algtxt", ORBIT_ALGEBRAS)
+def test_orbits_and_orbit_sizes_against_the_enumerated_weyl_group(algtxt):
+    # orbit lists W mu without repeats, orbit_sizes counts it, and the
+    # orthant listing of a Weyl character is the part of W mu with every
+    # sign-free entry >= 0; the oracle applies every element of W
+    alg = Algebra.parse(algtxt)
+    rng = random.Random(algtxt)
+    group = weyl_group(alg)
+    factors = _g0_factors(alg)
+    weights = [(0,) * alg.rank] + [_random_dominant(alg, rng) for _ in range(40)]
+    assert any(0 in mu for mu in weights[1:])
+    assert any(mu[-1] < 0 for mu in weights) == (not alg.odd and alg.m > 0)
+    for mu in weights:
+        assert fold_to_dominant(alg, mu) == mu
+        images = orbit(alg, mu)
+        assert len(set(images)) == len(images)
+        assert set(images) == {weyl_act(g, mu) for g in group}, mu
+        orthant = _orbit_product([mu[slots] for slots, *_ in factors], [(flips, flips is False) for *_, flips in factors])
+        assert len(set(orthant)) == len(orthant)
+        assert set(orthant) == {w for w in images if all(w[i] >= 0 for i in sign_free_slots(alg))}, mu
+    assert orbit_sizes(alg, weights) == [len(orbit(alg, mu)) for mu in weights]
+
+
 # -- the process-wide tables of simple-factor modules and orbits -------------------
 
-FACTOR_TABLES = (_dominant_character, _permutations, _side_orbit)
+FACTOR_TABLES = (_dominant_character, _orbit)
 
 
 def test_factor_tables_hand_out_read_only_values():
     # every caller reads the same value: none can change it for the others
-    (_, c_roots, c_rho, c_flips), (_, d_roots, _, _) = _g0_factors(Algebra.parse("4|4"))
+    (_, c_roots, c_rho, c_flips), _ = _g0_factors(Algebra.parse("4|4"))
     mults = _dominant_character((4, 2), c_roots, c_rho, c_flips)
     with pytest.raises(TypeError):
         mults[4, 2] = 2
     with pytest.raises(TypeError):
         del mults[4, 2]
-    for orbit in (_permutations((4, 2)), _side_orbit((4, -2), d_roots, False), _side_orbit((4, 2), c_roots, True)):
+    for images in (_orbit((4, 2), True, False), _orbit((4, -2), False, True), _orbit((4, 2), True, True)):
         with pytest.raises(TypeError):
-            orbit[0] = (0, 0)
+            images[0] = (0, 0)
     assert _dominant_character((4, 2), c_roots, c_rho, c_flips) == {(4, 2): 1, (2, 0): 2}  # sp(4), 2d1 + d2: dim 16
-    assert sorted(_side_orbit((4, -2), d_roots, False)) == [(-4, 2), (-2, 4), (2, -4), (4, -2)]
+    assert sorted(_orbit((4, -2), False, True)) == [(-4, 2), (-2, 4), (2, -4), (4, -2)]
 
 
 def test_a_non_integral_highest_weight_raises_on_every_call():

@@ -5,7 +5,7 @@ import pytest
 
 from spochar.jacobitrudi import ext_power_char
 from spochar import superspace
-from spochar.rootdata import Algebra, Weight, positive_roots
+from spochar.rootdata import Algebra, Weight, orbit_sizes, positive_roots
 from spochar.superspace import (
     SuperElement,
     char_of_degree,
@@ -972,7 +972,7 @@ def test_closed_forms_match_the_enumerated_degree():
         folds = Counter(fold_to_dominant(alg, wt) for wt in by_weight)
         dominant = superspace._dominant_weights(alg, k)
         assert dominant == sorted(folds, key=lambda w: (sum(w), w), reverse=True)
-        assert {mu: superspace._orbit_size(alg, mu) for mu in dominant} == folds
+        assert dict(zip(dominant, orbit_sizes(alg, dominant))) == folds
         near = {wt[:i] + (wt[i] + step,) + wt[i + 1:]
                 for wt in by_weight for i in range(alg.rank) for step in (-2, 0, 2)}
         near |= {(2,) * alg.rank, (0,) * alg.rank}
@@ -983,8 +983,8 @@ def test_closed_forms_match_the_enumerated_degree():
 
 
 def _frozen_orbit_size(alg, doubled):
-    """`superspace._orbit_size` as it was with a Counter per side; do not
-    "optimise" it."""
+    """`rootdata.orbit_sizes` of one weight as it was with a Counter per
+    side, in `superspace`; do not "optimise" it."""
     from collections import Counter
     from math import factorial, prod
 
@@ -1014,14 +1014,14 @@ def test_orbit_size_matches_the_frozen_counter_version():
     seen = 0
     for text, k in REPORT_DEGREES:
         alg = Algebra.parse(text)
-        for mu in superspace._dominant_weights(alg, k):
-            assert superspace._orbit_size(alg, mu) == _frozen_orbit_size(alg, mu), (text, k, mu)
-            seen += 1
+        dominant = superspace._dominant_weights(alg, k)
+        assert orbit_sizes(alg, dominant) == [_frozen_orbit_size(alg, mu) for mu in dominant], (text, k)
+        seen += len(dominant)
     assert seen > 200
     for text, mu in (("6|4", (4, 4, 4, 2, 2)), ("6|4", (0, 0, 0, 0, 0)), ("4|6", (2, 2, 0, 0, 0)),
                      ("2|0", (6,)), ("2|4", (2, 2, 2)), ("2|4", (0, 2, 0)), ("6|7", (4, 4, 0, 2, 2, 2))):
         alg = Algebra.parse(text)
-        assert superspace._orbit_size(alg, mu) == _frozen_orbit_size(alg, mu), (text, mu)
+        assert orbit_sizes(alg, [mu]) == [_frozen_orbit_size(alg, mu)], (text, mu)
 
 
 def test_operators_are_built_once_per_algebra():
@@ -1194,13 +1194,15 @@ def test_no_deficit_off_the_dominant_weights():
 
 def _split_degree_weights(alg, k):
     """Frozen: the weights of a degree, with g0 split into its d- and e-sides
-    by hand, as before `_degree_weights` read `rootdata._g0_factors`."""
-    from spochar.rootdata import _side_orbit
+    by hand and each side's orbit listed by the frozen copy of
+    `rootdata._side_orbit`, as before `_degree_weights` read
+    `rootdata._g0_factors`."""
+    from test_charformulas import _frozen_side_orbit
 
     n, even = alg.n, [r.doubled for r in positive_roots(alg).even]
     d, e = (tuple(r[side] for r in even if any(r[side])) for side in (slice(n), slice(n, None)))
     return [x + y for mu in superspace._dominant_weights(alg, k)
-            for x in _side_orbit(mu[:n], d, True) for y in _side_orbit(mu[n:], e, alg.odd)]
+            for x in _frozen_side_orbit(mu[:n], d, True) for y in _frozen_side_orbit(mu[n:], e, alg.odd)]
 
 
 def test_degree_weights_are_the_orbits_on_the_g0_factors():
@@ -1211,14 +1213,14 @@ def test_degree_weights_are_the_orbits_on_the_g0_factors():
         for k in range(6):
             assert superspace._degree_weights(alg, k) == _split_degree_weights(alg, k), (text, k)
     # the D_2 side's orbits are the entries that the Weyl characters of g0 list
-    rootdata._side_orbit.cache_clear()
+    rootdata._orbit.cache_clear()
     superspace._degree_weights(SPO44, 3)
-    misses = rootdata._side_orbit.cache_info().misses
-    _, (_, e_roots, _, flips) = rootdata._g0_factors(SPO44)
+    misses = rootdata._orbit.cache_info().misses
+    _, (_, _, _, flips) = rootdata._g0_factors(SPO44)
     assert flips is False
     for mu in superspace._dominant_weights(SPO44, 3):
-        rootdata._orthant_orbit((mu[2:],), [(e_roots, flips)])
-    assert rootdata._side_orbit.cache_info().misses == misses
+        rootdata._orbit_product((mu[2:],), [(flips, flips is False)])
+    assert rootdata._orbit.cache_info().misses == misses
 
 
 def test_spo88_degree7_report_at_the_frontier():
